@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
-from multiprocessing.pool import ThreadPool
 from pathlib import Path
 
 import numpy as np
 
+from ._atomic import atomic_open
 from ._seed import derive_seed
 from .advdir import adv_directions, cumulative_share
 from .data import (
@@ -38,22 +37,12 @@ from .data import (
 )
 from .errors import (
     ConfigError,
-    DegenerateGradientError,
     DomainError,
     NumericalError,
     UndefinedMetricError,
-    UnreachableSubspaceError,
     WorkbenchError,
 )
-from .margin import (
-    SearchConfig,
-    compute_total_variation,
-    constrained_deepfool_margin,
-    constrained_taylor_margin,
-    deepfool_margin,
-    deepfool_margin_batch,
-    taylor_margin,
-)
+from .margin import SearchConfig, compute_total_variation, search_margins
 from .metrics import (
     EvaluatedModel,
     HyperparamConfig,
@@ -89,17 +78,15 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _atomic_write(path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _write_text(path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_cell(c) for c in row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _print_json(obj) -> None:
@@ -146,7 +133,7 @@ def _cmd_corrupt(args) -> None:
                    "seed": int(report.seed),
                    "indices_corrupted": [int(i) for i in
                                          report.indices_corrupted]}
-        _atomic_write(args.report, json.dumps(payload, sort_keys=True) + "\n")
+        _write_text(args.report, json.dumps(payload, sort_keys=True) + "\n")
     _print_json({"mode": report.mode,
                  "fraction_requested": float(report.fraction_requested),
                  "num_corrupted": len(report.indices_corrupted),
@@ -227,9 +214,7 @@ def _cmd_measure(args) -> None:
     X = (apply_normalization(raw.features, net.norm_meta)
          if net.norm_meta is not None else np.asarray(raw.features, float))
     cfg = SearchConfig(learning_rate=args.gamma, stop_tolerance=args.tol,
-                       max_iters=args.max_iters,
-                       equality_threshold=args.epsilon,
-                       batch_mode=args.batch)
+                       max_iters=args.max_iters)
 
     predictions = predict_batch(net, X)
     if args.include_misclassified:
@@ -245,47 +230,18 @@ def _cmd_measure(args) -> None:
     if constrained:
         pca, m = _resolve_subspace(args, all_acts[0])
 
-    rows = []
-    boundary_rows = []
-    margins = []
-    degenerate = 0
-    if args.estimator == "deepfool" and args.batch:
-        results = deepfool_margin_batch(net, args.layer, acts[kept], cfg)
-        pairs = zip(kept.tolist(), results)
-    else:
-        pairs = ((int(idx), None) for idx in kept)
-
-    for idx, ready in pairs:
-        if ready is not None:
-            res = ready
-        else:
-            x = acts[idx]
-            try:
-                if args.estimator == "taylor":
-                    res = taylor_margin(net, args.layer, x)
-                elif args.estimator == "deepfool":
-                    res = deepfool_margin(net, args.layer, x, cfg)
-                elif args.estimator == "constrained-taylor":
-                    res = constrained_taylor_margin(net, x, pca, m)
-                else:
-                    res = constrained_deepfool_margin(net, x, pca, m, cfg)
-            except UnreachableSubspaceError:
-                rows.append((idx, None, None, None, "unreachable",
-                             None, None, None))
-                degenerate += 1
-                continue
-            except DegenerateGradientError:
-                rows.append((idx, None, None, None, "degenerate",
-                             None, None, None))
-                degenerate += 1
-                continue
-        margins.append(res.d_best)
-        rows.append((idx, float(res.d_best), float(res.v_best),
-                     int(res.steps), res.status.value, res.class_pair[0],
-                     res.class_pair[1], bool(res.left_subspace)))
-        if args.boundary_out and res.boundary_point is not None:
-            boundary_rows.append((idx, *map(float, acts[idx]),
-                                  *map(float, res.boundary_point)))
+    search = None if args.estimator.endswith("taylor") else cfg
+    results = (search_margins(net, args.layer, acts[kept], search, pca, m,
+                              batch_mean=args.batch) if kept.size else [])
+    # a closed-form row without a usable gradient has no margin
+    no_margin = "unreachable" if constrained else "degenerate"
+    rows = [(idx, None, None, None, no_margin, None, None, None)
+            if res is None else
+            (idx, res.d_best, res.v_best, res.steps, res.status.value,
+             *res.class_pair, res.left_subspace)
+            for idx, res in zip(kept.tolist(), results)]
+    margins = [res.d_best for res in results if res is not None]
+    degenerate = len(results) - len(margins)
 
     header = ["sample_index", "margin", "violation", "steps", "status",
               "base_class", "competitor_class", "left_subspace"]
@@ -308,6 +264,9 @@ def _cmd_measure(args) -> None:
         bheader = (["sample_index"]
                    + [f"orig_{j}" for j in range(width)]
                    + [f"bound_{j}" for j in range(width)])
+        boundary_rows = [(idx, *acts[idx].tolist(),
+                          *res.boundary_point.tolist())
+                         for idx, res in zip(kept.tolist(), results)]
         _write_csv(args.boundary_out, bheader, boundary_rows)
     _print_json(summary)
 
@@ -510,8 +469,7 @@ _TOP_KEYS = {"dataset", "corruptions", "widths", "seeds", "train",
              "estimator", "normalize", "output_dir", "seed"}
 _BLOB_KEYS = {"classes", "samples_per_class", "dim", "spread"}
 _TRAIN_KEYS = {"epochs", "batch_size", "learning_rate", "momentum"}
-_EST_KEYS = {"name", "learning_rate", "stop_tolerance", "max_iters",
-             "equality_threshold"}
+_EST_KEYS = {"name", "learning_rate", "stop_tolerance", "max_iters"}
 
 
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
@@ -588,9 +546,7 @@ def _load_sweep_config(args) -> ExperimentConfig:
     search = SearchConfig(
         learning_rate=float(est.get("learning_rate", 0.25)),
         stop_tolerance=float(est.get("stop_tolerance", 0.001)),
-        max_iters=int(est.get("max_iters", 100)),
-        equality_threshold=float(est.get("equality_threshold", 1e-3)),
-        batch_mode=True)
+        max_iters=int(est.get("max_iters", 100)))
 
     normalize_scheme = raw.get("normalize", "znorm")
     if normalize_scheme not in ("znorm", "minmax", "none"):
@@ -634,15 +590,10 @@ def _entry_margins(cfg: ExperimentConfig, net, ds: Dataset) -> np.ndarray:
     kept = np.flatnonzero(predict_batch(net, ds.features) == ds.labels)
     if kept.size == 0:
         return values
-    if cfg.estimator == "deepfool":
-        results = deepfool_margin_batch(net, 0, ds.features[kept], cfg.search)
-        values[kept] = [r.d_best for r in results]
-        return values
-    for idx in kept:
-        try:
-            values[idx] = taylor_margin(net, 0, ds.features[idx]).d_best
-        except DegenerateGradientError:
-            pass
+    search = cfg.search if cfg.estimator == "deepfool" else None
+    results = search_margins(net, 0, ds.features[kept], search,
+                             batch_mean=True)
+    values[kept] = [np.nan if r is None else r.d_best for r in results]
     return values
 
 
@@ -676,15 +627,6 @@ def _run_sweep_entry(cfg: ExperimentConfig, variant: str, ds: Dataset,
         "margin_overall": _mean(values[finite].tolist()),
         "per_sample": per_sample,
     }
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("MW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ConfigError(f"MW_THREADS must be an integer, got {raw!r}") \
-            from exc
 
 
 def run_capacity_sweep(cfg: ExperimentConfig) -> dict:
@@ -722,23 +664,10 @@ def run_capacity_sweep(cfg: ExperimentConfig) -> dict:
                 prepared.append((name, norm_ds, meta))
 
         stage = "train"
-        entries = [(width, seed, k)
-                   for width in cfg.widths
-                   for seed in cfg.seeds
-                   for k in range(len(prepared))]
-
-        def run_one(entry):
-            width, seed, k = entry
-            name, ds, meta = prepared[k]
-            return _run_sweep_entry(cfg, name, ds, meta, test_raw, width,
-                                    seed)
-
-        threads = _thread_count()
-        if threads > 1:
-            with ThreadPool(min(threads, len(entries))) as pool:
-                rows = pool.map(run_one, entries)
-        else:
-            rows = [run_one(e) for e in entries]
+        rows = [_run_sweep_entry(cfg, name, ds, meta, test_raw, width, seed)
+                for width in cfg.widths
+                for seed in cfg.seeds
+                for name, ds, meta in prepared]
 
         stage = "report"
         margin_rows = [(r["width"], r["seed"], r["variant"],
@@ -799,8 +728,8 @@ def run_capacity_sweep(cfg: ExperimentConfig) -> dict:
             "widths": list(cfg.widths),
         }
         summary_path = out_dir / "summary.json"
-        _atomic_write(summary_path,
-                      json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        _write_text(summary_path,
+                    json.dumps(summary, sort_keys=True, indent=2) + "\n")
         written.append(summary_path)
     except WorkbenchError as exc:
         for path in written:
@@ -868,8 +797,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=0.01,
                    help="distance-stabilization stopping tolerance")
     p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--epsilon", type=float, default=1e-3,
-                   help="boundary equality threshold for reporting")
     p.add_argument("--batch", action="store_true",
                    help="batched search with mean-distance stopping")
     p.add_argument("--pca", default=None,

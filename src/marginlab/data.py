@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .errors import ConfigError, DomainError
 
 _MAGIC = b"MWDS"
@@ -250,7 +251,7 @@ def apply_normalization(features: np.ndarray, meta: NormalizationMeta) -> np.nda
 
 def save_dataset_bin(ds: Dataset, path) -> None:
     """Write the MWDS binary layout (f32 features, u32 labels, little-endian)."""
-    with open(path, "wb") as fh:
+    with atomic_open(path, binary=True) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQQI", _BIN_VERSION, ds.sample_count,
                              ds.feature_count, ds.class_count))
@@ -284,7 +285,7 @@ def load_dataset_bin(path) -> Dataset:
 
 
 def save_dataset_csv(ds: Dataset, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"f{j}" for j in range(ds.feature_count)] + ["label"])
         for x, y in zip(ds.features, ds.labels):

@@ -1,13 +1,25 @@
-"""Margin estimation: linearized bounds and iterative boundary search.
+"""Margin estimation: one batched engine for linearized bounds and
+iterative boundary search.
 
-Two families of estimators live here. ``taylor_margin`` evaluates the
-first-order lower bound (f_i - f_j) / ||grad(f_i - f_j)|| in closed form.
-The ``deepfool_*`` functions run the iterative search that repeatedly steps
-toward the nearest linearized decision boundary, tracking the best violation
-seen so far; constrained variants restrict the perturbation to the span of
-the leading principal directions while still measuring distance in the
-original space. The total-variation helpers normalize hidden-layer margins
-so that values from layers of different scale become comparable.
+``search_margins`` measures every row of an activation matrix at layer
+``lam``. All estimators start from the same evaluation: the logit
+differences o_j = f_i - f_j from the base class i (the prediction unless
+pinned) and their gradients, optionally projected onto the span of the
+leading principal directions, while distance is still measured in the
+original space. Without a ``SearchConfig`` the engine stops there and
+returns the first-order margin o_j / ||grad o_j|| (Elsayed et al. 2018),
+minimized over the candidate competitors. With one it runs the
+DeepFool-style search (Moosavi-Dezfooli et al. 2016): each row repeatedly
+steps toward its nearest linearized boundary and keeps its best
+(smallest-violation) iterate, stopping row by row or, in batch-mean mode,
+all together when the mean distance settles. Between iterations the engine
+keeps only per-row state: the best iterate with its gap and runner-up
+class, the current iterate, and the next step.
+
+``taylor_margin``, ``deepfool_margin`` and the constrained variants are
+one-row calls into the engine, ``deepfool_margin_batch`` an all-rows call.
+The total-variation helpers normalize hidden-layer margins so that values
+from layers of different scale become comparable.
 """
 
 from __future__ import annotations
@@ -44,19 +56,15 @@ class SearchConfig:
     """Knobs for the iterative boundary search.
 
     ``learning_rate`` scales each step toward the nearest linearized
-    boundary; ``stop_tolerance`` is the distance-stabilization threshold;
-    ``equality_threshold`` is the violation level below which a returned
-    point is considered to lie on the boundary (used for reporting, not for
-    stopping). ``bounds``, when given as (lower, upper) arrays, clips
-    input-space iterates to the data box; hidden-layer searches never clip.
+    boundary; ``stop_tolerance`` is the distance-stabilization threshold.
+    ``bounds``, when given as (lower, upper) arrays, clips input-space
+    iterates to the data box; hidden-layer searches never clip.
     """
 
     learning_rate: float = 0.25
     stop_tolerance: float = 0.01
     max_iters: int = 100
-    equality_threshold: float = 1e-3
     bounds: tuple[np.ndarray, np.ndarray] | None = None
-    batch_mode: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate <= 1.0:
@@ -66,8 +74,6 @@ class SearchConfig:
             raise DomainError("stop_tolerance must be positive")
         if self.max_iters < 1:
             raise DomainError("max_iters must be at least 1")
-        if self.equality_threshold <= 0.0:
-            raise DomainError("equality_threshold must be positive")
 
 
 @dataclass(frozen=True)
@@ -79,8 +85,8 @@ class MarginResult:
     can be negative when measured from the true class of a misclassified
     sample). ``v_best`` is the logit gap |f_i - f_j| at that iterate —
     ``inf`` when no iterate was ever accepted. ``steps`` counts accepted
-    updates. ``trace`` (opt-in) lists (distance, violation) per accepted
-    iterate, in order.
+    updates, in batch mode too. ``trace`` (opt-in) lists (distance,
+    violation) per accepted iterate, in order.
     """
 
     d_best: float
@@ -94,7 +100,7 @@ class MarginResult:
 
 
 # ---------------------------------------------------------------------------
-# shared pieces
+# the engine
 
 
 def _resolve_bounds(net: Network, lam: int, cfg: SearchConfig):
@@ -116,54 +122,195 @@ def _resolve_bounds(net: Network, lam: int, cfg: SearchConfig):
     return lower, upper
 
 
-def _head(net: Network, lam: int, X: np.ndarray, base: np.ndarray,
-          projector: np.ndarray | None):
-    """Logit gaps, step geometry, and logits at the current iterates.
-
-    With a projector P (rows orthonormal), gradients are projected before
-    norms are taken, so both the nearest-boundary choice and the step length
-    are made inside the subspace.
-    """
-    o, W, logits = logit_diffs_all_batch(net, lam, X, base)
-    Wp = W @ projector.T if projector is not None else W
-    norms = np.linalg.norm(Wp, axis=2)
-    return o, W, Wp, norms, logits
-
-
-def _choose(o: np.ndarray, norms: np.ndarray, base: np.ndarray):
-    """Index of the nearest linearized boundary per row; inf-only rows are
-    degenerate (no usable descent direction)."""
-    ratios = np.where(norms < _DEGENERATE, np.inf,
-                      np.abs(o) / np.maximum(norms, _DEGENERATE))
-    ratios[np.arange(o.shape[0]), base] = np.inf
-    return np.argmin(ratios, axis=1), np.all(np.isinf(ratios), axis=1)
-
-
 def _runner_up(logits: np.ndarray, base: np.ndarray) -> np.ndarray:
     masked = logits.copy()
     masked[np.arange(logits.shape[0]), base] = -np.inf
     return np.argmax(masked, axis=1)
 
 
-def _based_head(net, lam, X, projector):
-    """First head evaluation: the base class is the argmax at the start."""
-    s = X.shape[0]
-    o, W, logits = logit_diffs_all_batch(net, lam, X, np.zeros(s, dtype=np.int64))
-    base = np.argmax(logits, axis=1)
+def _next_step(o, G, base, projector, rate: float):
+    """Step toward each row's nearest linearized boundary, and the rows
+    with no usable descent direction (their step is zero).
+
+    With a projector P (rows orthonormal), the gradients are projected
+    before norms are taken, so both the nearest-boundary choice and the
+    step length are made inside the subspace. Steps use the signed gap,
+    which lets a search walk back after overshooting, unless a projector is
+    given; then they use its magnitude.
+    """
+    r = np.arange(o.shape[0])
+    Gp = G @ projector.T if projector is not None else G
+    norms = np.linalg.norm(Gp, axis=2)
+    ratios = np.where(norms < _DEGENERATE, np.inf,
+                      np.abs(o) / np.maximum(norms, _DEGENERATE))
+    ratios[r, base] = np.inf
+    j = np.argmin(ratios, axis=1)
+    stuck = np.all(np.isinf(ratios), axis=1)
+    gap = o[r, j] if projector is None else np.abs(o[r, j])
+    coef = np.divide(gap, norms[r, j] ** 2, out=np.zeros_like(gap),
+                     where=~stuck)
+    direction = Gp[r, j] @ projector if projector is not None else Gp[r, j]
+    return (rate * coef)[:, None] * direction, stuck
+
+
+def search_margins(net: Network, lam: int, X: np.ndarray,
+                   cfg: SearchConfig | None = None,
+                   pca: PcaModel | None = None, m: int | None = None, *,
+                   batch_mean: bool = False, base_class: int | None = None,
+                   target_class: int | None = None,
+                   second_highest: bool = False,
+                   collect_trace: bool = False) -> list[MarginResult | None]:
+    """One margin estimate per row of ``X`` (activations at layer ``lam``).
+
+    Without ``cfg``, the closed-form first-order margin: the signed minimum
+    of o_j / ||grad o_j|| over the competitors j (all of them, only
+    ``target_class``, or only the runner-up logit with ``second_highest``),
+    measured from ``base_class`` when given. Competitors whose gradient
+    vanishes are skipped; a row left with none yields None.
+
+    With ``cfg``, the iterative boundary search. By default each row stops
+    on its own: its violation rose, its distance settled, it hit
+    ``max_iters`` or it has no descent direction. With ``batch_mean`` the
+    whole batch stops once the mean distance over all rows settles, and each
+    status reports how that row stood then.
+
+    ``pca`` and ``m`` restrict the perturbation to the top-``m`` principal
+    directions (input space only); distance is still measured in the
+    original space.
+    """
+    X0 = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    s, c = X0.shape[0], net.num_classes
+    if s < 1:
+        raise DomainError("margin search needs at least one sample")
+    if base_class is not None and not 0 <= base_class < c:
+        raise DomainError(f"base class {base_class} outside [0, {c})")
+    projector = None
+    if pca is not None:
+        if lam != 0:
+            raise DomainError("subspace-constrained margins are measured in "
+                              "input space only")
+        if not 1 <= m <= pca.components.shape[0]:
+            raise DomainError(f"m={m} outside [1, {pca.components.shape[0]}]")
+        projector = pca.components[:m]
+
+    o, G, logits = logit_diffs_all_batch(net, lam, X0,
+                                         np.zeros(s, dtype=np.int64))
+    base = (np.argmax(logits, axis=1) if base_class is None
+            else np.full(s, base_class, dtype=np.int64))
     if np.any(base != 0):
-        o, W, logits = logit_diffs_all_batch(net, lam, X, base)
-    Wp = W @ projector.T if projector is not None else W
-    norms = np.linalg.norm(Wp, axis=2)
-    return base, o, W, Wp, norms, logits
+        o, G, logits = logit_diffs_all_batch(net, lam, X0, base)
+    pair = _runner_up(logits, base)
 
+    if cfg is None:
+        candidate = np.arange(c) != base[:, None]
+        if target_class is not None:
+            if not 0 <= target_class < c or np.any(base == target_class):
+                raise DomainError(f"target class {target_class} is not a "
+                                  f"competitor of the base class")
+            candidate &= np.arange(c) == target_class
+        elif second_highest:
+            candidate &= np.arange(c) == pair[:, None]
+        norms = np.linalg.norm(G @ projector.T if projector is not None
+                               else G, axis=2)
+        usable = candidate & (norms >= _DEGENERATE)
+        d = np.where(usable, o / np.where(usable, norms, 1.0), np.inf)
+        j = np.argmin(d, axis=1)
+        r = np.arange(s)
+        return [MarginResult(d_best=dk, v_best=abs(ok), class_pair=(b, jk),
+                             steps=0, status=SearchStatus.CONVERGED)
+                if found else None
+                for dk, ok, b, jk, found in zip(
+                    d[r, j].tolist(), o[r, j].tolist(), base.tolist(),
+                    j.tolist(), usable.any(axis=1).tolist())]
 
-def _left_subspace(perturbation: np.ndarray, projector: np.ndarray) -> bool:
-    residual = perturbation - (perturbation @ projector.T) @ projector
-    return bool(np.linalg.norm(residual) > _SPAN_TOL)
+    bounds = _resolve_bounds(net, lam, cfg)
+    step, stuck = _next_step(o, G, base, projector, cfg.learning_rate)
+    del G  # the (rows x classes x width) tensor never outlives an iteration
+    d_best = np.zeros(s)
+    v_best = np.full(s, np.inf)
+    boundary = X0.copy()
+    steps = np.zeros(s, dtype=np.int64)
+    status = np.empty(s, dtype=object)
+    status[:] = SearchStatus.NO_DESCENT  # np.full would store plain str
+    active = np.ones(s, dtype=bool)
+    Xhat = X0.copy()
+    d_cur = np.zeros(s)
+    mean_prev = 0.0
+    iters = 0
+    trace = [] if collect_trace else None
+
+    while True:
+        active &= ~stuck  # rows without a descent direction keep NO_DESCENT
+        if not active.any():
+            break
+        # batch-mean mode evaluates every row, stuck ones in place, so the
+        # matrix shapes, and with them the rounding, do not depend on which
+        # rows got stuck
+        a = np.arange(s) if batch_mean else np.flatnonzero(active)
+        Xp = Xhat[a] - step[a]
+        if bounds is not None:
+            np.clip(Xp, bounds[0], bounds[1], out=Xp)
+        o, G, logits = logit_diffs_all_batch(net, lam, Xp, base[a])
+        next_step, next_stuck = _next_step(o, G, base[a], projector,
+                                           cfg.learning_rate)
+        del G
+        runner = _runner_up(logits, base[a])
+        v = np.abs(o[np.arange(a.size), runner])
+        d = np.linalg.norm(X0[a] - Xp, axis=1)
+        iters += 1
+
+        if batch_mean:  # every active row moves and keeps its best iterate
+            moved = active.copy()
+            kept = moved & (v < v_best)
+        else:  # a row moves only onto an iterate it keeps
+            rose = v >= v_best[a]
+            settled = ~rose & (np.abs(d - d_best[a]) < cfg.stop_tolerance)
+            status[a[rose]] = SearchStatus.VIOLATION_ROSE
+            status[a[settled]] = SearchStatus.CONVERGED
+            moved = kept = ~(rose | settled)
+        k = a[kept]
+        d_best[k], v_best[k], boundary[k], pair[k] = (
+            d[kept], v[kept], Xp[kept], runner[kept])
+        steps[k] += 1
+        if trace is not None:
+            trace.extend(zip(k.tolist(), d[kept].tolist(), v[kept].tolist()))
+        mv = a[moved]
+        Xhat[mv], d_cur[mv] = Xp[moved], d[moved]
+        step[mv], stuck[mv] = next_step[moved], next_stuck[moved]
+        active[a[~moved]] = False
+
+        if batch_mean:
+            mean_d = float(d_cur.mean())
+            settled = abs(mean_d - mean_prev) < cfg.stop_tolerance
+            mean_prev = mean_d
+            if settled or iters >= cfg.max_iters:
+                status[active] = (SearchStatus.CONVERGED if settled
+                                  else SearchStatus.MAX_ITERS)
+                break
+        else:
+            done = mv[steps[mv] >= cfg.max_iters]
+            status[done] = SearchStatus.MAX_ITERS
+            active[done] = False
+
+    if projector is not None:
+        P = boundary - X0
+        left = np.linalg.norm(P - (P @ projector.T) @ projector,
+                              axis=1) > _SPAN_TOL
+    else:
+        left = np.zeros(s, dtype=bool)
+    return [MarginResult(d_best=dk, v_best=vk, class_pair=(b, jk),
+                         steps=n, status=st, boundary_point=boundary[i],
+                         left_subspace=lf,
+                         trace=None if trace is None
+                         else [(td, tv) for ti, td, tv in trace if ti == i])
+            for i, (dk, vk, b, jk, n, st, lf) in enumerate(zip(
+                d_best.tolist(), v_best.tolist(), base.tolist(),
+                pair.tolist(), steps.tolist(), status.tolist(),
+                left.tolist()))]
 
 
 # ---------------------------------------------------------------------------
-# closed-form estimators
+# single-sample and batch entry points
 
 
 def taylor_margin(net: Network, lam: int, x_lam: np.ndarray,
@@ -180,45 +327,13 @@ def taylor_margin(net: Network, lam: int, x_lam: np.ndarray,
     reached by a first-order step and are skipped; if every candidate is
     degenerate this raises DegenerateGradientError.
     """
-    x = np.asarray(x_lam, dtype=np.float64).reshape(-1)
-    o, W, logits = logit_diffs_all_batch(net, lam, x[None, :],
-                                         np.zeros(1, dtype=np.int64))
-    if base_class is not None:
-        if not 0 <= base_class < net.num_classes:
-            raise DomainError(f"base class {base_class} outside "
-                              f"[0, {net.num_classes})")
-        i = int(base_class)
-    else:
-        i = int(np.argmax(logits[0]))
-    if i != 0:
-        o, W, logits = logit_diffs_all_batch(net, lam, x[None, :],
-                                             np.array([i], dtype=np.int64))
-    norms = np.linalg.norm(W[0], axis=1)
-
-    if target_class is not None:
-        if not 0 <= target_class < net.num_classes or target_class == i:
-            raise DomainError(f"target class {target_class} is not a "
-                              f"competitor of class {i}")
-        candidates = [int(target_class)]
-    elif second_highest:
-        candidates = [int(_runner_up(logits, np.array([i]))[0])]
-    else:
-        candidates = [j for j in range(net.num_classes) if j != i]
-
-    best_d = None
-    best_j = None
-    for j in candidates:
-        if norms[j] < _DEGENERATE:
-            continue
-        d = o[0, j] / norms[j]
-        if best_d is None or d < best_d:
-            best_d, best_j = d, j
-    if best_d is None:
+    result = search_margins(net, lam, np.reshape(x_lam, (1, -1)),
+                            base_class=base_class, target_class=target_class,
+                            second_highest=second_highest)[0]
+    if result is None:
         raise DegenerateGradientError(
             "every candidate logit-difference gradient vanishes at this point")
-    return MarginResult(d_best=float(best_d), v_best=float(abs(o[0, best_j])),
-                        class_pair=(i, best_j), steps=0,
-                        status=SearchStatus.CONVERGED)
+    return result
 
 
 def constrained_taylor_margin(net: Network, x: np.ndarray, pca: PcaModel,
@@ -229,206 +344,49 @@ def constrained_taylor_margin(net: Network, x: np.ndarray, pca: PcaModel,
     inside the subspace, the boundary is unreachable there and
     UnreachableSubspaceError is raised.
     """
-    if not 1 <= m <= pca.components.shape[0]:
-        raise DomainError(f"m={m} outside [1, {pca.components.shape[0]}]")
-    P = pca.components[:m]
-    xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    base, o, W, Wp, norms, logits = _based_head(net, 0, xv[None, :], P)
-    i = int(base[0])
-
-    best_d = None
-    best_j = None
-    for j in range(net.num_classes):
-        if j == i or norms[0, j] < _DEGENERATE:
-            continue
-        d = o[0, j] / norms[0, j]
-        if best_d is None or d < best_d:
-            best_d, best_j = d, j
-    if best_d is None:
+    result = search_margins(net, 0, np.reshape(x, (1, -1)), pca=pca, m=m)[0]
+    if result is None:
         raise UnreachableSubspaceError(
             f"no decision boundary is reachable within the top-{m} subspace")
-    return MarginResult(d_best=float(best_d), v_best=float(abs(o[0, best_j])),
-                        class_pair=(i, best_j), steps=0,
-                        status=SearchStatus.CONVERGED)
-
-
-# ---------------------------------------------------------------------------
-# iterative search
-
-
-def _search_single(net: Network, lam: int, x0: np.ndarray, cfg: SearchConfig,
-                   signed: bool, projector: np.ndarray | None,
-                   collect_trace: bool) -> MarginResult:
-    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    bounds = _resolve_bounds(net, lam, cfg)
-    base_arr, o, W, Wp, norms, logits = _based_head(net, lam, x0[None, :],
-                                                    projector)
-    base = int(base_arr[0])
-
-    d_best, v_best = 0.0, np.inf
-    boundary = x0.copy()
-    pair = (base, int(_runner_up(logits, base_arr)[0]))
-    steps = 0
-    trace: list[tuple[float, float]] | None = [] if collect_trace else None
-    xhat = x0.copy()
-
-    while True:
-        l, degenerate = _choose(o, norms, base_arr)
-        if degenerate[0]:
-            status = SearchStatus.NO_DESCENT
-            break
-        j = int(l[0])
-        coef = (o[0, j] if signed else abs(o[0, j])) / norms[0, j] ** 2
-        direction = Wp[0, j] @ projector if projector is not None else W[0, j]
-        xprop = xhat - cfg.learning_rate * coef * direction
-        if bounds is not None:
-            np.clip(xprop, bounds[0], bounds[1], out=xprop)
-
-        o, W, Wp, norms, logits = _head(net, lam, xprop[None, :], base_arr,
-                                        projector)
-        runner = int(_runner_up(logits, base_arr)[0])
-        v = float(abs(o[0, runner]))
-        d = float(np.linalg.norm(x0 - xprop))
-        if v >= v_best:
-            status = SearchStatus.VIOLATION_ROSE
-            break
-        if abs(d - d_best) < cfg.stop_tolerance:
-            status = SearchStatus.CONVERGED
-            break
-        d_best, v_best = d, v
-        boundary = xprop.copy()
-        pair = (base, runner)
-        steps += 1
-        if trace is not None:
-            trace.append((d, v))
-        xhat = xprop
-        if steps >= cfg.max_iters:
-            status = SearchStatus.MAX_ITERS
-            break
-
-    left = (_left_subspace(boundary - x0, projector)
-            if projector is not None else False)
-    return MarginResult(d_best=float(d_best), v_best=float(v_best),
-                        class_pair=pair, steps=steps, status=status,
-                        boundary_point=boundary, left_subspace=left,
-                        trace=trace)
-
-
-def _search_batch(net: Network, lam: int, X0: np.ndarray, cfg: SearchConfig,
-                  signed: bool,
-                  projector: np.ndarray | None = None) -> list[MarginResult]:
-    X0 = np.atleast_2d(np.asarray(X0, dtype=np.float64))
-    if X0.shape[0] < 1:
-        raise DomainError("batch search needs at least one sample")
-    s = X0.shape[0]
-    bounds = _resolve_bounds(net, lam, cfg)
-    base, o, W, Wp, norms, logits = _based_head(net, lam, X0, projector)
-
-    d_best = np.zeros(s)
-    v_best = np.full(s, np.inf)
-    boundary = X0.copy()
-    pair_j = _runner_up(logits, base)
-    steps = np.zeros(s, dtype=np.int64)
-    status = np.empty(s, dtype=object)
-    frozen = np.zeros(s, dtype=bool)
-    Xhat = X0.copy()
-    d_cur = np.zeros(s)
-    mean_prev = 0.0
-    iters = 0
-
-    while True:
-        l, degenerate = _choose(o, norms, base)
-        newly = degenerate & ~frozen
-        status[newly] = SearchStatus.NO_DESCENT
-        frozen |= newly
-        active = ~frozen
-        if not active.any():
-            break
-        rows = np.flatnonzero(active)
-        jsel = l[rows]
-        osel = o[rows, jsel]
-        coef = (osel if signed else np.abs(osel)) / norms[rows, jsel] ** 2
-        if projector is not None:
-            dirs = Wp[rows, jsel] @ projector
-        else:
-            dirs = W[rows, jsel]
-        Xhat[rows] = Xhat[rows] - cfg.learning_rate * coef[:, None] * dirs
-        if bounds is not None:
-            Xhat[rows] = np.clip(Xhat[rows], bounds[0], bounds[1])
-
-        o, W, Wp, norms, logits = _head(net, lam, Xhat, base, projector)
-        runner = _runner_up(logits, base)
-        v = np.abs(o[np.arange(s), runner])
-        d_cur[rows] = np.linalg.norm(X0[rows] - Xhat[rows], axis=1)
-        improved = active & (v < v_best)
-        v_best[improved] = v[improved]
-        d_best[improved] = d_cur[improved]
-        boundary[improved] = Xhat[improved]
-        pair_j[improved] = runner[improved]
-        iters += 1
-        steps[active] = iters
-
-        # the whole batch stops together, on stabilization of the mean distance
-        mean_d = float(d_cur.mean())
-        if abs(mean_d - mean_prev) < cfg.stop_tolerance:
-            status[active] = SearchStatus.CONVERGED
-            break
-        mean_prev = mean_d
-        if iters >= cfg.max_iters:
-            status[active] = SearchStatus.MAX_ITERS
-            break
-
-    results = []
-    for k in range(s):
-        left = (_left_subspace(boundary[k] - X0[k], projector)
-                if projector is not None else False)
-        results.append(MarginResult(
-            d_best=float(d_best[k]), v_best=float(v_best[k]),
-            class_pair=(int(base[k]), int(pair_j[k])), steps=int(steps[k]),
-            status=status[k], boundary_point=boundary[k].copy(),
-            left_subspace=left))
-    return results
+    return result
 
 
 def deepfool_margin(net: Network, lam: int, activ: np.ndarray,
-                    cfg: SearchConfig, signed_step: bool = True,
+                    cfg: SearchConfig,
                     collect_trace: bool = False) -> MarginResult:
     """Iterative boundary search from one activation vector at layer ``lam``.
 
-    Steps use the signed logit gap by default, which lets the search walk
-    back after overshooting the boundary.
+    Steps use the signed logit gap, which lets the search walk back after
+    overshooting the boundary.
     """
-    return _search_single(net, lam, activ, cfg, signed_step, None,
-                          collect_trace)
+    return search_margins(net, lam, np.reshape(activ, (1, -1)), cfg,
+                          collect_trace=collect_trace)[0]
 
 
 def deepfool_margin_batch(net: Network, lam: int, samples: np.ndarray,
-                          cfg: SearchConfig,
-                          signed_step: bool = True) -> list[MarginResult]:
+                          cfg: SearchConfig) -> list[MarginResult]:
     """Batched boundary search; one result per row of ``samples``.
 
     Unlike the single-sample mode, the only stopping rule is stabilization
     of the mean distance across the batch, so per-sample statuses report
     how each row stood when the batch stopped. Each result carries the
-    smallest-violation iterate that row ever visited.
+    smallest-violation iterate that row ever visited, and ``steps`` counts
+    the updates that improved it.
     """
-    return _search_batch(net, lam, samples, cfg, signed_step)
+    return search_margins(net, lam, samples, cfg, batch_mean=True)
 
 
 def constrained_deepfool_margin(net: Network, x: np.ndarray, pca: PcaModel,
                                 m: int, cfg: SearchConfig,
-                                signed_step: bool = False,
                                 collect_trace: bool = False) -> MarginResult:
     """Boundary search restricted to the span of the top ``m`` principal
     directions (input space only); distance is measured in the original
-    space. Magnitude steps (|o|) are the default here. When clipping to the
+    space. Steps use the magnitude of the logit gap. When clipping to the
     data box pushes the returned iterate off the subspace, the result's
     ``left_subspace`` flag records it.
     """
-    if not 1 <= m <= pca.components.shape[0]:
-        raise DomainError(f"m={m} outside [1, {pca.components.shape[0]}]")
-    return _search_single(net, 0, x, cfg, signed_step, pca.components[:m],
-                          collect_trace)
+    return search_margins(net, 0, np.reshape(x, (1, -1)), cfg, pca, m,
+                          collect_trace=collect_trace)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .data import Dataset, NormalizationMeta
 from .errors import ConfigError, DomainError, TrainingDivergedError
 
@@ -126,7 +127,7 @@ def logit_diffs_all_batch(net: Network, lam: int, X: np.ndarray, base: np.ndarra
     G[np.arange(s), :, base] += 1.0
     for layer, Z in reversed(trail):
         if layer.activation == "relu":
-            G = G * (Z > 0.0)[:, None, :]  # relu'(0) = 0
+            G *= (Z > 0.0)[:, None, :]  # relu'(0) = 0; G is our own copy
         G = G @ layer.weights
 
     o = logits[np.arange(s), base][:, None] - logits
@@ -323,7 +324,7 @@ def save_model(net: Network, path) -> None:
             for layer in net.layers
         ],
     }
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .errors import ConfigError, DomainError
 
 PCA_FORMAT = "mw-pca/1"
@@ -145,7 +146,7 @@ def save_pca(pca: PcaModel, path) -> None:
         "explained_variance": pca.explained_variance.tolist(),
         "explained_ratio": pca.explained_ratio.tolist(),
     }
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
 

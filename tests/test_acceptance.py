@@ -157,9 +157,9 @@ def test_full_rank_projection_margin_equals_unconstrained():
 
 def test_quarter_rate_search_refines_distances_with_more_steps():
     coarse = SearchConfig(learning_rate=1.0, stop_tolerance=1e-6,
-                          max_iters=100, batch_mode=True)
+                          max_iters=100)
     fine = SearchConfig(learning_rate=0.25, stop_tolerance=1e-6,
-                        max_iters=100, batch_mode=True)
+                        max_iters=100)
     trace_cfg = SearchConfig(learning_rate=0.25, stop_tolerance=1e-6,
                              max_iters=100)
     for seed in range(5):
@@ -267,7 +267,7 @@ def test_capacity_sweep_reproduces_margin_ordering(tmp_path):
         epochs=1000, batch_size=16, learning_rate=0.1, momentum=0.9,
         estimator="deepfool",
         search=SearchConfig(learning_rate=0.25, stop_tolerance=1e-3,
-                            max_iters=100, batch_mode=True),
+                            max_iters=100),
         normalize="znorm", output_dir=str(tmp_path / "out"), seed=master)
 
     started = time.monotonic()
@@ -335,7 +335,7 @@ def test_projected_margins_rank_models_at_least_as_well():
     corrupt_ds, _ = corrupt_labels(train_ds, 0.4, master * 31 + 3)
 
     batch_cfg = SearchConfig(learning_rate=0.25, stop_tolerance=1e-3,
-                             max_iters=60, batch_mode=True)
+                             max_iters=60)
     single_cfg = SearchConfig(learning_rate=0.25, stop_tolerance=1e-3,
                               max_iters=60)
     rows = []

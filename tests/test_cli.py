@@ -4,9 +4,28 @@ import numpy as np
 import pytest
 
 from marginlab.cli import main
-from marginlab.data import load_dataset
-from marginlab.nnet import load_model
-from marginlab.pca import load_pca
+from marginlab.data import (
+    Dataset,
+    NormalizationMeta,
+    load_dataset,
+    save_dataset,
+)
+from marginlab.errors import DegenerateGradientError, UnreachableSubspaceError
+from marginlab.margin import (
+    SearchConfig,
+    constrained_deepfool_margin,
+    constrained_taylor_margin,
+    deepfool_margin,
+    taylor_margin,
+)
+from marginlab.nnet import (
+    DenseLayer,
+    Network,
+    forward_batch,
+    load_model,
+    save_model,
+)
+from marginlab.pca import fit_pca, load_pca, save_pca
 
 
 def run(capsys, *argv):
@@ -185,6 +204,98 @@ def test_measure_constrained_with_auto_m(capsys, tmp_path):
     summary = json.loads(out_text)
     assert summary["subspace_dims"] >= 1
     assert summary["measured"] > 0
+
+
+def _half_dead_net(rng):
+    """Two ReLU layers over 3 inputs; every first-layer unit is off for
+    x0 <= -4, so there the input gradient of every logit vanishes."""
+    w1 = rng.normal(0.0, 0.3, size=(6, 3))
+    w1[:, 0] = 3.0
+    layers = [DenseLayer(w1, rng.uniform(0.0, 1.0, 6), "relu"),
+              DenseLayer(rng.normal(size=(5, 6)), rng.uniform(0.1, 1.0, 5),
+                         "relu"),
+              DenseLayer(rng.normal(size=(3, 5)), rng.normal(size=3), "none")]
+    # an identity normalization whose tight data box makes input searches
+    # clip, and so pushes constrained ones off their subspace
+    meta = NormalizationMeta(scheme="znorm", offsets=np.zeros(3),
+                             scales=np.ones(3),
+                             lower=np.array([-7.0, -0.3, -0.3]),
+                             upper=np.array([4.0, 0.3, 0.3]))
+    return Network(layers, 3, 3, norm_meta=meta)
+
+
+_SINGLE = {
+    "taylor": lambda net, lam, x, pca, cfg: taylor_margin(net, lam, x),
+    "deepfool": lambda net, lam, x, pca, cfg: deepfool_margin(net, lam, x,
+                                                              cfg),
+    "constrained-taylor": lambda net, lam, x, pca, cfg:
+        constrained_taylor_margin(net, x, pca, 2),
+    "constrained-deepfool": lambda net, lam, x, pca, cfg:
+        constrained_deepfool_margin(net, x, pca, 2, cfg),
+}
+
+
+@pytest.mark.parametrize("estimator,layer", [
+    ("taylor", 0), ("deepfool", 0), ("constrained-taylor", 0),
+    ("constrained-deepfool", 0), ("deepfool", 1)])
+def test_measure_rows_match_single_sample_calls(capsys, tmp_path, estimator,
+                                                layer):
+    rng = np.random.default_rng(61)
+    net = _half_dead_net(rng)
+    X = rng.normal(0.0, 0.3, size=(40, 3))
+    X[:, 0] = np.where(np.arange(40) % 4 == 0, rng.uniform(-6.0, -4.0, 40),
+                       rng.uniform(1.0, 3.0, 40))
+    y = rng.integers(0, 3, 40)
+    save_dataset(Dataset(X, y, X.min(axis=0), X.max(axis=0),
+                         np.zeros(40, dtype=np.int64), 3),
+                 tmp_path / "d.csv")
+    save_model(net, tmp_path / "model.json")
+    pca = fit_pca(X)
+    save_pca(pca, tmp_path / "pca.json")
+    out = tmp_path / "m.csv"
+    code, _, _ = run(capsys, "measure", "--model", tmp_path / "model.json",
+                     "--data", tmp_path / "d.csv", "--estimator", estimator,
+                     "--layer", layer, "--pca", tmp_path / "pca.json",
+                     "--m", 2, "--tol", 0.001, "--max-iters", 8,
+                     "--include-misclassified", "--out", out)
+    assert code == 0
+
+    acts = forward_batch(net, X)[layer]
+    cfg = SearchConfig(stop_tolerance=0.001, max_iters=8)
+    lines = out.read_text().splitlines()
+    assert len(lines) == 41
+    unusable = 0
+    for line in lines[1:]:
+        idx, margin, _, steps, status, base, comp, left = line.split(",")
+        try:
+            ref = _SINGLE[estimator](net, layer, acts[int(idx)], pca, cfg)
+        except (DegenerateGradientError, UnreachableSubspaceError) as exc:
+            assert status == ("unreachable" if isinstance(
+                exc, UnreachableSubspaceError) else "degenerate")
+            assert margin == steps == base == comp == left == ""
+            unusable += 1
+            continue
+        assert status == ref.status.value
+        assert int(steps) == ref.steps
+        assert (int(base), int(comp)) == ref.class_pair
+        assert left == ("true" if ref.left_subspace else "false")
+        assert abs(float(margin) - ref.d_best) <= 1e-12
+        unusable += status == "no-descent" and ref.steps == 0
+    assert unusable >= (10 if layer == 0 else 0)
+
+
+def test_removed_measure_and_sweep_options_exit_2(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "--model", "m.json", "--data", "d.csv",
+              "--epsilon", "0.001", "--out", str(tmp_path / "m.csv")])
+    assert exc.value.code == 2
+    cfg_path, _ = sweep_config(tmp_path)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["estimator"]["equality_threshold"] = 1e-3
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "sweep", "--config", cfg_path)
+    assert code == 2
+    assert "equality_threshold" in err
 
 
 # ---------------------------------------------------------------------------

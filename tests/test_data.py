@@ -278,6 +278,21 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(loaded.labels, ds.labels)
 
 
+def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path):
+    good = gen_blobs(BlobConfig(classes=2, samples_per_class=10, dim=3, spread=1.0, seed=7))
+    path = tmp_path / "blobs.csv"
+    save_dataset_csv(good, path)
+    before = path.read_bytes()
+    features = good.features.astype(object)
+    features[-1, 0] = "not a number"  # the writer raises on the last row
+    bad = Dataset(features, good.labels, good.lower, good.upper,
+                  good.corrupt_flags, good.class_count)
+    with pytest.raises(ValueError):
+        save_dataset_csv(bad, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["blobs.csv"]
+
+
 def test_csv_loader_accepts_headerless(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("0.5,1.5,0\n2.5,3.5,1\n")

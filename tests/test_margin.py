@@ -193,7 +193,7 @@ def test_deepfool_matches_analytic_distance_on_random_linear_nets():
             expected = analytic_linear_margin(net, x)
             r = deepfool_margin(net, 0, x, cfg)
             assert abs(r.d_best - expected) <= 1e-4
-            assert r.v_best <= cfg.equality_threshold
+            assert r.v_best <= 1e-3
 
 
 def test_deepfool_clips_to_bounds():
@@ -272,8 +272,6 @@ def test_search_config_validation():
         SearchConfig(stop_tolerance=0.0)
     with pytest.raises(DomainError):
         SearchConfig(max_iters=0)
-    with pytest.raises(DomainError):
-        SearchConfig(equality_threshold=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +325,21 @@ def test_batch_converged_samples_meet_equality_threshold():
     converged = [r for r in results if r.status == SearchStatus.CONVERGED]
     assert converged
     for r in converged:
-        assert r.v_best <= cfg.equality_threshold
+        assert r.v_best <= 1e-3
+
+
+def test_batch_steps_count_accepted_updates():
+    # the first row pins at the box edge after one step while the second
+    # keeps the batch running; steps count only the updates each row kept
+    net = two_class_line()
+    cfg = SearchConfig(learning_rate=0.25,
+                       bounds=(np.array([0.8, -1.0]), np.array([2.0, 1.0])))
+    rows = np.array([[0.85, 0.0], [1.9, 0.0]])
+    pinned, far = deepfool_margin_batch(net, 0, rows, cfg)
+    assert pinned.steps == 1
+    assert pinned.steps == deepfool_margin(net, 0, rows[0], cfg).steps
+    assert pinned.d_best == pytest.approx(0.05, abs=1e-12)
+    assert far.steps == 6
 
 
 def test_batch_rejects_empty_input():
@@ -396,6 +408,27 @@ def test_constrained_deepfool_orthogonal_subspace_no_descent():
                    explained_ratio=np.array([0.6]))
     r = constrained_deepfool_margin(net, np.array([1.0, 0.0]), pca, 1, SearchConfig())
     assert r.status == SearchStatus.NO_DESCENT
+
+
+def test_constrained_deepfool_steps_by_gap_magnitude():
+    # f0 - f1 = 6(x - 0.5) - 5 relu(x - 1): a full step from x = 2 overshoots
+    # to x = -2; signed steps walk back to the boundary at 0.5, while the
+    # magnitude steps of the constrained search walk on and stop there
+    hidden = DenseLayer(weights=np.array([[1.0], [-1.0], [1.0]]),
+                        bias=np.array([0.0, 0.0, -1.0]), activation="relu")
+    out = DenseLayer(weights=np.array([[6.0, -6.0, -5.0], [0.0, 0.0, 0.0]]),
+                     bias=np.array([-3.0, 0.0]), activation="none")
+    net = Network(layers=[hidden, out], input_dim=1, num_classes=2,
+                  norm_meta=None)
+    pca = PcaModel(mean=np.zeros(1), components=np.array([[1.0]]),
+                   explained_variance=np.array([1.0]),
+                   explained_ratio=np.array([1.0]))
+    cfg = SearchConfig(learning_rate=1.0)
+    x = np.array([2.0])
+    assert deepfool_margin(net, 0, x, cfg).d_best == pytest.approx(1.5)
+    constrained = constrained_deepfool_margin(net, x, pca, 1, cfg)
+    assert constrained.d_best == pytest.approx(4.0)
+    assert constrained.status == SearchStatus.VIOLATION_ROSE
 
 
 def test_constrained_deepfool_stays_in_span_without_clipping():

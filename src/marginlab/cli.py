@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,7 +91,12 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    try:
+        text = json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"summary holds a non-finite value: {exc}") \
+            from exc
+    print(text)
 
 
 def _load_json(path):
@@ -205,11 +211,13 @@ def _cmd_measure(args) -> None:
         raise ConfigError("constrained estimators measure input space only")
     if args.boundary_out and args.estimator not in _DEEPFOOL_ESTIMATORS:
         raise ConfigError("--boundary-out needs a deepfool-family estimator")
-    if args.batch and args.estimator != "deepfool":
-        raise ConfigError("--batch supports the standard deepfool estimator "
-                          "only")
+    if args.batch and args.estimator not in _DEEPFOOL_ESTIMATORS:
+        raise ConfigError("--batch needs a deepfool-family estimator")
 
     net = load_model(args.model)
+    if not 0 <= args.layer < len(net.layers):
+        raise ConfigError(f"--layer {args.layer} outside "
+                          f"[0, {len(net.layers)})")
     raw = load_dataset(args.data)
     X = (apply_normalization(raw.features, net.norm_meta)
          if net.norm_meta is not None else np.asarray(raw.features, float))
@@ -298,6 +306,15 @@ _ENTRY_REQUIRED = {"hyperparams", "train_acc", "test_acc", "measures"}
 _ENTRY_ALLOWED = _ENTRY_REQUIRED | {"model_path"}
 
 
+def _is_finite_real(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _load_models_file(path, measure_col: str) -> list[dict]:
     data = _load_json(path)
     if not isinstance(data, list) or not data:
@@ -311,9 +328,22 @@ def _load_models_file(path, measure_col: str) -> list[dict]:
         missing = sorted(_ENTRY_REQUIRED - set(entry))
         if missing:
             raise ConfigError(f"{path}: entry {k} is missing keys {missing}")
+        if not isinstance(entry["hyperparams"], dict) \
+                or not entry["hyperparams"]:
+            raise ConfigError(f"{path}: entry {k} hyperparams must be a "
+                              f"non-empty object")
+        if not isinstance(entry["measures"], dict):
+            raise ConfigError(f"{path}: entry {k} measures must be an object")
         if measure_col not in entry["measures"]:
             raise ConfigError(f"{path}: entry {k} has no measure "
                               f"{measure_col!r}")
+        for name, value in (("train_acc", entry["train_acc"]),
+                            ("test_acc", entry["test_acc"]),
+                            (f"measure {measure_col!r}",
+                             entry["measures"][measure_col])):
+            if not _is_finite_real(value):
+                raise ConfigError(f"{path}: entry {k} {name} must be a "
+                                  f"finite number, got {value!r}")
     return data
 
 

@@ -2,17 +2,21 @@
 
 Everything here consumes plain values produced elsewhere: complexity
 measures, generalization gaps, test accuracies, and margin distributions.
-``kendall_tau`` is implemented from its defining double sum (the common
+``kendall_tau`` is its defining double sum over model pairs (the common
 tau-b variant handles ties differently, so a library routine would not
 match); the granulated variant averages tau over single-axis model groups;
 ``cmi_score`` runs a plug-in conditional-independence estimate over sign
-patterns. Signatures condense a margin distribution into five robust
-statistics that feed a small ridge-stabilized linear predictor.
+patterns. All three count pairs with one numpy kernel, ``_concordance``,
+which evaluates the same double sum in blocks of rows, so no statistic
+loops over pairs in Python or holds an n x n temporary. Signatures
+condense a margin distribution into five robust statistics that feed a
+small ridge-stabilized linear predictor.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -80,8 +84,51 @@ def _shared_schema(models: Sequence[EvaluatedModel]) -> tuple[str, ...]:
     return names
 
 
-def _sign(x: float) -> int:
-    return int(x > 0) - int(x < 0)
+_BLOCK = 256
+
+
+def _compare(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sign of ``a - b`` as int8, with NaN and inf-inf comparing as a tie."""
+    return (a > b).view(np.int8) - (a < b).view(np.int8)
+
+
+def _concordance(values, targets, groups=None) -> tuple[np.ndarray,
+                                                        np.ndarray]:
+    """Concordant and discordant unordered pair counts within each group.
+
+    A pair is concordant when ``values`` and ``targets`` order it the same
+    way and discordant when they order it oppositely; a tie in either
+    coordinate, including any comparison with NaN, counts as neither.
+    ``groups`` gives each element a non-negative integer group id (default:
+    one group); the counts come back as int64 arrays indexed by group id.
+
+    Rows are sorted by group and compared one block at a time against the
+    columns of that block's own groups only, so temporaries stay
+    O(block x n) and small groups cost little. Every ordered pair is
+    counted, and both orders of a pair agree, so the halved sums are exact.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    if groups is None:
+        g = np.zeros(v.size, dtype=np.intp)
+    else:
+        g = np.asarray(groups, dtype=np.intp)
+        order = np.argsort(g, kind="stable")
+        v, t, g = v[order], t[order], g[order]
+    count = int(g[-1]) + 1
+    bounds = np.searchsorted(g, np.arange(count + 1))
+    concordant = np.zeros(count, dtype=np.int64)
+    discordant = np.zeros(count, dtype=np.int64)
+    for r0 in range(0, v.size, _BLOCK):
+        r1 = min(r0 + _BLOCK, v.size)
+        c0, c1 = bounds[g[r0]], bounds[g[r1 - 1] + 1]
+        agree = (_compare(v[r0:r1, None], v[None, c0:c1])
+                 * _compare(t[r0:r1, None], t[None, c0:c1]))
+        if g[r0] != g[r1 - 1]:
+            agree *= g[r0:r1, None] == g[None, c0:c1]
+        np.add.at(concordant, g[r0:r1], np.count_nonzero(agree > 0, axis=1))
+        np.add.at(discordant, g[r0:r1], np.count_nonzero(agree < 0, axis=1))
+    return concordant // 2, discordant // 2
 
 
 # ---------------------------------------------------------------------------
@@ -97,15 +144,14 @@ def kendall_tau(pairs: Sequence[tuple[float, float]]) -> float:
     n = len(pairs)
     if n < 2:
         raise DomainError("kendall_tau needs at least two pairs")
-    total = 0
-    for a in range(n):
-        sa, ga = pairs[a]
-        for b in range(n):
-            if a == b:
-                continue
-            sb, gb = pairs[b]
-            total += _sign(sa - sb) * _sign(ga - gb)
-    return total / (n * (n - 1))
+    measure, target = np.asarray(pairs, dtype=np.float64).T
+    concordant, discordant = _concordance(measure, target)
+    return _tau(int(concordant[0]), int(discordant[0]), n)
+
+
+def _tau(concordant: int, discordant: int, n: int) -> float:
+    # the ordered-pair sum is twice the unordered one
+    return 2 * (concordant - discordant) / (n * (n - 1))
 
 
 @dataclass(frozen=True)
@@ -138,16 +184,23 @@ def granulated_kendall(models: Sequence[EvaluatedModel], hyperparam: str,
                            if n != hyperparam))
         groups.setdefault(key, []).append(idx)
 
+    keys = sorted(groups)
+    group_of = np.empty(len(models), dtype=np.intp)
+    for gid, key in enumerate(keys):
+        group_of[groups[key]] = gid
+    concordant, discordant = _concordance([m.complexity for m in models],
+                                          targets, group_of)
+
     taus = []
     skipped = 0
-    for key in sorted(groups):
+    for gid, key in enumerate(keys):
         members = groups[key]
         distinct = {models[i].config.values[hyperparam] for i in members}
         if len(members) < 2 or len(distinct) < 2:
             skipped += 1
             continue
-        taus.append(kendall_tau([(models[i].complexity, targets[i])
-                                 for i in members]))
+        taus.append(_tau(int(concordant[gid]), int(discordant[gid]),
+                         len(members)))
     if not taus:
         raise UndefinedMetricError(
             f"no group varies hyperparameter {hyperparam!r}; its granulated "
@@ -191,60 +244,48 @@ def cmi_score(models: Sequence[EvaluatedModel],
     the conditional entropy of the target signs (zero entropy, or no
     retained pairs, scores 0). The final score is 100 times the minimum
     over S.
+
+    Counting both orientations makes every cell's table symmetric, so its
+    sign marginals are exactly 1/2 and its target entropy is ln 2. With C
+    concordant and D discordant pairs in a cell, R = C + D, and T the sum
+    of R over cells, the per-S statistic therefore has the closed form
+
+        (1/T) * sum over cells of [C ln(2C/R) + D ln(2D/R)] / ln 2,
+
+    where zero counts drop out and T = 0 scores 0.
     """
     names = _shared_schema(models)
     if len(names) < 3:
         raise DomainError("cmi_score needs at least three hyperparameter axes")
     targets = _target_values(models, target)
+    measure = [m.complexity for m in models]
 
     per_pair: dict[tuple[str, str], float] = {}
     for S in itertools.combinations(names, 2):
-        cells: dict[tuple[str, str], list[int]] = {}
-        for idx, m in enumerate(models):
-            key = (m.config.values[S[0]], m.config.values[S[1]])
-            cells.setdefault(key, []).append(idx)
-
-        tables: list[tuple[int, dict[tuple[int, int], int]]] = []
-        for members in cells.values():
-            table: dict[tuple[int, int], int] = {}
-            retained = 0
-            for a, b in itertools.combinations(members, 2):
-                v_s = _sign(models[a].complexity - models[b].complexity)
-                v_g = _sign(targets[a] - targets[b])
-                if v_s == 0 or v_g == 0:
-                    continue
-                table[(v_s, v_g)] = table.get((v_s, v_g), 0) + 1
-                table[(-v_s, -v_g)] = table.get((-v_s, -v_g), 0) + 1
-                retained += 1
-            if retained:
-                tables.append((retained, table))
-
-        total = sum(w for w, _ in tables)
-        if total == 0:
-            per_pair[S] = 0.0
-            continue
-        info = 0.0
-        entropy = 0.0
-        for weight, table in tables:
-            p_cell = weight / total
-            count = sum(table.values())
-            joint = {vw: c / count for vw, c in table.items()}
-            marg_s: dict[int, float] = {}
-            marg_g: dict[int, float] = {}
-            for (v_s, v_g), p in joint.items():
-                marg_s[v_s] = marg_s.get(v_s, 0.0) + p
-                marg_g[v_g] = marg_g.get(v_g, 0.0) + p
-            for (v_s, v_g), p in joint.items():
-                # p > 0 by construction, so 0*log0 terms never appear
-                info += p_cell * p * np.log(p / (marg_s[v_s] * marg_g[v_g]))
-            for p in marg_g.values():
-                entropy -= p_cell * p * np.log(p)
-        if entropy == 0.0:
-            per_pair[S] = 0.0
-        else:
-            per_pair[S] = min(max(info / entropy, 0.0), 1.0)
+        cells: dict[tuple[str, str], int] = {}
+        cell_of = [cells.setdefault((m.config.values[S[0]],
+                                     m.config.values[S[1]]), len(cells))
+                   for m in models]
+        per_pair[S] = _normalized_sign_information(
+            *_concordance(measure, targets, cell_of))
 
     return CmiScore(per_pair=per_pair, final=100.0 * min(per_pair.values()))
+
+
+def _normalized_sign_information(concordant: np.ndarray,
+                                 discordant: np.ndarray) -> float:
+    """The closed-form per-S statistic of ``cmi_score`` from per-cell pair
+    counts, clamped to [0, 1]."""
+    retained = concordant + discordant
+    total = int(retained.sum())
+    if total == 0:
+        return 0.0
+    info = 0.0
+    for counts in (concordant, discordant):
+        kept = counts > 0
+        info += float(np.sum(counts[kept]
+                             * np.log(2 * counts[kept] / retained[kept])))
+    return min(max(info / total / math.log(2), 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

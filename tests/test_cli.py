@@ -16,6 +16,7 @@ from marginlab.margin import (
     constrained_deepfool_margin,
     constrained_taylor_margin,
     deepfool_margin,
+    search_margins,
     taylor_margin,
 )
 from marginlab.nnet import (
@@ -206,6 +207,37 @@ def test_measure_constrained_with_auto_m(capsys, tmp_path):
     assert summary["measured"] > 0
 
 
+@pytest.mark.parametrize("layer", [5, -1])
+def test_measure_layer_out_of_range_exits_2(capsys, tmp_path, layer):
+    data = gen(capsys, tmp_path)
+    model_path, _ = train(capsys, tmp_path, data)
+    out = tmp_path / "m.csv"
+    code, out_text, err = run(capsys, "measure", "--model", model_path,
+                              "--data", data, "--layer", layer, "--out", out)
+    assert code == 2
+    assert f"--layer {layer} outside [0, 2)" in err
+    assert out_text == ""
+    assert not out.exists()
+
+
+def test_measure_nan_weight_model_exits_3(capsys, tmp_path):
+    X = np.random.default_rng(3).normal(size=(12, 3))
+    y = np.arange(12) % 2
+    save_dataset(Dataset(X, y, X.min(axis=0), X.max(axis=0),
+                         np.zeros(12, dtype=np.int64), 2), tmp_path / "d.csv")
+    nan = np.nan
+    net = Network([DenseLayer(np.full((4, 3), nan), np.full(4, nan), "relu"),
+                   DenseLayer(np.full((2, 4), nan), np.full(2, nan), "none")],
+                  3, 2)
+    save_model(net, tmp_path / "model.json")
+    code, out_text, err = run(capsys, "measure", "--model",
+                              tmp_path / "model.json", "--data",
+                              tmp_path / "d.csv", "--out", tmp_path / "m.csv")
+    assert code == 3
+    assert out_text == ""
+    assert "non-finite" in err
+
+
 def _half_dead_net(rng):
     """Two ReLU layers over 3 inputs; every first-layer unit is off for
     x0 <= -4, so there the input gradient of every logit vanishes."""
@@ -282,6 +314,50 @@ def test_measure_rows_match_single_sample_calls(capsys, tmp_path, estimator,
         assert abs(float(margin) - ref.d_best) <= 1e-12
         unusable += status == "no-descent" and ref.steps == 0
     assert unusable >= (10 if layer == 0 else 0)
+
+
+def test_measure_constrained_deepfool_batch_with_boundary_out(capsys,
+                                                             tmp_path):
+    rng = np.random.default_rng(61)
+    net = _half_dead_net(rng)
+    X = rng.normal(0.0, 0.3, size=(40, 3))
+    X[:, 0] = np.where(np.arange(40) % 4 == 0, rng.uniform(-6.0, -4.0, 40),
+                       rng.uniform(1.0, 3.0, 40))
+    y = rng.integers(0, 3, 40)
+    save_dataset(Dataset(X, y, X.min(axis=0), X.max(axis=0),
+                         np.zeros(40, dtype=np.int64), 3),
+                 tmp_path / "d.csv")
+    save_model(net, tmp_path / "model.json")
+    pca = fit_pca(X)
+    save_pca(pca, tmp_path / "pca.json")
+    out = tmp_path / "m.csv"
+    bout = tmp_path / "b.csv"
+    code, out_text, _ = run(capsys, "measure", "--model",
+                            tmp_path / "model.json", "--data",
+                            tmp_path / "d.csv", "--estimator",
+                            "constrained-deepfool", "--batch", "--pca",
+                            tmp_path / "pca.json", "--m", 2, "--tol", 0.001,
+                            "--max-iters", 8, "--include-misclassified",
+                            "--out", out, "--boundary-out", bout)
+    assert code == 0
+    assert json.loads(out_text)["measured"] == 40
+
+    cfg = SearchConfig(stop_tolerance=0.001, max_iters=8)
+    refs = search_margins(net, 0, X, cfg, pca, 2, batch_mean=True)
+    lines = out.read_text().splitlines()
+    assert len(lines) == 41
+    flags = set()
+    for line, ref in zip(lines[1:], refs):
+        _, margin, _, steps, status, base, comp, left = line.split(",")
+        assert 0.0 <= float(margin) < np.inf
+        assert abs(float(margin) - ref.d_best) <= 1e-12
+        assert (status, int(steps)) == (ref.status.value, ref.steps)
+        assert (int(base), int(comp)) == ref.class_pair
+        assert left == ("true" if ref.left_subspace else "false")
+        flags.add(left)
+    # the tight data box pushes some searches off the subspace
+    assert flags == {"true", "false"}
+    assert len(bout.read_text().splitlines()) == 41
 
 
 def test_removed_measure_and_sweep_options_exit_2(capsys, tmp_path):
@@ -401,6 +477,50 @@ def test_evaluate_rejects_unknown_entry_keys(capsys, tmp_path):
                        "--metric", "kendall", "--measure-col", "m")
     assert code == 2
     assert "surprise" in err
+
+
+def _thirty_entries():
+    return [{"hyperparams": {"a": str(k % 3), "b": str(k % 5),
+                             "c": str(k // 15)},
+             "train_acc": 1.0, "test_acc": 0.5 + k / 100,
+             "measures": {"mm": float(k % 7)}}
+            for k in range(30)]
+
+
+@pytest.mark.parametrize("field,value,complaint", [
+    ("measure", "abc", "measure 'mm' must be a finite number"),
+    ("measure", float("nan"), "measure 'mm' must be a finite number"),
+    ("measure", True, "measure 'mm' must be a finite number"),
+    ("measure", 10 ** 400, "measure 'mm' must be a finite number"),
+    ("test_acc", float("nan"), "test_acc must be a finite number"),
+    ("train_acc", float("inf"), "train_acc must be a finite number"),
+    ("train_acc", None, "train_acc must be a finite number"),
+    ("hyperparams", [1], "hyperparams must be a non-empty object"),
+    ("hyperparams", {}, "hyperparams must be a non-empty object"),
+    ("measures", [1.0], "measures must be an object"),
+], ids=["measure-text", "measure-nan", "measure-bool", "measure-huge-int",
+        "test_acc-nan", "train_acc-inf", "train_acc-null", "hyperparams-list",
+        "hyperparams-empty", "measures-list"])
+def test_evaluate_rejects_malformed_entry(capsys, tmp_path, field, value,
+                                          complaint):
+    entries = _thirty_entries()
+    if field == "measure":
+        entries[17]["measures"]["mm"] = value
+    else:
+        entries[17][field] = value
+    path = models_file(tmp_path, entries)
+    for metric in ("kendall", "granulated", "cmi", "r2"):
+        code, out_text, err = run(capsys, "evaluate", "--models", path,
+                                  "--metric", metric, "--measure-col", "mm")
+        assert code == 2, (metric, err)
+        assert f"entry 17 {complaint}" in err
+        assert out_text == ""
+    # the untouched file scores on every metric
+    path = models_file(tmp_path, _thirty_entries())
+    for metric in ("kendall", "granulated", "cmi", "r2"):
+        code, _, err = run(capsys, "evaluate", "--models", path,
+                           "--metric", metric, "--measure-col", "mm")
+        assert code == 0, (metric, err)
 
 
 # ---------------------------------------------------------------------------

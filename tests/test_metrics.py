@@ -1,9 +1,14 @@
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from marginlab import metrics
 from marginlab.errors import DomainError, UndefinedMetricError
 from marginlab.metrics import (
     CmiScore,
@@ -309,6 +314,115 @@ def random_model_set(rng, min_models=4):
             gap = float(rng.normal())
         models.append(model(grid[k], comp, gap, acc=float(rng.random())))
     return models
+
+
+# ---------------------------------------------------------------------------
+# the blocked pair-count kernel behind all three ranking statistics
+
+
+def grid_models(rng, n, sizes, levels):
+    """n models drawn with repeats from a grid of the given axis sizes;
+    measures and gaps take ``levels`` distinct values, so ties are heavy."""
+    grid = list(itertools.product(*(range(k) for k in sizes)))
+    picks = rng.integers(0, len(grid), size=n)
+    comps = rng.integers(0, levels, size=n)
+    gaps = rng.integers(0, levels, size=n)
+    return [model(grid[k], c, g, acc=float(rng.integers(0, levels)))
+            for k, c, g in zip(picks, comps, gaps)]
+
+
+def assert_matches_oracles(models):
+    pairs = [(m.complexity, m.gen_gap) for m in models]
+    assert kendall_tau(pairs) == oracle_tau(pairs)
+    for axis in ("alpha", "beta", "gamma"):
+        for target in ("gen_gap", "test_accuracy"):
+            expect, included, skipped = oracle_granulated(models, axis,
+                                                          target)
+            if expect is None:
+                with pytest.raises(UndefinedMetricError):
+                    granulated_kendall(models, axis, target)
+                continue
+            res = granulated_kendall(models, axis, target)
+            assert (res.psi, res.included_groups, res.skipped_groups) == \
+                (expect, included, skipped)
+    score = cmi_score(models)
+    expect_final, expect_pairs = oracle_cmi(models)
+    assert score.final == pytest.approx(expect_final, abs=1e-12)
+    assert set(score.per_pair) == set(expect_pairs)
+    for S, val in expect_pairs.items():
+        assert score.per_pair[S] == pytest.approx(val, abs=1e-12)
+
+
+def test_kernel_matches_oracles_across_blocks_with_heavy_ties():
+    # 600 models span three 256-row blocks; with axis sizes (40, 3, 5) the
+    # groups of up to 40 models straddle block boundaries
+    rng = np.random.default_rng(131)
+    assert_matches_oracles(grid_models(rng, 600, (40, 3, 5), levels=6))
+    assert_matches_oracles(grid_models(rng, 590, (2, 2, 150), levels=3))
+
+
+def test_kernel_single_group_spanning_every_block():
+    # alpha and beta are constant, so granulating gamma sees one group of
+    # 600 models and equals plain tau over all of them
+    rng = np.random.default_rng(137)
+    models = [model((0, 0, int(rng.integers(0, 30))), int(rng.integers(0, 8)),
+                    int(rng.integers(0, 8))) for _ in range(600)]
+    res = granulated_kendall(models, "gamma")
+    assert (res.included_groups, res.skipped_groups) == (1, 0)
+    pairs = [(m.complexity, m.gen_gap) for m in models]
+    assert res.psi == kendall_tau(pairs) == oracle_tau(pairs)
+    assert_matches_oracles(models)
+
+
+def test_kernel_all_tied_targets_score_zero():
+    rng = np.random.default_rng(139)
+    models = [model(m.config.values.values(), m.complexity, 0.25, acc=0.5)
+              for m in grid_models(rng, 600, (6, 5, 4), levels=50)]
+    assert kendall_tau([(m.complexity, m.gen_gap) for m in models]) == 0.0
+    for axis in ("alpha", "beta", "gamma"):
+        assert granulated_kendall(models, axis).psi == 0.0
+    score = cmi_score(models)
+    assert score.final == 0.0
+    assert set(score.per_pair.values()) == {0.0}
+    assert_matches_oracles(models)
+
+
+def test_kendall_non_finite_values_count_as_ties():
+    rng = np.random.default_rng(149)
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, 1.0])
+    s = rng.choice(specials, size=600)
+    g = rng.choice(specials, size=600)
+    s[::7] = rng.normal(size=s[::7].size)
+    pairs = list(zip(s.tolist(), g.tolist()))
+    assert kendall_tau(pairs) == oracle_tau(pairs)
+    assert kendall_tau([(np.nan, 1.0), (np.nan, 2.0)]) == 0.0
+    assert kendall_tau([(np.inf, 1.0), (np.inf, 2.0), (0.0, 0.0)]) == \
+        oracle_tau([(np.inf, 1.0), (np.inf, 2.0), (0.0, 0.0)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 70),
+       block=st.integers(1, 9), levels=st.integers(1, 5),
+       sizes=st.tuples(*[st.integers(1, 6)] * 3))
+def test_kernel_matches_oracles_for_any_block_size(seed, n, block, levels,
+                                                   sizes):
+    models = grid_models(np.random.default_rng(seed), n, sizes, levels)
+    with mock.patch.object(metrics, "_BLOCK", block):
+        assert_matches_oracles(models)
+
+
+def test_kendall_memory_stays_linear_in_n():
+    # one n x n float64 temporary at n = 4000 would be 122 MiB
+    rng = np.random.default_rng(151)
+    pairs = list(zip(rng.normal(size=4000).tolist(),
+                     rng.integers(0, 9, size=4000).tolist()))
+    tracemalloc.start()
+    try:
+        kendall_tau(pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,12 @@ from .errors import (
     UndefinedMetricError,
     WorkbenchError,
 )
-from .margin import SearchConfig, compute_total_variation, search_margins
+from .margin import (
+    SearchConfig,
+    compute_total_variation,
+    search_margins,
+    tv_normalize,
+)
 from .metrics import (
     EvaluatedModel,
     HyperparamConfig,
@@ -219,19 +224,21 @@ def _cmd_measure(args) -> None:
         raise ConfigError(f"--layer {args.layer} outside "
                           f"[0, {len(net.layers)})")
     raw = load_dataset(args.data)
+    if raw.feature_count != net.input_dim:
+        raise ConfigError(f"{args.data} has {raw.feature_count} features; "
+                          f"the model takes {net.input_dim}")
     X = (apply_normalization(raw.features, net.norm_meta)
          if net.norm_meta is not None else np.asarray(raw.features, float))
     cfg = SearchConfig(learning_rate=args.gamma, stop_tolerance=args.tol,
                        max_iters=args.max_iters)
 
-    predictions = predict_batch(net, X)
+    all_acts = forward_batch(net, X)
     if args.include_misclassified:
         kept = np.arange(raw.sample_count)
     else:
-        kept = np.flatnonzero(predictions == raw.labels)
+        kept = np.flatnonzero(np.argmax(all_acts[-1], axis=1) == raw.labels)
     skipped = int(raw.sample_count - kept.size)
 
-    all_acts = forward_batch(net, X)
     acts = all_acts[args.layer]
     pca = None
     m = None
@@ -260,11 +267,14 @@ def _cmd_measure(args) -> None:
     if constrained:
         summary["subspace_dims"] = int(m)
     if args.tv_normalize:
-        tv = compute_total_variation(acts)
+        # raises DegenerateVarianceError, before any file is written, when
+        # the layer's total variation vanishes
+        scaled = tv_normalize([np.nan if row[1] is None else row[1]
+                               for row in rows], acts)
         header.append("margin_tv")
-        rows = [row + ((row[1] / tv) if row[1] is not None else None,)
-                for row in rows]
-        summary["total_variation"] = float(tv)
+        rows = [row + (None if row[1] is None else value,)
+                for row, value in zip(rows, scaled.tolist())]
+        summary["total_variation"] = compute_total_variation(acts)
 
     _write_csv(args.out, header, rows)
     if args.boundary_out:
@@ -443,10 +453,16 @@ def _read_boundary_csv(path) -> tuple[np.ndarray, np.ndarray]:
     if not orig_cols or len(orig_cols) != len(bound_cols):
         raise ConfigError(f"{path} must pair orig_* and bound_* columns")
     X, Xhat = [], []
-    for line in lines[1:]:
+    for row, line in enumerate(lines[1:], start=1):
         cells = line.split(",")
-        X.append([float(cells[k]) for k in orig_cols])
-        Xhat.append([float(cells[k]) for k in bound_cols])
+        if len(cells) != len(header):
+            raise ConfigError(f"{path}: data row {row} has {len(cells)} "
+                              f"cells, the header {len(header)}")
+        try:
+            X.append([float(cells[k]) for k in orig_cols])
+            Xhat.append([float(cells[k]) for k in bound_cols])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: data row {row}: {exc}") from exc
     if not X:
         raise ConfigError(f"{path} holds no samples")
     return np.array(X), np.array(Xhat)
@@ -508,91 +524,119 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {unknown}")
 
 
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               dict: "an object", list: "a list"}
+
+
+def _typed(value, kind: type, where: str):
+    """``value`` if it is a JSON value of ``kind``; ConfigError otherwise.
+
+    Integers exclude booleans and floats, so nothing is truncated; ``float``
+    takes any finite number and returns it as a float.
+    """
+    if kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif kind is float:
+        ok = _is_finite_real(value)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{where}: expected {_KIND_NAMES[kind]}, "
+                          f"got {value!r}")
+    return float(value) if kind is float else value
+
+
 def _load_sweep_config(args) -> ExperimentConfig:
-    raw = _load_json(args.config)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{args.config}: expected a JSON object")
+    raw = _typed(_load_json(args.config), dict, str(args.config))
     _check_keys(raw, _TOP_KEYS, str(args.config))
     for key in ("dataset", "widths", "output_dir"):
         if key not in raw:
             raise ConfigError(f"{args.config}: missing required key {key!r}")
 
-    dataset = raw["dataset"]
-    if not isinstance(dataset, dict):
-        raise ConfigError("dataset: expected an object")
+    dataset = _typed(raw["dataset"], dict, "dataset")
     blob = None
     dataset_path = None
     test_path = None
     if "path" in dataset:
         _check_keys(dataset, {"path", "test_path"}, "dataset")
-        dataset_path = str(dataset["path"])
         if "test_path" not in dataset:
             raise ConfigError("dataset: path mode needs test_path for the "
                               "held-out accuracy")
-        test_path = str(dataset["test_path"])
+        dataset_path = _typed(dataset["path"], str, "dataset.path")
+        test_path = _typed(dataset["test_path"], str, "dataset.test_path")
     else:
         _check_keys(dataset, _BLOB_KEYS, "dataset")
         missing = sorted(_BLOB_KEYS - set(dataset))
         if missing:
             raise ConfigError(f"dataset: missing keys {missing}")
-        blob = BlobConfig(classes=int(dataset["classes"]),
-                          samples_per_class=int(dataset["samples_per_class"]),
-                          dim=int(dataset["dim"]),
-                          spread=float(dataset["spread"]), seed=0)
+        blob = BlobConfig(
+            classes=_typed(dataset["classes"], int, "dataset.classes"),
+            samples_per_class=_typed(dataset["samples_per_class"], int,
+                                     "dataset.samples_per_class"),
+            dim=_typed(dataset["dim"], int, "dataset.dim"),
+            spread=_typed(dataset["spread"], float, "dataset.spread"), seed=0)
 
     corruptions = []
-    for k, entry in enumerate(raw.get("corruptions",
-                                      [{"mode": "label", "fraction": 0.2}])):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"corruptions[{k}]: expected an object")
-        _check_keys(entry, {"mode", "fraction"}, f"corruptions[{k}]")
+    for k, entry in enumerate(_typed(raw.get("corruptions",
+                                             [{"mode": "label",
+                                               "fraction": 0.2}]),
+                                     list, "corruptions")):
+        where = f"corruptions[{k}]"
+        _check_keys(_typed(entry, dict, where), {"mode", "fraction"}, where)
         mode = entry.get("mode")
         if mode not in ("label", "input"):
-            raise ConfigError(f"corruptions[{k}]: mode must be 'label' or "
-                              f"'input'")
-        fraction = float(entry.get("fraction", 0.2))
+            raise ConfigError(f"{where}: mode must be 'label' or 'input'")
+        fraction = _typed(entry.get("fraction", 0.2), float,
+                          f"{where}.fraction")
         if not 0.0 < fraction <= 1.0:
-            raise ConfigError(f"corruptions[{k}]: fraction must lie in "
-                              f"(0, 1]")
+            raise ConfigError(f"{where}: fraction must lie in (0, 1]")
         corruptions.append((mode, fraction))
 
-    widths = raw["widths"]
-    if (not isinstance(widths, list) or not widths
-            or any(not isinstance(w, int) or w < 1 for w in widths)):
+    widths = [_typed(w, int, f"widths[{k}]")
+              for k, w in enumerate(_typed(raw["widths"], list, "widths"))]
+    if not widths or min(widths) < 1:
         raise ConfigError("widths: expected a non-empty list of positive "
                           "integers")
-    seeds = raw.get("seeds", [0])
-    if (not isinstance(seeds, list) or not seeds
-            or any(not isinstance(s, int) for s in seeds)):
+    seeds = [_typed(v, int, f"seeds[{k}]")
+             for k, v in enumerate(_typed(raw.get("seeds", [0]), list,
+                                          "seeds"))]
+    if not seeds:
         raise ConfigError("seeds: expected a non-empty list of integers")
 
-    train = raw.get("train", {})
+    train = _typed(raw.get("train", {}), dict, "train")
     _check_keys(train, _TRAIN_KEYS, "train")
-    est = raw.get("estimator", {})
+    est = _typed(raw.get("estimator", {}), dict, "estimator")
     _check_keys(est, _EST_KEYS, "estimator")
     estimator = est.get("name", "deepfool")
     if estimator not in ("deepfool", "taylor"):
         raise ConfigError("estimator: name must be 'deepfool' or 'taylor'")
     search = SearchConfig(
-        learning_rate=float(est.get("learning_rate", 0.25)),
-        stop_tolerance=float(est.get("stop_tolerance", 0.001)),
-        max_iters=int(est.get("max_iters", 100)))
+        learning_rate=_typed(est.get("learning_rate", 0.25), float,
+                             "estimator.learning_rate"),
+        stop_tolerance=_typed(est.get("stop_tolerance", 0.001), float,
+                              "estimator.stop_tolerance"),
+        max_iters=_typed(est.get("max_iters", 100), int,
+                         "estimator.max_iters"))
 
     normalize_scheme = raw.get("normalize", "znorm")
     if normalize_scheme not in ("znorm", "minmax", "none"):
         raise ConfigError("normalize: expected znorm, minmax, or none")
 
-    output_dir = args.output_dir if args.output_dir else raw["output_dir"]
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+    output_dir = _typed(raw["output_dir"], str, "output_dir")
+    seed = _typed(raw.get("seed", 0), int, "seed")
     return ExperimentConfig(
         blob=blob, dataset_path=dataset_path, test_path=test_path,
         corruptions=tuple(corruptions), widths=tuple(widths),
-        seeds=tuple(seeds), epochs=int(train.get("epochs", 40)),
-        batch_size=int(train.get("batch_size", 32)),
-        learning_rate=float(train.get("learning_rate", 0.05)),
-        momentum=float(train.get("momentum", 0.9)), estimator=estimator,
-        search=search, normalize=normalize_scheme,
-        output_dir=str(output_dir), seed=seed)
+        seeds=tuple(seeds),
+        epochs=_typed(train.get("epochs", 40), int, "train.epochs"),
+        batch_size=_typed(train.get("batch_size", 32), int,
+                          "train.batch_size"),
+        learning_rate=_typed(train.get("learning_rate", 0.05), float,
+                             "train.learning_rate"),
+        momentum=_typed(train.get("momentum", 0.9), float, "train.momentum"),
+        estimator=estimator, search=search, normalize=normalize_scheme,
+        output_dir=args.output_dir if args.output_dir else output_dir,
+        seed=args.seed if args.seed is not None else seed)
 
 
 def _sweep_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -614,10 +658,11 @@ def _sweep_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     return train_ds, test_ds
 
 
-def _entry_margins(cfg: ExperimentConfig, net, ds: Dataset) -> np.ndarray:
+def _entry_margins(cfg: ExperimentConfig, net, ds: Dataset,
+                   correct: np.ndarray) -> np.ndarray:
     """Margins for the correctly classified training samples, NaN elsewhere."""
     values = np.full(ds.sample_count, np.nan)
-    kept = np.flatnonzero(predict_batch(net, ds.features) == ds.labels)
+    kept = np.flatnonzero(correct)
     if kept.size == 0:
         return values
     search = cfg.search if cfg.estimator == "deepfool" else None
@@ -637,12 +682,13 @@ def _run_sweep_entry(cfg: ExperimentConfig, variant: str, ds: Dataset,
         epochs=cfg.epochs, batch_size=cfg.batch_size,
         learning_rate=cfg.learning_rate, momentum=cfg.momentum,
         seed=derive_seed(cfg.seed, "train", variant, width, seed)))
-    train_acc = float(accuracy(net, ds))
+    correct = predict_batch(net, ds.features) == ds.labels
+    train_acc = float(np.mean(correct))
     X_test = (apply_normalization(test_raw.features, meta)
               if meta is not None else test_raw.features)
     test_acc = float(np.mean(predict_batch(net, X_test) == test_raw.labels))
 
-    values = _entry_margins(cfg, net, ds)
+    values = _entry_margins(cfg, net, ds, correct)
     finite = np.isfinite(values)
     clean_mask = (ds.corrupt_flags == 0) & finite
     corrupt_mask = (ds.corrupt_flags != 0) & finite

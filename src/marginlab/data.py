@@ -249,6 +249,13 @@ def apply_normalization(features: np.ndarray, meta: NormalizationMeta) -> np.nda
 # file formats
 
 
+def _check_finite(features: np.ndarray, path) -> None:
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"{path}: {bad.size} sample(s) hold non-finite "
+                          f"features (first: sample {bad[0]})")
+
+
 def save_dataset_bin(ds: Dataset, path) -> None:
     """Write the MWDS binary layout (f32 features, u32 labels, little-endian)."""
     with atomic_open(path, binary=True) as fh:
@@ -273,6 +280,7 @@ def load_dataset_bin(path) -> Dataset:
         raise ConfigError(f"{path}: truncated or oversized MWDS payload")
     features = np.frombuffer(raw, dtype="<f4", count=s * n, offset=offset)
     features = features.reshape(s, n).astype(np.float64)
+    _check_finite(features, path)
     labels = np.frombuffer(raw, dtype="<u4", count=s, offset=offset + s * n * 4)
     labels = labels.astype(np.int64)
     if class_count < 2:
@@ -312,10 +320,11 @@ def load_dataset_csv(path) -> Dataset:
     try:
         features = np.array([[float(v) for v in row[:-1]] for row in rows[start:]])
         labels = np.array([int(float(row[-1])) for row in rows[start:]], dtype=np.int64)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: malformed CSV row ({exc})") from exc
     if features.ndim != 2 or features.shape[1] < 1:
         raise ConfigError(f"{path}: need at least one feature column")
+    _check_finite(features, path)
     if labels.min() < 0:
         raise ConfigError(f"{path}: negative label")
     class_count = int(labels.max()) + 1

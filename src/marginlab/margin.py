@@ -193,12 +193,10 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
             raise DomainError(f"m={m} outside [1, {pca.components.shape[0]}]")
         projector = pca.components[:m]
 
-    o, G, logits = logit_diffs_all_batch(net, lam, X0,
-                                         np.zeros(s, dtype=np.int64))
-    base = (np.argmax(logits, axis=1) if base_class is None
+    base = (np.argmax(forward_batch(net, X0, lam)[-1], axis=1)
+            if base_class is None
             else np.full(s, base_class, dtype=np.int64))
-    if np.any(base != 0):
-        o, G, logits = logit_diffs_all_batch(net, lam, X0, base)
+    o, G, logits = logit_diffs_all_batch(net, lam, X0, base)
     pair = _runner_up(logits, base)
 
     if cfg is None:
@@ -409,26 +407,3 @@ def tv_normalize(margins: np.ndarray, acts: np.ndarray) -> np.ndarray:
         raise DegenerateVarianceError(
             "activation total variation is numerically zero")
     return np.asarray(margins, dtype=np.float64) / tv
-
-
-@dataclass(frozen=True)
-class TvNormalizer:
-    """Per-layer total-variation scales fitted on a reference batch."""
-
-    per_layer_tv: dict[int, float]
-
-    def normalize(self, margins: np.ndarray, lam: int) -> np.ndarray:
-        if lam not in self.per_layer_tv:
-            raise DomainError(f"no total-variation scale for layer {lam}")
-        tv = self.per_layer_tv[lam]
-        if tv < _DEGENERATE:
-            raise DegenerateVarianceError(
-                f"layer {lam} activations have zero total variation")
-        return np.asarray(margins, dtype=np.float64) / tv
-
-
-def fit_tv_normalizer(net: Network, X: np.ndarray) -> TvNormalizer:
-    """Total variation of every activation layer of ``net`` over ``X``."""
-    acts = forward_batch(net, np.asarray(X, dtype=np.float64))
-    return TvNormalizer(per_layer_tv={
-        lam: compute_total_variation(A) for lam, A in enumerate(acts)})

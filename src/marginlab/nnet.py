@@ -18,7 +18,12 @@ import numpy as np
 
 from ._atomic import atomic_open
 from .data import Dataset, NormalizationMeta
-from .errors import ConfigError, DomainError, TrainingDivergedError
+from .errors import (
+    ConfigError,
+    DomainError,
+    NumericalError,
+    TrainingDivergedError,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -41,13 +46,6 @@ class Network:
     norm_meta: NormalizationMeta | None = None
 
 
-@dataclass
-class Activations:
-    """Per-layer activation vectors x^0 (input) through x^L (logits)."""
-
-    per_layer: list[np.ndarray]
-
-
 def layer_width(net: Network, lam: int) -> int:
     """Width of the activation vector at layer index ``lam`` (0 = input)."""
     if lam == 0:
@@ -55,41 +53,40 @@ def layer_width(net: Network, lam: int) -> int:
     return net.layers[lam - 1].weights.shape[0]
 
 
-def _apply(layer: DenseLayer, a: np.ndarray) -> np.ndarray:
-    z = a @ layer.weights.T + layer.bias
-    if layer.activation == "relu":
-        return np.maximum(z, 0.0)
-    return z
+def _check_activations(net: Network, lam: int, X: np.ndarray, top: int) -> None:
+    """DomainError unless ``X`` holds activations at layer ``lam`` in [0, top]."""
+    if not 0 <= lam <= top:
+        raise DomainError(f"layer index {lam} outside [0, {top + 1})")
+    expected = layer_width(net, lam)
+    if X.shape[-1] != expected:
+        raise DomainError(f"activation width {X.shape[-1]} does not match "
+                          f"layer {lam} width {expected}")
 
 
-def forward(net: Network, x: np.ndarray) -> Activations:
-    """Run the net on one sample, keeping every intermediate activation."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.shape != (net.input_dim,):
-        raise DomainError(f"input shape {a.shape} does not match ({net.input_dim},)")
-    per_layer = [a]
-    for layer in net.layers:
-        a = _apply(layer, a)
-        per_layer.append(a)
-    return Activations(per_layer=per_layer)
+def _forward(net: Network, lam: int, A: np.ndarray):
+    """Run layers ``lam``.. of the net on activations ``A`` at layer ``lam``.
+
+    Returns the activations x^lam..x^L, each layer's input followed by the
+    logits, and every layer's pre-activation, which backprop needs.
+    """
+    acts, pres = [A], []
+    for layer in net.layers[lam:]:
+        Z = acts[-1] @ layer.weights.T + layer.bias
+        pres.append(Z)
+        acts.append(np.maximum(Z, 0.0) if layer.activation == "relu" else Z)
+    return acts, pres
 
 
-def forward_batch(net: Network, X: np.ndarray) -> list[np.ndarray]:
-    """Activation matrices x^0..x^L for a batch; X has shape (s, input_dim)."""
+def forward_batch(net: Network, X: np.ndarray, lam: int = 0) -> list[np.ndarray]:
+    """Activation matrices x^lam..x^L for a batch ``X`` of activations at
+    layer ``lam``; by default X holds inputs, shape (s, input_dim)."""
     A = np.asarray(X, dtype=np.float64)
-    out = [A]
-    for layer in net.layers:
-        A = _apply(layer, A)
-        out.append(A)
-    return out
-
-
-def predict(net: Network, x: np.ndarray) -> int:
-    """Argmax class; ties resolve to the lowest index."""
-    return int(np.argmax(forward(net, x).per_layer[-1]))
+    _check_activations(net, lam, A, len(net.layers))
+    return _forward(net, lam, A)[0]
 
 
 def predict_batch(net: Network, X: np.ndarray) -> np.ndarray:
+    """Argmax class per row; ties resolve to the lowest index."""
     return np.argmax(forward_batch(net, X)[-1], axis=1)
 
 
@@ -105,27 +102,16 @@ def logit_diffs_all_batch(net: Network, lam: int, X: np.ndarray, base: np.ndarra
     gradient G[s, j] = ∇_{x^lam}(f_i − f_j), where i = base[s]. Row j = base[s]
     is identically zero. Also returns the logits.
     """
-    if not 0 <= lam < len(net.layers):
-        raise DomainError(f"layer index {lam} outside [0, {len(net.layers)})")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    expected = layer_width(net, lam)
-    if X.shape[1] != expected:
-        raise DomainError(f"activation width {X.shape[1]} does not match layer {lam} "
-                          f"width {expected}")
+    _check_activations(net, lam, X, len(net.layers) - 1)
     base = np.asarray(base, dtype=np.int64)
-
-    A = X
-    trail = []  # (layer, pre-activation) pairs for the suffix
-    for layer in net.layers[lam:]:
-        Z = A @ layer.weights.T + layer.bias
-        trail.append((layer, Z))
-        A = np.maximum(Z, 0.0) if layer.activation == "relu" else Z
-    logits = A
+    acts, pres = _forward(net, lam, X)
+    logits = acts[-1]
 
     s, c = X.shape[0], net.num_classes
     G = np.broadcast_to(-np.eye(c), (s, c, c)).copy()
     G[np.arange(s), :, base] += 1.0
-    for layer, Z in reversed(trail):
+    for layer, Z in zip(reversed(net.layers[lam:]), reversed(pres)):
         if layer.activation == "relu":
             G *= (Z > 0.0)[:, None, :]  # relu'(0) = 0; G is our own copy
         G = G @ layer.weights
@@ -179,8 +165,6 @@ class TrainConfig:
     batch_size: int
     learning_rate: float
     momentum: float = 0.9
-    lr_decay_every: int = 0  # 0 disables decay
-    lr_decay_factor: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -192,10 +176,6 @@ class TrainConfig:
             raise DomainError("learning_rate must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise DomainError("momentum must lie in [0, 1)")
-        if self.lr_decay_every < 0:
-            raise DomainError("lr_decay_every must be >= 0")
-        if self.lr_decay_factor <= 0:
-            raise DomainError("lr_decay_factor must be positive")
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -217,35 +197,29 @@ def train_sgd(net: Network, dataset: Dataset, config: TrainConfig) -> Network:
     if dataset.class_count != net.num_classes:
         raise DomainError("dataset class_count does not match network num_classes")
 
-    weights = [layer.weights.copy() for layer in net.layers]
-    biases = [layer.bias.copy() for layer in net.layers]
-    vel_w = [np.zeros_like(w) for w in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
-    acts = [layer.activation for layer in net.layers]
-
-    rng = np.random.default_rng(config.seed)
-    lr = config.learning_rate
-    s = X.shape[0]
-
-    # divergence shows up as overflow/nan before the finiteness check catches
-    # it; the warnings are noise, the typed error below is the signal
-    with np.errstate(over="ignore", invalid="ignore"):
-        _run_epochs(X, y, weights, biases, vel_w, vel_b, acts, rng, lr,
-                    s, config)
-
+    # SGD updates the copied parameters in place
     trained = Network(
-        layers=[DenseLayer(w, b, a) for w, b, a in zip(weights, biases, acts)],
+        layers=[DenseLayer(layer.weights.copy(), layer.bias.copy(),
+                           layer.activation) for layer in net.layers],
         input_dim=net.input_dim,
         num_classes=net.num_classes,
         norm_meta=net.norm_meta,
     )
+    # divergence shows up as overflow/nan before the finiteness check catches
+    # it; the warnings are noise, the typed error below is the signal
+    with np.errstate(over="ignore", invalid="ignore"):
+        _run_epochs(trained, X, y, np.random.default_rng(config.seed), config)
+
     final_acc = accuracy(trained, dataset)
     logger.info("final train accuracy: %.4f", final_acc)
     return trained
 
 
-def _run_epochs(X, y, weights, biases, vel_w, vel_b, acts, rng, lr, s,
-                config: TrainConfig) -> None:
+def _run_epochs(net: Network, X, y, rng, config: TrainConfig) -> None:
+    layers = net.layers
+    vel_w = [np.zeros_like(layer.weights) for layer in layers]
+    vel_b = [np.zeros_like(layer.bias) for layer in layers]
+    s = X.shape[0]
     for epoch in range(config.epochs):
         order = rng.permutation(s)
         epoch_loss = 0.0
@@ -254,44 +228,35 @@ def _run_epochs(X, y, weights, biases, vel_w, vel_b, acts, rng, lr, s,
             xb, yb = X[batch], y[batch]
             b = len(batch)
 
-            # forward, keeping inputs and pre-activations per layer
-            a = xb
-            inputs, pres = [], []
-            for wk, bk, act in zip(weights, biases, acts):
-                inputs.append(a)
-                z = a @ wk.T + bk
-                pres.append(z)
-                a = np.maximum(z, 0.0) if act == "relu" else z
-            log_probs = _log_softmax(a)
+            inputs, pres = _forward(net, 0, xb)
+            log_probs = _log_softmax(inputs.pop())
             epoch_loss += -float(log_probs[np.arange(b), yb].sum())
 
             # backprop softmax cross-entropy
             delta = np.exp(log_probs)
             delta[np.arange(b), yb] -= 1.0
             delta /= b
-            grads_w, grads_b = [None] * len(weights), [None] * len(weights)
-            for k in range(len(weights) - 1, -1, -1):
+            grads_w, grads_b = [None] * len(layers), [None] * len(layers)
+            for k in range(len(layers) - 1, -1, -1):
                 grads_w[k] = delta.T @ inputs[k]
                 grads_b[k] = delta.sum(axis=0)
                 if k > 0:
-                    delta = delta @ weights[k]
-                    if acts[k - 1] == "relu":
+                    delta = delta @ layers[k].weights
+                    if layers[k - 1].activation == "relu":
                         delta = delta * (pres[k - 1] > 0.0)
 
-            for k in range(len(weights)):
+            for k, layer in enumerate(layers):
                 vel_w[k] = config.momentum * vel_w[k] + grads_w[k]
                 vel_b[k] = config.momentum * vel_b[k] + grads_b[k]
-                weights[k] -= lr * vel_w[k]
-                biases[k] -= lr * vel_b[k]
+                layer.weights[...] -= config.learning_rate * vel_w[k]
+                layer.bias[...] -= config.learning_rate * vel_b[k]
 
         if not np.isfinite(epoch_loss) or any(
-            not np.all(np.isfinite(w)) for w in weights
+            not np.all(np.isfinite(layer.weights)) for layer in layers
         ):
             raise TrainingDivergedError(
                 f"training diverged at epoch {epoch + 1} (non-finite loss or weights)"
             )
-        if config.lr_decay_every and (epoch + 1) % config.lr_decay_every == 0:
-            lr *= config.lr_decay_factor
 
 
 def accuracy(net: Network, dataset: Dataset) -> float:
@@ -344,6 +309,8 @@ def load_model(path) -> Network:
         raise ConfigError(f"{path}: malformed model file ({exc})") from exc
     if num_classes < 2:
         raise ConfigError(f"{path}: num_classes must be >= 2")
+    if not isinstance(raw_layers, list):
+        raise ConfigError(f"{path}: layers must be a list")
 
     layers = []
     prev = input_dim
@@ -358,6 +325,9 @@ def load_model(path) -> Network:
             raise ConfigError(f"{path}: layer {idx} has unknown activation {act!r}")
         if w.ndim != 2 or w.shape[1] != prev or b.shape != (w.shape[0],):
             raise ConfigError(f"{path}: layer {idx} shapes are inconsistent")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise NumericalError(f"{path}: layer {idx} holds non-finite "
+                                 f"parameters")
         layers.append(DenseLayer(weights=w, bias=b, activation=act))
         prev = w.shape[0]
     if not layers:
@@ -381,6 +351,16 @@ def load_model(path) -> Network:
         if norm_meta.scheme not in ("znorm", "minmax"):
             raise ConfigError(f"{path}: unknown normalization scheme "
                               f"{norm_meta.scheme!r}")
+        arrays = (norm_meta.offsets, norm_meta.scales, norm_meta.lower,
+                  norm_meta.upper)
+        if any(a.shape != (input_dim,) for a in arrays):
+            raise ConfigError(f"{path}: normalization arrays must each hold "
+                              f"input_dim={input_dim} values")
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            raise NumericalError(f"{path}: normalization holds non-finite "
+                                 f"values")
+        if not np.all(norm_meta.scales > 0):
+            raise ConfigError(f"{path}: normalization scales must be positive")
         if not np.all(norm_meta.lower < norm_meta.upper):
             raise ConfigError(f"{path}: normalization bounds must satisfy lower < upper")
 

@@ -220,22 +220,89 @@ def test_measure_layer_out_of_range_exits_2(capsys, tmp_path, layer):
     assert not out.exists()
 
 
-def test_measure_nan_weight_model_exits_3(capsys, tmp_path):
-    X = np.random.default_rng(3).normal(size=(12, 3))
+def _tiny_data(tmp_path, features=3):
+    X = np.random.default_rng(3).normal(size=(12, features))
     y = np.arange(12) % 2
     save_dataset(Dataset(X, y, X.min(axis=0), X.max(axis=0),
                          np.zeros(12, dtype=np.int64), 2), tmp_path / "d.csv")
+    return tmp_path / "d.csv"
+
+
+def test_measure_nan_weight_model_exits_3(capsys, tmp_path):
+    data = _tiny_data(tmp_path)
     nan = np.nan
     net = Network([DenseLayer(np.full((4, 3), nan), np.full(4, nan), "relu"),
                    DenseLayer(np.full((2, 4), nan), np.full(2, nan), "none")],
                   3, 2)
     save_model(net, tmp_path / "model.json")
     code, out_text, err = run(capsys, "measure", "--model",
-                              tmp_path / "model.json", "--data",
-                              tmp_path / "d.csv", "--out", tmp_path / "m.csv")
+                              tmp_path / "model.json", "--data", data,
+                              "--out", tmp_path / "m.csv")
     assert code == 3
     assert out_text == ""
     assert "non-finite" in err
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_measure_feature_count_mismatch_exits_2(capsys, tmp_path):
+    data = gen(capsys, tmp_path, dim=4)
+    model_path, _ = train(capsys, tmp_path, data)
+    out = tmp_path / "m.csv"
+    code, out_text, err = run(capsys, "measure", "--model", model_path,
+                              "--data", _tiny_data(tmp_path, features=5),
+                              "--out", out)
+    assert code == 2
+    assert "5 features" in err and "takes 4" in err
+    assert out_text == ""
+    assert not out.exists()
+
+
+def test_measure_non_finite_feature_exits_2(capsys, tmp_path):
+    data = gen(capsys, tmp_path)
+    model_path, _ = train(capsys, tmp_path, data)
+    bad = tmp_path / "bad.csv"
+    lines = _tiny_data(tmp_path).read_text().splitlines()
+    lines[3] = "nan," + lines[3].split(",", 1)[1]
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "m.csv"
+    code, out_text, err = run(capsys, "measure", "--model", model_path,
+                              "--data", bad, "--out", out)
+    assert code == 2
+    assert "non-finite" in err
+    assert not out.exists()
+
+
+def test_measure_norm_length_mismatch_exits_2(capsys, tmp_path):
+    data = gen(capsys, tmp_path)
+    model_path, _ = train(capsys, tmp_path, data)
+    doc = json.loads(model_path.read_text())
+    doc["norm"]["offsets"] = doc["norm"]["offsets"][:1]
+    model_path.write_text(json.dumps(doc))
+    out = tmp_path / "m.csv"
+    code, _, err = run(capsys, "measure", "--model", model_path, "--data",
+                       data, "--out", out)
+    assert code == 2
+    assert "input_dim" in err
+    assert not out.exists()
+
+
+def test_measure_tv_normalize_zero_variation_exits_3(capsys, tmp_path):
+    # every hidden unit is dead, so layer 1 is constant, while the logit
+    # gradients there, and with them the margins, are not zero
+    net = Network([DenseLayer(np.zeros((4, 3)), np.full(4, -1.0), "relu"),
+                   DenseLayer(np.array([[1.0, 0.0, 2.0, 0.0],
+                                        [0.0, 1.0, 0.0, 1.0]]),
+                              np.array([1.0, 0.0]), "none")], 3, 2)
+    save_model(net, tmp_path / "model.json")
+    out = tmp_path / "m.csv"
+    code, out_text, err = run(capsys, "measure", "--model",
+                              tmp_path / "model.json", "--data",
+                              _tiny_data(tmp_path), "--layer", 1,
+                              "--tv-normalize", "--out", out)
+    assert code == 3
+    assert "total variation" in err
+    assert out_text == ""
+    assert not out.exists()
 
 
 def _half_dead_net(rng):
@@ -551,6 +618,23 @@ def test_advdir_pipeline(capsys, tmp_path):
     assert summary["marker_70"] >= 1
 
 
+@pytest.mark.parametrize("row", ["1,0.5,x,0.4", "2,0.5,0.1"])
+def test_advdir_rejects_malformed_boundary_csv(capsys, tmp_path, row):
+    pca_path = tmp_path / "pca.json"
+    save_pca(fit_pca(np.random.default_rng(2).normal(size=(20, 2))),
+             pca_path)
+    bout = tmp_path / "bounds.csv"
+    bout.write_text("sample_index,orig_0,orig_1,bound_0,bound_1\n"
+                    "0,0.1,0.2,0.3,0.4\n" + row + ",0.7\n")
+    out = tmp_path / "shares.csv"
+    code, out_text, err = run(capsys, "advdir", "--pca", pca_path,
+                              "--boundary-csv", bout, "--out", out)
+    assert code == 2
+    assert "data row 2" in err
+    assert out_text == ""
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 
@@ -633,3 +717,31 @@ def test_sweep_flag_overrides_config(capsys, tmp_path):
     assert code == 0
     assert (other / "margins.csv").exists()
     assert not (out_dir / "margins.csv").exists()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("train", "epochs", "abc"),
+    ("dataset", "spread", "x"),
+    (None, "widths", [4, True]),
+    (None, "seeds", [0, True]),
+    ("train", "epochs", 2.7),
+    ("estimator", "max_iters", 1.9),
+    (None, "train", 5),
+    (None, "estimator", None),
+    (None, "corruptions", 5),
+    ("dataset", "classes", 2.0),
+    ("train", "learning_rate", True),
+    (None, "seed", "3"),
+    (None, "output_dir", 7),
+])
+def test_sweep_bad_config_value_exits_2(capsys, tmp_path, section, key,
+                                        value):
+    cfg_path, out_dir = sweep_config(tmp_path, widths=(4,))
+    cfg = json.loads(cfg_path.read_text())
+    (cfg if section is None else cfg[section])[key] = value
+    cfg_path.write_text(json.dumps(cfg))
+    code, out_text, err = run(capsys, "sweep", "--config", cfg_path)
+    assert code == 2
+    assert key in err
+    assert out_text == ""
+    assert not out_dir.exists()

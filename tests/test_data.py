@@ -299,3 +299,27 @@ def test_csv_loader_accepts_headerless(tmp_path):
     ds = load_dataset_csv(path)
     assert ds.features.shape == (2, 2)
     assert list(ds.labels) == [0, 1]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_loaders_reject_non_finite_features(tmp_path, fmt, value):
+    from marginlab.errors import ConfigError
+
+    ds = gen_blobs(BlobConfig(classes=2, samples_per_class=5, dim=3, spread=1.0, seed=4))
+    ds.features[3, 1] = value
+    path = tmp_path / f"blobs.{fmt}"
+    save, load = ((save_dataset_csv, load_dataset_csv) if fmt == "csv"
+                  else (save_dataset_bin, load_dataset_bin))
+    save(ds, path)
+    with pytest.raises(ConfigError, match="non-finite"):
+        load(path)
+
+
+def test_csv_loader_rejects_infinite_label(tmp_path):
+    from marginlab.errors import ConfigError
+
+    path = tmp_path / "plain.csv"
+    path.write_text("0.5,1.5,0\n2.5,3.5,inf\n")
+    with pytest.raises(ConfigError):
+        load_dataset_csv(path)

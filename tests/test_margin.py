@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import marginlab.margin
 from marginlab.data import BlobConfig, gen_blobs, normalize
 from marginlab.errors import (
     DegenerateGradientError,
@@ -12,13 +13,12 @@ from marginlab.margin import (
     MarginResult,
     SearchConfig,
     SearchStatus,
-    TvNormalizer,
     compute_total_variation,
     constrained_deepfool_margin,
     constrained_taylor_margin,
     deepfool_margin,
     deepfool_margin_batch,
-    fit_tv_normalizer,
+    search_margins,
     taylor_margin,
     tv_normalize,
 )
@@ -26,9 +26,9 @@ from marginlab.nnet import (
     DenseLayer,
     Network,
     TrainConfig,
-    forward,
+    forward_batch,
     init_network,
-    predict,
+    logit_diffs_all_batch,
     predict_batch,
     train_sgd,
 )
@@ -104,7 +104,7 @@ def test_taylor_margin_matches_formula_rederivation():
         net = Network(layers=[hidden, out], input_dim=6, num_classes=4,
                       norm_meta=None)
         x = rng.normal(size=6)
-        i = predict(net, x)
+        i = int(predict_batch(net, x[None, :])[0])
         expected = np.inf
         expected_pair = None
         for j in range(4):
@@ -122,11 +122,29 @@ def test_taylor_margin_matches_formula_rederivation():
         assert r.class_pair == expected_pair
 
 
+@pytest.mark.parametrize("base_class", [None, 2])
+def test_closed_form_search_makes_one_gradient_call(monkeypatch, base_class):
+    rng = np.random.default_rng(29)
+    net = random_affine(rng, dim=5, classes=4)
+    X = rng.normal(size=(40, 5))
+    assert np.any(predict_batch(net, X) != 0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return logit_diffs_all_batch(*args)
+
+    monkeypatch.setattr(marginlab.margin, "logit_diffs_all_batch", counted)
+    results = search_margins(net, 0, X, base_class=base_class)
+    assert len(calls) == 1
+    assert len(results) == 40
+
+
 def test_taylor_margin_target_and_second_highest():
     rng = np.random.default_rng(23)
     net = random_affine(rng, dim=5, classes=4)
     x = rng.normal(size=5)
-    logits = forward(net, x).per_layer[-1]
+    logits = forward_batch(net, x[None, :])[-1][0]
     i = int(np.argmax(logits))
     runner = int(np.argmax(np.where(np.arange(4) == i, -np.inf, logits)))
     r2 = taylor_margin(net, 0, x, second_highest=True)
@@ -256,11 +274,11 @@ def test_deepfool_violation_trace_is_strictly_decreasing():
 def test_deepfool_hidden_layer_runs_without_clipping():
     ds, _ = _normalized_blobs(seed=4)
     net = _trained_net(ds, seed=5)
-    acts = forward(net, ds.features[0])
+    h = forward_batch(net, ds.features[:1])[1][0]
     cfg = SearchConfig(learning_rate=0.25, stop_tolerance=1e-6, max_iters=200)
-    r = deepfool_margin(net, 1, acts.per_layer[1], cfg)
+    r = deepfool_margin(net, 1, h, cfg)
     assert r.d_best >= 0.0
-    assert r.boundary_point.shape == acts.per_layer[1].shape
+    assert r.boundary_point.shape == h.shape
 
 
 def test_search_config_validation():
@@ -485,16 +503,19 @@ def test_constrained_deepfool_single_direction_matches_bisection_oracle():
 
 def _line_boundary_distance(net, x, u, reach=10.0, grid=4000):
     """Smallest |t| with a predicted-class change along x + t*u (bisected)."""
-    base = predict(net, x)
+    def predict(point):
+        return int(predict_batch(net, point[None, :])[0])
+
+    base = predict(x)
     best = None
     for sign in (1.0, -1.0):
         prev = 0.0
         for t in np.linspace(0.0, reach, grid)[1:]:
-            if predict(net, x + sign * t * u) != base:
+            if predict(x + sign * t * u) != base:
                 a, b = prev, t
                 for _ in range(60):
                     mid = 0.5 * (a + b)
-                    if predict(net, x + sign * mid * u) != base:
+                    if predict(x + sign * mid * u) != base:
                         b = mid
                     else:
                         a = mid
@@ -558,9 +579,10 @@ def test_tv_zero_variance_is_degenerate():
 def test_tv_normalizer_over_network_layers():
     ds, _ = _normalized_blobs(seed=18)
     net = _trained_net(ds, seed=19)
-    tvn = fit_tv_normalizer(net, ds.features)
-    assert set(tvn.per_layer_tv) == {0, 1, 2}
-    assert all(v > 0 for v in tvn.per_layer_tv.values())
+    acts = forward_batch(net, ds.features)
+    assert len(acts) == 3
     margins = np.array([1.0, 2.0])
-    out = tvn.normalize(margins, 1)
-    assert np.allclose(out, margins / tvn.per_layer_tv[1])
+    for A in acts:
+        tv = compute_total_variation(A)
+        assert tv > 0
+        assert np.allclose(tv_normalize(margins, A), margins / tv)

@@ -1,18 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
 from marginlab.data import BlobConfig, gen_blobs, normalize
-from marginlab.errors import ConfigError, DomainError, TrainingDivergedError
+from marginlab.errors import (
+    ConfigError,
+    DomainError,
+    NumericalError,
+    TrainingDivergedError,
+)
 from marginlab.nnet import (
     DenseLayer,
     Network,
     TrainConfig,
     accuracy,
-    forward,
+    forward_batch,
     init_network,
     load_model,
     logit_diff_grad,
-    predict,
     predict_batch,
     save_model,
     train_sgd,
@@ -51,20 +57,37 @@ def test_forward_matches_hand_rolled_oracle():
     rng = np.random.default_rng(42)
     for _ in range(25):
         net = random_net(rng)
-        x = rng.normal(size=net.input_dim)
-        acts = forward(net, x)
-        assert len(acts.per_layer) == len(net.layers) + 1
-        assert np.array_equal(acts.per_layer[0], x)
-        assert np.max(np.abs(acts.per_layer[-1] - oracle_logits(net, x))) <= 1e-12
+        X = rng.normal(size=(3, net.input_dim))
+        acts = forward_batch(net, X)
+        assert len(acts) == len(net.layers) + 1
+        assert np.array_equal(acts[0], X)
+        for x, logits in zip(X, acts[-1]):
+            assert np.max(np.abs(logits - oracle_logits(net, x))) <= 1e-12
 
 
 def test_forward_is_deterministic():
     rng = np.random.default_rng(1)
     net = random_net(rng)
-    x = rng.normal(size=net.input_dim)
-    a = forward(net, x).per_layer[-1]
-    b = forward(net, x).per_layer[-1]
+    X = rng.normal(size=(4, net.input_dim))
+    a = forward_batch(net, X)[-1]
+    b = forward_batch(net, X)[-1]
     assert np.array_equal(a, b)
+
+
+def test_forward_batch_from_hidden_layer_matches_full_pass():
+    rng = np.random.default_rng(8)
+    net = random_net(rng, hidden=(7, 5, 6))
+    acts = forward_batch(net, rng.normal(size=(5, net.input_dim)))
+    for lam in range(len(net.layers) + 1):
+        tail = forward_batch(net, acts[lam], lam)
+        assert len(tail) == len(acts) - lam
+        for a, b in zip(tail, acts[lam:]):
+            assert np.array_equal(a, b)
+    for lam in (-1, len(net.layers) + 1):
+        with pytest.raises(DomainError):
+            forward_batch(net, acts[0], lam)
+    with pytest.raises(DomainError):
+        forward_batch(net, acts[2], 1)  # width of layer 2, not layer 1
 
 
 def test_predict_breaks_ties_toward_lowest_index():
@@ -72,7 +95,6 @@ def test_predict_breaks_ties_toward_lowest_index():
     layer = DenseLayer(weights=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]),
                        bias=np.zeros(3), activation="none")
     net = Network(layers=[layer], input_dim=2, num_classes=3, norm_meta=None)
-    assert predict(net, np.array([5.0, 1.0])) == 0
     assert list(predict_batch(net, np.array([[5.0, 1.0], [-3.0, 0.0]]))) == [0, 2]
 
 
@@ -81,7 +103,6 @@ def test_predict_breaks_ties_toward_lowest_index():
 
 
 def _away_from_kinks(net, x, tol=1e-3):
-    acts = forward(net, x)
     a = x
     for layer in net.layers:
         z = layer.weights @ a + layer.bias
@@ -106,14 +127,13 @@ def test_gradient_matches_central_finite_differences():
             continue
         i, j = rng.choice(net.num_classes, size=2, replace=False)
         o, w = logit_diff_grad(net, 0, x, int(i), int(j))
-        logits = forward(net, x).per_layer[-1]
+        logits = forward_batch(net, x[None, :])[-1][0]
         assert o == pytest.approx(logits[i] - logits[j], abs=1e-12)
         h = 1e-5
         for k in range(net.input_dim):
             e = np.zeros(net.input_dim)
             e[k] = h
-            lp = forward(net, x + e).per_layer[-1]
-            lm = forward(net, x - e).per_layer[-1]
+            lp, lm = forward_batch(net, np.stack([x + e, x - e]))[-1]
             num = ((lp[i] - lp[j]) - (lm[i] - lm[j])) / (2 * h)
             assert abs(w[k] - num) <= 1e-6
         checked += 1
@@ -125,9 +145,8 @@ def test_gradient_at_hidden_layer_matches_suffix_finite_differences():
     while done < 20:
         net = random_net(rng, input_dim=5, hidden=(8, 6), num_classes=3)
         x = rng.normal(size=5)
-        acts = forward(net, x)
         lam = 1
-        h_vec = acts.per_layer[lam]
+        h_vec = forward_batch(net, x[None, :])[lam][0]
         # keep away from downstream kinks when perturbing the hidden activation
         sub = Network(net.layers[lam:], input_dim=len(h_vec),
                       num_classes=net.num_classes, norm_meta=None)
@@ -138,8 +157,8 @@ def test_gradient_at_hidden_layer_matches_suffix_finite_differences():
         for k in range(len(h_vec)):
             e = np.zeros(len(h_vec))
             e[k] = h
-            lp = forward(sub, h_vec + e).per_layer[-1]
-            lm = forward(sub, h_vec - e).per_layer[-1]
+            lp, lm = forward_batch(net, np.stack([h_vec + e, h_vec - e]),
+                                   lam)[-1]
             num = ((lp[0] - lp[2]) - (lm[0] - lm[2])) / (2 * h)
             assert abs(w[k] - num) <= 1e-6
         done += 1
@@ -162,7 +181,8 @@ def test_logit_diff_grad_rejects_bad_args():
     with pytest.raises(DomainError):
         logit_diff_grad(net, 0, x, 1, 1)
     with pytest.raises(DomainError):
-        logit_diff_grad(net, len(net.layers), forward(net, x).per_layer[-1], 0, 1)
+        logit_diff_grad(net, len(net.layers),
+                        forward_batch(net, x[None, :])[-1][0], 0, 1)
     with pytest.raises(DomainError):
         logit_diff_grad(net, -1, x, 0, 1)
     with pytest.raises(DomainError):
@@ -264,4 +284,51 @@ def test_load_model_rejects_garbage(tmp_path):
         load_model(path)
     path.write_text("not json at all")
     with pytest.raises(ConfigError):
+        load_model(path)
+    path.write_text('{"format": "mw-model/1", "input_dim": 2, '
+                    '"num_classes": 2, "layers": 5}')
+    with pytest.raises(ConfigError):
+        load_model(path)
+
+
+def _model_doc(tmp_path):
+    _, meta = _blob_task(7)
+    save_model(init_network(4, [5], 3, seed=2, norm_meta=meta),
+               tmp_path / "model.json")
+    return json.loads((tmp_path / "model.json").read_text())
+
+
+@pytest.mark.parametrize("where", ["w", "b", "offsets", "scales", "lower",
+                                   "upper"])
+def test_load_model_rejects_non_finite_values(tmp_path, where):
+    doc = _model_doc(tmp_path)
+    if where in ("w", "b"):
+        target = doc["layers"][1][where]
+        if where == "w":
+            target = target[0]
+    else:
+        target = doc["norm"][where]
+    target[-1] = float("inf") if where == "upper" else float("nan")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NumericalError, match="non-finite"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("where", ["offsets", "scales", "lower", "upper"])
+def test_load_model_rejects_norm_length_mismatch(tmp_path, where):
+    doc = _model_doc(tmp_path)
+    doc["norm"][where] = doc["norm"][where][:1]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="input_dim"):
+        load_model(path)
+
+
+def test_load_model_rejects_non_positive_scale(tmp_path):
+    doc = _model_doc(tmp_path)
+    doc["norm"]["scales"][0] = 0.0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="scales must be positive"):
         load_model(path)

@@ -95,20 +95,24 @@ def _write_csv(path, header, rows) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _print_json(obj) -> None:
+def _json_line(obj) -> str:
     try:
-        text = json.dumps(obj, sort_keys=True, allow_nan=False)
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NumericalError(f"summary holds a non-finite value: {exc}") \
             from exc
-    print(text)
+
+
+def _print_json(obj) -> None:
+    print(_json_line(obj))
 
 
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    # ValueError covers bad JSON and bad UTF-8; deep nesting recurses
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -414,8 +418,11 @@ def _cmd_evaluate(args) -> None:
         score = cmi_score(models)
         per_pair = {f"{a}|{b}": float(v)
                     for (a, b), v in sorted(score.per_pair.items())}
+        retained = {f"{a}|{b}": count
+                    for (a, b), count in sorted(score.retained_pairs.items())}
         result = {"final": float(score.final), "measure": args.measure_col,
                   "metric": "cmi", "per_pair": per_pair,
+                  "retained_pairs": retained,
                   "sign": "negated-measure", "target": "gen_gap"}
         csv_header = ["pair", "normalized_cmi"]
         csv_rows = [(name, value) for name, value in per_pair.items()]
@@ -429,9 +436,10 @@ def _cmd_evaluate(args) -> None:
     else:
         raise ConfigError(f"unknown metric {args.metric!r}")
 
+    summary = _json_line(result)  # a non-finite score fails before writing
     if args.out:
         _write_csv(args.out, csv_header, csv_rows)
-    _print_json(result)
+    print(summary)
 
 
 # ---------------------------------------------------------------------------

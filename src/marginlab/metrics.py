@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -74,14 +74,26 @@ def _target_values(models, target):
     return [getattr(m, target) for m in models]
 
 
-def _shared_schema(models: Sequence[EvaluatedModel]) -> tuple[str, ...]:
+def _axis_codes(models: Sequence[EvaluatedModel]) -> tuple[tuple[str, ...],
+                                                            np.ndarray]:
+    """The shared sorted axis names and an (n x axes) intp matrix of token ids.
+
+    One pass checks that every model names the same axes. Within an axis,
+    ids follow sorted token-string order, so sorting rows of ids orders the
+    models exactly as sorting their token tuples would.
+    """
     if not models:
         raise DomainError("no models given")
+    keys = models[0].config.values.keys()
+    if any(m.config.values.keys() != keys for m in models):
+        raise DomainError("models do not share one hyperparameter schema")
     names = models[0].config.names()
-    for m in models[1:]:
-        if m.config.names() != names:
-            raise DomainError("models do not share one hyperparameter schema")
-    return names
+    codes = np.empty((len(models), len(names)), dtype=np.intp)
+    for j, name in enumerate(names):
+        column = [m.config.values[name] for m in models]
+        ids = {token: k for k, token in enumerate(sorted(set(column)))}
+        codes[:, j] = [ids[token] for token in column]
+    return names, codes
 
 
 _BLOCK = 256
@@ -173,41 +185,35 @@ def granulated_kendall(models: Sequence[EvaluatedModel], hyperparam: str,
     says nothing about it). Groups failing that bar are skipped and
     counted. When no group qualifies the statistic is undefined.
     """
-    names = _shared_schema(models)
+    names, codes = _axis_codes(models)
     if hyperparam not in names:
         raise DomainError(f"unknown hyperparameter {hyperparam!r}")
     targets = _target_values(models, target)
+    axis = names.index(hyperparam)
 
-    groups: dict[tuple, list[int]] = {}
-    for idx, m in enumerate(models):
-        key = tuple(sorted((n, v) for n, v in m.config.values.items()
-                           if n != hyperparam))
-        groups.setdefault(key, []).append(idx)
-
-    keys = sorted(groups)
-    group_of = np.empty(len(models), dtype=np.intp)
-    for gid, key in enumerate(keys):
-        group_of[groups[key]] = gid
+    # group ids in sorted order of the other axes' tokens
+    keys, group_of = np.unique(np.delete(codes, axis, axis=1), axis=0,
+                               return_inverse=True)
+    count = len(keys)
+    sizes = np.bincount(group_of, minlength=count)
+    span = int(codes[:, axis].max()) + 1
+    seen = np.unique(group_of * span + codes[:, axis])  # (group, token) pairs
+    distinct = np.bincount(seen // span, minlength=count)
     concordant, discordant = _concordance([m.complexity for m in models],
                                           targets, group_of)
 
-    taus = []
-    skipped = 0
-    for gid, key in enumerate(keys):
-        members = groups[key]
-        distinct = {models[i].config.values[hyperparam] for i in members}
-        if len(members) < 2 or len(distinct) < 2:
-            skipped += 1
-            continue
-        taus.append(_tau(int(concordant[gid]), int(discordant[gid]),
-                         len(members)))
+    # two distinct tokens imply two members
+    varies = distinct >= 2
+    taus = [_tau(c, d, n) for c, d, n in zip(concordant[varies].tolist(),
+                                             discordant[varies].tolist(),
+                                             sizes[varies].tolist())]
     if not taus:
         raise UndefinedMetricError(
             f"no group varies hyperparameter {hyperparam!r}; its granulated "
             f"correlation is undefined")
     return GranulatedResult(psi=sum(taus) / len(taus),
                             included_groups=len(taus),
-                            skipped_groups=skipped)
+                            skipped_groups=count - len(taus))
 
 
 def mean_granulated(psis: Sequence[float]) -> float:
@@ -228,6 +234,8 @@ class CmiScore:
 
     per_pair: Mapping[tuple[str, str], float]
     final: float
+    # non-tied model pairs counted for each axis pair (T in ``cmi_score``)
+    retained_pairs: Mapping[tuple[str, str], int] = field(default_factory=dict)
 
 
 def cmi_score(models: Sequence[EvaluatedModel],
@@ -254,38 +262,43 @@ def cmi_score(models: Sequence[EvaluatedModel],
 
     where zero counts drop out and T = 0 scores 0.
     """
-    names = _shared_schema(models)
+    names, codes = _axis_codes(models)
     if len(names) < 3:
         raise DomainError("cmi_score needs at least three hyperparameter axes")
     targets = _target_values(models, target)
     measure = [m.complexity for m in models]
+    spans = codes.max(axis=0) + 1
 
     per_pair: dict[tuple[str, str], float] = {}
-    for S in itertools.combinations(names, 2):
-        cells: dict[tuple[str, str], int] = {}
-        cell_of = [cells.setdefault((m.config.values[S[0]],
-                                     m.config.values[S[1]]), len(cells))
-                   for m in models]
-        per_pair[S] = _normalized_sign_information(
-            *_concordance(measure, targets, cell_of))
+    retained_pairs: dict[tuple[str, str], int] = {}
+    for i, j in itertools.combinations(range(len(names)), 2):
+        # cells numbered by first appearance, which fixes the summation order
+        _, first, cell_of = np.unique(codes[:, i] * spans[j] + codes[:, j],
+                                      return_index=True, return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(first.size)
+        S = (names[i], names[j])
+        per_pair[S], retained_pairs[S] = _normalized_sign_information(
+            *_concordance(measure, targets, rank[cell_of]))
 
-    return CmiScore(per_pair=per_pair, final=100.0 * min(per_pair.values()))
+    return CmiScore(per_pair=per_pair, final=100.0 * min(per_pair.values()),
+                    retained_pairs=retained_pairs)
 
 
 def _normalized_sign_information(concordant: np.ndarray,
-                                 discordant: np.ndarray) -> float:
+                                 discordant: np.ndarray) -> tuple[float, int]:
     """The closed-form per-S statistic of ``cmi_score`` from per-cell pair
-    counts, clamped to [0, 1]."""
+    counts, clamped to [0, 1], and the retained-pair count T."""
     retained = concordant + discordant
     total = int(retained.sum())
     if total == 0:
-        return 0.0
+        return 0.0, 0
     info = 0.0
     for counts in (concordant, discordant):
         kept = counts > 0
         info += float(np.sum(counts[kept]
                              * np.log(2 * counts[kept] / retained[kept])))
-    return min(max(info / total / math.log(2), 0.0), 1.0)
+    return min(max(info / total / math.log(2), 0.0), 1.0), total
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +341,41 @@ class MarginSignature:
 
 
 def extract_signature(margins: np.ndarray) -> MarginSignature:
-    """Quartiles via linear interpolation between order statistics."""
-    arr = np.asarray(margins, dtype=np.float64).ravel()
-    if arr.size == 0:
+    """Quartiles via linear interpolation between order statistics.
+
+    This is the type-7 rule that ``np.percentile`` applies by default. For
+    n sorted values s and a fraction q the virtual index is v = (n - 1) q,
+    with lo = floor(v) and t = v - lo. The quantile is
+    s[lo] + (s[lo+1] - s[lo]) t when t < 0.5 and
+    s[lo+1] - (s[lo+1] - s[lo]) (1 - t) otherwise; when v >= n - 1 it is
+    the last value. The sample is sorted once and the formula evaluated in
+    that order, so the quartiles equal ``np.percentile``'s bit for bit,
+    except that a zero quartile of a sample holding both +0.0 and -0.0 may
+    carry the other sign.
+    """
+    s = np.sort(np.asarray(margins, dtype=np.float64), axis=None)
+    if s.size == 0:
         raise DomainError("cannot summarize an empty margin distribution")
-    if not np.all(np.isfinite(arr)):
+    # NaN sorts last, so the two ends show every non-finite value
+    if not (math.isfinite(s[0]) and math.isfinite(s[-1])):
         raise DomainError("margin distribution contains non-finite values")
-    q1, q2, q3 = (float(q) for q in np.percentile(arr, [25.0, 50.0, 75.0]))
+    q1, q2, q3 = (_sorted_quartile(s, k) for k in (1, 2, 3))
     iqr = q3 - q1
     return MarginSignature(q1=q1, q2=q2, q3=q3,
                            lower_fence=q1 - 1.5 * iqr,
                            upper_fence=q3 + 1.5 * iqr)
+
+
+def _sorted_quartile(s: np.ndarray, k: int) -> float:
+    """Type-7 quantile at q = k/4 of the sorted sample ``s``."""
+    # v = (n - 1) k / 4 is a multiple of 1/4, so lo and t are exact
+    lo, quarters = divmod((s.size - 1) * k, 4)
+    if lo >= s.size - 1:
+        return float(s[-1])
+    a, b, t = float(s[lo]), float(s[lo + 1]), quarters / 4
+    if t < 0.5:
+        return a + (b - a) * t
+    return b - (b - a) * (1 - t)
 
 
 # ---------------------------------------------------------------------------

@@ -208,14 +208,15 @@ def train_sgd(net: Network, dataset: Dataset, config: TrainConfig) -> Network:
     # divergence shows up as overflow/nan before the finiteness check catches
     # it; the warnings are noise, the typed error below is the signal
     with np.errstate(over="ignore", invalid="ignore"):
-        _run_epochs(trained, X, y, np.random.default_rng(config.seed), config)
+        loss = _run_epochs(trained, X, y, np.random.default_rng(config.seed),
+                           config)
 
-    final_acc = accuracy(trained, dataset)
-    logger.info("final train accuracy: %.4f", final_acc)
+    logger.info("final epoch mean loss: %.6f", loss)
     return trained
 
 
-def _run_epochs(net: Network, X, y, rng, config: TrainConfig) -> None:
+def _run_epochs(net: Network, X, y, rng, config: TrainConfig) -> float:
+    """Run every epoch in place; returns the last epoch's mean loss."""
     layers = net.layers
     vel_w = [np.zeros_like(layer.weights) for layer in layers]
     vel_b = [np.zeros_like(layer.bias) for layer in layers]
@@ -257,6 +258,7 @@ def _run_epochs(net: Network, X, y, rng, config: TrainConfig) -> None:
             raise TrainingDivergedError(
                 f"training diverged at epoch {epoch + 1} (non-finite loss or weights)"
             )
+    return epoch_loss / s
 
 
 def accuracy(net: Network, dataset: Dataset) -> float:
@@ -297,7 +299,7 @@ def save_model(net: Network, path) -> None:
 def load_model(path) -> Network:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: cannot read model file ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ConfigError(f"{path}: not a {MODEL_FORMAT} model file")
@@ -305,7 +307,7 @@ def load_model(path) -> Network:
         input_dim = int(doc["input_dim"])
         num_classes = int(doc["num_classes"])
         raw_layers = doc["layers"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: malformed model file ({exc})") from exc
     if num_classes < 2:
         raise ConfigError(f"{path}: num_classes must be >= 2")
@@ -319,7 +321,7 @@ def load_model(path) -> Network:
             w = np.asarray(entry["w"], dtype=np.float64)
             b = np.asarray(entry["b"], dtype=np.float64)
             act = entry["act"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: malformed layer {idx} ({exc})") from exc
         if act not in _ACTIVATIONS:
             raise ConfigError(f"{path}: layer {idx} has unknown activation {act!r}")
@@ -346,7 +348,7 @@ def load_model(path) -> Network:
                 lower=np.asarray(n["lower"], dtype=np.float64),
                 upper=np.asarray(n["upper"], dtype=np.float64),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: malformed norm block ({exc})") from exc
         if norm_meta.scheme not in ("znorm", "minmax"):
             raise ConfigError(f"{path}: unknown normalization scheme "

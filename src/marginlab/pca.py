@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ._atomic import atomic_open
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericalError
 
 PCA_FORMAT = "mw-pca/1"
 
@@ -154,7 +154,7 @@ def save_pca(pca: PcaModel, path) -> None:
 def load_pca(path) -> PcaModel:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: cannot read projection file ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != PCA_FORMAT:
         raise ConfigError(f"{path}: not a {PCA_FORMAT} file")
@@ -165,12 +165,21 @@ def load_pca(path) -> PcaModel:
             explained_variance=np.asarray(doc["explained_variance"], dtype=np.float64),
             explained_ratio=np.asarray(doc["explained_ratio"], dtype=np.float64),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: malformed projection file ({exc})") from exc
-    if pca.components.ndim != 2 or pca.components.shape[1] != len(pca.mean):
+    if (pca.mean.ndim != 1 or pca.components.ndim != 2
+            or pca.components.shape[1] != pca.mean.size):
         raise ConfigError(f"{path}: component/mean shapes are inconsistent")
-    if len(pca.explained_variance) != len(pca.components):
+    count = (len(pca.components),)
+    if pca.explained_variance.shape != count:
         raise ConfigError(f"{path}: variance count does not match components")
+    if pca.explained_ratio.shape != count:
+        raise ConfigError(f"{path}: explained_ratio count does not match "
+                          f"components")
+    if not all(np.all(np.isfinite(a)) for a in (
+            pca.mean, pca.components, pca.explained_variance,
+            pca.explained_ratio)):
+        raise NumericalError(f"{path}: projection holds non-finite values")
     if not validate_orthonormal(pca.components):
         raise ConfigError(f"{path}: component rows are not orthonormal")
     return pca

@@ -535,6 +535,48 @@ def test_evaluate_cmi_negates_measure(capsys, tmp_path):
     assert json.loads(out_text)["final"] == pytest.approx(100.0)
 
 
+def test_evaluate_cmi_reports_retained_pairs(capsys, tmp_path):
+    # one model per cell of a 2x2x2 grid plus a tied twin of the first:
+    # every axis pair's cells hold two models each, except the twin's cell
+    entries = [{"hyperparams": {"a": a, "b": b, "c": c}, "train_acc": 1.0,
+                "test_acc": 0.1 * k, "measures": {"mm": float(k)}}
+               for k, (a, b, c) in enumerate(
+                   [(a, b, c) for a in (9, 10) for b in (0, 1)
+                    for c in (0, 1)])]
+    entries.append(dict(entries[0]))
+    path = models_file(tmp_path, entries)
+    out = tmp_path / "cmi.csv"
+    code, out_text, _ = run(capsys, "evaluate", "--models", path,
+                            "--metric", "cmi", "--measure-col", "mm",
+                            "--out", out)
+    assert code == 0
+    result = json.loads(out_text)
+    # four one-pair cells per axis pair; the twin joins the first model's
+    # cell, where its pair with the first model ties and its pair with the
+    # other model counts
+    assert result["retained_pairs"] == {"a|b": 5, "a|c": 5, "b|c": 5}
+    assert set(result["retained_pairs"]) == set(result["per_pair"])
+    assert out.read_text().splitlines()[0] == "pair,normalized_cmi"
+    assert len(out.read_text().splitlines()) == 5
+
+
+def test_evaluate_non_finite_score_exits_3_before_writing(capsys, tmp_path):
+    # a measure near the float limit overflows the r2 error sum to inf
+    entries = [{"hyperparams": {"a": str(k)}, "train_acc": 1.0,
+                "test_acc": 0.5, "measures": {"mm": 1e200 * (k == 0)}}
+               for k in range(3)]
+    entries[1]["test_acc"] = 0.4
+    path = models_file(tmp_path, entries)
+    out = tmp_path / "r2.csv"
+    code, out_text, err = run(capsys, "evaluate", "--models", path,
+                              "--metric", "r2", "--measure-col", "mm",
+                              "--out", out)
+    assert code == 3
+    assert "non-finite" in err
+    assert out_text == ""
+    assert not out.exists()
+
+
 def test_evaluate_rejects_unknown_entry_keys(capsys, tmp_path):
     path = models_file(tmp_path, [{"hyperparams": {"a": "1"},
                                    "train_acc": 1.0, "test_acc": 0.5,
@@ -616,6 +658,25 @@ def test_advdir_pipeline(capsys, tmp_path):
     assert sum(p) == pytest.approx(1.0, abs=1e-10)
     summary = json.loads(out_text)
     assert summary["marker_70"] >= 1
+
+
+def test_advdir_non_finite_projection_exits_3(capsys, tmp_path):
+    pca_path = tmp_path / "pca.json"
+    save_pca(fit_pca(np.random.default_rng(2).normal(size=(20, 2))),
+             pca_path)
+    doc = json.loads(pca_path.read_text())
+    doc["mean"][0] = float("nan")
+    pca_path.write_text(json.dumps(doc))
+    bout = tmp_path / "bounds.csv"
+    bout.write_text("sample_index,orig_0,orig_1,bound_0,bound_1\n"
+                    "0,0.1,0.2,0.3,0.4\n")
+    out = tmp_path / "shares.csv"
+    code, out_text, err = run(capsys, "advdir", "--pca", pca_path,
+                              "--boundary-csv", bout, "--out", out)
+    assert code == 3
+    assert "non-finite" in err
+    assert out_text == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("row", ["1,0.5,x,0.4", "2,0.5,0.1"])

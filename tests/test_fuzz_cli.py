@@ -1,0 +1,191 @@
+"""Mutated input files never crash ``mw``: every run exits 0, 2 or 3.
+
+Each example starts from a valid ``models.json`` (for ``mw evaluate``) or a
+valid projection file (for ``mw advdir``) and changes one node of its JSON
+tree, chosen among all its nodes: the node is replaced by an arbitrary JSON
+value (including NaN, ±inf, integers beyond float range and nested
+containers) or deleted, or a sibling is added. A Python exception escaping ``main`` would be a
+traceback for a user, so the test fails on any.
+"""
+
+import contextlib
+import copy
+import io
+import itertools
+import json
+import re
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from marginlab.cli import main
+from marginlab.errors import ConfigError
+from marginlab.nnet import load_model
+from marginlab.pca import fit_pca, load_pca, save_pca
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10, 10),
+    st.sampled_from([10 ** 30, -(10 ** 400), 10 ** 400]),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308,
+                     -0.0, 0.5]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner,
+                                            max_size=3)),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """Every node's key path in a JSON tree, the root's being ()."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate(data, doc):
+    """A copy of ``doc`` with one node replaced or deleted, or a sibling
+    added next to it."""
+    doc = copy.deepcopy(doc)
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return data.draw(_JSON)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "replace":
+        parent[path[-1]] = data.draw(_JSON)
+    elif action == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent, dict):
+        parent[data.draw(st.text(max_size=6))] = data.draw(_JSON)
+    else:
+        parent.insert(path[-1], data.draw(_JSON))
+    return doc
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _models_doc():
+    grid = itertools.product((9, 10), (0.05, 0.1), ("x", "y"))
+    return [{"hyperparams": {"width": w, "lr": lr, "opt": opt},
+             "train_acc": 1.0, "test_acc": 0.5 + 0.05 * k,
+             "measures": {"mm": float((k * 5) % 8)}}
+            for k, (w, lr, opt) in enumerate(grid)]
+
+
+def _pca_doc():
+    pca = fit_pca(np.random.default_rng(4).normal(size=(30, 3)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pca.json"
+        save_pca(pca, path)
+        return json.loads(path.read_text())
+
+
+_BOUNDARY_CSV = ("sample_index,orig_0,orig_1,orig_2,bound_0,bound_1,bound_2\n"
+                 "0,0.1,0.2,0.3,0.4,0.1,0.2\n"
+                 "1,1.0,-1.0,0.5,0.9,-0.8,0.1\n")
+
+
+def test_unmutated_inputs_succeed():
+    with tempfile.TemporaryDirectory() as tmp:
+        models = Path(tmp) / "models.json"
+        models.write_text(json.dumps(_models_doc()))
+        for metric in ("kendall", "granulated", "cmi", "r2"):
+            code, _, _ = _run(["evaluate", "--models", models, "--metric",
+                               metric, "--measure-col", "mm"])
+            assert code == 0, metric
+        pca = Path(tmp) / "pca.json"
+        pca.write_text(json.dumps(_pca_doc()))
+        bounds = Path(tmp) / "bounds.csv"
+        bounds.write_text(_BOUNDARY_CSV)
+        code, _, _ = _run(["advdir", "--pca", pca, "--boundary-csv", bounds,
+                           "--out", Path(tmp) / "shares.csv"])
+        assert code == 0
+
+
+def _check_exit(code, out, err, written: Path):
+    """Exit 0 writes finite outputs; exit 2 or 3 writes nothing."""
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+        assert not re.search(r"\b(nan|inf)\b", written.read_text())
+    else:
+        assert out == ""
+        assert "error: " in err
+        assert not written.exists()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(),
+       metric=st.sampled_from(["kendall", "granulated", "cmi", "r2"]))
+def test_mutated_models_file_exits_0_2_or_3(data, metric):
+    doc = _mutate(data, _models_doc())
+    with tempfile.TemporaryDirectory() as tmp:
+        models = Path(tmp) / "models.json"
+        models.write_text(json.dumps(doc))
+        scores = Path(tmp) / "scores.csv"
+        code, out, err = _run(["evaluate", "--models", models, "--metric",
+                               metric, "--measure-col", "mm", "--out",
+                               scores])
+        _check_exit(code, out, err, scores)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_projection_file_exits_0_2_or_3(data):
+    doc = _mutate(data, _pca_doc())
+    with tempfile.TemporaryDirectory() as tmp:
+        pca = Path(tmp) / "pca.json"
+        pca.write_text(json.dumps(doc))
+        bounds = Path(tmp) / "bounds.csv"
+        bounds.write_text(_BOUNDARY_CSV)
+        shares = Path(tmp) / "shares.csv"
+        code, out, err = _run(["advdir", "--pca", pca, "--boundary-csv",
+                               bounds, "--out", shares])
+        _check_exit(code, out, err, shares)
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe[]", b"[" * 100000],
+                         ids=["invalid-utf8", "deep-nesting"])
+def test_undecodable_json_files_exit_2(tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    bounds = tmp_path / "bounds.csv"
+    bounds.write_text(_BOUNDARY_CSV)
+    shares = tmp_path / "shares.csv"
+    for argv in (["evaluate", "--models", bad, "--metric", "kendall",
+                  "--measure-col", "mm"],
+                 ["advdir", "--pca", bad, "--boundary-csv", bounds,
+                  "--out", shares],
+                 ["sweep", "--config", bad]):
+        code, out, err = _run(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ")
+    assert not shares.exists()
+    for loader in (load_model, load_pca):
+        with pytest.raises(ConfigError):
+            loader(bad)

@@ -280,6 +280,70 @@ def test_cmi_matches_brute_force_oracle():
         assert 0.0 <= score.final <= 100.0
 
 
+def oracle_retained_pairs(models, target="gen_gap"):
+    """Non-tied model pairs inside the cells of each axis pair."""
+    names = sorted(models[0].config.values)
+    counts = {}
+    for S in itertools.combinations(names, 2):
+        counts[S] = sum(
+            1 for a, b in itertools.combinations(models, 2)
+            if all(a.config.values[n] == b.config.values[n] for n in S)
+            and _sgn(a.complexity - b.complexity) != 0
+            and _sgn(getattr(a, target) - getattr(b, target)) != 0)
+    return counts
+
+
+def first_appearance_cmi(models, target="gen_gap"):
+    """Per-pair CMI with cells keyed by token strings and numbered by first
+    appearance, fed to the same kernel: the summation order cmi_score
+    promises to keep."""
+    names = sorted(models[0].config.values)
+    measure = [m.complexity for m in models]
+    targets = [getattr(m, target) for m in models]
+    per = {}
+    for S in itertools.combinations(names, 2):
+        cells = {}
+        cell_of = [cells.setdefault(tuple(m.config.values[n] for n in S),
+                                    len(cells)) for m in models]
+        per[S], _ = metrics._normalized_sign_information(
+            *metrics._concordance(measure, targets, cell_of))
+    return per
+
+
+def test_numeric_tokens_group_in_string_order():
+    # numeric and string orders differ on every axis: 9 < 10 but "10" < "9",
+    # 5e-05 < 0.05 but "0.05" < "5e-05"
+    axes = ((9, 10, 100), (0.05, 0.1, 5e-05), (2, 11, 0.5))
+    grid = list(itertools.product(*axes))
+    rng = np.random.default_rng(137)
+    for trial in range(20):
+        picks = rng.integers(0, len(grid), size=int(rng.integers(8, 60)))
+        models = [model(grid[k], float(rng.integers(0, 4)),
+                        float(rng.integers(0, 4)),
+                        acc=float(rng.integers(0, 4))) for k in picks]
+        for axis in ("alpha", "beta", "gamma"):
+            for target in ("gen_gap", "test_accuracy"):
+                expect, included, skipped = oracle_granulated(models, axis,
+                                                              target)
+                if expect is None:
+                    with pytest.raises(UndefinedMetricError):
+                        granulated_kendall(models, axis, target)
+                    continue
+                res = granulated_kendall(models, axis, target)
+                assert (res.psi, res.included_groups,
+                        res.skipped_groups) == (expect, included, skipped)
+        score = cmi_score(models)
+        # the closed form and the oracle's probabilities round differently,
+        # so values match the oracle to rounding and the old cell order
+        # exactly; the pair counts are integers and match exactly
+        assert score.per_pair == first_appearance_cmi(models)
+        assert score.retained_pairs == oracle_retained_pairs(models)
+        expect_final, expect_pairs = oracle_cmi(models)
+        assert score.final == pytest.approx(expect_final, abs=1e-12)
+        for S, val in expect_pairs.items():
+            assert score.per_pair[S] == pytest.approx(val, abs=1e-12)
+
+
 def test_cmi_requires_three_hyperparams():
     cfg = HyperparamConfig({"alpha": "0", "beta": "1"})
     models = [EvaluatedModel(cfg, 1.0, 1.0, 0.5),
@@ -463,6 +527,51 @@ def test_signature_constant_and_single():
     assert sig.as_vector().tolist() == [2.5] * 5
     sig = extract_signature(np.array([7.0]))
     assert sig.as_vector().tolist() == [7.0] * 5
+
+
+def percentile_signature(values):
+    """The signature as np.percentile computes its quartiles."""
+    q1, q2, q3 = (float(q) for q in np.percentile(np.asarray(values),
+                                                  [25.0, 50.0, 75.0]))
+    iqr = q3 - q1
+    return [q1, q2, q3, q1 - 1.5 * iqr, q3 + 1.5 * iqr]
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+# a quartile of a sample holding both +0.0 and -0.0 may take either sign,
+# so samples hold +0.0 only (x + 0.0 turns -0.0 into +0.0)
+_SAMPLE_VALUES = st.one_of(
+    st.sampled_from([-2.5, -1.0, 0.0, 0.5, 3.0]),
+    st.integers(-4, 4).map(float),
+    st.floats(min_value=-1e300, max_value=1e300).map(lambda x: x + 0.0),
+    st.floats(min_value=-1e-300, max_value=1e-300).map(lambda x: x + 0.0),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(values=st.integers(1, 300).flatmap(
+    lambda n: st.lists(_SAMPLE_VALUES, min_size=n, max_size=n)))
+def test_signature_matches_percentile_bit_for_bit(values):
+    got = extract_signature(np.array(values)).as_vector()
+    assert bits(got) == bits(percentile_signature(values))
+
+
+def test_signature_matches_percentile_on_tied_and_large_samples():
+    rng = np.random.default_rng(139)
+    for n in list(range(1, 60)) + [200, 1001, 4096]:
+        for values in (rng.normal(size=n), np.round(rng.normal(size=n)) + 0.0,
+                       np.exp(rng.normal(scale=20.0, size=n))):
+            got = extract_signature(values).as_vector()
+            assert bits(got) == bits(percentile_signature(values))
+
+
+def test_signature_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            extract_signature(np.array([1.0, bad, 2.0]))
 
 
 def test_signature_empty_rejected():

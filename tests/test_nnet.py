@@ -1,8 +1,10 @@
 import json
+import logging
 
 import numpy as np
 import pytest
 
+from marginlab import nnet
 from marginlab.data import BlobConfig, gen_blobs, normalize
 from marginlab.errors import (
     ConfigError,
@@ -245,6 +247,29 @@ def test_train_sgd_divergence_raises():
         train_sgd(net, ds, cfg)
 
 
+def test_train_sgd_logs_final_epoch_loss_without_a_prediction_pass(
+        caplog, monkeypatch):
+    # a zero learning rate keeps the net fixed, so every epoch's mean loss
+    # is the initial net's mean cross-entropy over the whole dataset
+    ds, meta = _blob_task(3)
+    net = init_network(4, [8], 3, seed=4, norm_meta=meta)
+    logits = forward_batch(net, ds.features)[-1]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    expect = -log_probs[np.arange(len(ds.labels)), ds.labels].mean()
+
+    def no_prediction(*args, **kwargs):
+        raise AssertionError("train_sgd ran a prediction pass")
+
+    monkeypatch.setattr(nnet, "predict_batch", no_prediction)
+    cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=0.0, seed=0)
+    with caplog.at_level(logging.INFO, logger="marginlab.nnet"):
+        train_sgd(net, ds, cfg)
+    [record] = [r for r in caplog.records if r.name == "marginlab.nnet"]
+    assert record.getMessage().startswith("final epoch mean loss: ")
+    assert record.args[0] == pytest.approx(expect, rel=1e-12)
+
+
 def test_train_config_validation():
     with pytest.raises(DomainError):
         TrainConfig(epochs=0, batch_size=8, learning_rate=0.1)
@@ -287,6 +312,16 @@ def test_load_model_rejects_garbage(tmp_path):
         load_model(path)
     path.write_text('{"format": "mw-model/1", "input_dim": 2, '
                     '"num_classes": 2, "layers": 5}')
+    with pytest.raises(ConfigError):
+        load_model(path)
+    # numbers beyond float range: 1e400 parses as inf, 10**400 as an int
+    path.write_text('{"format": "mw-model/1", "input_dim": 1e400, '
+                    '"num_classes": 2, "layers": []}')
+    with pytest.raises(ConfigError):
+        load_model(path)
+    path.write_text('{"format": "mw-model/1", "input_dim": 1, '
+                    '"num_classes": 2, "layers": [{"w": [[1' + '0' * 400
+                    + '], [1]], "b": [0, 0], "act": "none"}]}')
     with pytest.raises(ConfigError):
         load_model(path)
 

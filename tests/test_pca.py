@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from marginlab.errors import ConfigError, DomainError
+from marginlab.errors import ConfigError, DomainError, NumericalError
 from marginlab.pca import (
     PcaModel,
     fit_pca,
@@ -183,5 +185,47 @@ def test_load_pca_rejects_non_orthonormal_rows(tmp_path):
 def test_load_pca_rejects_wrong_format(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "mw-model/1"}')
+    with pytest.raises(ConfigError):
+        load_pca(path)
+
+
+def _pca_doc(tmp_path):
+    path = tmp_path / "proj.json"
+    save_pca(fit_pca(np.random.default_rng(9).normal(size=(30, 4)),
+                     n_components=3), path)
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("key", ["mean", "components", "explained_variance",
+                                 "explained_ratio"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), None])
+def test_load_pca_rejects_non_finite_values(tmp_path, key, bad):
+    path, doc = _pca_doc(tmp_path)
+    if key == "components":
+        doc[key][0][1] = bad
+    else:
+        doc[key][0] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NumericalError):
+        load_pca(path)
+
+
+@pytest.mark.parametrize("key", ["explained_variance", "explained_ratio"])
+@pytest.mark.parametrize("length", [2, 4])
+def test_load_pca_rejects_count_mismatch(tmp_path, key, length):
+    path, doc = _pca_doc(tmp_path)
+    doc[key] = [0.1] * length
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError):
+        load_pca(path)
+
+
+@pytest.mark.parametrize("key,value", [("mean", 0.5), ("mean", [[0.0] * 4]),
+                                       ("mean", [10 ** 400] * 4),
+                                       ("explained_ratio", 0.5)])
+def test_load_pca_rejects_malformed_arrays(tmp_path, key, value):
+    path, doc = _pca_doc(tmp_path)
+    doc[key] = value
+    path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError):
         load_pca(path)

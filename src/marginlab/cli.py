@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -89,10 +89,14 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _write_csv(path, header, rows) -> None:
+def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_cell(c) for c in row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write_csv(path, header, rows) -> None:
+    _write_text(path, _csv_text(header, rows))
 
 
 def _json_line(obj) -> str:
@@ -122,6 +126,43 @@ def _mean(values) -> float | None:
 
 
 # ---------------------------------------------------------------------------
+# pipeline steps shared by the single commands and the sweep
+
+
+_CORRUPTERS = {"label": corrupt_labels, "input": corrupt_inputs_gaussian}
+_NORMALIZE_SCHEMES = ("znorm", "minmax", "none")
+
+
+def _normalized(ds: Dataset, scheme: str):
+    """``ds`` normalized by ``scheme`` and its meta; ``none`` keeps ``ds``
+    and gives no meta."""
+    return (ds, None) if scheme == "none" else normalize(ds, scheme)
+
+
+def _model_inputs(net, raw: Dataset) -> np.ndarray:
+    """The raw dataset's features in the space ``net`` operates in."""
+    if net.norm_meta is None:
+        return raw.features
+    return apply_normalization(raw.features, net.norm_meta)
+
+
+def _measure_correct(net, X, labels, layer: int, search, pca=None, m=None,
+                     *, batch_mean: bool, keep_all: bool = False):
+    """Margins at ``layer`` of the rows of ``X`` that ``net`` classifies
+    correctly, or of every row with ``keep_all``.
+
+    Returns every row's activations at ``layer``, the kept row indices and
+    one ``search_margins`` result per kept row.
+    """
+    acts = forward_batch(net, X)
+    kept = (np.arange(len(labels)) if keep_all else
+            np.flatnonzero(np.argmax(acts[-1], axis=1) == labels))
+    results = (search_margins(net, layer, acts[layer][kept], search, pca, m,
+                              batch_mean=batch_mean) if kept.size else [])
+    return acts[layer], kept, results
+
+
+# ---------------------------------------------------------------------------
 # gen-data / corrupt / train
 
 
@@ -137,10 +178,7 @@ def _cmd_gen_data(args) -> None:
 
 def _cmd_corrupt(args) -> None:
     ds = load_dataset(args.infile)
-    if args.mode == "label":
-        out_ds, report = corrupt_labels(ds, args.fraction, args.seed)
-    else:
-        out_ds, report = corrupt_inputs_gaussian(ds, args.fraction, args.seed)
+    out_ds, report = _CORRUPTERS[args.mode](ds, args.fraction, args.seed)
     save_dataset(out_ds, args.out)
     if args.report:
         payload = {"mode": report.mode,
@@ -167,11 +205,7 @@ def _parse_hidden(text: str) -> list[int]:
 
 
 def _cmd_train(args) -> None:
-    raw = load_dataset(args.data)
-    if args.normalize == "none":
-        ds, meta = raw, None
-    else:
-        ds, meta = normalize(raw, args.normalize)
+    ds, meta = _normalized(load_dataset(args.data), args.normalize)
     hidden = _parse_hidden(args.hidden)
     net = init_network(ds.feature_count, hidden, ds.class_count,
                        seed=derive_seed(args.seed, "init"), norm_meta=meta)
@@ -194,7 +228,7 @@ _ESTIMATORS = ("taylor", "deepfool", "constrained-taylor",
                "constrained-deepfool")
 
 
-def _resolve_subspace(args, acts0):
+def _resolve_subspace(args, X):
     """PCA model and component count for the constrained estimators."""
     if args.pca is None:
         raise ConfigError("constrained estimators need --pca")
@@ -207,7 +241,7 @@ def _resolve_subspace(args, acts0):
         except ValueError as exc:
             raise ConfigError(f"--m must be an integer or 'auto', "
                               f"got {args.m!r}") from exc
-    if acts0.shape[1] != pca.mean.size:
+    if X.shape[1] != pca.mean.size:
         raise ConfigError("pca feature count does not match the dataset")
     return pca, m
 
@@ -231,27 +265,16 @@ def _cmd_measure(args) -> None:
     if raw.feature_count != net.input_dim:
         raise ConfigError(f"{args.data} has {raw.feature_count} features; "
                           f"the model takes {net.input_dim}")
-    X = (apply_normalization(raw.features, net.norm_meta)
-         if net.norm_meta is not None else np.asarray(raw.features, float))
+    X = _model_inputs(net, raw)
     cfg = SearchConfig(learning_rate=args.gamma, stop_tolerance=args.tol,
                        max_iters=args.max_iters)
-
-    all_acts = forward_batch(net, X)
-    if args.include_misclassified:
-        kept = np.arange(raw.sample_count)
-    else:
-        kept = np.flatnonzero(np.argmax(all_acts[-1], axis=1) == raw.labels)
-    skipped = int(raw.sample_count - kept.size)
-
-    acts = all_acts[args.layer]
-    pca = None
-    m = None
-    if constrained:
-        pca, m = _resolve_subspace(args, all_acts[0])
+    pca, m = _resolve_subspace(args, X) if constrained else (None, None)
 
     search = None if args.estimator.endswith("taylor") else cfg
-    results = (search_margins(net, args.layer, acts[kept], search, pca, m,
-                              batch_mean=args.batch) if kept.size else [])
+    acts, kept, results = _measure_correct(
+        net, X, raw.labels, args.layer, search, pca, m,
+        batch_mean=args.batch, keep_all=args.include_misclassified)
+    skipped = int(raw.sample_count - kept.size)
     # a closed-form row without a usable gradient has no margin
     no_margin = "unreachable" if constrained else "degenerate"
     rows = [(idx, None, None, None, no_margin, None, None, None)
@@ -471,6 +494,9 @@ def _read_boundary_csv(path) -> tuple[np.ndarray, np.ndarray]:
             Xhat.append([float(cells[k]) for k in bound_cols])
         except ValueError as exc:
             raise ConfigError(f"{path}: data row {row}: {exc}") from exc
+        if not all(map(math.isfinite, X[-1] + Xhat[-1])):
+            raise ConfigError(f"{path}: data row {row} holds a non-finite "
+                              f"orig_*/bound_* value")
     if not X:
         raise ConfigError(f"{path} holds no samples")
     return np.array(X), np.array(Xhat)
@@ -500,7 +526,12 @@ def _cmd_advdir(args) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated description of one capacity-sweep run."""
+    """Validated description of one capacity-sweep run.
+
+    The data come from ``blob`` or from ``dataset_path``/``test_path``. The
+    seeds in ``blob`` and ``train`` are placeholders: each run derives its
+    own from ``seed``.
+    """
 
     blob: BlobConfig | None
     dataset_path: str | None
@@ -508,28 +539,12 @@ class ExperimentConfig:
     corruptions: tuple[tuple[str, float], ...]
     widths: tuple[int, ...]
     seeds: tuple[int, ...]
-    epochs: int
-    batch_size: int
-    learning_rate: float
-    momentum: float
+    train: TrainConfig
     estimator: str
     search: SearchConfig
     normalize: str
     output_dir: str
     seed: int
-
-
-_TOP_KEYS = {"dataset", "corruptions", "widths", "seeds", "train",
-             "estimator", "normalize", "output_dir", "seed"}
-_BLOB_KEYS = {"classes", "samples_per_class", "dim", "spread"}
-_TRAIN_KEYS = {"epochs", "batch_size", "learning_rate", "momentum"}
-_EST_KEYS = {"name", "learning_rate", "stop_tolerance", "max_iters"}
-
-
-def _check_keys(obj: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
 
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
@@ -554,97 +569,101 @@ def _typed(value, kind: type, where: str):
     return float(value) if kind is float else value
 
 
-def _load_sweep_config(args) -> ExperimentConfig:
-    raw = _typed(_load_json(args.config), dict, str(args.config))
-    _check_keys(raw, _TOP_KEYS, str(args.config))
-    for key in ("dataset", "widths", "output_dir"):
-        if key not in raw:
-            raise ConfigError(f"{args.config}: missing required key {key!r}")
+_REQUIRED = object()
 
-    dataset = _typed(raw["dataset"], dict, "dataset")
-    blob = None
-    dataset_path = None
-    test_path = None
-    if "path" in dataset:
-        _check_keys(dataset, {"path", "test_path"}, "dataset")
-        if "test_path" not in dataset:
-            raise ConfigError("dataset: path mode needs test_path for the "
-                              "held-out accuracy")
-        dataset_path = _typed(dataset["path"], str, "dataset.path")
-        test_path = _typed(dataset["test_path"], str, "dataset.test_path")
+# Each table maps a config object's keys to (kind, default); its keys are the
+# object's allowed key set.
+_SWEEP_FIELDS = {
+    "dataset": (dict, _REQUIRED), "widths": (list, _REQUIRED),
+    "output_dir": (str, _REQUIRED),
+    "corruptions": (list, [{"mode": "label", "fraction": 0.2}]),
+    "seeds": (list, [0]), "train": (dict, {}), "estimator": (dict, {}),
+    "normalize": (str, "znorm"), "seed": (int, 0)}
+_BLOB_FIELDS = {"classes": (int, _REQUIRED),
+                "samples_per_class": (int, _REQUIRED),
+                "dim": (int, _REQUIRED), "spread": (float, _REQUIRED)}
+_PATH_FIELDS = {"path": (str, _REQUIRED), "test_path": (str, _REQUIRED)}
+_CORRUPTION_FIELDS = {"mode": (str, _REQUIRED), "fraction": (float, 0.2)}
+_TRAIN_FIELDS = {"epochs": (int, 40), "batch_size": (int, 32),
+                 "learning_rate": (float, 0.05), "momentum": (float, 0.9)}
+_ESTIMATOR_FIELDS = {"name": (str, "deepfool"),
+                     "learning_rate": (float, 0.25),
+                     "stop_tolerance": (float, 0.001),
+                     "max_iters": (int, 100)}
+
+
+def _section(obj, table: dict, where: str, prefix: str | None = None) -> dict:
+    """Every key of ``table`` read from the JSON object ``obj``: its value
+    checked against the key's kind, or the key's default when absent."""
+    _typed(obj, dict, where)
+    unknown = sorted(set(obj) - set(table))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    missing = [key for key, (_, default) in table.items()
+               if default is _REQUIRED and key not in obj]
+    if missing:
+        raise ConfigError(f"{where}: missing keys {missing}")
+    prefix = f"{where}." if prefix is None else prefix
+    return {key: _typed(obj.get(key, default), kind, prefix + key)
+            for key, (kind, default) in table.items()}
+
+
+def _built(cls, where: str, **fields):
+    """``cls(**fields)``, with the section named in its range-check error."""
+    try:
+        return cls(**fields)
+    except WorkbenchError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
+def _load_sweep_config(args) -> ExperimentConfig:
+    top = _section(_load_json(args.config), _SWEEP_FIELDS, str(args.config),
+                   prefix="")
+    if "path" in top["dataset"]:
+        paths = _section(top["dataset"], _PATH_FIELDS, "dataset")
+        blob = None
     else:
-        _check_keys(dataset, _BLOB_KEYS, "dataset")
-        missing = sorted(_BLOB_KEYS - set(dataset))
-        if missing:
-            raise ConfigError(f"dataset: missing keys {missing}")
-        blob = BlobConfig(
-            classes=_typed(dataset["classes"], int, "dataset.classes"),
-            samples_per_class=_typed(dataset["samples_per_class"], int,
-                                     "dataset.samples_per_class"),
-            dim=_typed(dataset["dim"], int, "dataset.dim"),
-            spread=_typed(dataset["spread"], float, "dataset.spread"), seed=0)
+        paths = dict.fromkeys(_PATH_FIELDS)
+        blob = _built(BlobConfig, "dataset",
+                      **_section(top["dataset"], _BLOB_FIELDS, "dataset"),
+                      seed=0)
 
     corruptions = []
-    for k, entry in enumerate(_typed(raw.get("corruptions",
-                                             [{"mode": "label",
-                                               "fraction": 0.2}]),
-                                     list, "corruptions")):
+    for k, entry in enumerate(top["corruptions"]):
         where = f"corruptions[{k}]"
-        _check_keys(_typed(entry, dict, where), {"mode", "fraction"}, where)
-        mode = entry.get("mode")
-        if mode not in ("label", "input"):
+        entry = _section(entry, _CORRUPTION_FIELDS, where)
+        if entry["mode"] not in _CORRUPTERS:
             raise ConfigError(f"{where}: mode must be 'label' or 'input'")
-        fraction = _typed(entry.get("fraction", 0.2), float,
-                          f"{where}.fraction")
-        if not 0.0 < fraction <= 1.0:
+        if not 0.0 < entry["fraction"] <= 1.0:
             raise ConfigError(f"{where}: fraction must lie in (0, 1]")
-        corruptions.append((mode, fraction))
+        corruptions.append((entry["mode"], entry["fraction"]))
 
     widths = [_typed(w, int, f"widths[{k}]")
-              for k, w in enumerate(_typed(raw["widths"], list, "widths"))]
+              for k, w in enumerate(top["widths"])]
     if not widths or min(widths) < 1:
         raise ConfigError("widths: expected a non-empty list of positive "
                           "integers")
-    seeds = [_typed(v, int, f"seeds[{k}]")
-             for k, v in enumerate(_typed(raw.get("seeds", [0]), list,
-                                          "seeds"))]
+    seeds = [_typed(v, int, f"seeds[{k}]") for k, v in enumerate(top["seeds"])]
     if not seeds:
         raise ConfigError("seeds: expected a non-empty list of integers")
 
-    train = _typed(raw.get("train", {}), dict, "train")
-    _check_keys(train, _TRAIN_KEYS, "train")
-    est = _typed(raw.get("estimator", {}), dict, "estimator")
-    _check_keys(est, _EST_KEYS, "estimator")
-    estimator = est.get("name", "deepfool")
+    est = _section(top["estimator"], _ESTIMATOR_FIELDS, "estimator")
+    estimator = est.pop("name")
     if estimator not in ("deepfool", "taylor"):
         raise ConfigError("estimator: name must be 'deepfool' or 'taylor'")
-    search = SearchConfig(
-        learning_rate=_typed(est.get("learning_rate", 0.25), float,
-                             "estimator.learning_rate"),
-        stop_tolerance=_typed(est.get("stop_tolerance", 0.001), float,
-                              "estimator.stop_tolerance"),
-        max_iters=_typed(est.get("max_iters", 100), int,
-                         "estimator.max_iters"))
-
-    normalize_scheme = raw.get("normalize", "znorm")
-    if normalize_scheme not in ("znorm", "minmax", "none"):
+    if top["normalize"] not in _NORMALIZE_SCHEMES:
         raise ConfigError("normalize: expected znorm, minmax, or none")
 
-    output_dir = _typed(raw["output_dir"], str, "output_dir")
-    seed = _typed(raw.get("seed", 0), int, "seed")
     return ExperimentConfig(
-        blob=blob, dataset_path=dataset_path, test_path=test_path,
+        blob=blob, dataset_path=paths["path"], test_path=paths["test_path"],
         corruptions=tuple(corruptions), widths=tuple(widths),
         seeds=tuple(seeds),
-        epochs=_typed(train.get("epochs", 40), int, "train.epochs"),
-        batch_size=_typed(train.get("batch_size", 32), int,
-                          "train.batch_size"),
-        learning_rate=_typed(train.get("learning_rate", 0.05), float,
-                             "train.learning_rate"),
-        momentum=_typed(train.get("momentum", 0.9), float, "train.momentum"),
-        estimator=estimator, search=search, normalize=normalize_scheme,
-        output_dir=args.output_dir if args.output_dir else output_dir,
-        seed=args.seed if args.seed is not None else seed)
+        train=_built(TrainConfig, "train",
+                     **_section(top["train"], _TRAIN_FIELDS, "train")),
+        estimator=estimator, search=_built(SearchConfig, "estimator", **est),
+        normalize=top["normalize"],
+        output_dir=args.output_dir if args.output_dir else top["output_dir"],
+        seed=args.seed if args.seed is not None else top["seed"])
 
 
 def _sweep_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -653,31 +672,9 @@ def _sweep_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     blob = cfg.blob
     rng = np.random.default_rng(derive_seed(cfg.seed, "centers"))
     centers = rng.uniform(-10.0, 10.0, size=(blob.classes, blob.dim))
-    train_ds = gen_blobs(BlobConfig(classes=blob.classes,
-                                    samples_per_class=blob.samples_per_class,
-                                    dim=blob.dim, spread=blob.spread,
-                                    seed=derive_seed(cfg.seed, "data"),
-                                    centers=centers))
-    test_ds = gen_blobs(BlobConfig(classes=blob.classes,
-                                   samples_per_class=blob.samples_per_class,
-                                   dim=blob.dim, spread=blob.spread,
-                                   seed=derive_seed(cfg.seed, "test"),
+    return tuple(gen_blobs(replace(blob, seed=derive_seed(cfg.seed, split),
                                    centers=centers))
-    return train_ds, test_ds
-
-
-def _entry_margins(cfg: ExperimentConfig, net, ds: Dataset,
-                   correct: np.ndarray) -> np.ndarray:
-    """Margins for the correctly classified training samples, NaN elsewhere."""
-    values = np.full(ds.sample_count, np.nan)
-    kept = np.flatnonzero(correct)
-    if kept.size == 0:
-        return values
-    search = cfg.search if cfg.estimator == "deepfool" else None
-    results = search_margins(net, 0, ds.features[kept], search,
-                             batch_mean=True)
-    values[kept] = [np.nan if r is None else r.d_best for r in results]
-    return values
+                 for split in ("data", "test"))
 
 
 def _run_sweep_entry(cfg: ExperimentConfig, variant: str, ds: Dataset,
@@ -686,17 +683,16 @@ def _run_sweep_entry(cfg: ExperimentConfig, variant: str, ds: Dataset,
                        seed=derive_seed(cfg.seed, "init", variant, width,
                                         seed),
                        norm_meta=meta)
-    net = train_sgd(net, ds, TrainConfig(
-        epochs=cfg.epochs, batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate, momentum=cfg.momentum,
-        seed=derive_seed(cfg.seed, "train", variant, width, seed)))
-    correct = predict_batch(net, ds.features) == ds.labels
-    train_acc = float(np.mean(correct))
-    X_test = (apply_normalization(test_raw.features, meta)
-              if meta is not None else test_raw.features)
-    test_acc = float(np.mean(predict_batch(net, X_test) == test_raw.labels))
+    net = train_sgd(net, ds, replace(
+        cfg.train, seed=derive_seed(cfg.seed, "train", variant, width, seed)))
+    search = cfg.search if cfg.estimator == "deepfool" else None
+    _, kept, results = _measure_correct(net, ds.features, ds.labels, 0,
+                                        search, batch_mean=True)
+    test_acc = float(np.mean(predict_batch(net, _model_inputs(net, test_raw))
+                             == test_raw.labels))
 
-    values = _entry_margins(cfg, net, ds, correct)
+    values = np.full(ds.sample_count, np.nan)
+    values[kept] = [np.nan if r is None else r.d_best for r in results]
     finite = np.isfinite(values)
     clean_mask = (ds.corrupt_flags == 0) & finite
     corrupt_mask = (ds.corrupt_flags != 0) & finite
@@ -705,7 +701,8 @@ def _run_sweep_entry(cfg: ExperimentConfig, variant: str, ds: Dataset,
                   for i in range(ds.sample_count)]
     return {
         "width": width, "seed": seed, "variant": variant,
-        "train_accuracy": train_acc, "test_accuracy": test_acc,
+        "train_accuracy": kept.size / ds.sample_count,
+        "test_accuracy": test_acc,
         "margin_clean": _mean(values[clean_mask].tolist()),
         "margin_corrupt": _mean(values[corrupt_mask].tolist()),
         "margin_overall": _mean(values[finite].tolist()),
@@ -716,13 +713,11 @@ def _run_sweep_entry(cfg: ExperimentConfig, variant: str, ds: Dataset,
 def run_capacity_sweep(cfg: ExperimentConfig) -> dict:
     """Train the width x seed x variant grid and write the report files.
 
-    Any stage failure removes files already written for this run and
-    re-raises with a stage tag, so a partial output directory never looks
-    like a finished one.
+    Every report table, the data-level ``max_margin`` columns included, is
+    computed before the output directory is created, so a run that fails
+    writes nothing. Its error carries the tag of the stage that failed.
+    Returns the names of the written files and the output directory.
     """
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
     stage = "generate"
     try:
         train_raw, test_raw = _sweep_datasets(cfg)
@@ -730,22 +725,14 @@ def run_capacity_sweep(cfg: ExperimentConfig) -> dict:
         stage = "corrupt"
         variants: list[tuple[str, Dataset]] = [("clean", train_raw)]
         for mode, fraction in cfg.corruptions:
-            corrupt_seed = derive_seed(cfg.seed, "corrupt", mode, fraction)
-            if mode == "label":
-                ds, _ = corrupt_labels(train_raw, fraction, corrupt_seed)
-            else:
-                ds, _ = corrupt_inputs_gaussian(train_raw, fraction,
-                                                corrupt_seed)
+            ds, _ = _CORRUPTERS[mode](
+                train_raw, fraction,
+                derive_seed(cfg.seed, "corrupt", mode, fraction))
             variants.append((f"{mode}-corrupted", ds))
 
         stage = "normalize"
-        prepared = []
-        for name, ds in variants:
-            if cfg.normalize == "none":
-                prepared.append((name, ds, None))
-            else:
-                norm_ds, meta = normalize(ds, cfg.normalize)
-                prepared.append((name, norm_ds, meta))
+        prepared = [(name, *_normalized(ds, cfg.normalize))
+                    for name, ds in variants]
 
         stage = "train"
         rows = [_run_sweep_entry(cfg, name, ds, meta, test_raw, width, seed)
@@ -754,37 +741,25 @@ def run_capacity_sweep(cfg: ExperimentConfig) -> dict:
                 for name, ds, meta in prepared]
 
         stage = "report"
-        margin_rows = [(r["width"], r["seed"], r["variant"],
-                        r["train_accuracy"], r["test_accuracy"],
-                        r["margin_clean"], r["margin_corrupt"],
-                        r["margin_overall"]) for r in rows]
-        margins_path = out_dir / "margins.csv"
-        _write_csv(margins_path,
-                   ["width", "seed", "variant", "train_accuracy",
-                    "test_accuracy", "margin_clean", "margin_corrupt",
-                    "margin_overall"], margin_rows)
-        written.append(margins_path)
-
-        sample_rows = [(r["width"], r["seed"], r["variant"], idx, flag, value)
-                       for r in rows
-                       for idx, flag, value in r["per_sample"]]
-        per_sample_path = out_dir / "per_sample_margins.csv"
-        _write_csv(per_sample_path,
-                   ["width", "seed", "variant", "sample_index", "flag",
-                    "margin"], sample_rows)
-        written.append(per_sample_path)
+        outputs = {}
+        outputs["margins.csv"] = _csv_text(
+            ["width", "seed", "variant", "train_accuracy", "test_accuracy",
+             "margin_clean", "margin_corrupt", "margin_overall"],
+            [(r["width"], r["seed"], r["variant"], r["train_accuracy"],
+              r["test_accuracy"], r["margin_clean"], r["margin_corrupt"],
+              r["margin_overall"]) for r in rows])
+        outputs["per_sample_margins.csv"] = _csv_text(
+            ["width", "seed", "variant", "sample_index", "flag", "margin"],
+            [(r["width"], r["seed"], r["variant"], idx, flag, value)
+             for r in rows for idx, flag, value in r["per_sample"]])
 
         # data-level nearest-other-label distances, one column per variant
         variant_names = [name for name, _, _ in prepared]
         mm_columns = {name: max_margin(ds) for name, ds, _ in prepared}
-        mm_rows = [(idx, *(float(mm_columns[name][idx])
-                           for name in variant_names))
-                   for idx in range(train_raw.sample_count)]
-        mm_path = out_dir / "max_margins.csv"
-        _write_csv(mm_path,
-                   ["sample_index"] + [f"max_margin_{n}"
-                                       for n in variant_names], mm_rows)
-        written.append(mm_path)
+        outputs["max_margins.csv"] = _csv_text(
+            ["sample_index"] + [f"max_margin_{n}" for n in variant_names],
+            [(idx, *(float(mm_columns[name][idx]) for name in variant_names))
+             for idx in range(train_raw.sample_count)])
 
         per_width = {}
         for width in cfg.widths:
@@ -811,17 +786,16 @@ def run_capacity_sweep(cfg: ExperimentConfig) -> dict:
             "variants": variant_names,
             "widths": list(cfg.widths),
         }
-        summary_path = out_dir / "summary.json"
-        _write_text(summary_path,
-                    json.dumps(summary, sort_keys=True, indent=2) + "\n")
-        written.append(summary_path)
+        outputs["summary.json"] = json.dumps(summary, sort_keys=True,
+                                             indent=2) + "\n"
     except WorkbenchError as exc:
-        for path in written:
-            path.unlink(missing_ok=True)
         raise type(exc)(f"stage {stage}: {exc}") from exc
 
-    return {"files": [p.name for p in written],
-            "output_dir": str(out_dir)}
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in outputs.items():
+        _write_text(out_dir / name, text)
+    return {"files": list(outputs), "output_dir": str(out_dir)}
 
 
 def _cmd_sweep(args) -> None:
@@ -850,7 +824,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corrupt", help="corrupt labels or inputs")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("label", "input"), required=True)
+    p.add_argument("--mode", choices=tuple(_CORRUPTERS), required=True)
     p.add_argument("--fraction", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default=None,
@@ -865,7 +839,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--learning-rate", type=float, default=0.05)
     p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--normalize", choices=("znorm", "minmax", "none"),
+    p.add_argument("--normalize", choices=_NORMALIZE_SCHEMES,
                    default="znorm")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

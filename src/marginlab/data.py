@@ -74,12 +74,30 @@ class CorruptionReport:
 
 @dataclass(frozen=True)
 class BlobConfig:
+    """Blob-generation settings, range-checked when built."""
+
     classes: int
     samples_per_class: int
     dim: int
     spread: float
     seed: int
     centers: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.classes < 2:
+            raise DomainError("blob generation needs at least 2 classes")
+        if self.samples_per_class < 1:
+            raise DomainError("samples_per_class must be >= 1")
+        if self.dim < 2:
+            raise DomainError("dim must be >= 2")
+        if not self.spread > 0:
+            raise DomainError("spread must be positive")
+        if self.centers is not None \
+                and np.shape(self.centers) != (self.classes, self.dim):
+            raise DomainError(
+                f"centers shape {np.shape(self.centers)} does not match "
+                f"({self.classes}, {self.dim})"
+            )
 
 
 def _expanded_bounds(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,25 +114,11 @@ def _expanded_bounds(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def gen_blobs(config: BlobConfig) -> Dataset:
     """Sample isotropic Gaussian blobs, one per class, deterministically."""
-    if config.classes < 2:
-        raise DomainError("blob generation needs at least 2 classes")
-    if config.samples_per_class < 1:
-        raise DomainError("samples_per_class must be >= 1")
-    if config.dim < 2:
-        raise DomainError("dim must be >= 2")
-    if not config.spread > 0:
-        raise DomainError("spread must be positive")
-
     rng = np.random.default_rng(config.seed)
     if config.centers is None:
         centers = rng.uniform(-10.0, 10.0, size=(config.classes, config.dim))
     else:
         centers = np.asarray(config.centers, dtype=np.float64)
-        if centers.shape != (config.classes, config.dim):
-            raise DomainError(
-                f"centers shape {centers.shape} does not match "
-                f"({config.classes}, {config.dim})"
-            )
 
     blocks = []
     for k in range(config.classes):

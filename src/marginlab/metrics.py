@@ -312,11 +312,14 @@ def r_squared(z: np.ndarray, z_hat: np.ndarray) -> float:
     if z.shape != z_hat.shape or z.size < 2:
         raise DomainError("r_squared needs two equal-length vectors of "
                           "at least two points")
-    sst = float(np.sum((z - z.mean()) ** 2))
+    # a sum that overflows gives inf, which callers reject as a non-finite
+    # score; numpy's overflow warning would only repeat that
+    with np.errstate(over="ignore"):
+        sst = float(np.sum((z - z.mean()) ** 2))
+        sse = float(np.sum((z_hat - z) ** 2))
     if sst == 0.0:
         raise UndefinedMetricError("r_squared is undefined for a constant "
                                    "target")
-    sse = float(np.sum((z_hat - z) ** 2))
     return 1.0 - sse / sst
 
 

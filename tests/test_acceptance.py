@@ -264,7 +264,8 @@ def test_capacity_sweep_reproduces_margin_ordering(tmp_path):
         blob=None, dataset_path=str(train_path), test_path=str(test_path),
         corruptions=(("label", 0.2), ("input", 0.2)),
         widths=widths, seeds=(0, 1, 2),
-        epochs=1000, batch_size=16, learning_rate=0.1, momentum=0.9,
+        train=TrainConfig(epochs=1000, batch_size=16, learning_rate=0.1,
+                          momentum=0.9),
         estimator="deepfool",
         search=SearchConfig(learning_rate=0.25, stop_tolerance=1e-3,
                             max_iters=100),

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -568,11 +569,14 @@ def test_evaluate_non_finite_score_exits_3_before_writing(capsys, tmp_path):
     entries[1]["test_acc"] = 0.4
     path = models_file(tmp_path, entries)
     out = tmp_path / "r2.csv"
-    code, out_text, err = run(capsys, "evaluate", "--models", path,
-                              "--metric", "r2", "--measure-col", "mm",
-                              "--out", out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would print too
+        code, out_text, err = run(capsys, "evaluate", "--models", path,
+                                  "--metric", "r2", "--measure-col", "mm",
+                                  "--out", out)
     assert code == 3
     assert "non-finite" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert out_text == ""
     assert not out.exists()
 
@@ -679,7 +683,12 @@ def test_advdir_non_finite_projection_exits_3(capsys, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("row", ["1,0.5,x,0.4", "2,0.5,0.1"])
+@pytest.mark.parametrize("row", [
+    "1,0.5,x,0.4", "2,0.5,0.1",
+    # non-finite orig_* and bound_* cells
+    "1,nan,0.2,0.4", "1,0.5,inf,0.4", "1,-inf,0.2,0.4",
+    "1,0.5,0.2,nan", "1,0.5,0.2,inf", "1,0.5,0.2,-inf",
+])
 def test_advdir_rejects_malformed_boundary_csv(capsys, tmp_path, row):
     pca_path = tmp_path / "pca.json"
     save_pca(fit_pca(np.random.default_rng(2).normal(size=(20, 2))),
@@ -692,6 +701,7 @@ def test_advdir_rejects_malformed_boundary_csv(capsys, tmp_path, row):
                               "--boundary-csv", bout, "--out", out)
     assert code == 2
     assert "data row 2" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert out_text == ""
     assert not out.exists()
 
@@ -794,6 +804,15 @@ def test_sweep_flag_overrides_config(capsys, tmp_path):
     ("train", "learning_rate", True),
     (None, "seed", "3"),
     (None, "output_dir", 7),
+    # well-typed values out of the library types' ranges
+    ("train", "epochs", 0),
+    ("train", "batch_size", 0),
+    ("train", "momentum", 1.0),
+    ("train", "learning_rate", -1),
+    ("dataset", "classes", 1),
+    ("dataset", "dim", 1),
+    ("dataset", "spread", 0.0),
+    ("dataset", "samples_per_class", 0),
 ])
 def test_sweep_bad_config_value_exits_2(capsys, tmp_path, section, key,
                                         value):
@@ -804,5 +823,28 @@ def test_sweep_bad_config_value_exits_2(capsys, tmp_path, section, key,
     code, out_text, err = run(capsys, "sweep", "--config", cfg_path)
     assert code == 2
     assert key in err
+    assert out_text == ""
+    assert not out_dir.exists()
+
+
+def test_sweep_single_class_dataset_writes_nothing(capsys, tmp_path):
+    # labels 0..1 declare two classes, but only class 1 is present, so the
+    # report stage's max margin is undefined
+    rng = np.random.default_rng(5)
+    for name in ("train.csv", "test.csv"):
+        save_dataset(Dataset(rng.normal(size=(12, 2)), np.ones(12, int),
+                             np.full(2, -9.0), np.full(2, 9.0),
+                             np.zeros(12, int), class_count=2),
+                     tmp_path / name)
+    out_dir = tmp_path / "out"
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({
+        "dataset": {"path": str(tmp_path / "train.csv"),
+                    "test_path": str(tmp_path / "test.csv")},
+        "widths": [3], "train": {"epochs": 2, "batch_size": 4},
+        "output_dir": str(out_dir)}))
+    code, out_text, err = run(capsys, "sweep", "--config", cfg_path)
+    assert code == 2
+    assert "stage report" in err and "single class" in err
     assert out_text == ""
     assert not out_dir.exists()

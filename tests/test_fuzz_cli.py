@@ -1,7 +1,8 @@
 """Mutated input files never crash ``mw``: every run exits 0, 2 or 3.
 
-Each example starts from a valid ``models.json`` (for ``mw evaluate``) or a
-valid projection file (for ``mw advdir``) and changes one node of its JSON
+Each example starts from a valid ``models.json`` (for ``mw evaluate``), a
+valid projection file (for ``mw advdir``) or a valid sweep config (for
+``mw sweep``) and changes one node of its JSON
 tree, chosen among all its nodes: the node is replaced by an arbitrary JSON
 value (including NaN, ±inf, integers beyond float range and nested
 containers) or deleted, or a sibling is added. A Python exception escaping ``main`` would be a
@@ -10,21 +11,26 @@ traceback for a user, so the test fails on any.
 
 import contextlib
 import copy
+import dataclasses
 import io
 import itertools
 import json
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marginlab.cli import main
+import marginlab.cli
+from marginlab.cli import ExperimentConfig, main
+from marginlab.data import BlobConfig
 from marginlab.errors import ConfigError
-from marginlab.nnet import load_model
+from marginlab.margin import SearchConfig
+from marginlab.nnet import TrainConfig, load_model
 from marginlab.pca import fit_pca, load_pca, save_pca
 
 _SCALARS = st.one_of(
@@ -167,6 +173,45 @@ def test_mutated_projection_file_exits_0_2_or_3(data):
         code, out, err = _run(["advdir", "--pca", pca, "--boundary-csv",
                                bounds, "--out", shares])
         _check_exit(code, out, err, shares)
+
+
+def _sweep_doc():
+    return {"dataset": {"classes": 2, "samples_per_class": 5, "dim": 2,
+                        "spread": 1.0},
+            "corruptions": [{"mode": "label", "fraction": 0.2}],
+            "widths": [3], "seeds": [0],
+            "train": {"epochs": 2, "batch_size": 4, "learning_rate": 0.1,
+                      "momentum": 0.5},
+            "estimator": {"name": "deepfool", "learning_rate": 0.25,
+                          "stop_tolerance": 0.01, "max_iters": 5},
+            "normalize": "znorm", "output_dir": "sweep_out", "seed": 1}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_sweep_config_exits_0_or_2(data):
+    doc = _mutate(data, _sweep_doc())
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "sweep.json"
+        cfg_path.write_text(json.dumps(doc))
+        # the config is all that is under test: a mutated size never trains
+        with mock.patch.object(marginlab.cli, "run_capacity_sweep",
+                               return_value={"files": []}) as stub:
+            code, out, err = _run(["sweep", "--config", cfg_path])
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == ""
+        assert err.startswith("error: ")
+        stub.assert_not_called()
+        return
+    json.loads(out)
+    (cfg,), _ = stub.call_args
+    assert isinstance(cfg, ExperimentConfig)
+    for value, kind in ((cfg.train, TrainConfig), (cfg.search, SearchConfig),
+                        (cfg.blob, BlobConfig)):
+        assert type(value) is kind
+        dataclasses.replace(value)  # re-runs the range checks
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe[]", b"[" * 100000],

@@ -7,7 +7,8 @@ normalization, which ``measure`` and ``sweep`` apply internally. All
 tables are CSV with a one-line header, all summaries are single-line JSON
 on stdout, and a fixed ``--seed`` reproduces every byte of output.
 
-Exit codes: 0 success, 2 configuration/domain errors, 3 numerical errors.
+Exit codes: 0 success, 2 configuration/domain errors (a size too large
+for memory included), 3 numerical errors.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ._atomic import atomic_open
+from ._csvio import csv_text, read_numeric_csv, write_csv
 from ._seed import derive_seed
 from .advdir import adv_directions, cumulative_share
 from .data import (
@@ -74,29 +76,9 @@ from .pca import fit_pca, load_pca, save_pca, select_components_kneedle
 # output helpers
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_text(path, text: str) -> None:
     with atomic_open(path) as fh:
         fh.write(text)
-
-
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(c) for c in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _write_csv(path, header, rows) -> None:
-    _write_text(path, _csv_text(header, rows))
 
 
 def _json_line(obj) -> str:
@@ -303,7 +285,7 @@ def _cmd_measure(args) -> None:
                 for row, value in zip(rows, scaled.tolist())]
         summary["total_variation"] = compute_total_variation(acts)
 
-    _write_csv(args.out, header, rows)
+    write_csv(args.out, header, rows)
     if args.boundary_out:
         width = acts.shape[1]
         bheader = (["sample_index"]
@@ -312,7 +294,7 @@ def _cmd_measure(args) -> None:
         boundary_rows = [(idx, *acts[idx].tolist(),
                           *res.boundary_point.tolist())
                          for idx, res in zip(kept.tolist(), results)]
-        _write_csv(args.boundary_out, bheader, boundary_rows)
+        write_csv(args.boundary_out, bheader, boundary_rows)
     _print_json(summary)
 
 
@@ -461,7 +443,7 @@ def _cmd_evaluate(args) -> None:
 
     summary = _json_line(result)  # a non-finite score fails before writing
     if args.out:
-        _write_csv(args.out, csv_header, csv_rows)
+        write_csv(args.out, csv_header, csv_rows)
     print(summary)
 
 
@@ -470,36 +452,24 @@ def _cmd_evaluate(args) -> None:
 
 
 def _read_boundary_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ConfigError(f"{path} is empty")
-    header = lines[0].split(",")
-    orig_cols = [k for k, name in enumerate(header) if name.startswith("orig_")]
-    bound_cols = [k for k, name in enumerate(header)
+    """The ``orig_*`` and ``bound_*`` columns of a ``--boundary-out`` file."""
+    header, values = read_numeric_csv(path)
+    names = header or []
+    orig_cols = [k for k, name in enumerate(names) if name.startswith("orig_")]
+    bound_cols = [k for k, name in enumerate(names)
                   if name.startswith("bound_")]
     if not orig_cols or len(orig_cols) != len(bound_cols):
         raise ConfigError(f"{path} must pair orig_* and bound_* columns")
-    X, Xhat = [], []
-    for row, line in enumerate(lines[1:], start=1):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ConfigError(f"{path}: data row {row} has {len(cells)} "
-                              f"cells, the header {len(header)}")
-        try:
-            X.append([float(cells[k]) for k in orig_cols])
-            Xhat.append([float(cells[k]) for k in bound_cols])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: data row {row}: {exc}") from exc
-        if not all(map(math.isfinite, X[-1] + Xhat[-1])):
-            raise ConfigError(f"{path}: data row {row} holds a non-finite "
-                              f"orig_*/bound_* value")
-    if not X:
+    X = np.ascontiguousarray(values[:, orig_cols])
+    Xhat = np.ascontiguousarray(values[:, bound_cols])
+    bad = np.flatnonzero(~(np.isfinite(X).all(axis=1)
+                           & np.isfinite(Xhat).all(axis=1)))
+    if bad.size:
+        raise ConfigError(f"{path}: data row {bad[0] + 1} holds a non-finite "
+                          f"orig_*/bound_* value")
+    if not len(values):
         raise ConfigError(f"{path} holds no samples")
-    return np.array(X), np.array(Xhat)
+    return X, Xhat
 
 
 def _cmd_advdir(args) -> None:
@@ -510,8 +480,8 @@ def _cmd_advdir(args) -> None:
     rows = [(j + 1, float(pca.explained_ratio[j]), float(share.p_share[j]),
              float(cum.cumulative[j]))
             for j in range(share.p_share.size)]
-    _write_csv(args.out, ["component_index", "explained_ratio", "p_share",
-                          "cumulative"], rows)
+    write_csv(args.out, ["component_index", "explained_ratio", "p_share",
+                         "cumulative"], rows)
     _print_json({"components": int(share.p_share.size),
                  "dropped_rows": int(share.dropped_rows),
                  "marker_70": int(cum.marker_70),
@@ -721,6 +691,9 @@ def run_capacity_sweep(cfg: ExperimentConfig) -> dict:
     stage = "generate"
     try:
         train_raw, test_raw = _sweep_datasets(cfg)
+        if np.unique(train_raw.labels).size < 2:
+            # the report's max margin is undefined; fail before training
+            raise DomainError("the training set has a single class present")
 
         stage = "corrupt"
         variants: list[tuple[str, Dataset]] = [("clean", train_raw)]
@@ -742,13 +715,13 @@ def run_capacity_sweep(cfg: ExperimentConfig) -> dict:
 
         stage = "report"
         outputs = {}
-        outputs["margins.csv"] = _csv_text(
+        outputs["margins.csv"] = csv_text(
             ["width", "seed", "variant", "train_accuracy", "test_accuracy",
              "margin_clean", "margin_corrupt", "margin_overall"],
             [(r["width"], r["seed"], r["variant"], r["train_accuracy"],
               r["test_accuracy"], r["margin_clean"], r["margin_corrupt"],
               r["margin_overall"]) for r in rows])
-        outputs["per_sample_margins.csv"] = _csv_text(
+        outputs["per_sample_margins.csv"] = csv_text(
             ["width", "seed", "variant", "sample_index", "flag", "margin"],
             [(r["width"], r["seed"], r["variant"], idx, flag, value)
              for r in rows for idx, flag, value in r["per_sample"]])
@@ -756,7 +729,7 @@ def run_capacity_sweep(cfg: ExperimentConfig) -> dict:
         # data-level nearest-other-label distances, one column per variant
         variant_names = [name for name, _, _ in prepared]
         mm_columns = {name: max_margin(ds) for name, ds, _ in prepared}
-        outputs["max_margins.csv"] = _csv_text(
+        outputs["max_margins.csv"] = csv_text(
             ["sample_index"] + [f"max_margin_{n}" for n in variant_names],
             [(idx, *(float(mm_columns[name][idx]) for name in variant_names))
              for idx in range(train_raw.sample_count)])
@@ -918,6 +891,10 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}",
+              file=sys.stderr)
         return 2
     return 0
 

@@ -7,7 +7,6 @@ returns a new dataset; nothing mutates its input.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -16,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ._atomic import atomic_open
+from ._csvio import read_numeric_csv, write_csv
 from .errors import ConfigError, DomainError
 
 _MAGIC = b"MWDS"
@@ -297,40 +297,29 @@ def load_dataset_bin(path) -> Dataset:
 
 
 def save_dataset_csv(ds: Dataset, path) -> None:
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"f{j}" for j in range(ds.feature_count)] + ["label"])
-        for x, y in zip(ds.features, ds.labels):
-            writer.writerow([repr(float(v)) for v in x] + [int(y)])
+    features = np.asarray(ds.features, dtype=np.float64).tolist()
+    labels = np.asarray(ds.labels, dtype=np.int64).tolist()
+    write_csv(path, [f"f{j}" for j in range(ds.feature_count)] + ["label"],
+              [(*x, y) for x, y in zip(features, labels)])
 
 
 def load_dataset_csv(path) -> Dataset:
-    """Last column is the label; a non-numeric first row is treated as a header."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if row:
-                rows.append(row)
-    if not rows:
-        raise ConfigError(f"{path}: empty CSV")
-    start = 0
-    try:
-        [float(v) for v in rows[0]]
-    except ValueError:
-        start = 1
-    if start == len(rows):
+    """Last column is the label, a non-negative integer written as a number
+    (``1`` or ``1.0``); the file grammar is :func:`read_numeric_csv`'s."""
+    _, values = read_numeric_csv(path)
+    if not len(values):
         raise ConfigError(f"{path}: CSV has a header but no data rows")
-    try:
-        features = np.array([[float(v) for v in row[:-1]] for row in rows[start:]])
-        labels = np.array([int(float(row[-1])) for row in rows[start:]], dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: malformed CSV row ({exc})") from exc
-    if features.ndim != 2 or features.shape[1] < 1:
+    if values.shape[1] < 2:
         raise ConfigError(f"{path}: need at least one feature column")
+    features = np.ascontiguousarray(values[:, :-1])
     _check_finite(features, path)
-    if labels.min() < 0:
-        raise ConfigError(f"{path}: negative label")
+    y = values[:, -1]
+    bad = np.flatnonzero(~((y >= 0) & (y < 2.0 ** 63) & (y == np.floor(y))))
+    if bad.size:
+        raise ConfigError(f"{path}: data row {bad[0] + 1}: label "
+                          f"{y[bad[0]].item()!r} is not a non-negative "
+                          f"integer")
+    labels = y.astype(np.int64)
     class_count = int(labels.max()) + 1
     if class_count < 2:
         raise ConfigError(f"{path}: need at least 2 classes")

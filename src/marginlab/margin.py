@@ -40,6 +40,8 @@ from .pca import PcaModel
 
 _DEGENERATE = 1e-12
 _SPAN_TOL = 1e-9
+# float64 elements per block in _row_norms: its temporaries stay small
+_NORM_BLOCK = 8192
 
 
 class SearchStatus(str, Enum):
@@ -128,6 +130,17 @@ def _runner_up(logits: np.ndarray, base: np.ndarray) -> np.ndarray:
     return np.argmax(masked, axis=1)
 
 
+def _row_norms(G: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(G, axis=2)``, bit for bit, computed a block of rows
+    at a time so that no temporary as large as ``G`` is made."""
+    out = np.empty(G.shape[:2])
+    rows = max(1, _NORM_BLOCK // max(1, G.shape[1] * G.shape[2]))
+    for i in range(0, G.shape[0], rows):
+        block = G[i:i + rows]
+        np.sqrt(np.add.reduce(block * block, axis=2), out=out[i:i + rows])
+    return out
+
+
 def _next_step(o, G, base, projector, rate: float):
     """Step toward each row's nearest linearized boundary, and the rows
     with no usable descent direction (their step is zero).
@@ -140,7 +153,7 @@ def _next_step(o, G, base, projector, rate: float):
     """
     r = np.arange(o.shape[0])
     Gp = G @ projector.T if projector is not None else G
-    norms = np.linalg.norm(Gp, axis=2)
+    norms = _row_norms(Gp)
     ratios = np.where(norms < _DEGENERATE, np.inf,
                       np.abs(o) / np.maximum(norms, _DEGENERATE))
     ratios[r, base] = np.inf
@@ -208,8 +221,7 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
             candidate &= np.arange(c) == target_class
         elif second_highest:
             candidate &= np.arange(c) == pair[:, None]
-        norms = np.linalg.norm(G @ projector.T if projector is not None
-                               else G, axis=2)
+        norms = _row_norms(G @ projector.T if projector is not None else G)
         usable = candidate & (norms >= _DEGENERATE)
         d = np.where(usable, o / np.where(usable, norms, 1.0), np.inf)
         j = np.argmin(d, axis=1)

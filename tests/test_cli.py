@@ -1,9 +1,11 @@
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import marginlab.cli
 from marginlab.cli import main
 from marginlab.data import (
     Dataset,
@@ -103,6 +105,23 @@ def test_missing_input_file_exits_2(capsys, tmp_path):
                        "--mode", "label", "--fraction", 0.1, "--seed", 0)
     assert code == 2
     assert err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 146. TiB", ""])
+def test_out_of_memory_exits_2(capsys, tmp_path, monkeypatch, message):
+    # the step raises as numpy would on a size beyond memory; nothing large
+    # is ever allocated
+    def too_big(config):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(marginlab.cli, "gen_blobs", too_big)
+    out = tmp_path / "blobs.csv"
+    code, out_text, err = run(capsys, "gen-data", "--samples-per-class",
+                              10 ** 13, "--out", out)
+    assert (code, out_text) == (2, "")
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +725,26 @@ def test_advdir_rejects_malformed_boundary_csv(capsys, tmp_path, row):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sample_index", ["a7", "1_0", '"3"'])
+def test_advdir_rejects_non_numeric_cell_outside_orig_bound(capsys, tmp_path,
+                                                            sample_index):
+    # the old reader parsed only the orig_*/bound_* cells; every cell of a
+    # boundary CSV is now a number
+    pca_path = tmp_path / "pca.json"
+    save_pca(fit_pca(np.random.default_rng(2).normal(size=(20, 2))),
+             pca_path)
+    bout = tmp_path / "bounds.csv"
+    bout.write_text("sample_index,orig_0,orig_1,bound_0,bound_1\n"
+                    "0,0.1,0.2,0.3,0.4\n"
+                    f"{sample_index},0.5,0.2,0.4,0.7\n")
+    out = tmp_path / "shares.csv"
+    code, out_text, err = run(capsys, "advdir", "--pca", pca_path,
+                              "--boundary-csv", bout, "--out", out)
+    assert (code, out_text) == (2, "")
+    assert "data row 2" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 
@@ -827,9 +866,11 @@ def test_sweep_bad_config_value_exits_2(capsys, tmp_path, section, key,
     assert not out_dir.exists()
 
 
-def test_sweep_single_class_dataset_writes_nothing(capsys, tmp_path):
+def test_sweep_single_class_dataset_writes_nothing(capsys, tmp_path,
+                                                  monkeypatch):
     # labels 0..1 declare two classes, but only class 1 is present, so the
-    # report stage's max margin is undefined
+    # report stage's max margin would be undefined: the run stops once the
+    # data are loaded, before any model is trained
     rng = np.random.default_rng(5)
     for name in ("train.csv", "test.csv"):
         save_dataset(Dataset(rng.normal(size=(12, 2)), np.ones(12, int),
@@ -843,8 +884,11 @@ def test_sweep_single_class_dataset_writes_nothing(capsys, tmp_path):
                     "test_path": str(tmp_path / "test.csv")},
         "widths": [3], "train": {"epochs": 2, "batch_size": 4},
         "output_dir": str(out_dir)}))
+    train = mock.Mock(side_effect=AssertionError("train_sgd called"))
+    monkeypatch.setattr(marginlab.cli, "train_sgd", train)
     code, out_text, err = run(capsys, "sweep", "--config", cfg_path)
+    train.assert_not_called()
     assert code == 2
-    assert "stage report" in err and "single class" in err
+    assert "stage generate" in err and "single class" in err
     assert out_text == ""
     assert not out_dir.exists()

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from marginlab.data import (
     BlobConfig,
@@ -16,7 +21,8 @@ from marginlab.data import (
     save_dataset_bin,
     save_dataset_csv,
 )
-from marginlab.errors import DomainError
+from marginlab.cli import main
+from marginlab.errors import ConfigError, DomainError
 
 
 def test_gen_blobs_deterministic():
@@ -323,3 +329,97 @@ def test_csv_loader_rejects_infinite_label(tmp_path):
     path.write_text("0.5,1.5,0\n2.5,3.5,inf\n")
     with pytest.raises(ConfigError):
         load_dataset_csv(path)
+
+
+@pytest.mark.parametrize("label", ["1.7", "-1", "0.5", "nan", "-inf",
+                                   "1e20"])
+def test_csv_loader_rejects_non_integral_label(tmp_path, capsys, label):
+    # labels used to go through int(float(v)): 1.7 loaded as class 1
+    path = tmp_path / "plain.csv"
+    path.write_text(f"f0,f1,label\n0.5,1.5,0\n2.5,3.5,{label}\n4.5,5.5,1\n")
+    with pytest.raises(ConfigError, match="data row 2: label"):
+        load_dataset_csv(path)
+    code = main(["pca", "--data", str(path), "--out", str(tmp_path / "p.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "data row 2" in err
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_csv_loader_accepts_integral_labels(tmp_path):
+    path = tmp_path / "plain.csv"
+    path.write_text("0.5,1.5,0\n2.5,3.5,1.0\n4.5,5.5,2e0\n6.5,7.5,-0.0\n")
+    ds = load_dataset_csv(path)
+    assert ds.labels.dtype == np.int64
+    assert list(ds.labels) == [0, 1, 2, 0]
+    assert ds.class_count == 3
+
+
+def test_csv_loader_skips_blank_lines(tmp_path):
+    path = tmp_path / "plain.csv"
+    path.write_text("\n  \nf0,f1,label\n\n0.5,1.5,0\n \t \n2.5,3.5,1\n\n")
+    ds = load_dataset_csv(path)
+    assert ds.features.tolist() == [[0.5, 1.5], [2.5, 3.5]]
+    assert list(ds.labels) == [0, 1]
+
+
+# Rows that float() and csv.reader took and the numpy parser does not; each
+# now exits 2 and names the row.
+@pytest.mark.parametrize("row", [
+    "1_0.5,1.5,1",        # a digit separator
+    '"2.5",1.5,1',        # a quoted number
+    "\u0662.5,1.5,1",     # a non-ASCII digit
+])
+def test_csv_loader_rejects_rows_float_accepted(tmp_path, row):
+    path = tmp_path / "plain.csv"
+    path.write_text("f0,f1,label\n0.5,1.5,0\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="data row 2"):
+        load_dataset_csv(path)
+
+
+def test_csv_loader_rejects_header_width_mismatch(tmp_path):
+    # the old loader ignored the header's cell count
+    path = tmp_path / "plain.csv"
+    path.write_text("f0,f1,f2,label\n0.5,1.5,0\n2.5,3.5,1\n")
+    with pytest.raises(ConfigError, match="data row 1 has 3 cells, the "
+                                          "header 4"):
+        load_dataset_csv(path)
+
+
+def test_csv_loader_rejects_non_utf8(tmp_path):
+    path = tmp_path / "plain.csv"
+    path.write_bytes(b"f0,f1,label\n0.5,1.5,0\n2.5,\xff,1\n")
+    with pytest.raises(ConfigError, match="cannot read"):
+        load_dataset_csv(path)
+
+
+_EXTREME = [0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324,
+            2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e-5]
+_FEATURE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.sampled_from(_EXTREME),
+                     st.integers(-2 ** 60, 2 ** 60).map(float))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 4))
+def test_csv_round_trip_is_bit_identical(data, rows, cols):
+    features = np.array(data.draw(st.lists(
+        st.lists(_FEATURE, min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows)), dtype=np.float64).reshape(rows, cols)
+    labels = np.array(data.draw(st.lists(st.integers(0, 4), min_size=rows,
+                                         max_size=rows)), dtype=np.int64)
+    assume(labels.max() >= 1)
+    ds = Dataset(features, labels, np.zeros(cols), np.ones(cols),
+                 np.zeros(rows, dtype=np.int64), int(labels.max()) + 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.csv"
+        save_dataset_csv(ds, path)
+        text = path.read_text()
+        headerless = Path(tmp) / "plain.csv"
+        headerless.write_text(text.partition("\n")[2])
+        for loaded in (load_dataset_csv(path), load_dataset_csv(headerless)):
+            assert loaded.features.shape == (rows, cols)
+            assert np.array_equal(loaded.features.view(np.int64),
+                                  features.view(np.int64))
+            assert np.array_equal(loaded.labels, labels)
+            assert loaded.class_count == labels.max() + 1

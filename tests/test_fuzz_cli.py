@@ -5,8 +5,12 @@ valid projection file (for ``mw advdir``) or a valid sweep config (for
 ``mw sweep``) and changes one node of its JSON
 tree, chosen among all its nodes: the node is replaced by an arbitrary JSON
 value (including NaN, ±inf, integers beyond float range and nested
-containers) or deleted, or a sibling is added. A Python exception escaping ``main`` would be a
-traceback for a user, so the test fails on any.
+containers) or deleted, or a sibling is added. CSV inputs (a dataset for
+``mw measure``, a boundary file for ``mw advdir``) get one textual edit
+instead: a cell replaced by arbitrary text or an awkward number, a cell or
+row deleted, added or duplicated, a blank line inserted, or the file cut
+short. A Python exception escaping ``main`` would be a traceback for a
+user, so the test fails on any.
 """
 
 import contextlib
@@ -234,3 +238,108 @@ def test_undecodable_json_files_exit_2(tmp_path, content):
     for loader in (load_model, load_pca):
         with pytest.raises(ConfigError):
             loader(bad)
+
+
+_CSV_CELLS = st.one_of(
+    st.sampled_from(["", " ", "nan", "inf", "-inf", "1e400", "-1e400",
+                     "1e308", "-1e308", "5e-324", "-0.0", "1.7", "-1", "2",
+                     "9", "1e20", "1_0", '"0.5"', "0x10", "x", "9" * 30]),
+    st.floats().map(repr),
+    st.integers(-10, 10).map(str),
+    st.text(max_size=4),
+)
+
+
+def _mutate_csv(data, text: str) -> str:
+    """``text`` with one edit to one of its lines."""
+    lines = text.splitlines()
+    k = data.draw(st.integers(0, len(lines) - 1))
+    cells = lines[k].split(",")
+    j = data.draw(st.integers(0, len(cells) - 1))
+    action = data.draw(st.sampled_from(
+        ["replace", "delete-cell", "add-cell", "delete-row", "duplicate-row",
+         "blank-line", "truncate"]))
+    if action == "replace":
+        cells[j] = data.draw(_CSV_CELLS)
+    elif action == "delete-cell":
+        del cells[j]
+    elif action == "add-cell":
+        cells.insert(j, data.draw(_CSV_CELLS))
+    elif action == "truncate":
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    lines[k] = ",".join(cells)
+    if action == "delete-row":
+        del lines[k]
+    elif action == "duplicate-row":
+        lines.insert(k, lines[k])
+    elif action == "blank-line":
+        lines.insert(k, data.draw(st.sampled_from(["", " ", "\t"])))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def dataset_and_model():
+    """A 3-class CSV dataset and the text of a model trained on it."""
+    rng = np.random.default_rng(8)
+    X = np.concatenate([c + rng.normal(size=(4, 3))
+                        for c in ([0, 0, 0], [4, 0, 0], [0, 4, 0])])
+    lines = ["f0,f1,f2,label"] + [
+        ",".join([*map(repr, row.tolist()), str(k // 4)])
+        for k, row in enumerate(X)]
+    text = "\n".join(lines) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        data, model = Path(tmp) / "data.csv", Path(tmp) / "model.json"
+        data.write_text(text)
+        code, _, _ = _run(["train", "--data", data, "--hidden", "6",
+                           "--epochs", "30", "--batch-size", "4",
+                           "--out", model])
+        assert code == 0
+        return text, model.read_text()
+
+
+def test_unmutated_dataset_measures(dataset_and_model):
+    data_csv, model_json = dataset_and_model
+    with tempfile.TemporaryDirectory() as tmp:
+        data, model = Path(tmp) / "data.csv", Path(tmp) / "model.json"
+        data.write_text(data_csv)
+        model.write_text(model_json)
+        code, out, _ = _run(["measure", "--model", model, "--data", data,
+                             "--out", Path(tmp) / "m.csv"])
+        assert code == 0 and json.loads(out)["measured"] > 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), estimator=st.sampled_from(["taylor", "deepfool"]))
+def test_mutated_dataset_csv_exits_0_2_or_3(dataset_and_model, data,
+                                           estimator):
+    data_csv, model_json = dataset_and_model
+    text = _mutate_csv(data, data_csv)
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, model = Path(tmp) / "data.csv", Path(tmp) / "model.json"
+        csv_path.write_text(text)
+        model.write_text(model_json)
+        margins, bounds = Path(tmp) / "m.csv", Path(tmp) / "b.csv"
+        argv = ["measure", "--model", model, "--data", csv_path,
+                "--estimator", estimator, "--max-iters", "20",
+                "--out", margins]
+        if estimator == "deepfool":
+            argv += ["--boundary-out", bounds]
+        code, out, err = _run(argv)
+        _check_exit(code, out, err, margins)
+        if estimator == "deepfool":
+            _check_exit(code, out, err, bounds)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_boundary_csv_exits_0_2_or_3(data):
+    text = _mutate_csv(data, _BOUNDARY_CSV)
+    with tempfile.TemporaryDirectory() as tmp:
+        pca = Path(tmp) / "pca.json"
+        pca.write_text(json.dumps(_pca_doc()))
+        bounds = Path(tmp) / "bounds.csv"
+        bounds.write_text(text)
+        shares = Path(tmp) / "shares.csv"
+        code, out, err = _run(["advdir", "--pca", pca, "--boundary-csv",
+                               bounds, "--out", shares])
+        _check_exit(code, out, err, shares)

@@ -122,6 +122,18 @@ def test_taylor_margin_matches_formula_rederivation():
         assert r.class_pair == expected_pair
 
 
+@pytest.mark.parametrize("shape", [(600, 5, 64), (37, 3, 11), (1, 2, 1),
+                                   (0, 4, 8), (5000, 2, 1)])
+def test_row_norms_match_linalg_norm_bit_for_bit(shape):
+    # blocks of rows may not change a single bit of the per-row norms
+    G = (np.random.default_rng(31).normal(size=shape)
+         * np.logspace(-3, 3, shape[2]))
+    got = marginlab.margin._row_norms(G)
+    want = np.linalg.norm(G, axis=2)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("base_class", [None, 2])
 def test_closed_form_search_makes_one_gradient_call(monkeypatch, base_class):
     rng = np.random.default_rng(29)

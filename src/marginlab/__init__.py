@@ -32,6 +32,7 @@ from .margin import (
 from .metrics import (
     EvaluatedModel,
     HyperparamConfig,
+    ModelTable,
     cmi_score,
     cross_validate_predictor,
     extract_signature,
@@ -54,6 +55,7 @@ __all__ = [
     "EvaluatedModel",
     "HyperparamConfig",
     "MarginResult",
+    "ModelTable",
     "Network",
     "NumericalError",
     "PcaModel",

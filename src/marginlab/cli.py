@@ -14,6 +14,7 @@ for memory included), 3 numerical errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -52,8 +53,7 @@ from .margin import (
     tv_normalize,
 )
 from .metrics import (
-    EvaluatedModel,
-    HyperparamConfig,
+    ModelTable,
     cmi_score,
     granulated_kendall,
     kendall_tau,
@@ -334,10 +334,62 @@ def _is_finite_real(value) -> bool:
         return False
 
 
-def _load_models_file(path, measure_col: str) -> list[dict]:
+def _load_models_file(path, measure_col: str, axes: bool) -> ModelTable:
+    """The models file at ``path`` as one table, its complexity being the
+    measure ``measure_col``. With ``axes`` the hyperparameters are coded,
+    and every entry must name the same axes as entry 0; without, the
+    table has no axes.
+
+    The whole list is checked in a few passes and its numbers converted in
+    one numpy call. Only when that fails does an entry-by-entry scan run,
+    to name the first bad entry.
+    """
     data = _load_json(path)
     if not isinstance(data, list) or not data:
         raise ConfigError(f"{path}: expected a non-empty JSON list of models")
+    table = _models_table(data, measure_col, axes)
+    if table is None:
+        _raise_first_bad_entry(path, data, measure_col, axes)
+    return table
+
+
+def _models_table(data: list, measure_col: str,
+                  axes: bool) -> ModelTable | None:
+    """The entries of ``data`` as a table, or None when one of them fails a
+    check of ``_raise_first_bad_entry``."""
+    if not all(type(e) is dict
+               and _ENTRY_REQUIRED <= e.keys() <= _ENTRY_ALLOWED
+               for e in data):
+        return None
+    hyper = [e["hyperparams"] for e in data]
+    measures = [e["measures"] for e in data]
+    if not (all(type(h) is dict and h for h in hyper)
+            and all(type(m) is dict and measure_col in m for m in measures)):
+        return None
+    cells = [(e["train_acc"], e["test_acc"], m[measure_col])
+             for e, m in zip(data, measures)]
+    kinds = set(map(type, itertools.chain.from_iterable(cells)))
+    if not kinds <= {int, float}:  # a bool's type is neither
+        return None
+    try:
+        values = np.array(cells, dtype=np.float64)
+    except OverflowError:  # an int too large for a float
+        return None
+    if not np.isfinite(values).all():
+        return None
+    keys = hyper[0].keys()
+    if axes and any(h.keys() != keys for h in hyper):
+        return None
+    train, test, measure = values.T
+    tokens = {name: [str(h[name]) for h in hyper] for name in keys} \
+        if axes else {}
+    return ModelTable.from_tokens(tokens, measure, train - test, test)
+
+
+def _raise_first_bad_entry(path, data: list, measure_col: str,
+                           axes: bool) -> None:
+    """Raise ConfigError naming the first entry of ``data`` that fails a
+    check."""
     for k, entry in enumerate(data):
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: entry {k} is not an object")
@@ -363,46 +415,34 @@ def _load_models_file(path, measure_col: str) -> list[dict]:
             if not _is_finite_real(value):
                 raise ConfigError(f"{path}: entry {k} {name} must be a "
                                   f"finite number, got {value!r}")
-    return data
-
-
-def _evaluated_models(entries, measure_col, negate=False):
-    models = []
-    for e in entries:
-        value = float(e["measures"][measure_col])
-        models.append(EvaluatedModel(
-            config=HyperparamConfig(e["hyperparams"]),
-            complexity=-value if negate else value,
-            gen_gap=float(e["train_acc"]) - float(e["test_acc"]),
-            test_accuracy=float(e["test_acc"])))
-    return models
+        names = entry["hyperparams"].keys()
+        if axes and names != data[0]["hyperparams"].keys():
+            raise ConfigError(f"{path}: entry {k} hyperparams name axes "
+                              f"{sorted(names)}, entry 0 names "
+                              f"{sorted(data[0]['hyperparams'])}")
 
 
 def _cmd_evaluate(args) -> None:
-    entries = _load_models_file(args.models, args.measure_col)
-    values = [float(e["measures"][args.measure_col]) for e in entries]
-    accs = [float(e["test_acc"]) for e in entries]
-    gaps = [float(e["train_acc"]) - float(e["test_acc"]) for e in entries]
+    table = _load_models_file(args.models, args.measure_col,
+                              axes=args.metric in ("granulated", "cmi"))
 
     csv_header: list[str] = []
     csv_rows: list[tuple] = []
     if args.metric == "kendall":
-        tau = kendall_tau(list(zip(values, accs)))
+        tau = kendall_tau(np.column_stack((table.complexity,
+                                           table.test_accuracy)))
         result = {"measure": args.measure_col, "metric": "kendall",
-                  "models": len(entries), "target": "test_accuracy",
+                  "models": len(table.codes), "target": "test_accuracy",
                   "tau": float(tau)}
         csv_header = ["metric", "measure", "value"]
         csv_rows = [("kendall", args.measure_col, float(tau))]
     elif args.metric == "granulated":
-        models = _evaluated_models(entries, args.measure_col)
-        axes = sorted(models[0].config.values)
         per_axis = {}
         psis = []
         csv_header = ["axis", "psi", "included_groups", "skipped_groups"]
-        for axis in axes:
+        for axis in table.names:
             try:
-                res = granulated_kendall(models, axis,
-                                         target="test_accuracy")
+                res = granulated_kendall(table, axis, target="test_accuracy")
             except UndefinedMetricError:
                 per_axis[axis] = {"psi": None, "undefined": True}
                 csv_rows.append((axis, None, None, None))
@@ -419,8 +459,7 @@ def _cmd_evaluate(args) -> None:
                   "target": "test_accuracy"}
         csv_rows.append(("mean", float(mu), None, None))
     elif args.metric == "cmi":
-        models = _evaluated_models(entries, args.measure_col, negate=True)
-        score = cmi_score(models)
+        score = cmi_score(replace(table, complexity=-table.complexity))
         per_pair = {f"{a}|{b}": float(v)
                     for (a, b), v in sorted(score.per_pair.items())}
         retained = {f"{a}|{b}": count
@@ -433,7 +472,7 @@ def _cmd_evaluate(args) -> None:
         csv_rows = [(name, value) for name, value in per_pair.items()]
         csv_rows.append(("final", float(score.final)))
     elif args.metric == "r2":
-        r2 = r_squared(np.array(gaps), np.array(values))
+        r2 = r_squared(table.gen_gap, table.complexity)
         result = {"measure": args.measure_col, "metric": "r2",
                   "r2": float(r2), "target": "gen_gap"}
         csv_header = ["metric", "measure", "value"]

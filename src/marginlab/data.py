@@ -103,13 +103,20 @@ class BlobConfig:
 def _expanded_bounds(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Observed min/max per feature, widened by 1% of the range per side.
 
-    Zero-range features get an absolute 0.01 pad so lower < upper always holds.
+    Zero-range features get an absolute 0.01 pad. A range too wide for a
+    float is padded by 1% of each end instead, and the bounds are clamped
+    to the largest finite float, so they stay finite and a feature that
+    varies keeps lower < upper.
     """
     lo = features.min(axis=0)
     hi = features.max(axis=0)
-    span = hi - lo
-    pad = 0.01 * np.where(span > 0, span, 1.0)
-    return lo - pad, hi + pad
+    limit = np.finfo(np.float64).max
+    with np.errstate(over="ignore"):  # the clamps below handle overflow
+        span = hi - lo
+        pad = np.where(np.isfinite(span),
+                       0.01 * np.where(span > 0, span, 1.0),
+                       0.01 * hi - 0.01 * lo)
+        return np.maximum(lo - pad, -limit), np.minimum(hi + pad, limit)
 
 
 def gen_blobs(config: BlobConfig) -> Dataset:

@@ -6,11 +6,12 @@ measures, generalization gaps, test accuracies, and margin distributions.
 tau-b variant handles ties differently, so a library routine would not
 match); the granulated variant averages tau over single-axis model groups;
 ``cmi_score`` runs a plug-in conditional-independence estimate over sign
-patterns. All three count pairs with one numpy kernel, ``_concordance``,
-which evaluates the same double sum in blocks of rows, so no statistic
-loops over pairs in Python or holds an n x n temporary. Signatures
-condense a margin distribution into five robust statistics that feed a
-small ridge-stabilized linear predictor.
+patterns. The last two read a ``ModelTable``, the models as columns of
+integer-coded tokens and float values. All three count pairs with one
+numpy kernel, ``_concordance``, which evaluates the same double sum in
+blocks of rows, so no statistic loops over pairs in Python or holds an
+n x n temporary. Signatures condense a margin distribution into five
+robust statistics that feed a small ridge-stabilized linear predictor.
 """
 
 from __future__ import annotations
@@ -45,9 +46,6 @@ class HyperparamConfig:
         coerced = {str(k): str(v) for k, v in self.values.items()}
         object.__setattr__(self, "values", coerced)
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.values))
-
 
 @dataclass(frozen=True)
 class EvaluatedModel:
@@ -67,33 +65,76 @@ class EvaluatedModel:
 _TARGETS = ("gen_gap", "test_accuracy")
 
 
-def _target_values(models, target):
+@dataclass(frozen=True)
+class ModelTable:
+    """Evaluated models as columns, the input of every ranking metric.
+
+    ``names`` are the sorted hyperparameter axis names and ``codes`` an
+    (n x axes) intp matrix of token ids. Within an axis, ids follow sorted
+    token-string order, so sorting rows of ids orders the models exactly as
+    sorting their token tuples would. ``complexity``, ``gen_gap`` and
+    ``test_accuracy`` are finite float64 arrays of length n >= 1.
+    ``granulated_kendall`` and ``cmi_score`` also take a sequence of
+    ``EvaluatedModel``, which they turn into a table with ``from_models``.
+    """
+
+    names: tuple[str, ...]
+    codes: np.ndarray
+    complexity: np.ndarray
+    gen_gap: np.ndarray
+    test_accuracy: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.codes)
+        if n == 0:
+            raise DomainError("no models given")
+        values = (self.complexity, self.gen_gap, self.test_accuracy)
+        if self.codes.shape != (n, len(self.names)) \
+                or any(v.shape != (n,) for v in values):
+            raise DomainError("model table columns differ in length")
+        if not np.isfinite(values).all():
+            raise DomainError("model table values must be finite")
+
+    @classmethod
+    def from_tokens(cls, tokens: Mapping[str, Sequence[str]], complexity,
+                    gen_gap, test_accuracy) -> "ModelTable":
+        """The table whose axis ``name`` holds the token strings
+        ``tokens[name]``, one per model."""
+        names = tuple(sorted(tokens))
+        codes = np.empty((len(complexity), len(names)), dtype=np.intp)
+        for j, name in enumerate(names):
+            column = tokens[name]
+            ids = {token: k for k, token in enumerate(sorted(set(column)))}
+            codes[:, j] = list(map(ids.__getitem__, column))
+        return cls(names, codes,
+                   *(np.asarray(v, dtype=np.float64)
+                     for v in (complexity, gen_gap, test_accuracy)))
+
+    @classmethod
+    def from_models(cls, models: Sequence[EvaluatedModel]) -> "ModelTable":
+        """The table of ``models``, which must all name the same axes."""
+        if not models:
+            raise DomainError("no models given")
+        keys = models[0].config.values.keys()
+        if any(m.config.values.keys() != keys for m in models):
+            raise DomainError("models do not share one hyperparameter schema")
+        return cls.from_tokens(
+            {name: [m.config.values[name] for m in models] for name in keys},
+            [m.complexity for m in models], [m.gen_gap for m in models],
+            [m.test_accuracy for m in models])
+
+
+def _as_table(models: ModelTable | Sequence[EvaluatedModel]) -> ModelTable:
+    if isinstance(models, ModelTable):
+        return models
+    return ModelTable.from_models(models)
+
+
+def _target_values(table: ModelTable, target: str) -> np.ndarray:
     if target not in _TARGETS:
         raise DomainError(f"unknown target {target!r}; expected one of "
                           f"{_TARGETS}")
-    return [getattr(m, target) for m in models]
-
-
-def _axis_codes(models: Sequence[EvaluatedModel]) -> tuple[tuple[str, ...],
-                                                            np.ndarray]:
-    """The shared sorted axis names and an (n x axes) intp matrix of token ids.
-
-    One pass checks that every model names the same axes. Within an axis,
-    ids follow sorted token-string order, so sorting rows of ids orders the
-    models exactly as sorting their token tuples would.
-    """
-    if not models:
-        raise DomainError("no models given")
-    keys = models[0].config.values.keys()
-    if any(m.config.values.keys() != keys for m in models):
-        raise DomainError("models do not share one hyperparameter schema")
-    names = models[0].config.names()
-    codes = np.empty((len(models), len(names)), dtype=np.intp)
-    for j, name in enumerate(names):
-        column = [m.config.values[name] for m in models]
-        ids = {token: k for k, token in enumerate(sorted(set(column)))}
-        codes[:, j] = [ids[token] for token in column]
-    return names, codes
+    return getattr(table, target)
 
 
 _BLOCK = 256
@@ -147,11 +188,13 @@ def _concordance(values, targets, groups=None) -> tuple[np.ndarray,
 # Kendall rank correlation
 
 
-def kendall_tau(pairs: Sequence[tuple[float, float]]) -> float:
+def kendall_tau(pairs: Sequence[tuple[float, float]] | np.ndarray) -> float:
     """Rank correlation from the defining double sum over ordered pairs.
 
-    Tied pairs contribute zero in either coordinate; the normalization is
-    n(n-1), so heavy ties shrink |tau| rather than being renormalized away.
+    ``pairs`` holds (measure, target) pairs, as a sequence or an (n x 2)
+    array. Tied pairs contribute zero in either coordinate; the
+    normalization is n(n-1), so heavy ties shrink |tau| rather than being
+    renormalized away.
     """
     n = len(pairs)
     if n < 2:
@@ -175,7 +218,8 @@ class GranulatedResult:
     skipped_groups: int
 
 
-def granulated_kendall(models: Sequence[EvaluatedModel], hyperparam: str,
+def granulated_kendall(models: ModelTable | Sequence[EvaluatedModel],
+                       hyperparam: str,
                        target: str = "gen_gap") -> GranulatedResult:
     """Mean Kendall tau over groups in which only ``hyperparam`` varies.
 
@@ -185,22 +229,29 @@ def granulated_kendall(models: Sequence[EvaluatedModel], hyperparam: str,
     says nothing about it). Groups failing that bar are skipped and
     counted. When no group qualifies the statistic is undefined.
     """
-    names, codes = _axis_codes(models)
-    if hyperparam not in names:
+    table = _as_table(models)
+    if hyperparam not in table.names:
         raise DomainError(f"unknown hyperparameter {hyperparam!r}")
-    targets = _target_values(models, target)
-    axis = names.index(hyperparam)
+    targets = _target_values(table, target)
+    axis = table.names.index(hyperparam)
+    codes = table.codes
+    spans = codes.max(axis=0) + 1
 
-    # group ids in sorted order of the other axes' tokens
-    keys, group_of = np.unique(np.delete(codes, axis, axis=1), axis=0,
-                               return_inverse=True)
-    count = len(keys)
+    # group ids in sorted order of the other axes' tokens: the key takes one
+    # column at a time and is made dense again after each, so it stays below
+    # n**2 at any number of axes
+    group_of = np.zeros(len(codes), dtype=np.intp)
+    for j in range(codes.shape[1]):
+        if j != axis:
+            _, group_of = np.unique(group_of * spans[j] + codes[:, j],
+                                    return_inverse=True)
+    count = int(group_of.max()) + 1
     sizes = np.bincount(group_of, minlength=count)
-    span = int(codes[:, axis].max()) + 1
+    span = spans[axis]
     seen = np.unique(group_of * span + codes[:, axis])  # (group, token) pairs
     distinct = np.bincount(seen // span, minlength=count)
-    concordant, discordant = _concordance([m.complexity for m in models],
-                                          targets, group_of)
+    concordant, discordant = _concordance(table.complexity, targets,
+                                          group_of)
 
     # two distinct tokens imply two members
     varies = distinct >= 2
@@ -238,7 +289,7 @@ class CmiScore:
     retained_pairs: Mapping[tuple[str, str], int] = field(default_factory=dict)
 
 
-def cmi_score(models: Sequence[EvaluatedModel],
+def cmi_score(models: ModelTable | Sequence[EvaluatedModel],
               target: str = "gen_gap") -> CmiScore:
     """Conditional-independence score between measure and gap sign changes.
 
@@ -262,11 +313,12 @@ def cmi_score(models: Sequence[EvaluatedModel],
 
     where zero counts drop out and T = 0 scores 0.
     """
-    names, codes = _axis_codes(models)
+    table = _as_table(models)
+    names, codes = table.names, table.codes
     if len(names) < 3:
         raise DomainError("cmi_score needs at least three hyperparameter axes")
-    targets = _target_values(models, target)
-    measure = [m.complexity for m in models]
+    targets = _target_values(table, target)
+    measure = table.complexity
     spans = codes.max(axis=0) + 1
 
     per_pair: dict[tuple[str, str], float] = {}

@@ -655,6 +655,40 @@ def test_evaluate_rejects_malformed_entry(capsys, tmp_path, field, value,
         assert code == 0, (metric, err)
 
 
+def test_evaluate_schema_mismatch_names_the_entry(capsys, tmp_path):
+    entries = _thirty_entries()
+    entries[12]["hyperparams"]["d"] = "1"
+    entries[20]["hyperparams"].pop("a")
+    path = models_file(tmp_path, entries)
+    for metric in ("granulated", "cmi"):
+        code, out_text, err = run(capsys, "evaluate", "--models", path,
+                                  "--metric", metric, "--measure-col", "mm")
+        assert code == 2, (metric, err)
+        assert "entry 12 hyperparams name axes ['a', 'b', 'c', 'd'], " \
+               "entry 0 names ['a', 'b', 'c']" in err
+        assert out_text == ""
+    # kendall and r2 read no hyperparameters
+    for metric in ("kendall", "r2"):
+        code, _, err = run(capsys, "evaluate", "--models", path,
+                           "--metric", metric, "--measure-col", "mm")
+        assert code == 0, (metric, err)
+
+
+def test_evaluate_names_a_bad_last_entry_of_a_long_file(capsys, tmp_path):
+    entries = [{"hyperparams": {"a": k % 10, "b": k // 10 % 10,
+                                "c": k // 100},
+                "train_acc": 1.0, "test_acc": 0.5 + k / 4000,
+                "measures": {"mm": float(k % 7)}} for k in range(1000)]
+    entries[999]["test_acc"] = True
+    path = models_file(tmp_path, entries)
+    for metric in ("kendall", "granulated", "cmi", "r2"):
+        code, out_text, err = run(capsys, "evaluate", "--models", path,
+                                  "--metric", metric, "--measure-col", "mm")
+        assert code == 2, (metric, err)
+        assert "entry 999 test_acc must be a finite number, got True" in err
+        assert out_text == ""
+
+
 # ---------------------------------------------------------------------------
 # advdir command
 

@@ -1,4 +1,5 @@
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,30 @@ def test_gen_blobs_bounds_expand_observed_range():
     assert np.allclose(ds.lower, lo - pad)
     assert np.allclose(ds.upper, hi + pad)
     assert np.all(ds.lower < ds.upper)
+
+
+def test_bounds_stay_finite_near_the_float_limit(tmp_path):
+    # columns: a range wider than the float limit, a finite range whose pad
+    # crosses the limit, a constant column at the limit, an ordinary column
+    top = np.finfo(np.float64).max
+    features = np.array([[1e308, 1e308, top, 1.0],
+                         [-1e308, 1.79e308, top, 3.0]])
+    path = tmp_path / "ds.csv"
+    save_dataset_csv(Dataset(features, np.array([0, 1]), np.zeros(4),
+                             np.ones(4), np.zeros(2, dtype=np.int64), 2), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning either
+        ds = load_dataset_csv(path)
+    assert np.isfinite(ds.lower).all() and np.isfinite(ds.upper).all()
+    assert np.all(ds.lower <= features.min(axis=0))
+    assert np.all(ds.upper >= features.max(axis=0))
+    varies = [0, 1, 3]
+    assert np.all(ds.lower[varies] < ds.upper[varies])
+    pad = 0.01 * 1e308 - 0.01 * -1e308
+    assert (ds.lower[0], ds.upper[0]) == (-1e308 - pad, 1e308 + pad)
+    assert ds.upper[1] == top
+    # a finite range keeps the bits it always had
+    assert (ds.lower[3], ds.upper[3]) == (1.0 - 0.01 * 2.0, 3.0 + 0.01 * 2.0)
 
 
 def test_gen_blobs_respects_explicit_centers():
@@ -417,7 +442,13 @@ def test_csv_round_trip_is_bit_identical(data, rows, cols):
         text = path.read_text()
         headerless = Path(tmp) / "plain.csv"
         headerless.write_text(text.partition("\n")[2])
-        for loaded in (load_dataset_csv(path), load_dataset_csv(headerless)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # features near the float limit
+            loaded_pair = (load_dataset_csv(path),
+                           load_dataset_csv(headerless))
+        for loaded in loaded_pair:
+            assert np.isfinite(loaded.lower).all()
+            assert np.isfinite(loaded.upper).all()
             assert loaded.features.shape == (rows, cols)
             assert np.array_equal(loaded.features.view(np.int64),
                                   features.view(np.int64))

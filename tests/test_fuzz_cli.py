@@ -1,16 +1,16 @@
 """Mutated input files never crash ``mw``: every run exits 0, 2 or 3.
 
 Each example starts from a valid ``models.json`` (for ``mw evaluate``), a
-valid projection file (for ``mw advdir``) or a valid sweep config (for
-``mw sweep``) and changes one node of its JSON
-tree, chosen among all its nodes: the node is replaced by an arbitrary JSON
-value (including NaN, ±inf, integers beyond float range and nested
-containers) or deleted, or a sibling is added. CSV inputs (a dataset for
-``mw measure``, a boundary file for ``mw advdir``) get one textual edit
-instead: a cell replaced by arbitrary text or an awkward number, a cell or
-row deleted, added or duplicated, a blank line inserted, or the file cut
-short. A Python exception escaping ``main`` would be a traceback for a
-user, so the test fails on any.
+valid trained model (for ``mw measure``), a valid projection file (for
+``mw advdir``) or a valid sweep config (for ``mw sweep``) and changes one
+node of its JSON tree, chosen among all its nodes: the node is replaced
+by an arbitrary JSON value (including NaN, ±inf, integers beyond float
+range and nested containers) or deleted, or a sibling is added. CSV
+inputs (a dataset for ``mw measure``, a boundary file for ``mw advdir``)
+get one textual edit instead: a cell replaced by arbitrary text or an
+awkward number, a cell or row deleted, added or duplicated, a blank line
+inserted, or the file cut short. A Python exception escaping ``main``
+would be a traceback for a user, so the test fails on any.
 """
 
 import contextlib
@@ -326,6 +326,46 @@ def test_mutated_dataset_csv_exits_0_2_or_3(dataset_and_model, data,
             argv += ["--boundary-out", bounds]
         code, out, err = _run(argv)
         _check_exit(code, out, err, margins)
+        if estimator == "deepfool":
+            _check_exit(code, out, err, bounds)
+
+
+def _check_margins_exit(code, out, err, written: Path):
+    """``_check_exit`` for a ``mw measure`` margins table, whose
+    ``violation`` cell may be ``inf`` in a ``no-descent`` row, as
+    documented: the search never took a step there."""
+    if code != 0:
+        _check_exit(code, out, err, written)
+        return
+    assert "Traceback" not in err
+    json.loads(out)
+    lines = written.read_text().splitlines()
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        if row["status"] == "no-descent" and row["violation"] == "inf":
+            row["violation"] = ""
+        assert not re.search(r"\b(nan|inf)\b", ",".join(row.values()))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), estimator=st.sampled_from(["taylor", "deepfool"]))
+def test_mutated_model_file_exits_0_2_or_3(dataset_and_model, data,
+                                          estimator):
+    data_csv, model_json = dataset_and_model
+    doc = _mutate(data, json.loads(model_json))
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, model = Path(tmp) / "data.csv", Path(tmp) / "model.json"
+        csv_path.write_text(data_csv)
+        model.write_text(json.dumps(doc))
+        margins, bounds = Path(tmp) / "m.csv", Path(tmp) / "b.csv"
+        argv = ["measure", "--model", model, "--data", csv_path,
+                "--estimator", estimator, "--max-iters", "20",
+                "--out", margins]
+        if estimator == "deepfool":
+            argv += ["--boundary-out", bounds]
+        code, out, err = _run(argv)
+        _check_margins_exit(code, out, err, margins)
         if estimator == "deepfool":
             _check_exit(code, out, err, bounds)
 

@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -15,6 +17,7 @@ from marginlab.metrics import (
     EvaluatedModel,
     HyperparamConfig,
     MarginSignature,
+    ModelTable,
     cmi_score,
     cross_validate_predictor,
     extract_signature,
@@ -682,3 +685,103 @@ def test_metric_schema_mismatch_rejected():
         granulated_kendall([good, bad], "alpha")
     with pytest.raises(DomainError):
         cmi_score([good, bad])
+
+
+# ---------------------------------------------------------------------------
+# the columnar model table
+
+
+# numeric tokens whose string order differs from their numeric order
+_TOKENS = [str(3 ** k % 101) for k in range(20)]
+
+
+def perturbed_models(rng, n, protos):
+    """n models, each a copy of a row of the token-index matrix ``protos``
+    with one axis redrawn, so single-axis groups form at any number of
+    axes."""
+    tokens, axes = int(protos.max()) + 1, protos.shape[1]
+    names = tuple(f"h{j:02d}" for j in range(axes))
+    rows = protos[rng.integers(0, len(protos), size=n)]
+    rows[np.arange(n), rng.integers(0, axes, size=n)] = \
+        rng.integers(0, tokens, size=n)
+    values = rng.integers(0, 4, size=(n, 3)).astype(float)
+    return [model([_TOKENS[t] for t in row], c, g, acc=a, names=names)
+            for row, (c, g, a) in zip(rows, values)], names
+
+
+def table_of(models):
+    """The table built from token columns and value arrays, as the CLI
+    loader builds it, without going through ``EvaluatedModel``."""
+    names = models[0].config.values
+    return ModelTable.from_tokens(
+        {name: [m.config.values[name] for m in models] for name in names},
+        np.array([m.complexity for m in models]),
+        np.array([m.gen_gap for m in models]),
+        np.array([m.test_accuracy for m in models]))
+
+
+def assert_table_matches_models(models, names):
+    table = table_of(models)
+    assert table.names == tuple(sorted(names))
+    for axis in names:
+        for target in ("gen_gap", "test_accuracy"):
+            expect, included, skipped = oracle_granulated(models, axis,
+                                                          target)
+            if expect is None:
+                for arg in (table, models):
+                    with pytest.raises(UndefinedMetricError):
+                        granulated_kendall(arg, axis, target)
+                continue
+            res = granulated_kendall(table, axis, target)
+            assert res == granulated_kendall(models, axis, target)
+            assert (res.psi, res.included_groups, res.skipped_groups) == \
+                (expect, included, skipped)
+    if len(names) >= 3:
+        score = cmi_score(table)
+        # dataclass equality: per_pair, final and retained_pairs, bit for bit
+        assert score == cmi_score(models)
+        assert score.per_pair == first_appearance_cmi(models)
+        assert score.retained_pairs == oracle_retained_pairs(models)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60),
+       axes=st.integers(1, 6), tokens=st.integers(1, 20))
+def test_table_scores_match_models_bit_for_bit(seed, n, axes, tokens):
+    rng = np.random.default_rng(seed)
+    protos = rng.integers(0, tokens, size=(max(1, n // 6), axes))
+    models, names = perturbed_models(rng, n, protos)
+    assert_table_matches_models(models, names)
+
+
+def test_table_groups_where_a_mixed_radix_key_would_overflow():
+    # every axis holds all 20 tokens, so the other axes of any one span
+    # 20**15 > 2**63 keys
+    protos = (7 * np.arange(20)[:, None] + np.arange(16)) % 20
+    models, names = perturbed_models(np.random.default_rng(157), 160, protos)
+    table = table_of(models)
+    assert (table.codes.max(axis=0) == 19).all()
+    assert_table_matches_models(models, names)
+    # group ids follow the sorted order of the other axes' token tuples,
+    # which fixes the order in which the group taus are summed
+    for axis in names:
+        with mock.patch.object(metrics, "_concordance",
+                               wraps=metrics._concordance) as kernel:
+            with contextlib.suppress(UndefinedMetricError):
+                granulated_kendall(table, axis)
+        others = [tuple(v for n, v in sorted(m.config.values.items())
+                        if n != axis) for m in models]
+        rank = {key: k for k, key in enumerate(sorted(set(others)))}
+        assert kernel.call_args.args[2].tolist() == [rank[key]
+                                                     for key in others]
+
+
+def test_model_table_rejects_bad_columns():
+    good = table_of([model((0, 0, 0), 1.0, 1.0), model((1, 0, 0), 2.0, 2.0)])
+    for change in ({"complexity": np.array([1.0, np.nan])},
+                   {"gen_gap": np.array([1.0])},
+                   {"codes": good.codes[:, :2]},
+                   {"codes": good.codes[:0], "complexity": np.array([]),
+                    "gen_gap": np.array([]), "test_accuracy": np.array([])}):
+        with pytest.raises(DomainError):
+            dataclasses.replace(good, **change)

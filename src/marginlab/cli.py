@@ -14,6 +14,7 @@ for memory included), 3 numerical errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -819,7 +820,10 @@ def _cmd_sweep(args) -> None:
 # parser and entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``mw`` parser, built once per process: parsing leaves it as it
+    was, so every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="mw", description="margin measurement workbench")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -104,9 +104,10 @@ def _expanded_bounds(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Observed min/max per feature, widened by 1% of the range per side.
 
     Zero-range features get an absolute 0.01 pad. A range too wide for a
-    float is padded by 1% of each end instead, and the bounds are clamped
-    to the largest finite float, so they stay finite and a feature that
-    varies keeps lower < upper.
+    float is padded by 1% of each end instead. A bound whose pad is lost to
+    rounding (a constant 1e20, say) moves to the adjacent float. The bounds
+    are clamped to the largest finite float, so they stay finite, and every
+    feature gets lower < upper.
     """
     lo = features.min(axis=0)
     hi = features.max(axis=0)
@@ -116,7 +117,10 @@ def _expanded_bounds(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pad = np.where(np.isfinite(span),
                        0.01 * np.where(span > 0, span, 1.0),
                        0.01 * hi - 0.01 * lo)
-        return np.maximum(lo - pad, -limit), np.minimum(hi + pad, limit)
+        lower, upper = lo - pad, hi + pad
+        lower = np.where(lower == lo, np.nextafter(lo, -np.inf), lower)
+        upper = np.where(upper == hi, np.nextafter(hi, np.inf), upper)
+    return np.maximum(lower, -limit), np.minimum(upper, limit)
 
 
 def gen_blobs(config: BlobConfig) -> Dataset:

@@ -14,7 +14,12 @@ steps toward its nearest linearized boundary and keeps its best
 (smallest-violation) iterate, stopping row by row or, in batch-mean mode,
 all together when the mean distance settles. Between iterations the engine
 keeps only per-row state: the best iterate with its gap and runner-up
-class, the current iterate, and the next step.
+class, the current iterate, the next step, and the gradients at the
+current iterate with their ReLU activation pattern and per-class norms.
+For a ReLU net the gradients depend only on the base class and that
+pattern, so each iteration runs the forward pass on the active rows and
+backpropagates only the rows whose pattern changed; the others reuse their
+gradients, which are the bits a fresh backprop would give.
 
 ``taylor_margin``, ``deepfool_margin`` and the constrained variants are
 one-row calls into the engine, ``deepfool_margin_batch`` an all-rows call.
@@ -35,7 +40,13 @@ from .errors import (
     DomainError,
     UnreachableSubspaceError,
 )
-from .nnet import Network, forward_batch, logit_diffs_all_batch
+from .nnet import (
+    Network,
+    _logit_diff_grads,
+    _logit_diffs,
+    forward_batch,
+    logit_diffs_all_batch,
+)
 from .pca import PcaModel
 
 _DEGENERATE = 1e-12
@@ -141,9 +152,55 @@ def _row_norms(G: np.ndarray) -> np.ndarray:
     return out
 
 
-def _next_step(o, G, base, projector, rate: float):
+def _activation_pattern(net: Network, lam: int, pres) -> np.ndarray:
+    """Which units are on, ``Z > 0``, on every ReLU layer from ``lam`` on:
+    the masks the backward pass multiplies by, one row per point."""
+    masks = [Z > 0.0 for layer, Z in zip(net.layers[lam:], pres)
+             if layer.activation == "relu"]
+    if not masks:
+        return np.zeros((len(pres[0]), 0), dtype=bool)
+    return np.concatenate(masks, axis=1)
+
+
+class _RowGradients:
+    """Per-row state of a search at each row's current iterate: the
+    activation pattern, the logit-difference gradients (projected when a
+    projector is given) and their per-class norms.
+
+    ``move`` takes rows to the points just evaluated for them and
+    backpropagates only the rows whose pattern changed. A row that does not
+    move onto its evaluated point is never evaluated again, unless it is a
+    stuck row of a batch-mean search, whose step is zero; so the state is
+    the current iterate's whenever it is read.
+    """
+
+    def __init__(self, net: Network, lam: int, projector, pres,
+                 base: np.ndarray):
+        self.net, self.lam, self.projector = net, lam, projector
+        self.pattern = _activation_pattern(net, lam, pres)
+        self.grads, self.norms = self._backprop(pres, base)
+
+    def _backprop(self, pres, base):
+        G = _logit_diff_grads(self.net, self.lam, pres, base)
+        if self.projector is not None:
+            G = G @ self.projector.T
+        return G, _row_norms(G)
+
+    def move(self, rows: np.ndarray, pres, base: np.ndarray) -> None:
+        """Take ``rows`` to the points whose pre-activations are ``pres``."""
+        pattern = _activation_pattern(self.net, self.lam, pres)
+        changed = np.any(pattern != self.pattern[rows], axis=1)
+        if changed.any():
+            k = rows[changed]
+            self.pattern[k] = pattern[changed]
+            self.grads[k], self.norms[k] = self._backprop(
+                [Z[changed] for Z in pres], base[changed])
+
+
+def _next_step(o, base, grads: _RowGradients, rows, rate: float):
     """Step toward each row's nearest linearized boundary, and the rows
-    with no usable descent direction (their step is zero).
+    with no usable descent direction (their step is zero). ``o`` holds the
+    logit differences of ``rows``, whose gradients ``grads`` holds.
 
     With a projector P (rows orthonormal), the gradients are projected
     before norms are taken, so both the nearest-boundary choice and the
@@ -152,8 +209,8 @@ def _next_step(o, G, base, projector, rate: float):
     given; then they use its magnitude.
     """
     r = np.arange(o.shape[0])
-    Gp = G @ projector.T if projector is not None else G
-    norms = _row_norms(Gp)
+    projector = grads.projector
+    norms = grads.norms[rows]
     ratios = np.where(norms < _DEGENERATE, np.inf,
                       np.abs(o) / np.maximum(norms, _DEGENERATE))
     ratios[r, base] = np.inf
@@ -162,7 +219,9 @@ def _next_step(o, G, base, projector, rate: float):
     gap = o[r, j] if projector is None else np.abs(o[r, j])
     coef = np.divide(gap, norms[r, j] ** 2, out=np.zeros_like(gap),
                      where=~stuck)
-    direction = Gp[r, j] @ projector if projector is not None else Gp[r, j]
+    direction = grads.grads[rows, j]
+    if projector is not None:
+        direction = direction @ projector
     return (rate * coef)[:, None] * direction, stuck
 
 
@@ -190,6 +249,15 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
     ``pca`` and ``m`` restrict the perturbation to the top-``m`` principal
     directions (input space only); distance is still measured in the
     original space.
+
+    The search keeps each row's (projected) gradients, their per-class
+    norms and the activation pattern ``Z > 0`` of every ReLU layer from
+    ``lam`` on, for the row's current iterate. An iteration backpropagates
+    only the rows whose pattern changed. The reuse is exact: a row's
+    gradients depend on nothing else, and the backward pass computes each
+    row on its own, so a subset of rows gets the bits of the full batch.
+    Above the last hidden layer no ReLU can switch, and a hidden-layer
+    search there backpropagates once.
     """
     X0 = np.atleast_2d(np.asarray(X, dtype=np.float64))
     s, c = X0.shape[0], net.num_classes
@@ -209,10 +277,10 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
     base = (np.argmax(forward_batch(net, X0, lam)[-1], axis=1)
             if base_class is None
             else np.full(s, base_class, dtype=np.int64))
-    o, G, logits = logit_diffs_all_batch(net, lam, X0, base)
-    pair = _runner_up(logits, base)
 
     if cfg is None:
+        o, G, logits = logit_diffs_all_batch(net, lam, X0, base)
+        pair = _runner_up(logits, base)
         candidate = np.arange(c) != base[:, None]
         if target_class is not None:
             if not 0 <= target_class < c or np.any(base == target_class):
@@ -233,9 +301,12 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
                     d[r, j].tolist(), o[r, j].tolist(), base.tolist(),
                     j.tolist(), usable.any(axis=1).tolist())]
 
+    o, logits, pres = _logit_diffs(net, lam, X0, base)
+    pair = _runner_up(logits, base)
     bounds = _resolve_bounds(net, lam, cfg)
-    step, stuck = _next_step(o, G, base, projector, cfg.learning_rate)
-    del G  # the (rows x classes x width) tensor never outlives an iteration
+    grads = _RowGradients(net, lam, projector, pres, base)
+    rows = np.arange(s)
+    step, stuck = _next_step(o, base, grads, rows, cfg.learning_rate)
     d_best = np.zeros(s)
     v_best = np.full(s, np.inf)
     boundary = X0.copy()
@@ -256,14 +327,14 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
         # batch-mean mode evaluates every row, stuck ones in place, so the
         # matrix shapes, and with them the rounding, do not depend on which
         # rows got stuck
-        a = np.arange(s) if batch_mean else np.flatnonzero(active)
+        a = rows if batch_mean else np.flatnonzero(active)
         Xp = Xhat[a] - step[a]
         if bounds is not None:
             np.clip(Xp, bounds[0], bounds[1], out=Xp)
-        o, G, logits = logit_diffs_all_batch(net, lam, Xp, base[a])
-        next_step, next_stuck = _next_step(o, G, base[a], projector,
+        o, logits, pres = _logit_diffs(net, lam, Xp, base[a])
+        grads.move(a, pres, base[a])
+        next_step, next_stuck = _next_step(o, base[a], grads, a,
                                            cfg.learning_rate)
-        del G
         runner = _runner_up(logits, base[a])
         v = np.abs(o[np.arange(a.size), runner])
         d = np.linalg.norm(X0[a] - Xp, axis=1)

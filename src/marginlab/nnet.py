@@ -103,21 +103,37 @@ def logit_diffs_all_batch(net: Network, lam: int, X: np.ndarray, base: np.ndarra
     is identically zero. Also returns the logits.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    _check_activations(net, lam, X, len(net.layers) - 1)
     base = np.asarray(base, dtype=np.int64)
+    o, logits, pres = _logit_diffs(net, lam, X, base)
+    return o, _logit_diff_grads(net, lam, pres, base), logits
+
+
+def _logit_diffs(net: Network, lam: int, X: np.ndarray, base: np.ndarray):
+    """Forward half of :func:`logit_diffs_all_batch`: the logit differences
+    o, the logits, and the pre-activations that :func:`_logit_diff_grads`
+    takes."""
+    _check_activations(net, lam, X, len(net.layers) - 1)
     acts, pres = _forward(net, lam, X)
     logits = acts[-1]
+    return logits[np.arange(X.shape[0]), base][:, None] - logits, logits, pres
 
-    s, c = X.shape[0], net.num_classes
+
+def _logit_diff_grads(net: Network, lam: int, pres, base: np.ndarray):
+    """Backward half of :func:`logit_diffs_all_batch`: the gradients G from
+    the pre-activations ``_forward`` returned for the same rows.
+
+    G depends on a row only through its base class and the ReLU masks
+    ``Z > 0``, and each row's slice of every stacked product is computed on
+    its own, so a row gets the same bits in any subset of rows.
+    """
+    s, c = len(base), net.num_classes
     G = np.broadcast_to(-np.eye(c), (s, c, c)).copy()
     G[np.arange(s), :, base] += 1.0
     for layer, Z in zip(reversed(net.layers[lam:]), reversed(pres)):
         if layer.activation == "relu":
             G *= (Z > 0.0)[:, None, :]  # relu'(0) = 0; G is our own copy
         G = G @ layer.weights
-
-    o = logits[np.arange(s), base][:, None] - logits
-    return o, G, logits
+    return G
 
 
 def logit_diff_grad(net: Network, lam: int, x_lam: np.ndarray, i: int, j: int):
@@ -296,6 +312,15 @@ def save_model(net: Network, path) -> None:
         fh.write("\n")
 
 
+def _model_size(value, key: str, path) -> int:
+    """A model-file size: a JSON integer, or an integral number such as
+    ``3.0``, as dataset labels are read; not a bool, string or fraction."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{path}: {key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_model(path) -> Network:
     try:
         doc = json.loads(Path(path).read_text())
@@ -304,10 +329,10 @@ def load_model(path) -> Network:
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ConfigError(f"{path}: not a {MODEL_FORMAT} model file")
     try:
-        input_dim = int(doc["input_dim"])
-        num_classes = int(doc["num_classes"])
+        input_dim = _model_size(doc["input_dim"], "input_dim", path)
+        num_classes = _model_size(doc["num_classes"], "num_classes", path)
         raw_layers = doc["layers"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
         raise ConfigError(f"{path}: malformed model file ({exc})") from exc
     if num_classes < 2:
         raise ConfigError(f"{path}: num_classes must be >= 2")

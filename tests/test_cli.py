@@ -306,6 +306,54 @@ def test_measure_norm_length_mismatch_exits_2(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [("input_dim", 3.9),
+                                       ("num_classes", "2"),
+                                       ("num_classes", True)])
+def test_measure_non_integer_model_size_exits_2(capsys, tmp_path, key,
+                                                value):
+    data = _tiny_data(tmp_path)
+    net = Network([DenseLayer(np.ones((4, 3)), np.zeros(4), "relu"),
+                   DenseLayer(np.ones((2, 4)), np.zeros(2), "none")], 3, 2)
+    model_path = tmp_path / "model.json"
+    save_model(net, model_path)
+    doc = json.loads(model_path.read_text())
+    doc[key] = value
+    model_path.write_text(json.dumps(doc))
+    out = tmp_path / "m.csv"
+    code, out_text, err = run(capsys, "measure", "--model", model_path,
+                              "--data", data, "--estimator", "taylor",
+                              "--out", out)
+    assert code == 2
+    assert f"{key} must be an integer" in err
+    assert out_text == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", ["znorm", "minmax"])
+def test_constant_large_feature_trains_a_model_measure_accepts(
+        capsys, tmp_path, scheme):
+    # the 0.01 pad of a constant 1e20 column is lost to rounding; its clip
+    # box must still have lower < upper, or measure rejects the model
+    rng = np.random.default_rng(9)
+    X = np.column_stack([rng.normal(size=40), rng.normal(size=40),
+                         np.full(40, 1e20)])
+    y = (X[:, 0] > 0).astype(np.int64)
+    save_dataset(Dataset(X, y, X.min(axis=0), X.max(axis=0),
+                         np.zeros(40, dtype=np.int64), 2), tmp_path / "d.csv")
+    model_path = tmp_path / "model.json"
+    code, _, err = run(capsys, "train", "--data", tmp_path / "d.csv",
+                       "--hidden", "4", "--epochs", "5", "--normalize",
+                       scheme, "--out", model_path)
+    assert code == 0, err
+    meta = load_model(model_path).norm_meta
+    assert np.all(meta.lower < meta.upper)
+    code, out_text, err = run(capsys, "measure", "--model", model_path,
+                              "--data", tmp_path / "d.csv", "--out",
+                              tmp_path / "m.csv")
+    assert code == 0, err
+    assert json.loads(out_text)["measured"] > 0
+
+
 def test_measure_tv_normalize_zero_variation_exits_3(capsys, tmp_path):
     # every hidden unit is dead, so layer 1 is constant, while the logit
     # gradients there, and with them the margins, are not zero
@@ -459,6 +507,50 @@ def test_removed_measure_and_sweep_options_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "sweep", "--config", cfg_path)
     assert code == 2
     assert "equality_threshold" in err
+
+
+def test_one_parser_serves_consecutive_calls(capsys, tmp_path):
+    # the parser is built once per process; parsing must leave it as it was,
+    # so no value of one call reaches the next
+    assert marginlab.cli._build_parser() is marginlab.cli._build_parser()
+    data = gen(capsys, tmp_path, dim=3)
+    model_path, _ = train(capsys, tmp_path, data, epochs=5)
+    measure = ["measure", "--model", model_path, "--data", data]
+
+    def parsed(argv):
+        ns = vars(marginlab.cli._build_parser().parse_args(
+            [str(a) for a in argv]))
+        fresh = vars(marginlab.cli._build_parser.__wrapped__().parse_args(
+            [str(a) for a in argv]))
+        assert ns == fresh
+        return ns
+
+    assert parsed(measure + ["--batch", "--out", "a.csv"])["batch"] is True
+    assert parsed(measure + ["--out", "b.csv"])["batch"] is False
+
+    outs = {}
+    for name, extra in [("batch", ["--batch"]), ("plain", []),
+                        ("error", ["--estimator", "nope"]), ("again", [])]:
+        outs[name] = tmp_path / f"{name}.csv"
+        argv = measure + extra + ["--out", outs[name]]
+        if name == "error":
+            with pytest.raises(SystemExit) as exc:
+                main([str(a) for a in argv])
+            assert exc.value.code == 2
+            capsys.readouterr()
+            continue
+        assert run(capsys, *argv)[0] == 0
+    assert outs["plain"].read_bytes() == outs["again"].read_bytes()
+    assert outs["plain"].read_bytes() != outs["batch"].read_bytes()
+    assert not outs["error"].exists()
+
+    for knee in (["--knee"], []):
+        code, out_text, _ = run(capsys, "pca", "--data", data, *knee,
+                                "--out", tmp_path / "pca.json")
+        assert code == 0
+        assert ("knee_m" in json.loads(out_text)) == bool(knee)
+    assert parsed(["gen-data", "--out", "x.csv"])["classes"] == 2
+    assert parsed(["sweep", "--config", "c.json"])["seed"] is None
 
 
 # ---------------------------------------------------------------------------

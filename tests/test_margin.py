@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import marginlab.margin
+import marginlab.nnet
 from marginlab.data import BlobConfig, gen_blobs, normalize
 from marginlab.errors import (
     DegenerateGradientError,
@@ -552,6 +553,135 @@ def test_constrained_distance_dominates_standard_on_linear_nets():
         if constrained.status == SearchStatus.NO_DESCENT:
             continue
         assert constrained.d_best >= standard.d_best - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# gradients reused while a row's activation pattern is unchanged
+
+
+def _reuse_case(name):
+    """(net, lam, X, cfg, pca, m) for one kind of boundary search."""
+    rng = np.random.default_rng(61)
+    X = 2.0 * rng.normal(size=(60, 6))
+    one = init_network(6, [24], 4, seed=3)
+    two = init_network(6, [16, 12], 4, seed=5)
+    free = SearchConfig(stop_tolerance=1e-3, max_iters=60)
+    clip = SearchConfig(stop_tolerance=1e-3, max_iters=60,
+                        bounds=(X.min(axis=0) - 0.1, X.max(axis=0) + 0.1))
+    return {
+        "input-clipped": (one, 0, X, clip, None, None),
+        "input-pca": (one, 0, X, clip, fit_pca(X), 3),
+        "hidden-no-relu-above": (one, 1, forward_batch(one, X)[1], free,
+                                 None, None),
+        "two-hidden-input": (two, 0, X, free, None, None),
+        "two-hidden-pca": (two, 0, X, free, fit_pca(X), 2),
+        "two-hidden-hidden": (two, 1, forward_batch(two, X)[1], free, None,
+                              None),
+    }[name]
+
+
+def _count_rows(monkeypatch):
+    """Rows evaluated and rows backpropagated by the search, call by call."""
+    seen = {"evaluated": [], "backprop": []}
+    diffs = marginlab.margin._logit_diffs
+    grads = marginlab.margin._logit_diff_grads
+
+    def evaluated(net, lam, X, base):
+        seen["evaluated"].append(len(X))
+        return diffs(net, lam, X, base)
+
+    def backprop(net, lam, pres, base):
+        seen["backprop"].append(len(base))
+        return grads(net, lam, pres, base)
+
+    monkeypatch.setattr(marginlab.margin, "_logit_diffs", evaluated)
+    monkeypatch.setattr(marginlab.margin, "_logit_diff_grads", backprop)
+    return seen
+
+
+@pytest.mark.parametrize("batch_mean", [False, True])
+@pytest.mark.parametrize("case", ["input-clipped", "input-pca",
+                                  "hidden-no-relu-above", "two-hidden-input",
+                                  "two-hidden-pca", "two-hidden-hidden"])
+def test_reused_gradients_give_the_results_of_a_full_backprop(
+        monkeypatch, case, batch_mean):
+    net, lam, X, cfg, pca, m = _reuse_case(case)
+    seen = _count_rows(monkeypatch)
+    cached = search_margins(net, lam, X, cfg, pca, m, batch_mean=batch_mean,
+                            collect_trace=True)
+    # the first evaluation backprops every row; later ones only the rows
+    # whose pattern changed, which leaves some rows to reuse
+    assert seen["backprop"][0] == len(X)
+    assert sum(seen["backprop"]) < sum(seen["evaluated"])
+    if case != "hidden-no-relu-above":
+        assert len(seen["backprop"]) > 1
+
+    # a pattern that differs on every call makes every row read as changed,
+    # so every evaluation backprops every row
+    calls = iter(range(10 ** 6))
+    monkeypatch.setattr(marginlab.margin, "_activation_pattern",
+                        lambda net, lam, pres: np.full((len(pres[0]), 1),
+                                                       next(calls)))
+    seen["evaluated"].clear()
+    seen["backprop"].clear()
+    full = search_margins(net, lam, X, cfg, pca, m, batch_mean=batch_mean,
+                          collect_trace=True)
+    assert seen["backprop"] == seen["evaluated"]
+
+    assert len(cached) == len(full) == len(X)
+    for a, b in zip(cached, full):
+        assert (repr(a.d_best), repr(a.v_best)) == (repr(b.d_best),
+                                                    repr(b.v_best))
+        assert (a.class_pair, a.steps, a.status, a.left_subspace) == (
+            b.class_pair, b.steps, b.status, b.left_subspace)
+        assert a.boundary_point.tobytes() == b.boundary_point.tobytes()
+        assert repr(a.trace) == repr(b.trace)
+    assert any(r.steps > 1 for r in cached)
+
+
+@pytest.mark.parametrize("lam,m", [(0, None), (0, 3), (1, None)])
+def test_moved_rows_hold_the_gradients_of_their_new_points(lam, m):
+    # the per-row state after a move equals state built afresh at the new
+    # points, bit for bit, whether or not a row's pattern changed
+    rng = np.random.default_rng(71)
+    net = init_network(6, [16, 12], 4, seed=5)
+    X = 2.0 * rng.normal(size=(80, 6))
+    projector = None if m is None else fit_pca(X).components[:m]
+    A = forward_batch(net, X)[lam]
+    moved = np.sort(rng.choice(80, size=50, replace=False))
+    B = A.copy()
+    B[moved] += 0.3 * rng.normal(size=(50, A.shape[1]))
+    base = rng.integers(0, 4, size=80)
+
+    def pres(acts):
+        return marginlab.nnet._forward(net, lam, acts)[1]
+
+    grads = marginlab.margin._RowGradients(net, lam, projector, pres(A), base)
+    before = grads.pattern.copy()
+    grads.move(moved, pres(B[moved]), base[moved])
+    fresh = marginlab.margin._RowGradients(net, lam, projector, pres(B), base)
+    changed = np.any(fresh.pattern[moved] != before[moved], axis=1)
+    assert 0 < changed.sum() < changed.size
+    for got, want in ((grads.pattern, fresh.pattern),
+                      (grads.grads, fresh.grads), (grads.norms, fresh.norms)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("batch_mean", [False, True])
+@pytest.mark.parametrize("hidden,lam", [([24], 1), ([16, 12], 2)])
+def test_no_relu_above_the_layer_means_one_backprop_per_search(
+        monkeypatch, hidden, lam, batch_mean):
+    # between the last hidden layer and the logits no ReLU can switch, so
+    # the gradients of the first evaluation serve the whole search
+    rng = np.random.default_rng(67)
+    net = init_network(6, hidden, 4, seed=7)
+    X = forward_batch(net, 2.0 * rng.normal(size=(40, 6)))[lam]
+    seen = _count_rows(monkeypatch)
+    results = search_margins(net, lam, X, SearchConfig(stop_tolerance=1e-3),
+                             batch_mean=batch_mean)
+    assert seen["backprop"] == [40]
+    assert len(seen["evaluated"]) > 2
+    assert any(r.steps > 1 for r in results)
 
 
 # ---------------------------------------------------------------------------

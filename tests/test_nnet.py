@@ -191,6 +191,27 @@ def test_logit_diff_grad_rejects_bad_args():
         logit_diff_grad(net, 0, x, 0, net.num_classes)
 
 
+@pytest.mark.parametrize("rows,dim,hidden,classes,lam", [
+    (480, 20, (64,), 5, 0), (600, 5, (64,), 5, 0), (333, 32, (16, 12), 7, 0),
+    (333, 32, (16, 12), 7, 1), (50, 3, (8, 8, 8), 4, 2)])
+def test_gradients_of_a_row_subset_match_the_full_batch(rows, dim, hidden,
+                                                        classes, lam):
+    # margin searches backprop only the rows whose activation pattern
+    # changed and reuse the rest, which needs a row's gradients to come out
+    # bit for bit the same in any subset of rows
+    rng = np.random.default_rng(rows + lam)
+    net = random_net(rng, dim, hidden, classes)
+    X = forward_batch(net, rng.normal(size=(rows, dim)))[lam]
+    base = rng.integers(0, classes, size=rows)
+    pres = nnet._forward(net, lam, X)[1]
+    full = nnet._logit_diff_grads(net, lam, pres, base)
+    for subset in (rng.choice(rows, size=rows // 3, replace=False),
+                   np.arange(rows - 7, rows), np.array([rows // 2])):
+        got = nnet._logit_diff_grads(net, lam, [Z[subset] for Z in pres],
+                                     base[subset])
+        assert np.array_equal(got.view(np.int64), full[subset].view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # initialization and training
 
@@ -367,3 +388,27 @@ def test_load_model_rejects_non_positive_scale(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="scales must be positive"):
         load_model(path)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("input_dim", 3.9), ("input_dim", "4"), ("input_dim", True),
+    ("input_dim", None), ("input_dim", [4]), ("num_classes", 3.5),
+    ("num_classes", "3"), ("num_classes", False), ("num_classes", 1e400)])
+def test_load_model_rejects_non_integer_sizes(tmp_path, key, value):
+    doc = _model_doc(tmp_path)
+    doc[key] = value
+    path = tmp_path / "bad.json"
+    # json.dumps writes 1e400 (inf) as Infinity, which json.loads reads back
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+        load_model(path)
+
+
+def test_load_model_accepts_integral_float_sizes(tmp_path):
+    doc = _model_doc(tmp_path)
+    doc["input_dim"], doc["num_classes"] = 4.0, 3.0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    net = load_model(path)
+    assert (net.input_dim, net.num_classes) == (4, 3)
+    assert type(net.input_dim) is int and type(net.num_classes) is int

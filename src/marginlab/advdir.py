@@ -30,7 +30,6 @@ class AdvShare:
 
     b_adv: np.ndarray
     p_share: np.ndarray
-    cumulative: np.ndarray
     dropped_rows: int
 
 
@@ -60,8 +59,7 @@ def adv_directions(pca: PcaModel, originals: np.ndarray,
                              "no direction shares can be attributed")
     Bn = B[keep] / maxima[keep, None]
     p_share = Bn.sum(axis=0) / Bn.sum()
-    return AdvShare(b_adv=Bn, p_share=p_share,
-                    cumulative=np.cumsum(p_share), dropped_rows=dropped)
+    return AdvShare(b_adv=Bn, p_share=p_share, dropped_rows=dropped)
 
 
 @dataclass(frozen=True)
@@ -85,8 +83,8 @@ def _coverage_marker(cum_ratio: np.ndarray, threshold: float) -> int:
     return int(np.argmax(reached)) + 1
 
 
-def cumulative_share(p_share: np.ndarray, explained_ratio: np.ndarray,
-                     low: float = 0.70, high: float = 0.99) -> CumulativeShare:
+def cumulative_share(p_share: np.ndarray,
+                     explained_ratio: np.ndarray) -> CumulativeShare:
     """Cumulative perturbation share with 70%/99% variance markers."""
     p = np.asarray(p_share, dtype=np.float64).ravel()
     ratio = np.asarray(explained_ratio, dtype=np.float64).ravel()
@@ -95,5 +93,5 @@ def cumulative_share(p_share: np.ndarray, explained_ratio: np.ndarray,
                           "and non-empty")
     cum_ratio = np.cumsum(ratio)
     return CumulativeShare(cumulative=np.cumsum(p),
-                           marker_70=_coverage_marker(cum_ratio, low),
-                           marker_99=_coverage_marker(cum_ratio, high))
+                           marker_70=_coverage_marker(cum_ratio, 0.70),
+                           marker_99=_coverage_marker(cum_ratio, 0.99))

@@ -205,20 +205,16 @@ def corrupt_inputs_gaussian(ds: Dataset, fraction: float, seed: int) -> tuple[Da
     return out, CorruptionReport(fraction, indices, seed, mode="gaussian")
 
 
-def max_margin(ds: Dataset, indices=None) -> np.ndarray:
+def max_margin(ds: Dataset) -> np.ndarray:
     """Exact distance from each sample to its nearest different-class sample."""
     present = np.unique(ds.labels)
     if present.size < 2:
         raise DomainError("max margin is undefined with a single class present")
-    if indices is None:
-        idx = np.arange(ds.sample_count)
-    else:
-        idx = np.asarray(indices, dtype=np.int64)
-    out = np.empty(len(idx), dtype=np.float64)
-    for pos, i in enumerate(idx):
+    out = np.empty(ds.sample_count, dtype=np.float64)
+    for i in range(ds.sample_count):
         mask = ds.labels != ds.labels[i]
         diff = ds.features[mask] - ds.features[i]
-        out[pos] = np.sqrt(np.min(np.einsum("ij,ij->i", diff, diff)))
+        out[i] = np.sqrt(np.min(np.einsum("ij,ij->i", diff, diff)))
     return out
 
 
@@ -272,12 +268,19 @@ def _check_finite(features: np.ndarray, path) -> None:
 
 
 def save_dataset_bin(ds: Dataset, path) -> None:
-    """Write the MWDS binary layout (f32 features, u32 labels, little-endian)."""
+    """Write the MWDS binary layout (f32 features, u32 labels, little-endian).
+
+    Features that are not finite once stored as f32 raise ConfigError, as
+    the loader would, before the file is opened.
+    """
+    with np.errstate(over="ignore"):  # the check below names the overflow
+        features = np.ascontiguousarray(ds.features, dtype="<f4")
+    _check_finite(features, path)
     with atomic_open(path, binary=True) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQQI", _BIN_VERSION, ds.sample_count,
                              ds.feature_count, ds.class_count))
-        fh.write(np.ascontiguousarray(ds.features, dtype="<f4").tobytes())
+        fh.write(features.tobytes())
         fh.write(np.ascontiguousarray(ds.labels, dtype="<u4").tobytes())
 
 
@@ -308,10 +311,13 @@ def load_dataset_bin(path) -> Dataset:
 
 
 def save_dataset_csv(ds: Dataset, path) -> None:
-    features = np.asarray(ds.features, dtype=np.float64).tolist()
+    """Write the CSV layout; non-finite features raise ConfigError, as the
+    loader would, before the file is opened."""
+    features = np.asarray(ds.features, dtype=np.float64)
+    _check_finite(features, path)
     labels = np.asarray(ds.labels, dtype=np.int64).tolist()
     write_csv(path, [f"f{j}" for j in range(ds.feature_count)] + ["label"],
-              [(*x, y) for x, y in zip(features, labels)])
+              [(*x, y) for x, y in zip(features.tolist(), labels)])
 
 
 def load_dataset_csv(path) -> Dataset:
@@ -339,22 +345,16 @@ def load_dataset_csv(path) -> Dataset:
                    np.zeros(len(labels), dtype=np.int64), class_count)
 
 
-def load_dataset(path, fmt: str = "auto") -> Dataset:
-    if fmt == "auto":
-        fmt = "csv" if str(path).endswith(".csv") else "bin"
-    if fmt == "bin":
-        return load_dataset_bin(path)
-    if fmt == "csv":
+def load_dataset(path) -> Dataset:
+    """A ``.csv`` path is read as CSV, any other as MWDS."""
+    if str(path).endswith(".csv"):
         return load_dataset_csv(path)
-    raise ConfigError(f"unknown dataset format: {fmt!r}")
+    return load_dataset_bin(path)
 
 
-def save_dataset(ds: Dataset, path, fmt: str = "auto") -> None:
-    if fmt == "auto":
-        fmt = "csv" if str(path).endswith(".csv") else "bin"
-    if fmt == "bin":
-        save_dataset_bin(ds, path)
-    elif fmt == "csv":
+def save_dataset(ds: Dataset, path) -> None:
+    """A ``.csv`` path is written as CSV, any other as MWDS."""
+    if str(path).endswith(".csv"):
         save_dataset_csv(ds, path)
     else:
-        raise ConfigError(f"unknown dataset format: {fmt!r}")
+        save_dataset_bin(ds, path)

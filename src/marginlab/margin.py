@@ -2,24 +2,26 @@
 iterative boundary search.
 
 ``search_margins`` measures every row of an activation matrix at layer
-``lam``. All estimators start from the same evaluation: the logit
-differences o_j = f_i - f_j from the base class i (the prediction unless
-pinned) and their gradients, optionally projected onto the span of the
-leading principal directions, while distance is still measured in the
-original space. Without a ``SearchConfig`` the engine stops there and
-returns the first-order margin o_j / ||grad o_j|| (Elsayed et al. 2018),
-minimized over the candidate competitors. With one it runs the
-DeepFool-style search (Moosavi-Dezfooli et al. 2016): each row repeatedly
-steps toward its nearest linearized boundary and keeps its best
-(smallest-violation) iterate, stopping row by row or, in batch-mean mode,
-all together when the mean distance settles. Between iterations the engine
-keeps only per-row state: the best iterate with its gap and runner-up
-class, the current iterate, the next step, and the gradients at the
-current iterate with their ReLU activation pattern and per-class norms.
-For a ReLU net the gradients depend only on the base class and that
-pattern, so each iteration runs the forward pass on the active rows and
-backpropagates only the rows whose pattern changed; the others reuse their
-gradients, which are the bits a fresh backprop would give.
+``lam``. Every estimate opens with one evaluation: the logits, the
+predicted (base) class i, the logit differences o_j = f_i - f_j and their
+gradients, optionally projected onto the span of the leading principal
+directions, while distance is still measured in the original space. From
+it one rule picks each row's nearest linearized boundary, the competitor
+minimizing o_j / ||grad o_j||, or finds the row stuck when every gradient
+vanishes. Without a ``SearchConfig`` the engine stops there: the
+first-order margin (Elsayed et al. 2018) is that distance, the search's
+zero-step case. With one it runs the DeepFool-style search
+(Moosavi-Dezfooli et al. 2016): each row repeatedly steps toward its
+nearest linearized boundary and keeps its best (smallest-violation)
+iterate, stopping row by row or, in batch-mean mode, all together when the
+mean distance settles. Between iterations the engine keeps only per-row
+state: the best iterate with its gap and runner-up class, the current
+iterate, the next step, and the gradients at the current iterate with
+their ReLU activation pattern and per-class norms. For a ReLU net the
+gradients depend only on the base class and that pattern, so each
+iteration runs the forward pass on the active rows and backpropagates only
+the rows whose pattern changed; the others reuse their gradients, which
+are the bits a fresh backprop would give.
 
 ``taylor_margin``, ``deepfool_margin`` and the constrained variants are
 one-row calls into the engine, ``deepfool_margin_batch`` an all-rows call.
@@ -40,6 +42,8 @@ from .errors import (
     DomainError,
     UnreachableSubspaceError,
 )
+# forward_batch and logit_diffs_all_batch are imported for the benchmark's
+# tracer (bench/tracing.py), which wraps the nnet calls made through here
 from .nnet import (
     Network,
     _logit_diff_grads,
@@ -83,8 +87,9 @@ class SearchConfig:
         if not 0.0 < self.learning_rate <= 1.0:
             raise DomainError(f"learning_rate must lie in (0, 1], got "
                               f"{self.learning_rate}")
-        if self.stop_tolerance <= 0.0:
-            raise DomainError("stop_tolerance must be positive")
+        if not 0.0 < self.stop_tolerance < np.inf:
+            raise DomainError(f"stop_tolerance must be positive and finite, "
+                              f"got {self.stop_tolerance}")
         if self.max_iters < 1:
             raise DomainError("max_iters must be at least 1")
 
@@ -94,9 +99,8 @@ class MarginResult:
     """Outcome of one margin estimate.
 
     ``d_best`` is the distance to the best near-boundary iterate found
-    (for the closed-form estimators, the linearized distance itself, which
-    can be negative when measured from the true class of a misclassified
-    sample). ``v_best`` is the logit gap |f_i - f_j| at that iterate —
+    (for the closed-form estimators, the linearized distance itself).
+    ``v_best`` is the logit gap |f_i - f_j| at that iterate —
     ``inf`` when no iterate was ever accepted. ``steps`` counts accepted
     updates, in batch mode too. ``trace`` (opt-in) lists (distance,
     violation) per accepted iterate, in order.
@@ -197,6 +201,19 @@ class _RowGradients:
                 [Z[changed] for Z in pres], base[changed])
 
 
+def _nearest_boundary(o, base, norms):
+    """Each row's nearest linearized boundary: the competitor j minimizing
+    |o_j| / ||grad o_j||, that distance, and whether the row is stuck, with
+    no competitor whose gradient norm reaches ``_DEGENERATE``."""
+    r = np.arange(o.shape[0])
+    ratios = np.where(norms < _DEGENERATE, np.inf,
+                      np.abs(o) / np.maximum(norms, _DEGENERATE))
+    ratios[r, base] = np.inf
+    j = np.argmin(ratios, axis=1)
+    dist = ratios[r, j]
+    return j, dist, np.isinf(dist)
+
+
 def _next_step(o, base, grads: _RowGradients, rows, rate: float):
     """Step toward each row's nearest linearized boundary, and the rows
     with no usable descent direction (their step is zero). ``o`` holds the
@@ -211,11 +228,7 @@ def _next_step(o, base, grads: _RowGradients, rows, rate: float):
     r = np.arange(o.shape[0])
     projector = grads.projector
     norms = grads.norms[rows]
-    ratios = np.where(norms < _DEGENERATE, np.inf,
-                      np.abs(o) / np.maximum(norms, _DEGENERATE))
-    ratios[r, base] = np.inf
-    j = np.argmin(ratios, axis=1)
-    stuck = np.all(np.isinf(ratios), axis=1)
+    j, _, stuck = _nearest_boundary(o, base, norms)
     gap = o[r, j] if projector is None else np.abs(o[r, j])
     coef = np.divide(gap, norms[r, j] ** 2, out=np.zeros_like(gap),
                      where=~stuck)
@@ -228,23 +241,22 @@ def _next_step(o, base, grads: _RowGradients, rows, rate: float):
 def search_margins(net: Network, lam: int, X: np.ndarray,
                    cfg: SearchConfig | None = None,
                    pca: PcaModel | None = None, m: int | None = None, *,
-                   batch_mean: bool = False, base_class: int | None = None,
-                   target_class: int | None = None,
-                   second_highest: bool = False,
+                   batch_mean: bool = False,
                    collect_trace: bool = False) -> list[MarginResult | None]:
-    """One margin estimate per row of ``X`` (activations at layer ``lam``).
+    """One margin estimate per row of ``X`` (activations at layer ``lam``),
+    measured from each row's predicted class.
 
-    Without ``cfg``, the closed-form first-order margin: the signed minimum
-    of o_j / ||grad o_j|| over the competitors j (all of them, only
-    ``target_class``, or only the runner-up logit with ``second_highest``),
-    measured from ``base_class`` when given. Competitors whose gradient
-    vanishes are skipped; a row left with none yields None.
+    Without ``cfg``, the closed-form first-order margin: the opening
+    evaluation's nearest-boundary distance o_j / ||grad o_j||, the target
+    of the search's first step. Competitors whose gradient vanishes are
+    skipped; a row left with none is stuck and yields None.
 
     With ``cfg``, the iterative boundary search. By default each row stops
     on its own: its violation rose, its distance settled, it hit
-    ``max_iters`` or it has no descent direction. With ``batch_mean`` the
-    whole batch stops once the mean distance over all rows settles, and each
-    status reports how that row stood then.
+    ``max_iters`` or it has no descent direction (``NO_DESCENT``, where a
+    stuck row stops at once). With ``batch_mean`` the whole batch stops
+    once the mean distance over all rows settles, and each status reports
+    how that row stood then.
 
     ``pca`` and ``m`` restrict the perturbation to the top-``m`` principal
     directions (input space only); distance is still measured in the
@@ -260,11 +272,9 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
     search there backpropagates once.
     """
     X0 = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    s, c = X0.shape[0], net.num_classes
+    s = X0.shape[0]
     if s < 1:
         raise DomainError("margin search needs at least one sample")
-    if base_class is not None and not 0 <= base_class < c:
-        raise DomainError(f"base class {base_class} outside [0, {c})")
     projector = None
     if pca is not None:
         if lam != 0:
@@ -274,37 +284,21 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
             raise DomainError(f"m={m} outside [1, {pca.components.shape[0]}]")
         projector = pca.components[:m]
 
-    base = (np.argmax(forward_batch(net, X0, lam)[-1], axis=1)
-            if base_class is None
-            else np.full(s, base_class, dtype=np.int64))
+    o, logits, pres, base = _logit_diffs(net, lam, X0)
+    grads = _RowGradients(net, lam, projector, pres, base)
 
     if cfg is None:
-        o, G, logits = logit_diffs_all_batch(net, lam, X0, base)
-        pair = _runner_up(logits, base)
-        candidate = np.arange(c) != base[:, None]
-        if target_class is not None:
-            if not 0 <= target_class < c or np.any(base == target_class):
-                raise DomainError(f"target class {target_class} is not a "
-                                  f"competitor of the base class")
-            candidate &= np.arange(c) == target_class
-        elif second_highest:
-            candidate &= np.arange(c) == pair[:, None]
-        norms = _row_norms(G @ projector.T if projector is not None else G)
-        usable = candidate & (norms >= _DEGENERATE)
-        d = np.where(usable, o / np.where(usable, norms, 1.0), np.inf)
-        j = np.argmin(d, axis=1)
-        r = np.arange(s)
-        return [MarginResult(d_best=dk, v_best=abs(ok), class_pair=(b, jk),
+        j, dist, stuck = _nearest_boundary(o, base, grads.norms)
+        gap = np.abs(o[np.arange(s), j])
+        return [None if st else
+                MarginResult(d_best=dk, v_best=vk, class_pair=(b, jk),
                              steps=0, status=SearchStatus.CONVERGED)
-                if found else None
-                for dk, ok, b, jk, found in zip(
-                    d[r, j].tolist(), o[r, j].tolist(), base.tolist(),
-                    j.tolist(), usable.any(axis=1).tolist())]
+                for dk, vk, b, jk, st in zip(
+                    dist.tolist(), gap.tolist(), base.tolist(), j.tolist(),
+                    stuck.tolist())]
 
-    o, logits, pres = _logit_diffs(net, lam, X0, base)
     pair = _runner_up(logits, base)
     bounds = _resolve_bounds(net, lam, cfg)
-    grads = _RowGradients(net, lam, projector, pres, base)
     rows = np.arange(s)
     step, stuck = _next_step(o, base, grads, rows, cfg.learning_rate)
     d_best = np.zeros(s)
@@ -331,7 +325,7 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
         Xp = Xhat[a] - step[a]
         if bounds is not None:
             np.clip(Xp, bounds[0], bounds[1], out=Xp)
-        o, logits, pres = _logit_diffs(net, lam, Xp, base[a])
+        o, logits, pres, _ = _logit_diffs(net, lam, Xp, base[a])
         grads.move(a, pres, base[a])
         next_step, next_stuck = _next_step(o, base[a], grads, a,
                                            cfg.learning_rate)
@@ -394,23 +388,16 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
 # single-sample and batch entry points
 
 
-def taylor_margin(net: Network, lam: int, x_lam: np.ndarray,
-                  target_class: int | None = None,
-                  base_class: int | None = None,
-                  second_highest: bool = False) -> MarginResult:
-    """First-order margin (f_i - f_j) / ||grad(f_i - f_j)|| at one point.
-
-    By default i is the predicted class and the minimum is taken over all
-    competitors. ``target_class`` pins the competitor; ``second_highest``
-    restricts it to the runner-up logit; ``base_class`` measures from a
-    chosen class instead of the prediction (negative for misclassified
-    samples). Competitor pairs whose gradient difference vanishes cannot be
-    reached by a first-order step and are skipped; if every candidate is
+def taylor_margin(net: Network, lam: int,
+                  x_lam: np.ndarray) -> MarginResult:
+    """First-order margin (f_i - f_j) / ||grad(f_i - f_j)|| at one point:
+    the distance to the nearest linearized boundary, from the predicted
+    class i over every competitor j, which is where the search's first step
+    aims. Competitor pairs whose gradient difference vanishes cannot be
+    reached by a first-order step and are skipped; if every competitor is
     degenerate this raises DegenerateGradientError.
     """
-    result = search_margins(net, lam, np.reshape(x_lam, (1, -1)),
-                            base_class=base_class, target_class=target_class,
-                            second_highest=second_highest)[0]
+    result = search_margins(net, lam, np.reshape(x_lam, (1, -1)))[0]
     if result is None:
         raise DegenerateGradientError(
             "every candidate logit-difference gradient vanishes at this point")

@@ -104,18 +104,22 @@ def logit_diffs_all_batch(net: Network, lam: int, X: np.ndarray, base: np.ndarra
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     base = np.asarray(base, dtype=np.int64)
-    o, logits, pres = _logit_diffs(net, lam, X, base)
+    o, logits, pres, _ = _logit_diffs(net, lam, X, base)
     return o, _logit_diff_grads(net, lam, pres, base), logits
 
 
-def _logit_diffs(net: Network, lam: int, X: np.ndarray, base: np.ndarray):
+def _logit_diffs(net: Network, lam: int, X: np.ndarray, base=None):
     """Forward half of :func:`logit_diffs_all_batch`: the logit differences
-    o, the logits, and the pre-activations that :func:`_logit_diff_grads`
-    takes."""
+    o, the logits, the pre-activations that :func:`_logit_diff_grads`
+    takes, and the base classes, which default to each row's prediction
+    (the argmax of its logits)."""
     _check_activations(net, lam, X, len(net.layers) - 1)
     acts, pres = _forward(net, lam, X)
     logits = acts[-1]
-    return logits[np.arange(X.shape[0]), base][:, None] - logits, logits, pres
+    if base is None:
+        base = np.argmax(logits, axis=1)
+    o = logits[np.arange(X.shape[0]), base][:, None] - logits
+    return o, logits, pres, base
 
 
 def _logit_diff_grads(net: Network, lam: int, pres, base: np.ndarray):
@@ -188,8 +192,9 @@ class TrainConfig:
             raise DomainError("epochs must be >= 1")
         if self.batch_size < 1:
             raise DomainError("batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise DomainError("learning_rate must be >= 0")
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise DomainError(f"learning_rate must be finite and >= 0, got "
+                              f"{self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise DomainError("momentum must lie in [0, 1)")
 

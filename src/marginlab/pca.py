@@ -81,22 +81,22 @@ def inverse_transform(pca: PcaModel, Y: np.ndarray) -> np.ndarray:
     return np.asarray(Y, dtype=np.float64) @ pca.components + pca.mean
 
 
-def validate_orthonormal(components: np.ndarray, tol: float = 1e-8) -> bool:
+def validate_orthonormal(components: np.ndarray) -> bool:
     gram = components @ components.T
-    return bool(np.max(np.abs(gram - np.eye(len(components)))) <= tol)
+    return bool(np.max(np.abs(gram - np.eye(len(components)))) <= 1e-8)
 
 
-def select_components_kneedle(pca: PcaModel, sensitivity: float = 1.0,
-                              fallback_share: float = 0.70) -> ElbowChoice:
+def select_components_kneedle(pca: PcaModel) -> ElbowChoice:
     """Pick a component count at the knee of the log10-variance curve.
 
     Kneedle on the concave decreasing curve: normalize both axes to [0, 1],
     reflect y so the curve increases, take the difference series y − x, and
-    walk it; the knee is the last interior local maximum whose
-    sensitivity-adjusted threshold the series later drops below. No smoothing
+    walk it; the knee is the last interior local maximum whose threshold,
+    one x step below it, the series later drops below. No smoothing
     is applied (the curve is an eigenvalue spectrum, already monotone). When no
-    knee exists the smallest count reaching ``fallback_share`` of the total
-    variance is returned with the fallback flagged.
+    knee exists the smallest count reaching 70% of the total variance (or,
+    when the ratios never get there, every component) is returned with the
+    fallback flagged.
     """
     positive = pca.explained_variance[pca.explained_variance > 0]
     k = len(positive)
@@ -120,7 +120,7 @@ def select_components_kneedle(pca: PcaModel, sensitivity: float = 1.0,
                             and yd[idx] >= yd[idx + 1])
             if is_local_max:
                 current_max = idx
-                threshold = yd[idx] - sensitivity * step
+                threshold = yd[idx] - step
             elif current_max is not None and yd[idx] < threshold:
                 knee_original_index = (k - 1) - current_max
                 break
@@ -129,7 +129,7 @@ def select_components_kneedle(pca: PcaModel, sensitivity: float = 1.0,
         return ElbowChoice(m=knee_original_index + 1, curve=curve, fallback_used=False)
 
     cumulative = np.cumsum(pca.explained_ratio[:k])
-    reached = np.nonzero(cumulative >= fallback_share - 1e-12)[0]
+    reached = np.nonzero(cumulative >= 0.70 - 1e-12)[0]
     m = int(reached[0]) + 1 if reached.size else k
     return ElbowChoice(m=m, curve=curve, fallback_used=True)
 

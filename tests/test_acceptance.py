@@ -420,9 +420,8 @@ def test_perturbation_shares_concentrate_on_injected_component():
         for value in share.p_share:
             running += float(value)
             prefix.append(running)
-        assert np.allclose(share.cumulative, prefix, rtol=0.0, atol=1e-12)
-
         cum = cumulative_share(share.p_share, pca.explained_ratio)
+        assert np.allclose(cum.cumulative, prefix, rtol=0.0, atol=1e-12)
         ratio_prefix = np.cumsum(pca.explained_ratio)
         expect_70 = next((k + 1 for k, v in enumerate(ratio_prefix)
                           if v >= 0.70 - 1e-12), ratio_prefix.size)

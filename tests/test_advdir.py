@@ -38,7 +38,8 @@ def test_even_two_component_split():
     assert share.p_share[0] == pytest.approx(0.5, abs=1e-12)
     assert share.p_share[1] == pytest.approx(0.5, abs=1e-12)
     assert share.p_share[2] == 0.0
-    assert np.allclose(share.cumulative, [0.5, 1.0, 1.0])
+    cum = cumulative_share(share.p_share, pca.explained_ratio)
+    assert np.allclose(cum.cumulative, [0.5, 1.0, 1.0])
 
 
 def test_random_perturbations_match_column_sum_oracle():
@@ -53,8 +54,9 @@ def test_random_perturbations_match_column_sum_oracle():
     expect = B.sum(axis=0) / B.sum()
     assert np.allclose(share.p_share, expect, atol=1e-12)
     assert share.p_share.sum() == pytest.approx(1.0, abs=1e-10)
-    assert np.all(np.diff(share.cumulative) >= -1e-15)
-    assert share.cumulative[-1] == pytest.approx(1.0, abs=1e-10)
+    cum = cumulative_share(share.p_share, pca.explained_ratio).cumulative
+    assert np.all(np.diff(cum) >= -1e-15)
+    assert cum[-1] == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(share.b_adv.max(axis=1), 1.0)
 
 

@@ -124,6 +124,21 @@ def test_out_of_memory_exits_2(capsys, tmp_path, monkeypatch, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spread,suffix", [
+    ("1e308", "csv"), ("1e308", "mwds"), ("inf", "csv"), ("inf", "mwds"),
+    ("1e39", "mwds")])
+def test_gen_data_non_finite_features_exit_2(capsys, tmp_path, spread,
+                                             suffix):
+    # the writer refuses what the loaders would reject: float64 overflow
+    # (1e308, inf), or overflow of the MWDS layout's f32 (1e39)
+    out = tmp_path / f"blobs.{suffix}"
+    code, out_text, err = run(capsys, "gen-data", "--spread", spread,
+                              "--seed", 0, "--out", out)
+    assert (code, out_text) == (2, "")
+    assert "non-finite features" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # training
 
@@ -152,6 +167,27 @@ def test_train_determinism(capsys, tmp_path):
     p1, _ = train(capsys, tmp_path, data, name="m1.json")
     p2, _ = train(capsys, tmp_path, data, name="m2.json")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("measure", "--tol", "inf"), ("measure", "--tol", "nan"),
+    ("train", "--learning-rate", "nan"), ("train", "--learning-rate", "inf")])
+def test_non_finite_settings_exit_2(capsys, tmp_path, command, flag, value):
+    # an infinite tolerance used to stop every search at once, a NaN one
+    # switched the stop rule off, and a non-finite rate trained to exit 3
+    data = gen(capsys, tmp_path)
+    out = tmp_path / "out.csv"
+    if command == "measure":
+        model_path, _ = train(capsys, tmp_path, data)
+        argv = ["measure", "--model", model_path, "--data", data,
+                "--estimator", "deepfool"]
+    else:
+        argv = ["train", "--data", data, "--hidden", "8", "--epochs", 2,
+                "--batch-size", 16, "--seed", 0]
+    code, out_text, err = run(capsys, *argv, flag, value, "--out", out)
+    assert (code, out_text) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -217,10 +217,8 @@ def test_max_margin_matches_brute_force():
         assert got[i] == pytest.approx(best, abs=1e-12)
 
 
-def test_max_margin_index_subset_and_single_class_error():
+def test_max_margin_single_class_error():
     ds = _toy_dataset()
-    got = max_margin(ds, indices=[1, 3])
-    assert np.allclose(got, [np.sqrt(18.0), 5.0])
     single = Dataset(ds.features, np.zeros(4, dtype=np.int64), ds.lower, ds.upper,
                      np.zeros(4, dtype=np.int64), class_count=2)
     with pytest.raises(DomainError):
@@ -338,13 +336,39 @@ def test_loaders_reject_non_finite_features(tmp_path, fmt, value):
     from marginlab.errors import ConfigError
 
     ds = gen_blobs(BlobConfig(classes=2, samples_per_class=5, dim=3, spread=1.0, seed=4))
-    ds.features[3, 1] = value
     path = tmp_path / f"blobs.{fmt}"
     save, load = ((save_dataset_csv, load_dataset_csv) if fmt == "csv"
                   else (save_dataset_bin, load_dataset_bin))
     save(ds, path)
+    # the writers refuse a non-finite cell, so plant it in the file itself
+    if fmt == "csv":
+        lines = path.read_text().splitlines()
+        cells = lines[4].split(",")  # data row 3, after the header
+        cells[1] = repr(float(value))
+        lines[4] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+    else:
+        raw = bytearray(path.read_bytes())
+        at = 4 + 24 + (3 * 3 + 1) * 4  # MWDS header, then f32 cell (3, 1)
+        raw[at:at + 4] = np.float32(value).tobytes()
+        path.write_bytes(bytes(raw))
     with pytest.raises(ConfigError, match="non-finite"):
         load(path)
+
+
+# 1e300 is finite in float64 but overflows the MWDS layout's f32
+@pytest.mark.parametrize("fmt,value", [
+    (fmt, value) for fmt in ("csv", "bin")
+    for value in (np.nan, np.inf, -np.inf)] + [("bin", 1e300)])
+def test_writers_refuse_what_the_loaders_reject(tmp_path, fmt, value):
+    from marginlab.errors import ConfigError
+
+    ds = gen_blobs(BlobConfig(classes=2, samples_per_class=5, dim=3, spread=1.0, seed=4))
+    ds.features[3, 1] = value
+    save = save_dataset_csv if fmt == "csv" else save_dataset_bin
+    with pytest.raises(ConfigError, match="non-finite"):
+        save(ds, tmp_path / f"blobs.{fmt}")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_loader_rejects_infinite_label(tmp_path):

@@ -29,7 +29,6 @@ from marginlab.nnet import (
     TrainConfig,
     forward_batch,
     init_network,
-    logit_diffs_all_batch,
     predict_batch,
     train_sgd,
 )
@@ -135,49 +134,85 @@ def test_row_norms_match_linalg_norm_bit_for_bit(shape):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("base_class", [None, 2])
-def test_closed_form_search_makes_one_gradient_call(monkeypatch, base_class):
+@pytest.mark.parametrize("m", [None, 2])
+def test_closed_form_search_makes_one_gradient_call(monkeypatch, m):
+    # the closed form is the search's opening evaluation alone: one forward
+    # and one backward pass over every row, with or without a projector
     rng = np.random.default_rng(29)
     net = random_affine(rng, dim=5, classes=4)
     X = rng.normal(size=(40, 5))
-    assert np.any(predict_batch(net, X) != 0)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return logit_diffs_all_batch(*args)
-
-    monkeypatch.setattr(marginlab.margin, "logit_diffs_all_batch", counted)
-    results = search_margins(net, 0, X, base_class=base_class)
-    assert len(calls) == 1
+    pca = None if m is None else fit_pca(X)
+    seen = _count_rows(monkeypatch)
+    results = search_margins(net, 0, X, pca=pca, m=m)
+    assert seen == {"evaluated": [40], "backprop": [40]}
     assert len(results) == 40
 
 
-def test_taylor_margin_target_and_second_highest():
-    rng = np.random.default_rng(23)
-    net = random_affine(rng, dim=5, classes=4)
-    x = rng.normal(size=5)
-    logits = forward_batch(net, x[None, :])[-1][0]
-    i = int(np.argmax(logits))
-    runner = int(np.argmax(np.where(np.arange(4) == i, -np.inf, logits)))
-    r2 = taylor_margin(net, 0, x, second_highest=True)
-    assert r2.class_pair == (i, runner)
-    for j in range(4):
-        if j == i:
-            continue
-        rt = taylor_margin(net, 0, x, target_class=j)
-        assert rt.class_pair == (i, j)
-        w = net.layers[0].weights
-        d = (logits[i] - logits[j]) / np.linalg.norm(w[i] - w[j])
-        assert rt.d_best == pytest.approx(d, abs=1e-12)
+@pytest.mark.parametrize("cfg", [None, SearchConfig(stop_tolerance=1e-3)],
+                         ids=["closed-form", "search"])
+def test_search_opens_with_one_forward_pass(monkeypatch, cfg):
+    # one forward pass gives the base class, the logit differences and the
+    # pre-activations of the opening backward pass
+    rng = np.random.default_rng(37)
+    net = init_network(5, [12], 4, seed=2)
+    X = 2.0 * rng.normal(size=(30, 5))
+    forwards, before_backprop = [], []
+    forward = marginlab.nnet._forward
+    grads = marginlab.margin._logit_diff_grads
+
+    def counted_forward(net, lam, A):
+        forwards.append(len(A))
+        return forward(net, lam, A)
+
+    def counted_grads(net, lam, pres, base):
+        before_backprop.append(len(forwards))
+        return grads(net, lam, pres, base)
+
+    monkeypatch.setattr(marginlab.nnet, "_forward", counted_forward)
+    monkeypatch.setattr(marginlab.margin, "_logit_diff_grads", counted_grads)
+    results = search_margins(net, 0, X, cfg)
+    assert before_backprop[0] == 1
+    if cfg is None:
+        assert forwards == [30]
+    else:
+        assert len(forwards) > 2
+        assert any(r.steps > 1 for r in results)
 
 
-def test_taylor_margin_true_class_base_goes_negative_when_misclassified():
-    net = two_class_line()
-    # x = (0.2, 0): predicted class is 1, but ask from the viewpoint of class 0
-    r = taylor_margin(net, 0, np.array([0.2, 0.0]), base_class=0)
-    assert r.d_best == pytest.approx(-0.3, abs=1e-15)
-    assert r.v_best == pytest.approx(0.6, abs=1e-15)
+def _dead_relu_net():
+    """Two hidden ReLUs, both off wherever x0 <= 1, under three logits:
+    f0 = 1, f1 = h1 + h2 and f2 = h1 / 2 with h1 = relu(x0 - 1) and
+    h2 = relu(2 x0 - 2). Where the units are off every gradient vanishes;
+    beyond, class 1 overtakes class 0 at x0 = 4/3."""
+    hidden = DenseLayer(weights=np.array([[1.0, 0.0], [2.0, 0.0]]),
+                        bias=np.array([-1.0, -2.0]), activation="relu")
+    out = DenseLayer(weights=np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.0]]),
+                     bias=np.array([1.0, 0.0, 0.0]), activation="none")
+    return Network(layers=[hidden, out], input_dim=2, num_classes=3,
+                   norm_meta=None)
+
+
+@pytest.mark.parametrize("batch_mean", [False, True])
+def test_closed_form_none_rows_are_the_search_no_descent_rows(batch_mean):
+    # "stuck" is decided once, by the opening's nearest-boundary rule: the
+    # closed form returns None exactly where the search stops at NO_DESCENT
+    net = _dead_relu_net()
+    x0 = np.arange(-8, 25) / 8.0  # x0 = 1 exactly: relu'(0) = 0, stuck too
+    X = np.column_stack([x0, np.random.default_rng(3).normal(size=x0.size)])
+    closed = search_margins(net, 0, X)
+    searched = search_margins(net, 0, X, SearchConfig(),
+                              batch_mean=batch_mean)
+    dead = np.flatnonzero(x0 <= 1.0).tolist()
+    assert [k for k, r in enumerate(closed) if r is None] == dead
+    assert [k for k, r in enumerate(searched)
+            if r.status is SearchStatus.NO_DESCENT] == dead
+    for k in dead:
+        r = searched[k]
+        assert (r.steps, r.d_best, r.v_best) == (0, 0.0, np.inf)
+        assert np.array_equal(r.boundary_point, X[k])
+    live = np.flatnonzero(x0 > 1.0)
+    assert all(closed[k].d_best > 0.0 for k in live)
+    assert all(searched[k].steps > 0 for k in live)
 
 
 def test_taylor_margin_degenerate_pair_errors():
@@ -186,8 +221,6 @@ def test_taylor_margin_degenerate_pair_errors():
     net = Network(layers=[layer], input_dim=2, num_classes=2, norm_meta=None)
     with pytest.raises(DegenerateGradientError):
         taylor_margin(net, 0, np.array([1.0, 2.0]))
-    with pytest.raises(DegenerateGradientError):
-        taylor_margin(net, 0, np.array([1.0, 2.0]), target_class=1)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +332,12 @@ def test_search_config_validation():
         SearchConfig(learning_rate=0.0)
     with pytest.raises(DomainError):
         SearchConfig(learning_rate=1.2)
-    with pytest.raises(DomainError):
-        SearchConfig(stop_tolerance=0.0)
+    for tol in (0.0, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            SearchConfig(stop_tolerance=tol)
+    for rate in (np.inf, np.nan):
+        with pytest.raises(DomainError):
+            SearchConfig(learning_rate=rate)
     with pytest.raises(DomainError):
         SearchConfig(max_iters=0)
 
@@ -586,7 +623,7 @@ def _count_rows(monkeypatch):
     diffs = marginlab.margin._logit_diffs
     grads = marginlab.margin._logit_diff_grads
 
-    def evaluated(net, lam, X, base):
+    def evaluated(net, lam, X, base=None):
         seen["evaluated"].append(len(X))
         return diffs(net, lam, X, base)
 

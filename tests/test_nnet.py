@@ -296,8 +296,9 @@ def test_train_config_validation():
         TrainConfig(epochs=0, batch_size=8, learning_rate=0.1)
     with pytest.raises(DomainError):
         TrainConfig(epochs=1, batch_size=0, learning_rate=0.1)
-    with pytest.raises(DomainError):
-        TrainConfig(epochs=1, batch_size=8, learning_rate=-0.1)
+    for rate in (-0.1, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            TrainConfig(epochs=1, batch_size=8, learning_rate=rate)
 
 
 # ---------------------------------------------------------------------------

@@ -147,11 +147,15 @@ def test_kneedle_needs_three_positive_variances():
         select_components_kneedle(zeroed)
 
 
-def test_kneedle_respects_sensitivity():
-    p = _model_with_variances(10.0 ** np.array([0.0, -0.1, -0.2, -3.0, -3.1, -3.2]))
-    # with an enormous sensitivity the threshold is never crossed -> fallback
-    choice = select_components_kneedle(p, sensitivity=50.0)
+def test_kneedle_truncated_basis_falls_back_to_every_component():
+    # no knee (log-linear), and a truncated basis whose ratios sum to
+    # 15/60 never reaches the 70% fallback share: every component is kept
+    p = _model_with_variances([8.0, 4.0, 2.0, 1.0])
+    p = PcaModel(p.mean, p.components, p.explained_variance,
+                 p.explained_variance / 60.0)
+    choice = select_components_kneedle(p)
     assert choice.fallback_used is True
+    assert choice.m == 4
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ match); the granulated variant averages tau over single-axis model groups;
 ``cmi_score`` runs a plug-in conditional-independence estimate over sign
 patterns. The last two read a ``ModelTable``, the models as columns of
 integer-coded tokens and float values. All three count pairs with one
-numpy kernel, ``_concordance``, which evaluates the same double sum in
-blocks of rows, so no statistic loops over pairs in Python or holds an
-n x n temporary. Signatures condense a margin distribution into five
-robust statistics that feed a small ridge-stabilized linear predictor.
+numpy kernel, ``_concordance``, which evaluates the same double sum with
+each model compared only with the other members of its own group, a few
+groups or rows at a time, so no statistic loops over pairs in Python,
+compares pairs across groups, or holds an n x n temporary. Signatures
+condense a margin distribution into five robust statistics that feed a
+small ridge-stabilized linear predictor.
 """
 
 from __future__ import annotations
@@ -153,12 +155,18 @@ def _concordance(values, targets, groups=None) -> tuple[np.ndarray,
     way and discordant when they order it oppositely; a tie in either
     coordinate, including any comparison with NaN, counts as neither.
     ``groups`` gives each element a non-negative integer group id (default:
-    one group); the counts come back as int64 arrays indexed by group id.
+    one group); the counts come back as int64 arrays indexed by group id,
+    zero at ids no group of two or more uses.
 
-    Rows are sorted by group and compared one block at a time against the
-    columns of that block's own groups only, so temporaries stay
-    O(block x n) and small groups cost little. Every ordered pair is
-    counted, and both orders of a pair agree, so the halved sums are exact.
+    Each group's members fill one row of a NaN-padded (groups x m) matrix,
+    and members are compared only with the m slots of their own row; the
+    NaN padding ties with everything, so it adds no counts. Groups are
+    taken smallest first and stacked while their padded rows hold at most
+    ``_BLOCK`` members, so each step is padded only to its own largest
+    group. A group of more than ``_BLOCK`` members is compared ``_BLOCK``
+    rows at a time, so temporaries stay O(block x m). Every ordered pair
+    is counted, and both orders of a pair agree, so the halved sums are
+    exact.
     """
     v = np.asarray(values, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
@@ -166,21 +174,44 @@ def _concordance(values, targets, groups=None) -> tuple[np.ndarray,
         g = np.zeros(v.size, dtype=np.intp)
     else:
         g = np.asarray(groups, dtype=np.intp)
-        order = np.argsort(g, kind="stable")
-        v, t, g = v[order], t[order], g[order]
-    count = int(g[-1]) + 1
-    bounds = np.searchsorted(g, np.arange(count + 1))
-    concordant = np.zeros(count, dtype=np.int64)
-    discordant = np.zeros(count, dtype=np.int64)
-    for r0 in range(0, v.size, _BLOCK):
-        r1 = min(r0 + _BLOCK, v.size)
-        c0, c1 = bounds[g[r0]], bounds[g[r1 - 1] + 1]
-        agree = (_compare(v[r0:r1, None], v[None, c0:c1])
-                 * _compare(t[r0:r1, None], t[None, c0:c1]))
-        if g[r0] != g[r1 - 1]:
-            agree *= g[r0:r1, None] == g[None, c0:c1]
-        np.add.at(concordant, g[r0:r1], np.count_nonzero(agree > 0, axis=1))
-        np.add.at(discordant, g[r0:r1], np.count_nonzero(agree < 0, axis=1))
+    sizes = np.bincount(g)
+    concordant = np.zeros(sizes.size, dtype=np.int64)
+    discordant = np.zeros(sizes.size, dtype=np.int64)
+
+    # groups of two or more members, smallest first, and their members in
+    # that order; a singleton has no pairs
+    ids = np.argsort(sizes, kind="stable")
+    ids = ids[sizes[ids] >= 2]
+    starts = np.concatenate(([0], np.cumsum(sizes[ids])))
+    rank = np.full(sizes.size, ids.size, dtype=np.intp)
+    rank[ids] = np.arange(ids.size)
+    order = np.argsort(rank[g], kind="stable")[:starts[-1]]
+    row = rank[g[order]]
+    slot = np.arange(order.size) - starts[row]
+    v, t = v[order], t[order]
+
+    i = 0
+    while i < ids.size:
+        # the most groups whose rows, padded to the last one, fit a step
+        window = sizes[ids[i:i + _BLOCK]]
+        k = max(1, int(np.count_nonzero(
+            np.arange(1, window.size + 1) * window <= _BLOCK)))
+        j = i + k
+        m = int(window[k - 1])
+        a, b = starts[i], starts[j]
+        pv = np.full((k, m), np.nan)
+        pt = np.full((k, m), np.nan)
+        pv[row[a:b] - i, slot[a:b]] = v[a:b]
+        pt[row[a:b] - i, slot[a:b]] = t[a:b]
+        rows = _BLOCK // k
+        for r0 in range(0, m, rows):
+            r1 = r0 + rows
+            agree = (_compare(pv[:, r0:r1, None], pv[:, None, :])
+                     * _compare(pt[:, r0:r1, None], pt[:, None, :]))
+            agree = agree.reshape(k, -1)
+            concordant[ids[i:j]] += np.count_nonzero(agree > 0, axis=1)
+            discordant[ids[i:j]] += np.count_nonzero(agree < 0, axis=1)
+        i = j
     return concordant // 2, discordant // 2
 
 
@@ -192,14 +223,21 @@ def kendall_tau(pairs: Sequence[tuple[float, float]] | np.ndarray) -> float:
     """Rank correlation from the defining double sum over ordered pairs.
 
     ``pairs`` holds (measure, target) pairs, as a sequence or an (n x 2)
-    array. Tied pairs contribute zero in either coordinate; the
-    normalization is n(n-1), so heavy ties shrink |tau| rather than being
-    renormalized away.
+    array; anything else is a ``DomainError``. Tied pairs contribute zero
+    in either coordinate; the normalization is n(n-1), so heavy ties
+    shrink |tau| rather than being renormalized away.
     """
-    n = len(pairs)
+    try:
+        array = np.asarray(pairs, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"kendall_tau needs numeric pairs: {exc}") from exc
+    if array.ndim != 2 or array.shape[1] != 2:
+        raise DomainError(f"kendall_tau needs an (n x 2) array of pairs, "
+                          f"got shape {array.shape}")
+    n = len(array)
     if n < 2:
         raise DomainError("kendall_tau needs at least two pairs")
-    measure, target = np.asarray(pairs, dtype=np.float64).T
+    measure, target = array.T
     concordant, discordant = _concordance(measure, target)
     return _tau(int(concordant[0]), int(discordant[0]), n)
 

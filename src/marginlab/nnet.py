@@ -268,8 +268,10 @@ def _run_epochs(net: Network, X, y, rng, config: TrainConfig) -> float:
                         delta = delta * (pres[k - 1] > 0.0)
 
             for k, layer in enumerate(layers):
-                vel_w[k] = config.momentum * vel_w[k] + grads_w[k]
-                vel_b[k] = config.momentum * vel_b[k] + grads_b[k]
+                vel_w[k] *= config.momentum
+                vel_w[k] += grads_w[k]
+                vel_b[k] *= config.momentum
+                vel_b[k] += grads_b[k]
                 layer.weights[...] -= config.learning_rate * vel_w[k]
                 layer.bias[...] -= config.learning_rate * vel_b[k]
 

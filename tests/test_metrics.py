@@ -133,6 +133,19 @@ def test_kendall_needs_two_pairs():
         kendall_tau([(1.0, 1.0)])
 
 
+@pytest.mark.parametrize("pairs", [
+    [1.0, 2.0],                  # not pairs at all
+    [(1, 2, 3), (4, 5, 6)],      # triples
+    [(1.0, 2.0), (3.0,)],        # ragged
+    [(1.0, 2.0), ("x", 3.0)],    # not numeric
+    np.zeros((3, 2, 1)),
+    7.0,
+])
+def test_kendall_rejects_malformed_pairs(pairs):
+    with pytest.raises(DomainError):
+        kendall_tau(pairs)
+
+
 def test_kendall_matches_pair_count_oracle_with_ties():
     rng = np.random.default_rng(61)
     for _ in range(100):
@@ -486,6 +499,114 @@ def test_kendall_memory_stays_linear_in_n():
     tracemalloc.start()
     try:
         kendall_tau(pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def oracle_counts(values, targets, groups):
+    """Concordant and discordant unordered pairs inside each group, one
+    pair at a time."""
+    members = {}
+    for k, gid in enumerate(groups):
+        members.setdefault(gid, []).append(k)
+    concordant = [0] * (max(groups) + 1)
+    discordant = [0] * (max(groups) + 1)
+    for gid, rows in members.items():
+        for a, b in itertools.combinations(rows, 2):
+            s = (int(values[a] > values[b]) - int(values[a] < values[b])) * \
+                (int(targets[a] > targets[b]) - int(targets[a] < targets[b]))
+            concordant[gid] += s > 0
+            discordant[gid] += s < 0
+    return concordant, discordant
+
+
+def assert_kernel_matches_oracle(values, targets, groups):
+    concordant, discordant = metrics._concordance(values, targets, groups)
+    assert concordant.dtype == discordant.dtype == np.int64
+    expect = oracle_counts(values, targets, groups)
+    assert (concordant.tolist(), discordant.tolist()) == expect
+
+
+def skewed_layout(rng, n):
+    """Group ids for n elements with a few large groups among many small
+    ones and singletons, shuffled, with some ids left unused."""
+    sizes = rng.zipf(1.6, size=n)
+    ids = np.repeat(np.arange(sizes.size), sizes)[:n]
+    unused = rng.integers(0, 3, size=ids.max() + 1).cumsum()
+    return rng.permutation(ids + unused[ids])
+
+
+def test_kernel_group_larger_than_block_beside_singletons():
+    rng = np.random.default_rng(163)
+    groups = np.concatenate([np.zeros(300, dtype=np.intp),
+                             np.arange(1, 201), np.full(9, 201)])
+    groups = rng.permutation(groups)
+    values = rng.integers(0, 20, size=groups.size).astype(float)
+    targets = rng.normal(size=groups.size)
+    assert_kernel_matches_oracle(values, targets, groups)
+
+
+def test_kernel_unused_group_ids_count_zero():
+    rng = np.random.default_rng(167)
+    groups = rng.permutation(np.repeat([3, 7, 8, 20], [6, 1, 40, 5]))
+    values = rng.normal(size=groups.size)
+    targets = values + rng.normal(size=groups.size)
+    concordant, discordant = metrics._concordance(values, targets, groups)
+    assert concordant.shape == discordant.shape == (21,)
+    unused = np.setdiff1d(np.arange(21), [3, 8, 20])
+    assert not concordant[unused].any() and not discordant[unused].any()
+    assert_kernel_matches_oracle(values, targets, groups)
+
+
+def test_kernel_only_singletons_count_nothing():
+    rng = np.random.default_rng(173)
+    groups = rng.permutation(600) + 5
+    values, targets = rng.normal(size=(2, 600))
+    concordant, discordant = metrics._concordance(values, targets, groups)
+    assert concordant.shape == discordant.shape == (605,)
+    assert not concordant.any() and not discordant.any()
+
+
+def test_kernel_non_finite_and_signed_zero_cells_tie_as_compared():
+    rng = np.random.default_rng(179)
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0])
+    for _ in range(5):
+        groups = skewed_layout(rng, 400)
+        values = rng.choice(specials, size=groups.size)
+        targets = rng.choice(specials, size=groups.size)
+        assert_kernel_matches_oracle(values, targets, groups)
+
+
+@pytest.mark.parametrize("block", range(1, 10))
+def test_kernel_matches_pair_loop_for_small_blocks(block):
+    rng = np.random.default_rng(181 + block)
+    with mock.patch.object(metrics, "_BLOCK", block):
+        for n in (1, 2, 7, 60, 150):
+            groups = skewed_layout(rng, n)
+            values = rng.integers(0, 4, size=n).astype(float)
+            targets = rng.normal(size=n)
+            targets[::5] = np.nan
+            assert_kernel_matches_oracle(values, targets, groups)
+        # no groups: one group of every element
+        concordant, discordant = metrics._concordance(values, targets)
+        assert (concordant.tolist(), discordant.tolist()) == \
+            oracle_counts(values, targets, [0] * n)
+
+
+@pytest.mark.parametrize("small", [1, 2])
+def test_kernel_memory_pads_each_step_only_to_its_own_groups(small):
+    # one 4000-member group beside 4000 more elements in groups of
+    # ``small``; padding every group to the largest would take 61 MiB or
+    # more
+    rng = np.random.default_rng(191)
+    groups = rng.permutation(np.concatenate([
+        np.zeros(4000, dtype=np.intp), 1 + np.arange(4000) // small]))
+    values, targets = rng.normal(size=(2, groups.size))
+    tracemalloc.start()
+    try:
+        metrics._concordance(values, targets, groups)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

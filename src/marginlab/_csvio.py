@@ -2,9 +2,9 @@
 file the package reads or writes.
 
 The reader parses a whole file body in one numpy call, whose parser rounds
-each cell exactly as ``float()`` does; the writer joins a row's cells in
-one pass, a float as its ``repr``, so a table written here reads back into
-the same bits.
+each cell exactly as ``float()`` does. The writer takes a table as columns
+and formats each column once by its dtype, a float as its ``repr``, so a
+table written here reads back into the same bits.
 """
 
 from __future__ import annotations
@@ -97,24 +97,52 @@ def read_numeric_csv(path) -> tuple[list[str] | None, np.ndarray]:
     return header, _scan(path, lines, header)
 
 
-# how a cell is written when its str() is not what the reader takes back;
-# the str() of a float is its repr
-_SPECIAL = {type(None): lambda _: "",
-            bool: lambda value: "true" if value else "false"}
+# rows formatted per step: only one block's cell strings are held at once
+_BLOCK_ROWS = 128
 
 
-def csv_text(header, rows) -> str:
-    """The table as CSV text: a one-line header, then one line per row,
-    with a bool written ``true``/``false`` and None as an empty cell."""
-    lines = [",".join(header)]
-    lines += [",".join([_SPECIAL.get(type(c), str)(c) for c in row])
-              for row in rows]
-    return "\n".join(lines) + "\n"
+def _cells(values: np.ndarray, missing: np.ndarray | None) -> list[str]:
+    """One column's cells as text, formatted once for the whole column by
+    its dtype: a float as its ``repr``, a bool as ``true``/``false``,
+    anything else (int, str, object) by ``str``; a missing cell is empty."""
+    kind = values.dtype.kind
+    if kind == "b":
+        cells = np.where(values, "true", "false").tolist()
+    else:
+        cells = list(map(repr if kind == "f" else str, values.tolist()))
+    if missing is not None:
+        for k in np.flatnonzero(missing).tolist():
+            cells[k] = ""
+    return cells
 
 
-def write_csv(path, header, rows) -> None:
-    """Write the table atomically; a row that fails to format leaves the
-    file at ``path`` as it was."""
-    text = csv_text(header, rows)
+def _text_blocks(header, columns):
+    """The table as CSV text, the header line first and then a block of
+    rows at a time."""
+    pairs = [c if isinstance(c, tuple) else (c, None) for c in columns]
+    rows = {len(values) for values, _ in pairs}
+    if len(rows) > 1:
+        raise ValueError(f"CSV columns differ in length: {sorted(rows)}")
+    yield ",".join(header) + "\n"
+    for i in range(0, rows.pop() if rows else 0, _BLOCK_ROWS):
+        j = i + _BLOCK_ROWS
+        cells = [_cells(values[i:j], None if missing is None else missing[i:j])
+                 for values, missing in pairs]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def csv_text(header, columns) -> str:
+    """The table as CSV text: a one-line header, then one line per row.
+
+    Each column is a NumPy array, or a ``(values, missing)`` pair of arrays
+    whose boolean ``missing`` marks the cells written empty; see ``_cells``
+    for how a cell is written.
+    """
+    return "".join(_text_blocks(header, columns))
+
+
+def write_csv(path, header, columns) -> None:
+    """Write the table of ``csv_text`` atomically; a column that fails to
+    format leaves the file at ``path`` as it was."""
     with atomic_open(path) as fh:
-        fh.write(text)
+        fh.writelines(_text_blocks(header, columns))

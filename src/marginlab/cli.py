@@ -49,6 +49,7 @@ from .errors import (
 )
 from .margin import (
     SearchConfig,
+    SearchStatus,
     compute_total_variation,
     search_margins,
     tv_normalize,
@@ -108,6 +109,18 @@ def _mean(values) -> float | None:
     return float(np.mean(vals)) if vals else None
 
 
+def _optional(values, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as one table column, a None among them a missing cell."""
+    return (np.array([0 if v is None else v for v in values], dtype=dtype),
+            np.array([v is None for v in values], dtype=bool))
+
+
+def _texts(values) -> np.ndarray:
+    """``values`` as a table column written by ``str``: an object array,
+    which keeps every Python int and every string as it is."""
+    return np.array(values, dtype=object)
+
+
 # ---------------------------------------------------------------------------
 # pipeline steps shared by the single commands and the sweep
 
@@ -135,14 +148,21 @@ def _measure_correct(net, X, labels, layer: int, search, pca=None, m=None,
     correctly, or of every row with ``keep_all``.
 
     Returns every row's activations at ``layer``, the kept row indices and
-    one ``search_margins`` result per kept row.
+    the ``search_margins`` table of the kept rows.
     """
     acts = forward_batch(net, X)
     kept = (np.arange(len(labels)) if keep_all else
             np.flatnonzero(np.argmax(acts[-1], axis=1) == labels))
-    results = (search_margins(net, layer, acts[layer][kept], search, pca, m,
-                              batch_mean=batch_mean) if kept.size else [])
-    return acts[layer], kept, results
+    table = search_margins(net, layer, acts[layer][kept], search, pca, m,
+                           batch_mean=batch_mean)
+    return acts[layer], kept, table
+
+
+def _clip_box(net, ds: Dataset):
+    """The clip box of ``net``'s input-space searches on the dataset ``ds``:
+    None when the model's normalization carries one, else the bounds of
+    ``ds``, whose raw features such a model takes as they are."""
+    return None if net.norm_meta is not None else (ds.lower, ds.upper)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +229,8 @@ def _cmd_train(args) -> None:
 _DEEPFOOL_ESTIMATORS = ("deepfool", "constrained-deepfool")
 _ESTIMATORS = ("taylor", "deepfool", "constrained-taylor",
                "constrained-deepfool")
+# the measure CSV's status text, indexed by a MarginTable's status codes
+_STATUS_TEXT = np.array([status.value for status in SearchStatus])
 
 
 def _resolve_subspace(args, X):
@@ -250,52 +272,49 @@ def _cmd_measure(args) -> None:
                           f"the model takes {net.input_dim}")
     X = _model_inputs(net, raw)
     cfg = SearchConfig(learning_rate=args.gamma, stop_tolerance=args.tol,
-                       max_iters=args.max_iters)
+                       max_iters=args.max_iters, bounds=_clip_box(net, raw))
     pca, m = _resolve_subspace(args, X) if constrained else (None, None)
 
     search = None if args.estimator.endswith("taylor") else cfg
-    acts, kept, results = _measure_correct(
+    acts, kept, table = _measure_correct(
         net, X, raw.labels, args.layer, search, pca, m,
         batch_mean=args.batch, keep_all=args.include_misclassified)
     skipped = int(raw.sample_count - kept.size)
     # a closed-form row without a usable gradient has no margin
-    no_margin = "unreachable" if constrained else "degenerate"
-    rows = [(idx, None, None, None, no_margin, None, None, None)
-            if res is None else
-            (idx, res.d_best, res.v_best, res.steps, res.status.value,
-             *res.class_pair, res.left_subspace)
-            for idx, res in zip(kept.tolist(), results)]
-    margins = [res.d_best for res in results if res is not None]
-    degenerate = len(results) - len(margins)
+    stuck = table.stuck
+    margins = table.d_best[~stuck]
+    status = np.where(stuck, "unreachable" if constrained else "degenerate",
+                      _STATUS_TEXT[table.status])
 
     header = ["sample_index", "margin", "violation", "steps", "status",
               "base_class", "competitor_class", "left_subspace"]
+    columns = [kept, (table.d_best, stuck), (table.v_best, stuck),
+               (table.steps, stuck), status, (table.base, stuck),
+               (table.competitor, stuck), (table.left_subspace, stuck)]
     summary = {"estimator": args.estimator, "layer": int(args.layer),
-               "measured": len(margins), "degenerate": degenerate,
+               "measured": int(margins.size),
+               "degenerate": int(np.count_nonzero(stuck)),
                "skipped_misclassified": skipped,
-               "mean_margin": _mean(margins)}
+               "mean_margin": float(np.mean(margins)) if margins.size
+               else None}
     if constrained:
         summary["subspace_dims"] = int(m)
     if args.tv_normalize:
         # raises DegenerateVarianceError, before any file is written, when
         # the layer's total variation vanishes
-        scaled = tv_normalize([np.nan if row[1] is None else row[1]
-                               for row in rows], acts)
+        scaled = tv_normalize(np.where(stuck, np.nan, table.d_best), acts)
         header.append("margin_tv")
-        rows = [row + (None if row[1] is None else value,)
-                for row, value in zip(rows, scaled.tolist())]
+        columns.append((scaled, stuck))
         summary["total_variation"] = compute_total_variation(acts)
 
-    write_csv(args.out, header, rows)
+    write_csv(args.out, header, columns)
     if args.boundary_out:
         width = acts.shape[1]
         bheader = (["sample_index"]
                    + [f"orig_{j}" for j in range(width)]
                    + [f"bound_{j}" for j in range(width)])
-        boundary_rows = [(idx, *acts[idx].tolist(),
-                          *res.boundary_point.tolist())
-                         for idx, res in zip(kept.tolist(), results)]
-        write_csv(args.boundary_out, bheader, boundary_rows)
+        write_csv(args.boundary_out, bheader,
+                  [kept, *acts[kept].T, *table.boundary.T])
     _print_json(summary)
 
 
@@ -427,8 +446,6 @@ def _cmd_evaluate(args) -> None:
     table = _load_models_file(args.models, args.measure_col,
                               axes=args.metric in ("granulated", "cmi"))
 
-    csv_header: list[str] = []
-    csv_rows: list[tuple] = []
     if args.metric == "kendall":
         tau = kendall_tau(np.column_stack((table.complexity,
                                            table.test_accuracy)))
@@ -436,29 +453,31 @@ def _cmd_evaluate(args) -> None:
                   "models": len(table.codes), "target": "test_accuracy",
                   "tau": float(tau)}
         csv_header = ["metric", "measure", "value"]
-        csv_rows = [("kendall", args.measure_col, float(tau))]
+        csv_columns = [_texts(["kendall"]), _texts([args.measure_col]),
+                       np.array([tau])]
     elif args.metric == "granulated":
         per_axis = {}
         psis = []
-        csv_header = ["axis", "psi", "included_groups", "skipped_groups"]
         for axis in table.names:
             try:
                 res = granulated_kendall(table, axis, target="test_accuracy")
             except UndefinedMetricError:
                 per_axis[axis] = {"psi": None, "undefined": True}
-                csv_rows.append((axis, None, None, None))
                 continue
             per_axis[axis] = {"psi": float(res.psi),
                               "included_groups": res.included_groups,
                               "skipped_groups": res.skipped_groups}
             psis.append(res.psi)
-            csv_rows.append((axis, float(res.psi), res.included_groups,
-                             res.skipped_groups))
         mu = mean_granulated(psis)  # DomainError when no axis is defined
         result = {"mean_psi": float(mu), "measure": args.measure_col,
                   "metric": "granulated", "per_axis": per_axis,
                   "target": "test_accuracy"}
-        csv_rows.append(("mean", float(mu), None, None))
+        cells = list(per_axis.values()) + [{"psi": float(mu)}]
+        csv_header = ["axis", "psi", "included_groups", "skipped_groups"]
+        csv_columns = [_texts([*per_axis, "mean"]),
+                       _optional([c["psi"] for c in cells]),
+                       *(_optional([c.get(key) for c in cells], np.int64)
+                         for key in ("included_groups", "skipped_groups"))]
     elif args.metric == "cmi":
         score = cmi_score(replace(table, complexity=-table.complexity))
         per_pair = {f"{a}|{b}": float(v)
@@ -470,20 +489,21 @@ def _cmd_evaluate(args) -> None:
                   "retained_pairs": retained,
                   "sign": "negated-measure", "target": "gen_gap"}
         csv_header = ["pair", "normalized_cmi"]
-        csv_rows = [(name, value) for name, value in per_pair.items()]
-        csv_rows.append(("final", float(score.final)))
+        csv_columns = [_texts([*per_pair, "final"]),
+                       np.array([*per_pair.values(), score.final])]
     elif args.metric == "r2":
         r2 = r_squared(table.gen_gap, table.complexity)
         result = {"measure": args.measure_col, "metric": "r2",
                   "r2": float(r2), "target": "gen_gap"}
         csv_header = ["metric", "measure", "value"]
-        csv_rows = [("r2", args.measure_col, float(r2))]
+        csv_columns = [_texts(["r2"]), _texts([args.measure_col]),
+                       np.array([r2])]
     else:
         raise ConfigError(f"unknown metric {args.metric!r}")
 
     summary = _json_line(result)  # a non-finite score fails before writing
     if args.out:
-        write_csv(args.out, csv_header, csv_rows)
+        write_csv(args.out, csv_header, csv_columns)
     print(summary)
 
 
@@ -517,11 +537,10 @@ def _cmd_advdir(args) -> None:
     X, Xhat = _read_boundary_csv(args.boundary_csv)
     share = adv_directions(pca, X, Xhat)
     cum = cumulative_share(share.p_share, pca.explained_ratio)
-    rows = [(j + 1, float(pca.explained_ratio[j]), float(share.p_share[j]),
-             float(cum.cumulative[j]))
-            for j in range(share.p_share.size)]
     write_csv(args.out, ["component_index", "explained_ratio", "p_share",
-                         "cumulative"], rows)
+                         "cumulative"],
+              [np.arange(1, share.p_share.size + 1), pca.explained_ratio,
+               share.p_share, cum.cumulative])
     _print_json({"components": int(share.p_share.size),
                  "dropped_rows": int(share.dropped_rows),
                  "marker_70": int(cum.marker_70),
@@ -695,20 +714,18 @@ def _run_sweep_entry(cfg: ExperimentConfig, variant: str, ds: Dataset,
                        norm_meta=meta)
     net = train_sgd(net, ds, replace(
         cfg.train, seed=derive_seed(cfg.seed, "train", variant, width, seed)))
-    search = cfg.search if cfg.estimator == "deepfool" else None
-    _, kept, results = _measure_correct(net, ds.features, ds.labels, 0,
-                                        search, batch_mean=True)
+    search = (replace(cfg.search, bounds=_clip_box(net, ds))
+              if cfg.estimator == "deepfool" else None)
+    _, kept, table = _measure_correct(net, ds.features, ds.labels, 0,
+                                      search, batch_mean=True)
     test_acc = float(np.mean(predict_batch(net, _model_inputs(net, test_raw))
                              == test_raw.labels))
 
     values = np.full(ds.sample_count, np.nan)
-    values[kept] = [np.nan if r is None else r.d_best for r in results]
+    values[kept] = np.where(table.stuck, np.nan, table.d_best)
     finite = np.isfinite(values)
     clean_mask = (ds.corrupt_flags == 0) & finite
     corrupt_mask = (ds.corrupt_flags != 0) & finite
-    per_sample = [(int(i), int(ds.corrupt_flags[i]),
-                   float(values[i]) if finite[i] else None)
-                  for i in range(ds.sample_count)]
     return {
         "width": width, "seed": seed, "variant": variant,
         "train_accuracy": kept.size / ds.sample_count,
@@ -716,7 +733,8 @@ def _run_sweep_entry(cfg: ExperimentConfig, variant: str, ds: Dataset,
         "margin_clean": _mean(values[clean_mask].tolist()),
         "margin_corrupt": _mean(values[corrupt_mask].tolist()),
         "margin_overall": _mean(values[finite].tolist()),
-        "per_sample": per_sample,
+        "flags": ds.corrupt_flags,
+        "margins": values,
     }
 
 
@@ -755,24 +773,33 @@ def run_capacity_sweep(cfg: ExperimentConfig) -> dict:
 
         stage = "report"
         outputs = {}
+        grid = [_texts([r[key] for r in rows])
+                for key in ("width", "seed", "variant")]
         outputs["margins.csv"] = csv_text(
             ["width", "seed", "variant", "train_accuracy", "test_accuracy",
              "margin_clean", "margin_corrupt", "margin_overall"],
-            [(r["width"], r["seed"], r["variant"], r["train_accuracy"],
-              r["test_accuracy"], r["margin_clean"], r["margin_corrupt"],
-              r["margin_overall"]) for r in rows])
+            [*grid,
+             *(np.array([r[key] for r in rows])
+               for key in ("train_accuracy", "test_accuracy")),
+             *(_optional([r[key] for r in rows])
+               for key in ("margin_clean", "margin_corrupt",
+                           "margin_overall"))])
+        counts = [r["margins"].size for r in rows]
+        margins = np.concatenate([r["margins"] for r in rows])
         outputs["per_sample_margins.csv"] = csv_text(
             ["width", "seed", "variant", "sample_index", "flag", "margin"],
-            [(r["width"], r["seed"], r["variant"], idx, flag, value)
-             for r in rows for idx, flag, value in r["per_sample"]])
+            [*(np.repeat(column, counts) for column in grid),
+             np.concatenate([np.arange(n) for n in counts]),
+             np.concatenate([r["flags"] for r in rows]),
+             (margins, ~np.isfinite(margins))])
 
         # data-level nearest-other-label distances, one column per variant
         variant_names = [name for name, _, _ in prepared]
         mm_columns = {name: max_margin(ds) for name, ds, _ in prepared}
         outputs["max_margins.csv"] = csv_text(
             ["sample_index"] + [f"max_margin_{n}" for n in variant_names],
-            [(idx, *(float(mm_columns[name][idx]) for name in variant_names))
-             for idx in range(train_raw.sample_count)])
+            [np.arange(train_raw.sample_count),
+             *(mm_columns[name] for name in variant_names)])
 
         per_width = {}
         for width in cfg.widths:

@@ -315,9 +315,8 @@ def save_dataset_csv(ds: Dataset, path) -> None:
     loader would, before the file is opened."""
     features = np.asarray(ds.features, dtype=np.float64)
     _check_finite(features, path)
-    labels = np.asarray(ds.labels, dtype=np.int64).tolist()
     write_csv(path, [f"f{j}" for j in range(ds.feature_count)] + ["label"],
-              [(*x, y) for x, y in zip(features.tolist(), labels)])
+              [*features.T, np.asarray(ds.labels, dtype=np.int64)])
 
 
 def load_dataset_csv(path) -> Dataset:

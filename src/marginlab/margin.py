@@ -23,8 +23,12 @@ iteration runs the forward pass on the active rows and backpropagates only
 the rows whose pattern changed; the others reuse their gradients, which
 are the bits a fresh backprop would give.
 
-``taylor_margin``, ``deepfool_margin`` and the constrained variants are
-one-row calls into the engine, ``deepfool_margin_batch`` an all-rows call.
+The engine returns one ``MarginTable``: a NumPy column per field, so a
+caller that writes or averages margins reads whole columns, and
+``table[i]`` gives one row as a ``MarginResult`` (None for a closed-form row
+without a margin). ``taylor_margin``, ``deepfool_margin`` and the
+constrained variants are one-row calls into the engine,
+``deepfool_margin_batch`` an all-rows call.
 The total-variation helpers normalize hidden-layer margins so that values
 from layers of different scale become comparable.
 """
@@ -114,6 +118,60 @@ class MarginResult:
     boundary_point: np.ndarray | None = None
     left_subspace: bool = False
     trace: list[tuple[float, float]] | None = None
+
+
+# a MarginTable's status codes index this tuple
+_STATUSES = tuple(SearchStatus)
+_CODE = {status: code for code, status in enumerate(_STATUSES)}
+
+
+@dataclass(frozen=True)
+class MarginTable:
+    """Margin estimates of ``search_margins``, one row per measured point,
+    as NumPy columns.
+
+    ``d_best``, ``v_best``, ``base`` (the predicted class), ``competitor``,
+    ``steps`` and ``left_subspace`` are the ``MarginResult`` fields of every
+    row; ``status`` holds codes, indices into ``tuple(SearchStatus)``.
+    ``boundary`` is the (rows x width) matrix of boundary points, None for
+    the closed form. ``stuck`` marks the closed form's rows without a usable
+    gradient, which have no margin; their other cells are meaningless.
+    ``trace``, when collected, lists (row, distance, violation) per accepted
+    iterate, in order.
+
+    ``len(table)`` is the row count and ``table[i]`` row i as a
+    ``MarginResult``, or None for a stuck row; iterating yields the rows.
+    """
+
+    d_best: np.ndarray
+    v_best: np.ndarray
+    base: np.ndarray
+    competitor: np.ndarray
+    steps: np.ndarray
+    status: np.ndarray
+    left_subspace: np.ndarray
+    boundary: np.ndarray | None
+    stuck: np.ndarray
+    trace: list[tuple[int, float, float]] | None = None
+
+    def __len__(self) -> int:
+        return self.d_best.size
+
+    def __getitem__(self, i: int) -> MarginResult | None:
+        i = range(len(self))[i]
+        if self.stuck[i]:
+            return None
+        return MarginResult(
+            d_best=float(self.d_best[i]), v_best=float(self.v_best[i]),
+            class_pair=(int(self.base[i]), int(self.competitor[i])),
+            steps=int(self.steps[i]), status=_STATUSES[self.status[i]],
+            boundary_point=None if self.boundary is None else self.boundary[i],
+            left_subspace=bool(self.left_subspace[i]),
+            trace=None if self.trace is None
+            else [(d, v) for k, d, v in self.trace if k == i])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +300,15 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
                    cfg: SearchConfig | None = None,
                    pca: PcaModel | None = None, m: int | None = None, *,
                    batch_mean: bool = False,
-                   collect_trace: bool = False) -> list[MarginResult | None]:
+                   collect_trace: bool = False) -> MarginTable:
     """One margin estimate per row of ``X`` (activations at layer ``lam``),
-    measured from each row's predicted class.
+    measured from each row's predicted class, as a ``MarginTable``; an
+    input without rows gives an empty table.
 
     Without ``cfg``, the closed-form first-order margin: the opening
     evaluation's nearest-boundary distance o_j / ||grad o_j||, the target
     of the search's first step. Competitors whose gradient vanishes are
-    skipped; a row left with none is stuck and yields None.
+    skipped; a row left with none is stuck, and ``table[i]`` is None.
 
     With ``cfg``, the iterative boundary search. By default each row stops
     on its own: its violation rose, its distance settled, it hit
@@ -273,8 +332,6 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
     """
     X0 = np.atleast_2d(np.asarray(X, dtype=np.float64))
     s = X0.shape[0]
-    if s < 1:
-        raise DomainError("margin search needs at least one sample")
     projector = None
     if pca is not None:
         if lam != 0:
@@ -289,13 +346,12 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
 
     if cfg is None:
         j, dist, stuck = _nearest_boundary(o, base, grads.norms)
-        gap = np.abs(o[np.arange(s), j])
-        return [None if st else
-                MarginResult(d_best=dk, v_best=vk, class_pair=(b, jk),
-                             steps=0, status=SearchStatus.CONVERGED)
-                for dk, vk, b, jk, st in zip(
-                    dist.tolist(), gap.tolist(), base.tolist(), j.tolist(),
-                    stuck.tolist())]
+        return MarginTable(
+            d_best=dist, v_best=np.abs(o[np.arange(s), j]), base=base,
+            competitor=j, steps=np.zeros(s, dtype=np.int64),
+            status=np.full(s, _CODE[SearchStatus.CONVERGED], dtype=np.int8),
+            left_subspace=np.zeros(s, dtype=bool), boundary=None,
+            stuck=stuck)
 
     pair = _runner_up(logits, base)
     bounds = _resolve_bounds(net, lam, cfg)
@@ -305,8 +361,7 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
     v_best = np.full(s, np.inf)
     boundary = X0.copy()
     steps = np.zeros(s, dtype=np.int64)
-    status = np.empty(s, dtype=object)
-    status[:] = SearchStatus.NO_DESCENT  # np.full would store plain str
+    status = np.full(s, _CODE[SearchStatus.NO_DESCENT], dtype=np.int8)
     active = np.ones(s, dtype=bool)
     Xhat = X0.copy()
     d_cur = np.zeros(s)
@@ -340,8 +395,8 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
         else:  # a row moves only onto an iterate it keeps
             rose = v >= v_best[a]
             settled = ~rose & (np.abs(d - d_best[a]) < cfg.stop_tolerance)
-            status[a[rose]] = SearchStatus.VIOLATION_ROSE
-            status[a[settled]] = SearchStatus.CONVERGED
+            status[a[rose]] = _CODE[SearchStatus.VIOLATION_ROSE]
+            status[a[settled]] = _CODE[SearchStatus.CONVERGED]
             moved = kept = ~(rose | settled)
         k = a[kept]
         d_best[k], v_best[k], boundary[k], pair[k] = (
@@ -359,12 +414,12 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
             settled = abs(mean_d - mean_prev) < cfg.stop_tolerance
             mean_prev = mean_d
             if settled or iters >= cfg.max_iters:
-                status[active] = (SearchStatus.CONVERGED if settled
-                                  else SearchStatus.MAX_ITERS)
+                status[active] = _CODE[SearchStatus.CONVERGED if settled
+                                       else SearchStatus.MAX_ITERS]
                 break
         else:
             done = mv[steps[mv] >= cfg.max_iters]
-            status[done] = SearchStatus.MAX_ITERS
+            status[done] = _CODE[SearchStatus.MAX_ITERS]
             active[done] = False
 
     if projector is not None:
@@ -373,15 +428,10 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
                               axis=1) > _SPAN_TOL
     else:
         left = np.zeros(s, dtype=bool)
-    return [MarginResult(d_best=dk, v_best=vk, class_pair=(b, jk),
-                         steps=n, status=st, boundary_point=boundary[i],
-                         left_subspace=lf,
-                         trace=None if trace is None
-                         else [(td, tv) for ti, td, tv in trace if ti == i])
-            for i, (dk, vk, b, jk, n, st, lf) in enumerate(zip(
-                d_best.tolist(), v_best.tolist(), base.tolist(),
-                pair.tolist(), steps.tolist(), status.tolist(),
-                left.tolist()))]
+    return MarginTable(d_best=d_best, v_best=v_best, base=base,
+                       competitor=pair, steps=steps, status=status,
+                       left_subspace=left, boundary=boundary,
+                       stuck=np.zeros(s, dtype=bool), trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +491,9 @@ def deepfool_margin_batch(net: Network, lam: int, samples: np.ndarray,
     smallest-violation iterate that row ever visited, and ``steps`` counts
     the updates that improved it.
     """
-    return search_margins(net, lam, samples, cfg, batch_mean=True)
+    if len(samples) < 1:
+        raise DomainError("margin search needs at least one sample")
+    return list(search_margins(net, lam, samples, cfg, batch_mean=True))
 
 
 def constrained_deepfool_margin(net: Network, x: np.ndarray, pca: PcaModel,

@@ -208,9 +208,12 @@ def _concordance(values, targets, groups=None) -> tuple[np.ndarray,
             r1 = r0 + rows
             agree = (_compare(pv[:, r0:r1, None], pv[:, None, :])
                      * _compare(pt[:, r0:r1, None], pt[:, None, :]))
+            # a one-group step counts flat: numpy's count along an axis
+            # is several times slower than its count of a whole array
+            axis = None if k == 1 else 1
             agree = agree.reshape(k, -1)
-            concordant[ids[i:j]] += np.count_nonzero(agree > 0, axis=1)
-            discordant[ids[i:j]] += np.count_nonzero(agree < 0, axis=1)
+            concordant[ids[i:j]] += np.count_nonzero(agree > 0, axis=axis)
+            discordant[ids[i:j]] += np.count_nonzero(agree < 0, axis=axis)
         i = j
     return concordant // 2, discordant // 2
 

@@ -314,9 +314,10 @@ def save_model(net: Network, path) -> None:
             for layer in net.layers
         ],
     }
+    # dumps runs the C encoder; dump into a file would run the Python one
+    text = json.dumps(doc, sort_keys=True) + "\n"
     with atomic_open(path) as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _model_size(value, key: str, path) -> int:

@@ -146,9 +146,10 @@ def save_pca(pca: PcaModel, path) -> None:
         "explained_variance": pca.explained_variance.tolist(),
         "explained_ratio": pca.explained_ratio.tolist(),
     }
+    # dumps runs the C encoder; dump into a file would run the Python one
+    text = json.dumps(doc, sort_keys=True) + "\n"
     with atomic_open(path) as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_pca(path) -> PcaModel:

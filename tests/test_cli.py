@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 
 import marginlab.cli
+from marginlab._csvio import read_numeric_csv
 from marginlab.cli import main
 from marginlab.data import (
     Dataset,
     NormalizationMeta,
+    apply_normalization,
     load_dataset,
     save_dataset,
 )
 from marginlab.errors import DegenerateGradientError, UnreachableSubspaceError
 from marginlab.margin import (
     SearchConfig,
+    compute_total_variation,
     constrained_deepfool_margin,
     constrained_taylor_margin,
     deepfool_margin,
@@ -29,7 +32,12 @@ from marginlab.nnet import (
     load_model,
     save_model,
 )
-from marginlab.pca import fit_pca, load_pca, save_pca
+from marginlab.pca import (
+    fit_pca,
+    load_pca,
+    save_pca,
+    select_components_kneedle,
+)
 
 
 def run(capsys, *argv):
@@ -529,6 +537,151 @@ def test_measure_constrained_deepfool_batch_with_boundary_out(capsys,
     # the tight data box pushes some searches off the subspace
     assert flags == {"true", "false"}
     assert len(bout.read_text().splitlines()) == 41
+
+
+# ---------------------------------------------------------------------------
+# the measure CSV format, byte for byte
+
+
+_MEASURE_HEADER = ("sample_index,margin,violation,steps,status,base_class,"
+                   "competitor_class,left_subspace")
+
+
+def _line(cells) -> str:
+    """One CSV line as ``mw`` writes it, cell by cell: a float as its
+    ``repr``, a bool as true/false, a missing cell empty, anything else
+    by ``str``."""
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return repr(value) if isinstance(value, float) else str(value)
+    return ",".join(map(cell, cells))
+
+
+# the benchmark's six measure settings: estimator, layer and extra flags
+_BENCH_MEASURES = {
+    "taylor": ("taylor", 0, ()),
+    "deepfool": ("deepfool", 0, ()),
+    "deepfool_batch": ("deepfool", 0, ("--batch",)),
+    "constrained_taylor": ("constrained-taylor", 0, ()),
+    "constrained_deepfool": ("constrained-deepfool", 0, ("--boundary-out",)),
+    "deepfool_layer1": ("deepfool", 1, ("--tv-normalize",)),
+}
+
+
+@pytest.mark.parametrize("include_all", [False, True],
+                         ids=["correct", "all"])
+@pytest.mark.parametrize("setting", sorted(_BENCH_MEASURES))
+def test_measure_csv_bytes_render_the_search_table(capsys, tmp_path, setting,
+                                                   include_all):
+    estimator, layer, flags = _BENCH_MEASURES[setting]
+    constrained = estimator.startswith("constrained-")
+    data = gen(capsys, tmp_path, "d.csv", classes=4, spc=20, dim=5,
+               spread=8.0, seed=13)
+    model_path, _ = train(capsys, tmp_path, data, hidden="16", epochs=15)
+    pca_path = tmp_path / "pca.json"
+    assert run(capsys, "pca", "--data", data, "--out", pca_path)[0] == 0
+    out, bout = tmp_path / "m.csv", tmp_path / "b.csv"
+    argv = ["measure", "--model", model_path, "--data", data,
+            "--estimator", estimator, "--layer", layer, "--tol", 0.001,
+            "--out", out]
+    if constrained:
+        argv += ["--pca", pca_path, "--m", "auto"]
+    for flag in flags:
+        argv += [flag, bout] if flag == "--boundary-out" else [flag]
+    if include_all:
+        argv.append("--include-misclassified")
+    assert run(capsys, *argv)[0] == 0
+
+    net = load_model(model_path)
+    raw = load_dataset(data)
+    acts = forward_batch(net, apply_normalization(raw.features,
+                                                  net.norm_meta))
+    correct = np.argmax(acts[-1], axis=1) == raw.labels
+    assert 0 < correct.sum() < raw.sample_count
+    kept = np.flatnonzero(np.ones_like(correct) if include_all else correct)
+    pca = m = None
+    if constrained:
+        pca = load_pca(pca_path)
+        m = select_components_kneedle(pca).m
+    cfg = None if estimator.endswith("taylor") else SearchConfig(
+        stop_tolerance=0.001)
+    table = search_margins(net, layer, acts[layer][kept], cfg, pca, m,
+                           batch_mean="--batch" in flags)
+    tv = (compute_total_variation(acts[layer])
+          if "--tv-normalize" in flags else None)
+
+    lines = [_MEASURE_HEADER + (",margin_tv" if tv else "")]
+    boundary = [_line(["sample_index"]
+                      + [f"orig_{j}" for j in range(acts[layer].shape[1])]
+                      + [f"bound_{j}" for j in range(acts[layer].shape[1])])]
+    for i, idx in enumerate(kept.tolist()):
+        r = table[i]
+        cells = ([idx, None, None, None,
+                  "unreachable" if constrained else "degenerate",
+                  None, None, None] if r is None else
+                 [idx, r.d_best, r.v_best, r.steps, r.status.value,
+                  *r.class_pair, r.left_subspace])
+        if tv:
+            cells.append(None if r is None else r.d_best / tv)
+        lines.append(_line(cells))
+        if r is not None and r.boundary_point is not None:
+            boundary.append(_line([idx, *acts[layer][idx].tolist(),
+                                   *r.boundary_point.tolist()]))
+    assert out.read_text() == "\n".join(lines) + "\n"
+    if "--boundary-out" in flags:
+        assert bout.read_text() == "\n".join(boundary) + "\n"
+
+
+def _all_off_net():
+    """A net whose hidden units are off everywhere (zero weights, bias -1),
+    so no logit difference has a gradient; class 0 leads, class 1 next."""
+    return Network([DenseLayer(np.zeros((4, 2)), np.full(4, -1.0), "relu"),
+                    DenseLayer(np.ones((3, 4)), np.array([1.0, 0.5, 0.0]),
+                               "none")], 2, 3, norm_meta=None)
+
+
+@pytest.mark.parametrize("estimator,row", [
+    ("taylor", "0,,,,degenerate,,,"),
+    ("deepfool", "0,0.0,inf,0,no-descent,0,1,false"),
+])
+def test_measure_all_off_net_writes_todays_rows(capsys, tmp_path, estimator,
+                                                row):
+    save_model(_all_off_net(), tmp_path / "model.json")
+    data = tmp_path / "d.csv"
+    data.write_text("f0,f1,label\n0.5,-0.5,0\n1.5,2.0,1\n")
+    out = tmp_path / "m.csv"
+    code, _, _ = run(capsys, "measure", "--model", tmp_path / "model.json",
+                     "--data", data, "--estimator", estimator, "--out", out)
+    assert code == 0
+    assert out.read_text() == f"{_MEASURE_HEADER}\n{row}\n"
+
+
+def test_unnormalized_model_searches_stay_in_the_data_box(capsys, tmp_path):
+    # a model trained with --normalize none carries no clip box of its own;
+    # its input-space searches are clipped to the measured data's bounds
+    data = gen(capsys, tmp_path, "d.csv", classes=3, spc=30, dim=2,
+               spread=1.0, seed=0)
+    model_path = tmp_path / "model.json"
+    code, _, _ = run(capsys, "train", "--data", data, "--hidden", 16,
+                     "--epochs", 40, "--batch-size", 16, "--learning-rate",
+                     0.05, "--normalize", "none", "--seed", 5,
+                     "--out", model_path)
+    assert code == 0
+    assert load_model(model_path).norm_meta is None
+    bout = tmp_path / "b.csv"
+    code, _, _ = run(capsys, "measure", "--model", model_path, "--data", data,
+                     "--estimator", "deepfool", "--include-misclassified",
+                     "--out", tmp_path / "m.csv", "--boundary-out", bout)
+    assert code == 0
+    ds = load_dataset(data)
+    header, values = read_numeric_csv(bout)
+    bound = values[:, [k for k, name in enumerate(header)
+                       if name.startswith("bound_")]]
+    assert bound.shape == (90, 2)
+    assert np.all((ds.lower <= bound) & (bound <= ds.upper))
 
 
 def test_removed_measure_and_sweep_options_exit_2(capsys, tmp_path):

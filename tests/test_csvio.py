@@ -19,22 +19,59 @@ def _old_cell(value) -> str:
 
 def _old_csv_text(header, rows) -> str:
     """The per-cell formatter every ``mw`` table was written with before
-    the row-at-a-time writer; kept here as the writer's oracle."""
+    the column writer; kept here as the writer's oracle."""
     lines = [",".join(header)]
     lines.extend(",".join(_old_cell(c) for c in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-_CELL = st.one_of(st.none(), st.booleans(), st.integers(),
-                  st.floats(), st.text(max_size=5),
-                  st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-5, 1, 0]))
+_FLOATS = st.one_of(st.floats(),
+                    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-5]))
+# each kind of column: its cell values and how the writer is given them
+_COLUMN_KINDS = {
+    "float": (_FLOATS, lambda v: np.array(v, dtype=np.float64)),
+    "int": (st.integers(-2 ** 63, 2 ** 63 - 1),
+            lambda v: np.array(v, dtype=np.int64)),
+    "bool": (st.booleans(), lambda v: np.array(v, dtype=bool)),
+    "object": (st.integers() | st.text(max_size=5),
+               lambda v: np.array(v, dtype=object)),
+    # a numpy str array drops trailing NULs, so these strings have none
+    "str": (st.text(st.characters(blacklist_characters="\x00"), max_size=5),
+            lambda v: np.array(v, dtype=str)),
+}
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(0, 200))  # past one block of rows
+    header, columns, cells = [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(sorted(_COLUMN_KINDS)))
+        values_of, as_column = _COLUMN_KINDS[kind]
+        values = draw(st.lists(values_of, min_size=n, max_size=n))
+        column = as_column(values)
+        if draw(st.booleans()):
+            missing = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            column = (column, np.array(missing, dtype=bool))
+            values = [None if m else v for v, m in zip(values, missing)]
+        header.append(draw(st.text(max_size=4)))
+        columns.append(column)
+        cells.append(values)
+    return header, columns, list(zip(*cells)) if n else []
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(header=st.lists(st.text(max_size=4), min_size=1, max_size=4),
-       rows=st.lists(st.lists(_CELL, max_size=6).map(tuple), max_size=6))
-def test_csv_text_matches_per_cell_formatter(header, rows):
-    assert csv_text(header, rows) == _old_csv_text(header, rows)
+@given(table=_tables())
+def test_csv_text_matches_per_cell_formatter(table):
+    header, columns, rows = table
+    assert csv_text(header, columns) == _old_csv_text(header, rows)
+
+
+def test_csv_columns_of_different_lengths_are_refused(tmp_path):
+    with pytest.raises(ValueError, match="differ in length"):
+        write_csv(tmp_path / "t.csv", ["a", "b"],
+                  [np.arange(3), np.arange(2.0)])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_csv_leaves_no_file_when_a_row_fails(tmp_path):
@@ -42,9 +79,12 @@ def test_write_csv_leaves_no_file_when_a_row_fails(tmp_path):
         def __str__(self):
             raise ValueError("no text")
 
+    # the bad cell lies past the first block of rows, so part of the table
+    # has been written when it fails
+    cells = np.array([1.5] * 1000 + [Unprintable()], dtype=object)
     path = tmp_path / "t.csv"
-    with pytest.raises(ValueError):
-        write_csv(path, ["a"], [(1.5,), (Unprintable(),)])
+    with pytest.raises(ValueError, match="no text"):
+        write_csv(path, ["a"], [cells])
     assert list(tmp_path.iterdir()) == []
 
 

@@ -192,6 +192,31 @@ def _dead_relu_net():
                    norm_meta=None)
 
 
+@pytest.mark.parametrize("cfg", [None, SearchConfig()],
+                         ids=["closed-form", "search"])
+def test_table_rows_are_views_of_its_columns(cfg):
+    net = _dead_relu_net()
+    x0 = np.arange(-8, 25) / 8.0
+    X = np.column_stack([x0, np.random.default_rng(5).normal(size=x0.size)])
+    table = search_margins(net, 0, X, cfg)
+    assert len(table) == len(X) == len(list(table))
+    statuses = tuple(SearchStatus)
+    for i, r in enumerate(table):
+        assert (r is None) == table.stuck[i]
+        if r is None:
+            continue
+        assert (r.d_best, r.v_best, r.class_pair, r.steps, r.status,
+                r.left_subspace) == (
+            table.d_best[i], table.v_best[i],
+            (table.base[i], table.competitor[i]), table.steps[i],
+            statuses[table.status[i]], table.left_subspace[i])
+        assert (r.boundary_point is None) == (cfg is None)
+    assert table[-1].d_best == table.d_best[-1]
+    with pytest.raises(IndexError):
+        table[len(X)]
+    assert len(search_margins(net, 0, X[:0], cfg)) == 0
+
+
 @pytest.mark.parametrize("batch_mean", [False, True])
 def test_closed_form_none_rows_are_the_search_no_descent_rows(batch_mean):
     # "stuck" is decided once, by the opening's nearest-boundary rule: the

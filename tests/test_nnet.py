@@ -1,3 +1,4 @@
+import io
 import json
 import logging
 
@@ -322,6 +323,11 @@ def test_model_json_round_trip_full_precision(tmp_path):
     assert loaded.norm_meta.scheme == "znorm"
     assert np.array_equal(loaded.norm_meta.offsets, net.norm_meta.offsets)
     assert np.array_equal(loaded.norm_meta.lower, net.norm_meta.lower)
+    # the bytes are what json.dump into a text stream writes for the document
+    text = path.read_text(encoding="utf-8")
+    stream = io.StringIO()
+    json.dump(json.loads(text), stream, sort_keys=True)
+    assert text == stream.getvalue() + "\n"
 
 
 def test_load_model_rejects_garbage(tmp_path):

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -173,6 +174,11 @@ def test_pca_file_round_trip(tmp_path):
     assert np.array_equal(loaded.components, p.components)
     assert np.array_equal(loaded.explained_variance, p.explained_variance)
     assert np.array_equal(loaded.explained_ratio, p.explained_ratio)
+    # the bytes are what json.dump into a text stream writes for the document
+    text = path.read_text(encoding="utf-8")
+    stream = io.StringIO()
+    json.dump(json.loads(text), stream, sort_keys=True)
+    assert text == stream.getvalue() + "\n"
 
 
 def test_load_pca_rejects_non_orthonormal_rows(tmp_path):

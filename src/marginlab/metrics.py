@@ -9,9 +9,10 @@ match); the granulated variant averages tau over single-axis model groups;
 patterns. The last two read a ``ModelTable``, the models as columns of
 integer-coded tokens and float values. All three count pairs with one
 numpy kernel, ``_concordance``, which evaluates the same double sum with
-each model compared only with the other members of its own group, a few
-groups or rows at a time, so no statistic loops over pairs in Python,
-compares pairs across groups, or holds an n x n temporary. Signatures
+each model compared only with the other members of its own group: small
+groups pairwise, many at a time, and large ones by sorting, so no
+statistic loops over pairs in Python, compares pairs across groups, or
+holds an n x n temporary. Signatures
 condense a margin distribution into five robust statistics that feed a
 small ridge-stabilized linear predictor.
 """
@@ -142,9 +143,11 @@ def _target_values(table: ModelTable, target: str) -> np.ndarray:
 _BLOCK = 256
 
 
-def _compare(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sign of ``a - b`` as int8, with NaN and inf-inf comparing as a tie."""
-    return (a > b).view(np.int8) - (a < b).view(np.int8)
+def _compare(padded: np.ndarray) -> np.ndarray:
+    """Whether slot i exceeds slot j, for every (i, j) in each row of a
+    (k x m) matrix: a (k x m x m) bool array. NaN, -0.0 against 0.0 and
+    inf against inf compare false both ways."""
+    return padded[:, :, None] > padded[:, None, :]
 
 
 def _concordance(values, targets, groups=None) -> tuple[np.ndarray,
@@ -158,15 +161,22 @@ def _concordance(values, targets, groups=None) -> tuple[np.ndarray,
     one group); the counts come back as int64 arrays indexed by group id,
     zero at ids no group of two or more uses.
 
-    Each group's members fill one row of a NaN-padded (groups x m) matrix,
-    and members are compared only with the m slots of their own row; the
-    NaN padding ties with everything, so it adds no counts. Groups are
-    taken smallest first and stacked while their padded rows hold at most
-    ``_BLOCK`` members, so each step is padded only to its own largest
-    group. A group of more than ``_BLOCK`` members is compared ``_BLOCK``
-    rows at a time, so temporaries stay O(block x m). Every ordered pair
-    is counted, and both orders of a pair agree, so the halved sums are
-    exact.
+    The path is chosen from each group's size. A group of more than
+    ``_BLOCK`` members is counted by Knight's method (``_sorted_ties`` and
+    ``_inversions``) in O(m log m) time and O(m) memory, all such groups in
+    one pass. Smaller groups are compared pairwise: each group's members
+    fill one row of a NaN-padded (groups x m) matrix, and members are
+    compared only with the m slots of their own row; the NaN padding ties
+    with everything, so it adds no counts. Groups are taken smallest first
+    and stacked while the step's k x m x m compare holds at most
+    ``_BLOCK**2`` cells, so each step is padded only to its own largest
+    group.
+
+    Measured on 1000 elements (numpy 2.4, 2 vCPUs), sorting took about
+    0.8 ms however they were grouped, and the padded compare 0.24 ms in
+    groups of 5, 0.38 ms in groups of 40, 0.58 ms in groups of 100 and
+    5.9 ms as one group; one group of 256 took 0.37-0.40 ms either way,
+    which is where ``_BLOCK`` sits.
     """
     v = np.asarray(values, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
@@ -178,10 +188,19 @@ def _concordance(values, targets, groups=None) -> tuple[np.ndarray,
     concordant = np.zeros(sizes.size, dtype=np.int64)
     discordant = np.zeros(sizes.size, dtype=np.int64)
 
-    # groups of two or more members, smallest first, and their members in
+    # a NaN ties with everything, so its rows add no counts to a large group
+    rows = (sizes > _BLOCK)[g] & ~np.isnan(v) & ~np.isnan(t)
+    if rows.any():
+        ids, untied, key, first = _sorted_ties(v[rows], t[rows], g[rows])
+        discordant[ids] = _inversions(key, first)
+        concordant[ids] = untied - discordant[ids]
+
+    # groups of two to _BLOCK members, smallest first, and their members in
     # that order; a singleton has no pairs
     ids = np.argsort(sizes, kind="stable")
-    ids = ids[sizes[ids] >= 2]
+    ids = ids[(sizes[ids] >= 2) & (sizes[ids] <= _BLOCK)]
+    if not ids.size:
+        return concordant, discordant
     starts = np.concatenate(([0], np.cumsum(sizes[ids])))
     rank = np.full(sizes.size, ids.size, dtype=np.intp)
     rank[ids] = np.arange(ids.size)
@@ -190,12 +209,14 @@ def _concordance(values, targets, groups=None) -> tuple[np.ndarray,
     slot = np.arange(order.size) - starts[row]
     v, t = v[order], t[order]
 
+    cells = _BLOCK ** 2
     i = 0
     while i < ids.size:
-        # the most groups whose rows, padded to the last one, fit a step
-        window = sizes[ids[i:i + _BLOCK]]
-        k = max(1, int(np.count_nonzero(
-            np.arange(1, window.size + 1) * window <= _BLOCK)))
+        # the most groups whose rows, padded to the last one, fit a step;
+        # every later group is at least as large as the first
+        window = sizes[ids[i:i + cells // sizes[ids[i]] ** 2]]
+        k = int(np.count_nonzero(
+            np.arange(1, window.size + 1) * window ** 2 <= cells))
         j = i + k
         m = int(window[k - 1])
         a, b = starts[i], starts[j]
@@ -203,19 +224,84 @@ def _concordance(values, targets, groups=None) -> tuple[np.ndarray,
         pt = np.full((k, m), np.nan)
         pv[row[a:b] - i, slot[a:b]] = v[a:b]
         pt[row[a:b] - i, slot[a:b]] = t[a:b]
-        rows = _BLOCK // k
-        for r0 in range(0, m, rows):
-            r1 = r0 + rows
-            agree = (_compare(pv[:, r0:r1, None], pv[:, None, :])
-                     * _compare(pt[:, r0:r1, None], pt[:, None, :]))
-            # a one-group step counts flat: numpy's count along an axis
-            # is several times slower than its count of a whole array
-            axis = None if k == 1 else 1
-            agree = agree.reshape(k, -1)
-            concordant[ids[i:j]] += np.count_nonzero(agree > 0, axis=axis)
-            discordant[ids[i:j]] += np.count_nonzero(agree < 0, axis=axis)
+        # a pair tied in neither coordinate is counted once, in the order
+        # (i, j) whose value is greater: concordant if its target is too
+        above, over = _compare(pv), _compare(pt)
+        agree = (above & over).reshape(k, -1)
+        oppose = (above & over.transpose(0, 2, 1)).reshape(k, -1)
+        # a one-group step counts flat: numpy's count along an axis is
+        # several times slower than its count of a whole array
+        axis = None if k == 1 else 1
+        concordant[ids[i:j]] = np.count_nonzero(agree, axis=axis)
+        discordant[ids[i:j]] = np.count_nonzero(oppose, axis=axis)
         i = j
-    return concordant // 2, discordant // 2
+    return concordant, discordant
+
+
+def _sorted_ties(v: np.ndarray, t: np.ndarray, g: np.ndarray):
+    """The first half of Knight's O(m log m) pair count, for every group of
+    NaN-free rows at once.
+
+    The rows are sorted by (group, value, target), and ``==`` on neighbours
+    finds the runs of ties, so -0.0 ties with 0.0 and inf with inf, as in
+    ``_compare``. With P pairs in a group, V and T pairs tied in value and
+    in target and B tied in both, P - V - T + B pairs are concordant or
+    discordant. In that order a pair is discordant exactly when its targets
+    are inverted, so the discordant count is the inversion count of the
+    targets, which ``_inversions`` takes from the returned keys.
+
+    Returns the group ids present, their P - V - T + B, each sorted row's
+    target key and the first row of each group.
+    """
+    order = np.lexsort((t, v, g))
+    v, t, g = v[order], t[order], g[order]
+    n = g.size
+    same_g = g[1:] == g[:-1]
+    first = np.flatnonzero(np.concatenate(([True], ~same_g)))
+    size = np.diff(first, append=n)
+    same_v = same_g & (v[1:] == v[:-1])
+    tied_v = _tied_pairs(same_v, first)
+    tied_both = _tied_pairs(same_v & (t[1:] == t[:-1]), first)
+    # each row's key is where its run of equal targets starts in the
+    # (group, target) order: dense, equal for ties, and group-major
+    by_t = np.lexsort((t, g))
+    ts = t[by_t]
+    same_t = same_g & (ts[1:] == ts[:-1])
+    tied_t = _tied_pairs(same_t, first)
+    key = np.empty(n, dtype=np.int64)
+    key[by_t] = np.maximum.accumulate(np.where(
+        np.concatenate(([True], ~same_t)), np.arange(n), 0))
+    untied = size * (size - 1) // 2 - tied_v - tied_t + tied_both
+    return g[first], untied, key, first
+
+
+def _tied_pairs(same: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Pairs inside runs per group, from ``same[i]``: row i + 1 ties with
+    row i. Every group starts at a row in ``first`` and a new run."""
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    runs = np.diff(starts, append=same.size + 1)
+    return np.add.reduceat(runs * (runs - 1) // 2,
+                           np.searchsorted(starts, first))
+
+
+def _inversions(key: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Pairs i < j with ``key[i] > key[j]`` per group, by a bottom-up merge.
+
+    Each level merges aligned blocks of 2w rows with one stable sort; a
+    row of a block's right half that moves left passes exactly the larger
+    rows of its left half. Keys are group-major, so no row leaves its
+    group's rows and no pair across groups counts.
+    """
+    n = key.size
+    pos = np.arange(n)
+    moved = np.zeros(n, dtype=np.int64)
+    w = 1
+    while w < n:
+        order = np.argsort(pos // (2 * w) * n + key, kind="stable")
+        moved += np.maximum(order - pos, 0)
+        key = key[order]
+        w *= 2
+    return np.add.reduceat(moved, first)
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +635,8 @@ def cross_validate_predictor(features: np.ndarray, gaps: np.ndarray,
                              k: int = 3, shuffles: int = 5,
                              seed: int = 0) -> CrossValResult:
     """Held-out R^2 of the linear predictor over k folds x shuffle rounds."""
+    if shuffles < 1:
+        raise DomainError(f"shuffles={shuffles} must be at least 1")
     F = np.asarray(features, dtype=np.float64)
     g = np.asarray(gaps, dtype=np.float64).ravel()
     scores = []

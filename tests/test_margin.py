@@ -408,6 +408,23 @@ def test_batch_of_one_close_to_single_mode():
         assert abs(single.d_best - batched.d_best) <= cfg.stop_tolerance
 
 
+def test_rows_searched_alone_match_one_call_up_to_rounding():
+    # the forward pass's matrix products may round differently with the
+    # number of rows, so a row alone is held to its batch's steps and
+    # status and to its distance within rounding, not to its bits
+    ds, _ = _normalized_blobs(seed=14, spc=40, dim=12)
+    net = _trained_net(ds, seed=15, width=64)
+    rows = ds.features[predict_batch(net, ds.features) == ds.labels][:60]
+    cfg = SearchConfig(stop_tolerance=1e-3)
+    together = search_margins(net, 0, rows, cfg)
+    for i, x in enumerate(rows):
+        alone = search_margins(net, 0, x[None, :], cfg)
+        assert alone.steps[0] == together.steps[i]
+        assert alone.status[0] == together.status[i]
+        assert alone.d_best[0] == pytest.approx(together.d_best[i],
+                                                rel=1e-12, abs=0.0)
+
+
 def test_batch_converged_samples_meet_equality_threshold():
     ds, _ = _normalized_blobs(seed=10, spc=40)
     net = _trained_net(ds, seed=11)

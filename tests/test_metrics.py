@@ -494,15 +494,16 @@ def test_kernel_matches_oracles_for_any_block_size(seed, n, block, levels,
 def test_kendall_memory_stays_linear_in_n():
     # one n x n float64 temporary at n = 4000 would be 122 MiB
     rng = np.random.default_rng(151)
-    pairs = list(zip(rng.normal(size=4000).tolist(),
-                     rng.integers(0, 9, size=4000).tolist()))
-    tracemalloc.start()
-    try:
-        kendall_tau(pairs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    for n in (4000, 100_000):
+        pairs = list(zip(rng.normal(size=n).tolist(),
+                         rng.integers(0, 9, size=n).tolist()))
+        tracemalloc.start()
+        try:
+            kendall_tau(pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 def oracle_counts(values, targets, groups):
@@ -572,11 +573,15 @@ def test_kernel_only_singletons_count_nothing():
 def test_kernel_non_finite_and_signed_zero_cells_tie_as_compared():
     rng = np.random.default_rng(179)
     specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0])
-    for _ in range(5):
-        groups = skewed_layout(rng, 400)
+    for k in range(6):
+        # the last layout holds a group larger than the shipped _BLOCK, so
+        # the sorting path meets every special value too
+        groups = skewed_layout(rng, 400) if k < 5 else rng.permutation(
+            np.repeat([0, 3, 4], [600, 40, 1]))
         values = rng.choice(specials, size=groups.size)
         targets = rng.choice(specials, size=groups.size)
         assert_kernel_matches_oracle(values, targets, groups)
+    assert 600 > metrics._BLOCK
 
 
 @pytest.mark.parametrize("block", range(1, 10))
@@ -593,6 +598,29 @@ def test_kernel_matches_pair_loop_for_small_blocks(block):
         concordant, discordant = metrics._concordance(values, targets)
         assert (concordant.tolist(), discordant.tolist()) == \
             oracle_counts(values, targets, [0] * n)
+
+
+def test_pairwise_compare_never_sees_a_group_larger_than_block():
+    # groups of more than _BLOCK members are sorted; the padded compare
+    # takes the others, stacked into steps of at most _BLOCK**2 cells
+    rng = np.random.default_rng(193)
+    sizes = [600, metrics._BLOCK, metrics._BLOCK + 1, 40, 40, 7] + [5] * 30
+    groups = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    values = rng.integers(0, 50, size=groups.size).astype(float)
+    targets = rng.normal(size=groups.size)
+    shapes = []
+    compare = metrics._compare
+
+    def spy(padded):
+        shapes.append(padded.shape)
+        return compare(padded)
+
+    with mock.patch.object(metrics, "_compare", spy):
+        assert_kernel_matches_oracle(values, targets, groups)
+    assert max(m for _, m in shapes) == metrics._BLOCK
+    assert all(k * m * m <= metrics._BLOCK ** 2 for k, m in shapes)
+    # at the shipped _BLOCK the 33 groups of 5 to 40 share one step
+    assert set(shapes) == {(33, 40), (1, metrics._BLOCK)}
 
 
 @pytest.mark.parametrize("small", [1, 2])
@@ -781,6 +809,13 @@ def test_kfold_rejects_bad_k():
         kfold_splits(4, 1, seed=0, shuffle_index=0)
     with pytest.raises(DomainError):
         kfold_splits(4, 5, seed=0, shuffle_index=0)
+
+
+@pytest.mark.parametrize("shuffles", [0, -1])
+def test_cross_validation_rejects_fewer_than_one_shuffle(shuffles):
+    theta, gaps = synthetic_signatures(np.random.default_rng(113), 12)
+    with pytest.raises(DomainError):
+        cross_validate_predictor(theta, gaps, k=3, shuffles=shuffles)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,19 @@ zero-step case. With one it runs the DeepFool-style search
 nearest linearized boundary and keeps its best (smallest-violation)
 iterate, stopping row by row or, in batch-mean mode, all together when the
 mean distance settles. Between iterations the engine keeps only per-row
-state: the best iterate with its gap and runner-up class, the current
-iterate, the next step, and the gradients at the current iterate with
-their ReLU activation pattern and per-class norms. For a ReLU net the
-gradients depend only on the base class and that pattern, so each
-iteration runs the forward pass on the active rows and backpropagates only
-the rows whose pattern changed; the others reuse their gradients, which
-are the bits a fresh backprop would give.
+state. In the per-row mode it keeps it only for the rows still searching,
+compact and in row order: the start point and base class, the current
+iterate (the last one kept) with its distance, gap, runner-up class and
+step count, and the next step. A row is written into the output columns
+once, when it stops, and leaves the state then. The batch-mean mode keeps
+every row, with its best iterate beside the current one. The gradients at
+each current iterate, with their ReLU activation pattern and per-class
+norms, stay keyed by the original row, so rows that stop never make the
+engine copy them. For a ReLU net the gradients depend only on the base
+class and that pattern, so each iteration runs the forward pass on the
+active rows and backpropagates only the rows whose pattern changed; the
+others reuse their gradients, which are the bits a fresh backprop would
+give.
 
 The engine returns one ``MarginTable``: a NumPy column per field, so a
 caller that writes or averages margins reads whole columns, and
@@ -159,6 +165,21 @@ class MarginTable:
 
     def __getitem__(self, i: int) -> MarginResult | None:
         i = range(len(self))[i]
+        return self._row(i, None if self.trace is None
+                         else [(d, v) for k, d, v in self.trace if k == i])
+
+    def __iter__(self):
+        # one pass over the trace, not one per row
+        traces = None
+        if self.trace is not None:
+            traces = [[] for _ in range(len(self))]
+            for k, d, v in self.trace:
+                traces[k].append((d, v))
+        for i in range(len(self)):
+            yield self._row(i, None if traces is None else traces[i])
+
+    def _row(self, i: int,
+             trace: list[tuple[float, float]] | None) -> MarginResult | None:
         if self.stuck[i]:
             return None
         return MarginResult(
@@ -166,12 +187,7 @@ class MarginTable:
             class_pair=(int(self.base[i]), int(self.competitor[i])),
             steps=int(self.steps[i]), status=_STATUSES[self.status[i]],
             boundary_point=None if self.boundary is None else self.boundary[i],
-            left_subspace=bool(self.left_subspace[i]),
-            trace=None if self.trace is None
-            else [(d, v) for k, d, v in self.trace if k == i])
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+            left_subspace=bool(self.left_subspace[i]), trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +250,11 @@ class _RowGradients:
     move onto its evaluated point is never evaluated again, unless it is a
     stuck row of a batch-mean search, whose step is zero; so the state is
     the current iterate's whenever it is read.
+
+    The state is keyed by the original row and never compacted: ``move``
+    and ``_next_step`` take the rows evaluated, or None for every row, and
+    read only their entries, so rows that stop searching cost no copy of
+    the gradient tensor.
     """
 
     def __init__(self, net: Network, lam: int, projector, pres,
@@ -248,12 +269,14 @@ class _RowGradients:
             G = G @ self.projector.T
         return G, _row_norms(G)
 
-    def move(self, rows: np.ndarray, pres, base: np.ndarray) -> None:
-        """Take ``rows`` to the points whose pre-activations are ``pres``."""
+    def move(self, rows, pres, base: np.ndarray) -> None:
+        """Take ``rows`` (None: every row) to the points whose
+        pre-activations are ``pres``."""
         pattern = _activation_pattern(self.net, self.lam, pres)
-        changed = np.any(pattern != self.pattern[rows], axis=1)
+        held = self.pattern if rows is None else self.pattern[rows]
+        changed = np.any(pattern != held, axis=1)
         if changed.any():
-            k = rows[changed]
+            k = np.flatnonzero(changed) if rows is None else rows[changed]
             self.pattern[k] = pattern[changed]
             self.grads[k], self.norms[k] = self._backprop(
                 [Z[changed] for Z in pres], base[changed])
@@ -275,7 +298,8 @@ def _nearest_boundary(o, base, norms):
 def _next_step(o, base, grads: _RowGradients, rows, rate: float):
     """Step toward each row's nearest linearized boundary, and the rows
     with no usable descent direction (their step is zero). ``o`` holds the
-    logit differences of ``rows``, whose gradients ``grads`` holds.
+    logit differences of ``rows`` (None: every row), whose gradients
+    ``grads`` holds.
 
     With a projector P (rows orthonormal), the gradients are projected
     before norms are taken, so both the nearest-boundary choice and the
@@ -285,12 +309,12 @@ def _next_step(o, base, grads: _RowGradients, rows, rate: float):
     """
     r = np.arange(o.shape[0])
     projector = grads.projector
-    norms = grads.norms[rows]
+    norms = grads.norms if rows is None else grads.norms[rows]
     j, _, stuck = _nearest_boundary(o, base, norms)
     gap = o[r, j] if projector is None else np.abs(o[r, j])
     coef = np.divide(gap, norms[r, j] ** 2, out=np.zeros_like(gap),
                      where=~stuck)
-    direction = grads.grads[rows, j]
+    direction = grads.grads[r if rows is None else rows, j]
     if projector is not None:
         direction = direction @ projector
     return (rate * coef)[:, None] * direction, stuck
@@ -329,6 +353,15 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
     row on its own, so a subset of rows gets the bits of the full batch.
     Above the last hidden layer no ReLU can switch, and a hidden-layer
     search there backpropagates once.
+
+    In the per-row mode the iterate state holds only the rows still
+    searching, compact and in row order, so each iteration steps them with
+    whole-array arithmetic and the forward pass sees the rows it always
+    did, in the same order. A row is written into the table when it stops:
+    with its last kept iterate when its violation rose or its distance
+    settled, with the iterate it just kept at ``max_iters`` or when it has
+    no descent direction from there. The batch-mean mode evaluates every
+    row on every iteration and reads whole arrays.
     """
     X0 = np.atleast_2d(np.asarray(X, dtype=np.float64))
     s = X0.shape[0]
@@ -337,12 +370,15 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
         if lam != 0:
             raise DomainError("subspace-constrained margins are measured in "
                               "input space only")
-        if not 1 <= m <= pca.components.shape[0]:
-            raise DomainError(f"m={m} outside [1, {pca.components.shape[0]}]")
+        k = pca.components.shape[0]
+        if (isinstance(m, bool) or not isinstance(m, (int, np.integer))
+                or not 1 <= m <= k):
+            raise DomainError(f"m={m!r} must be an integer in [1, {k}]")
         projector = pca.components[:m]
 
     o, logits, pres, base = _logit_diffs(net, lam, X0)
     grads = _RowGradients(net, lam, projector, pres, base)
+    del pres  # the search's own evaluations make theirs
 
     if cfg is None:
         j, dist, stuck = _nearest_boundary(o, base, grads.norms)
@@ -353,63 +389,61 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
             left_subspace=np.zeros(s, dtype=bool), boundary=None,
             stuck=stuck)
 
-    pair = _runner_up(logits, base)
     bounds = _resolve_bounds(net, lam, cfg)
-    rows = np.arange(s)
-    step, stuck = _next_step(o, base, grads, rows, cfg.learning_rate)
+    step, stuck = _next_step(o, base, grads, None, cfg.learning_rate)
+    # the output columns; a row stuck before its first step keeps these
     d_best = np.zeros(s)
     v_best = np.full(s, np.inf)
     boundary = X0.copy()
+    pair = _runner_up(logits, base)
     steps = np.zeros(s, dtype=np.int64)
     status = np.full(s, _CODE[SearchStatus.NO_DESCENT], dtype=np.int8)
-    active = np.ones(s, dtype=bool)
-    Xhat = X0.copy()
-    d_cur = np.zeros(s)
-    mean_prev = 0.0
-    iters = 0
     trace = [] if collect_trace else None
 
-    while True:
-        active &= ~stuck  # rows without a descent direction keep NO_DESCENT
-        if not active.any():
-            break
-        # batch-mean mode evaluates every row, stuck ones in place, so the
-        # matrix shapes, and with them the rounding, do not depend on which
-        # rows got stuck
-        a = rows if batch_mean else np.flatnonzero(active)
-        Xp = Xhat[a] - step[a]
+    def advance(Xhat, step, x0, b, rows):
+        """Evaluate the next iterate ``Xhat - step`` of ``rows`` (None:
+        every row), whose start points are ``x0`` and base classes ``b``,
+        and move their gradients there. Returns the iterate, its distance,
+        gap and runner-up class, and the step and stuck flags from it."""
+        Xp = Xhat - step
         if bounds is not None:
             np.clip(Xp, bounds[0], bounds[1], out=Xp)
-        o, logits, pres, _ = _logit_diffs(net, lam, Xp, base[a])
-        grads.move(a, pres, base[a])
-        next_step, next_stuck = _next_step(o, base[a], grads, a,
+        d = np.linalg.norm(x0 - Xp, axis=1)
+        o, logits, pres, _ = _logit_diffs(net, lam, Xp, b)
+        grads.move(rows, pres, b)
+        next_step, next_stuck = _next_step(o, b, grads, rows,
                                            cfg.learning_rate)
-        runner = _runner_up(logits, base[a])
-        v = np.abs(o[np.arange(a.size), runner])
-        d = np.linalg.norm(X0[a] - Xp, axis=1)
-        iters += 1
+        runner = _runner_up(logits, b)
+        v = np.abs(o[np.arange(b.size), runner])
+        return Xp, d, v, runner, next_step, next_stuck
 
-        if batch_mean:  # every active row moves and keeps its best iterate
-            moved = active.copy()
-            kept = moved & (v < v_best)
-        else:  # a row moves only onto an iterate it keeps
-            rose = v >= v_best[a]
-            settled = ~rose & (np.abs(d - d_best[a]) < cfg.stop_tolerance)
-            status[a[rose]] = _CODE[SearchStatus.VIOLATION_ROSE]
-            status[a[settled]] = _CODE[SearchStatus.CONVERGED]
-            moved = kept = ~(rose | settled)
-        k = a[kept]
-        d_best[k], v_best[k], boundary[k], pair[k] = (
-            d[kept], v[kept], Xp[kept], runner[kept])
-        steps[k] += 1
+    def record(k, d, v):
         if trace is not None:
-            trace.extend(zip(k.tolist(), d[kept].tolist(), v[kept].tolist()))
-        mv = a[moved]
-        Xhat[mv], d_cur[mv] = Xp[moved], d[moved]
-        step[mv], stuck[mv] = next_step[moved], next_stuck[moved]
-        active[a[~moved]] = False
+            trace.extend(zip(k.tolist(), d.tolist(), v.tolist()))
 
-        if batch_mean:
+    if batch_mean:
+        # every row is evaluated, stuck ones in place, so the matrix shapes,
+        # and with them the rounding, do not depend on which rows got stuck;
+        # every active row moves and keeps its best iterate
+        active = ~stuck
+        Xhat, d_cur = X0, np.zeros(s)
+        mean_prev = 0.0
+        iters = 0
+        while active.any():
+            Xp, d, v, runner, next_step, next_stuck = advance(
+                Xhat, step, X0, base, None)
+            iters += 1
+            k = np.flatnonzero(active & (v < v_best))
+            d_best[k], v_best[k], boundary[k], pair[k] = (
+                d[k], v[k], Xp[k], runner[k])
+            steps[k] += 1
+            record(k, d[k], v[k])
+            # the rows that are not active stay where they are
+            rest = ~active
+            np.copyto(Xp, Xhat, where=rest[:, None])
+            np.copyto(d, d_cur, where=rest)
+            np.copyto(next_step, step, where=rest[:, None])
+            Xhat, d_cur, step = Xp, d, next_step
             mean_d = float(d_cur.mean())
             settled = abs(mean_d - mean_prev) < cfg.stop_tolerance
             mean_prev = mean_d
@@ -417,10 +451,52 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
                 status[active] = _CODE[SearchStatus.CONVERGED if settled
                                        else SearchStatus.MAX_ITERS]
                 break
-        else:
-            done = mv[steps[mv] >= cfg.max_iters]
-            status[done] = _CODE[SearchStatus.MAX_ITERS]
-            active[done] = False
+            active &= ~next_stuck  # these keep NO_DESCENT
+    else:
+        # the state of the rows still searching, compact and in row order:
+        # original row, start point, base class, current iterate (the last
+        # kept one), step from it, and its distance, gap, runner-up and
+        # step count
+        idx = np.flatnonzero(~stuck)
+        x0 = Xhat = X0 if idx.size == s else X0[idx]
+        b, step, d_hat, v_hat, j_hat, n_hat = (
+            base[idx], step[idx], d_best[idx], v_best[idx], pair[idx],
+            steps[idx])
+
+        def stop(out, code):
+            """Write the rows ``out`` of the state, as it stands, into the
+            output columns with status ``code``."""
+            rows = idx[out]
+            boundary[rows], d_best[rows], v_best[rows] = (
+                Xhat[out], d_hat[out], v_hat[out])
+            pair[rows], steps[rows], status[rows] = (
+                j_hat[out], n_hat[out], code)
+
+        while idx.size:
+            Xp, d, v, runner, step, next_stuck = advance(
+                Xhat, step, x0, b, None if idx.size == s else idx)
+            # a row moves only onto an iterate it keeps; one whose violation
+            # rose or whose distance settled stops on its last kept iterate
+            rose = v >= v_hat
+            kept = ~(rose | (np.abs(d - d_hat) < cfg.stop_tolerance))
+            if not kept.all():
+                stop(~kept, np.where(rose[~kept],
+                                     _CODE[SearchStatus.VIOLATION_ROSE],
+                                     _CODE[SearchStatus.CONVERGED]))
+            Xhat, d_hat, v_hat, j_hat, n_hat = Xp, d, v, runner, n_hat + 1
+            del Xp  # so that compacting Xhat frees the full-size iterate
+            record(idx[kept], d_hat[kept], v_hat[kept])
+            # a kept row stops on it at max_iters or without a next step
+            full = n_hat >= cfg.max_iters
+            out = kept & (full | next_stuck)
+            if out.any():
+                stop(out, np.where(full[out], _CODE[SearchStatus.MAX_ITERS],
+                                   _CODE[SearchStatus.NO_DESCENT]))
+            keep = kept & ~out
+            if not keep.all():
+                idx, x0, b, Xhat, step, d_hat, v_hat, j_hat, n_hat = (
+                    col[keep] for col in (idx, x0, b, Xhat, step, d_hat,
+                                          v_hat, j_hat, n_hat))
 
     if projector is not None:
         P = boundary - X0

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -215,6 +218,22 @@ def test_table_rows_are_views_of_its_columns(cfg):
     with pytest.raises(IndexError):
         table[len(X)]
     assert len(search_margins(net, 0, X[:0], cfg)) == 0
+
+
+@pytest.mark.parametrize("batch_mean", [False, True])
+def test_iterated_rows_carry_the_traces_of_indexed_rows(batch_mean):
+    # iterating groups the trace by row in one pass; each row's list must
+    # be the one indexing gives
+    net, lam, X, cfg, pca, m = _reuse_case("input-clipped")
+    table = search_margins(net, lam, X, cfg, pca, m, batch_mean=batch_mean,
+                           collect_trace=True)
+    rows = list(table)
+    assert len(rows) == len(X)
+    for i, row in enumerate(rows):
+        assert row.trace == table[i].trace
+        assert len(row.trace) == row.steps
+    assert sum(len(row.trace) for row in rows) == len(table.trace)
+    assert all(r.trace is None for r in search_margins(net, lam, X, cfg))
 
 
 @pytest.mark.parametrize("batch_mean", [False, True])
@@ -463,6 +482,21 @@ def test_batch_rejects_empty_input():
 # constrained estimators
 
 
+@pytest.mark.parametrize("m", [None, 2.0, True, np.float64(2.0), "2", 0,
+                               5], ids=["none", "float", "bool", "np-float",
+                                        "str", "zero", "above"])
+def test_subspace_dimension_must_be_an_integer_in_range(m):
+    rng = np.random.default_rng(19)
+    net = init_network(4, [8], 3, seed=2)
+    X = rng.normal(size=(10, 4))
+    pca = fit_pca(X)
+    for cfg in (None, SearchConfig()):
+        with pytest.raises(DomainError, match="must be an integer in"):
+            search_margins(net, 0, X, cfg, pca, m)
+    for ok in (1, np.int64(2), 4):
+        assert len(search_margins(net, 0, X, None, pca, ok)) == len(X)
+
+
 def test_constrained_taylor_orthogonal_subspace_unreachable():
     net = two_class_line()
     pca = PcaModel(mean=np.zeros(2), components=np.array([[0.0, 1.0]]),
@@ -659,6 +693,134 @@ def _reuse_case(name):
     }[name]
 
 
+def _reference_search(net, lam, X, cfg, pca=None, m=None, *,
+                      batch_mean=False):
+    """The boundary search as a plain loop over full-size state: every
+    column is kept for every row and updated in place on each iteration, so
+    a row's outputs are whatever the last update left. Returns the
+    ``search_margins`` columns as a dict, the trace included."""
+    mm = marginlab.margin
+    X0 = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    s = X0.shape[0]
+    projector = None if pca is None else pca.components[:m]
+    o, logits, pres, base = mm._logit_diffs(net, lam, X0)
+    grads = mm._RowGradients(net, lam, projector, pres, base)
+    pair = mm._runner_up(logits, base)
+    bounds = mm._resolve_bounds(net, lam, cfg)
+    rows = np.arange(s)
+    step, stuck = mm._next_step(o, base, grads, rows, cfg.learning_rate)
+    d_best = np.zeros(s)
+    v_best = np.full(s, np.inf)
+    boundary = X0.copy()
+    steps = np.zeros(s, dtype=np.int64)
+    code = {status: k for k, status in enumerate(SearchStatus)}
+    status = np.full(s, code[SearchStatus.NO_DESCENT], dtype=np.int8)
+    active = np.ones(s, dtype=bool)
+    Xhat = X0.copy()
+    d_cur = np.zeros(s)
+    mean_prev = 0.0
+    iters = 0
+    trace = []
+    while True:
+        active &= ~stuck
+        if not active.any():
+            break
+        a = rows if batch_mean else np.flatnonzero(active)
+        Xp = Xhat[a] - step[a]
+        if bounds is not None:
+            np.clip(Xp, bounds[0], bounds[1], out=Xp)
+        o, logits, pres, _ = mm._logit_diffs(net, lam, Xp, base[a])
+        grads.move(a, pres, base[a])
+        next_step, next_stuck = mm._next_step(o, base[a], grads, a,
+                                              cfg.learning_rate)
+        runner = mm._runner_up(logits, base[a])
+        v = np.abs(o[np.arange(a.size), runner])
+        d = np.linalg.norm(X0[a] - Xp, axis=1)
+        iters += 1
+        if batch_mean:
+            moved = active.copy()
+            kept = moved & (v < v_best)
+        else:
+            rose = v >= v_best[a]
+            settled = ~rose & (np.abs(d - d_best[a]) < cfg.stop_tolerance)
+            status[a[rose]] = code[SearchStatus.VIOLATION_ROSE]
+            status[a[settled]] = code[SearchStatus.CONVERGED]
+            moved = kept = ~(rose | settled)
+        k = a[kept]
+        d_best[k], v_best[k], boundary[k], pair[k] = (
+            d[kept], v[kept], Xp[kept], runner[kept])
+        steps[k] += 1
+        trace.extend(zip(k.tolist(), d[kept].tolist(), v[kept].tolist()))
+        mv = a[moved]
+        Xhat[mv], d_cur[mv] = Xp[moved], d[moved]
+        step[mv], stuck[mv] = next_step[moved], next_stuck[moved]
+        active[a[~moved]] = False
+        if batch_mean:
+            mean_d = float(d_cur.mean())
+            settled = abs(mean_d - mean_prev) < cfg.stop_tolerance
+            mean_prev = mean_d
+            if settled or iters >= cfg.max_iters:
+                status[active] = code[SearchStatus.CONVERGED if settled
+                                      else SearchStatus.MAX_ITERS]
+                break
+        else:
+            done = mv[steps[mv] >= cfg.max_iters]
+            status[done] = code[SearchStatus.MAX_ITERS]
+            active[done] = False
+    if projector is not None:
+        P = boundary - X0
+        left = np.linalg.norm(P - (P @ projector.T) @ projector,
+                              axis=1) > mm._SPAN_TOL
+    else:
+        left = np.zeros(s, dtype=bool)
+    return {"d_best": d_best, "v_best": v_best, "base": base,
+            "competitor": pair, "steps": steps, "status": status,
+            "left_subspace": left, "boundary": boundary, "trace": trace}
+
+
+def _overshoot_case():
+    """(net, lam, X, cfg, pca, m) whose rows stop in every way: f0 = 1 and
+    f1 = 10 h1 - 9 h2 with h1 = relu(x0 - 1) and h2 = relu(x0 - 2), so
+    the gradients vanish wherever x0 <= 1, and a step from far out, where
+    f1 is shallow, overshoots the boundary into that dead region."""
+    hidden = DenseLayer(weights=np.array([[1.0, 0.0], [1.0, 0.0]]),
+                        bias=np.array([-1.0, -2.0]), activation="relu")
+    out = DenseLayer(weights=np.array([[0.0, 0.0], [10.0, -9.0],
+                                       [0.5, 0.0]]),
+                     bias=np.array([1.0, 0.0, 0.0]), activation="none")
+    net = Network(layers=[hidden, out], input_dim=2, num_classes=3,
+                  norm_meta=None)
+    rng = np.random.default_rng(23)
+    x0 = np.concatenate([np.arange(-8, 25) / 8.0, rng.uniform(1.0, 40.0, 40)])
+    X = np.column_stack([x0, rng.normal(size=x0.size)])
+    return net, 0, X, SearchConfig(stop_tolerance=1e-3), None, None
+
+
+@pytest.mark.parametrize("max_iters", [1, 3, 100])
+@pytest.mark.parametrize("batch_mean", [False, True])
+@pytest.mark.parametrize("case", ["input-clipped", "input-pca",
+                                  "hidden-no-relu-above", "two-hidden-input",
+                                  "two-hidden-pca", "two-hidden-hidden",
+                                  "overshoot"])
+def test_search_matches_the_full_state_reference_loop(case, batch_mean,
+                                                      max_iters):
+    # the engine keeps only the rows still searching and writes a row out
+    # when it stops; the reference keeps every row and updates it in place
+    net, lam, X, cfg, pca, m = (_overshoot_case() if case == "overshoot"
+                                else _reuse_case(case))
+    cfg = replace(cfg, max_iters=max_iters)
+    want = _reference_search(net, lam, X, cfg, pca, m, batch_mean=batch_mean)
+    got = search_margins(net, lam, X, cfg, pca, m, batch_mean=batch_mean,
+                         collect_trace=True)
+    for name, column in want.items():
+        if name == "trace":
+            assert repr(got.trace) == repr(column)
+        else:
+            assert getattr(got, name).dtype == column.dtype, name
+            assert getattr(got, name).tobytes() == column.tobytes(), name
+    assert not got.stuck.any()
+
+
 def _count_rows(monkeypatch):
     """Rows evaluated and rows backpropagated by the search, call by call."""
     seen = {"evaluated": [], "backprop": []}
@@ -761,6 +923,25 @@ def test_no_relu_above_the_layer_means_one_backprop_per_search(
     assert seen["backprop"] == [40]
     assert len(seen["evaluated"]) > 2
     assert any(r.steps > 1 for r in results)
+
+
+def test_rows_that_stop_cost_no_copy_of_the_gradient_tensor():
+    # a layer-1 search of 600 rows over 64 units holds a 600 x 5 x 64
+    # gradient tensor (1.46 MiB) while its rows stop over some twenty
+    # iterations; the search peaks near 3.8 MiB, and copying the tensor
+    # down to the rows still searching whenever some stop lifts that past
+    # 4.2 MiB
+    rng = np.random.default_rng(7)
+    net = init_network(20, [64], 5, seed=11)
+    H = forward_batch(net, 3.0 * rng.normal(size=(600, 20)))[1]
+    tracemalloc.start()
+    try:
+        table = search_margins(net, 1, H, SearchConfig(stop_tolerance=1e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 5 <= np.median(table.steps) < table.steps.max()
+    assert peak < 4.0 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

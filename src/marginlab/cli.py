@@ -18,6 +18,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -343,6 +344,8 @@ def _cmd_pca(args) -> None:
 
 _ENTRY_REQUIRED = {"hyperparams", "train_acc", "test_acc", "measures"}
 _ENTRY_ALLOWED = _ENTRY_REQUIRED | {"model_path"}
+_ENTRY_FIELDS = operator.itemgetter("hyperparams", "train_acc", "test_acc",
+                                    "measures")
 
 
 def _is_finite_real(value) -> bool:
@@ -376,33 +379,34 @@ def _load_models_file(path, measure_col: str, axes: bool) -> ModelTable:
 def _models_table(data: list, measure_col: str,
                   axes: bool) -> ModelTable | None:
     """The entries of ``data`` as a table, or None when one of them fails a
-    check of ``_raise_first_bad_entry``."""
-    if not all(type(e) is dict
-               and _ENTRY_REQUIRED <= e.keys() <= _ENTRY_ALLOWED
-               for e in data):
+    check of ``_raise_first_bad_entry``. Each check is one pass over all
+    entries in C: ``map``, ``set``, ``all`` and ``operator.itemgetter``."""
+    if set(map(type, data)) != {dict} \
+            or not all(map(_ENTRY_ALLOWED.issuperset, data)):
         return None
-    hyper = [e["hyperparams"] for e in data]
-    measures = [e["measures"] for e in data]
-    if not (all(type(h) is dict and h for h in hyper)
-            and all(type(m) is dict and measure_col in m for m in measures)):
+    try:
+        hyper, train, test, measures = zip(*map(_ENTRY_FIELDS, data))
+        if set(map(type, hyper)) != {dict} or not all(hyper) \
+                or set(map(type, measures)) != {dict}:
+            return None
+        measure = tuple(map(operator.itemgetter(measure_col), measures))
+    except KeyError:  # a required key or the measure is missing
         return None
-    cells = [(e["train_acc"], e["test_acc"], m[measure_col])
-             for e, m in zip(data, measures)]
-    kinds = set(map(type, itertools.chain.from_iterable(cells)))
+    kinds = set(map(type, itertools.chain(train, test, measure)))
     if not kinds <= {int, float}:  # a bool's type is neither
         return None
     try:
-        values = np.array(cells, dtype=np.float64)
+        values = np.array((train, test, measure), dtype=np.float64)
     except OverflowError:  # an int too large for a float
         return None
     if not np.isfinite(values).all():
         return None
     keys = hyper[0].keys()
-    if axes and any(h.keys() != keys for h in hyper):
+    if axes and not all(map(keys.__eq__, map(dict.keys, hyper))):
         return None
-    train, test, measure = values.T
-    tokens = {name: [str(h[name]) for h in hyper] for name in keys} \
-        if axes else {}
+    train, test, measure = values
+    tokens = {name: list(map(str, map(operator.itemgetter(name), hyper)))
+              for name in keys} if axes else {}
     return ModelTable.from_tokens(tokens, measure, train - test, test)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._atomic import atomic_open
 from ._csvio import read_numeric_csv, write_csv
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_integers
 
 _MAGIC = b"MWDS"
 _BIN_VERSION = 1
@@ -84,6 +84,8 @@ class BlobConfig:
     centers: np.ndarray | None = None
 
     def __post_init__(self):
+        check_integers(classes=self.classes,
+                       samples_per_class=self.samples_per_class, dim=self.dim)
         if self.classes < 2:
             raise DomainError("blob generation needs at least 2 classes")
         if self.samples_per_class < 1:

@@ -6,6 +6,8 @@ numerically while computing. The CLI maps the first family to exit code 2 and
 the second to exit code 3.
 """
 
+import numbers
+
 
 class WorkbenchError(Exception):
     """Base class for every error raised by this package."""
@@ -17,6 +19,14 @@ class ConfigError(WorkbenchError):
 
 class DomainError(WorkbenchError):
     """A precondition on an operation's inputs was violated."""
+
+
+def check_integers(**fields) -> None:
+    """Raise DomainError naming the first field whose value is not an
+    integer. Python and NumPy integers pass; a bool or a float does not."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 class UndefinedMetricError(DomainError):

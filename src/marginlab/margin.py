@@ -51,6 +51,7 @@ from .errors import (
     DegenerateVarianceError,
     DomainError,
     UnreachableSubspaceError,
+    check_integers,
 )
 # forward_batch and logit_diffs_all_batch are imported for the benchmark's
 # tracer (bench/tracing.py), which wraps the nnet calls made through here
@@ -94,6 +95,7 @@ class SearchConfig:
     bounds: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
+        check_integers(max_iters=self.max_iters)
         if not 0.0 < self.learning_rate <= 1.0:
             raise DomainError(f"learning_rate must lie in (0, 1], got "
                               f"{self.learning_rate}")
@@ -343,7 +345,7 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
 
     ``pca`` and ``m`` restrict the perturbation to the top-``m`` principal
     directions (input space only); distance is still measured in the
-    original space.
+    original space. ``m`` without ``pca`` is a ``DomainError``.
 
     The search keeps each row's (projected) gradients, their per-class
     norms and the activation pattern ``Z > 0`` of every ReLU layer from
@@ -375,6 +377,9 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
                 or not 1 <= m <= k):
             raise DomainError(f"m={m!r} must be an integer in [1, {k}]")
         projector = pca.components[:m]
+    elif m is not None:
+        raise DomainError(f"m={m!r} restricts the search to a subspace, "
+                          f"which needs a pca basis")
 
     o, logits, pres, base = _logit_diffs(net, lam, X0)
     grads = _RowGradients(net, lam, projector, pres, base)

@@ -364,14 +364,20 @@ def granulated_kendall(models: ModelTable | Sequence[EvaluatedModel],
     codes = table.codes
     spans = codes.max(axis=0) + 1
 
-    # group ids in sorted order of the other axes' tokens: the key takes one
-    # column at a time and is made dense again after each, so it stays below
-    # n**2 at any number of axes
-    group_of = np.zeros(len(codes), dtype=np.intp)
+    # group ids in sorted order of the other axes' tokens: a mixed-radix key
+    # over those columns, made dense by one np.unique; it is made dense
+    # early only where the next column would take it past 2**62, so it
+    # never overflows at any number of axes
+    key = np.zeros(len(codes), dtype=np.intp)
+    bound = 1  # every key is below it
     for j in range(codes.shape[1]):
         if j != axis:
-            _, group_of = np.unique(group_of * spans[j] + codes[:, j],
-                                    return_inverse=True)
+            if bound * int(spans[j]) > 2 ** 62:
+                _, key = np.unique(key, return_inverse=True)
+                bound = int(key.max()) + 1
+            key = key * spans[j] + codes[:, j]
+            bound *= int(spans[j])
+    _, group_of = np.unique(key, return_inverse=True)
     count = int(group_of.max()) + 1
     sizes = np.bincount(group_of, minlength=count)
     span = spans[axis]
@@ -535,29 +541,31 @@ def extract_signature(margins: np.ndarray) -> MarginSignature:
     except that a zero quartile of a sample holding both +0.0 and -0.0 may
     carry the other sign.
     """
-    s = np.sort(np.asarray(margins, dtype=np.float64), axis=None)
-    if s.size == 0:
+    # np.array copies, so the in-place sort never touches the caller's array
+    s = np.array(margins, dtype=np.float64).ravel()
+    s.sort()
+    n = s.size
+    if n == 0:
         raise DomainError("cannot summarize an empty margin distribution")
     # NaN sorts last, so the two ends show every non-finite value
-    if not (math.isfinite(s[0]) and math.isfinite(s[-1])):
+    if not (math.isfinite(s.item(0)) and math.isfinite(s.item(-1))):
         raise DomainError("margin distribution contains non-finite values")
-    q1, q2, q3 = (_sorted_quartile(s, k) for k in (1, 2, 3))
+    if n == 1:
+        q1 = q2 = q3 = s.item(0)
+    else:
+        quartiles = []
+        for k in (1, 2, 3):
+            # v = (n - 1) k / 4 is a multiple of 1/4, so lo and t are exact;
+            # lo + 1 <= n - 1 for k <= 3
+            lo, quarters = divmod((n - 1) * k, 4)
+            a, b, t = s.item(lo), s.item(lo + 1), quarters / 4
+            quartiles.append(a + (b - a) * t if t < 0.5
+                             else b - (b - a) * (1 - t))
+        q1, q2, q3 = quartiles
     iqr = q3 - q1
     return MarginSignature(q1=q1, q2=q2, q3=q3,
                            lower_fence=q1 - 1.5 * iqr,
                            upper_fence=q3 + 1.5 * iqr)
-
-
-def _sorted_quartile(s: np.ndarray, k: int) -> float:
-    """Type-7 quantile at q = k/4 of the sorted sample ``s``."""
-    # v = (n - 1) k / 4 is a multiple of 1/4, so lo and t are exact
-    lo, quarters = divmod((s.size - 1) * k, 4)
-    if lo >= s.size - 1:
-        return float(s[-1])
-    a, b, t = float(s[lo]), float(s[lo + 1]), quarters / 4
-    if t < 0.5:
-        return a + (b - a) * t
-    return b - (b - a) * (1 - t)
 
 
 # ---------------------------------------------------------------------------

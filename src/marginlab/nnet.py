@@ -23,6 +23,7 @@ from .errors import (
     DomainError,
     NumericalError,
     TrainingDivergedError,
+    check_integers,
 )
 
 logger = logging.getLogger(__name__)
@@ -188,6 +189,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(epochs=self.epochs, batch_size=self.batch_size)
         if self.epochs < 1:
             raise DomainError("epochs must be >= 1")
         if self.batch_size < 1:

@@ -34,6 +34,7 @@ from marginlab.cli import ExperimentConfig, main
 from marginlab.data import BlobConfig
 from marginlab.errors import ConfigError
 from marginlab.margin import SearchConfig
+from marginlab.metrics import ModelTable
 from marginlab.nnet import TrainConfig, load_model
 from marginlab.pca import fit_pca, load_pca, save_pca
 
@@ -162,6 +163,116 @@ def test_mutated_models_file_exits_0_2_or_3(data, metric):
                                metric, "--measure-col", "mm", "--out",
                                scores])
         _check_exit(code, out, err, scores)
+
+
+def _reference_models_table(data, measure_col, axes):
+    """The models table built entry by entry: the reference that the
+    loader's whole-list passes must match, rejections and bits."""
+    cli = marginlab.cli
+    if not all(type(e) is dict
+               and cli._ENTRY_REQUIRED <= e.keys() <= cli._ENTRY_ALLOWED
+               for e in data):
+        return None
+    hyper = [e["hyperparams"] for e in data]
+    measures = [e["measures"] for e in data]
+    if not (all(type(h) is dict and h for h in hyper)
+            and all(type(m) is dict and measure_col in m for m in measures)):
+        return None
+    cells = [(e["train_acc"], e["test_acc"], m[measure_col])
+             for e, m in zip(data, measures)]
+    if not set(map(type, itertools.chain.from_iterable(cells))) <= {int,
+                                                                    float}:
+        return None
+    try:
+        values = np.array(cells, dtype=np.float64)
+    except OverflowError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    keys = hyper[0].keys()
+    if axes and any(h.keys() != keys for h in hyper):
+        return None
+    train, test, measure = values.T
+    tokens = {name: [str(h[name]) for h in hyper] for name in keys} \
+        if axes else {}
+    return ModelTable.from_tokens(tokens, measure, train - test, test)
+
+
+def _check_models_table(doc) -> list:
+    """For both ``axes`` values: the loader's table is None exactly when
+    the entry-by-entry scan raises, and otherwise equals the reference bit
+    for bit. Returns whether each was rejected."""
+    cli = marginlab.cli
+    rejected = []
+    for axes in (False, True):
+        table = cli._models_table(doc, "mm", axes)
+        want = _reference_models_table(doc, "mm", axes)
+        try:
+            cli._raise_first_bad_entry("models.json", doc, "mm", axes)
+        except ConfigError:
+            assert table is None and want is None
+            rejected.append(True)
+            continue
+        rejected.append(False)
+        assert table is not None and want is not None
+        assert table.names == want.names
+        assert table.codes.dtype == want.codes.dtype
+        assert table.codes.tolist() == want.codes.tolist()
+        for column in ("complexity", "gen_gap", "test_accuracy"):
+            got, expect = getattr(table, column), getattr(want, column)
+            assert got.dtype == expect.dtype
+            assert got.tobytes() == expect.tobytes()
+    return rejected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_models_table_rejects_exactly_what_the_entry_scan_names(data):
+    doc = json.loads(json.dumps(_mutate(data, _models_doc())))
+    # the loader rejects anything but a non-empty list before either runs
+    if isinstance(doc, list) and doc:
+        _check_models_table(doc)
+
+
+_TABLE_CASES = {
+    "unmutated": ([False, False], lambda d: None),
+    "model-path": ([False, False],
+                   lambda d: d[2].__setitem__("model_path", "m.json")),
+    "int-cells": ([False, False],
+                  lambda d: d[3].update(train_acc=1, test_acc=0)),
+    "one-axis": ([False, False],
+                 lambda d: [e.__setitem__("hyperparams",
+                                          {"width": e["hyperparams"]["lr"]})
+                            for e in d]),
+    "bool-cell": ([True, True],
+                  lambda d: d[3]["measures"].__setitem__("mm", True)),
+    "huge-int": ([True, True], lambda d: d[5].__setitem__("train_acc",
+                                                          10 ** 400)),
+    "json-nan": ([True, True], lambda d: d[2].__setitem__("test_acc",
+                                                          float("nan"))),
+    "empty-hyperparams": ([True, True],
+                          lambda d: d[1].__setitem__("hyperparams", {})),
+    "non-dict-entry": ([True, True], lambda d: d.__setitem__(4, [1, 2])),
+    "non-dict-measures": ([True, True],
+                          lambda d: d[6].__setitem__("measures", [0.5])),
+    "unknown-key": ([True, True], lambda d: d[7].__setitem__("extra", 1)),
+    "missing-key": ([True, True], lambda d: d[0].pop("train_acc")),
+    "mismatched-axes": ([False, True],
+                        lambda d: d[7]["hyperparams"].pop("opt")),
+    "missing-measure": ([True, True],
+                        lambda d: d[0].__setitem__("measures",
+                                                   {"other": 1.0})),
+}
+
+
+@pytest.mark.parametrize("case", list(_TABLE_CASES))
+def test_models_table_cases_match_the_entry_scan(case):
+    # the rejections the fuzzer may reach only rarely, one by one
+    rejected, edit = _TABLE_CASES[case]
+    doc = _models_doc()
+    edit(doc)
+    doc = json.loads(json.dumps(doc))
+    assert _check_models_table(doc) == rejected
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

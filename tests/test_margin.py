@@ -497,6 +497,22 @@ def test_subspace_dimension_must_be_an_integer_in_range(m):
         assert len(search_margins(net, 0, X, None, pca, ok)) == len(X)
 
 
+def test_subspace_dimension_without_a_basis_is_rejected():
+    # m alone used to be ignored, which gave unconstrained margins
+    rng = np.random.default_rng(19)
+    net = init_network(4, [8], 3, seed=2)
+    X = rng.normal(size=(10, 4))
+    H = forward_batch(net, X)[1]
+    for lam, rows, m in ((0, X, 3), (0, X, np.int64(1)), (1, H, "x")):
+        for cfg in (None, SearchConfig()):
+            with pytest.raises(DomainError, match="needs a pca basis"):
+                search_margins(net, lam, rows, cfg, None, m)
+    with pytest.raises(DomainError, match="needs a pca basis"):
+        constrained_taylor_margin(net, X[0], None, 2)
+    with pytest.raises(DomainError, match="needs a pca basis"):
+        constrained_deepfool_margin(net, X[0], None, 2, SearchConfig())
+
+
 def test_constrained_taylor_orthogonal_subspace_unreachable():
     net = two_class_line()
     pca = PcaModel(mean=np.zeros(2), components=np.array([[0.0, 1.0]]),

@@ -720,6 +720,23 @@ def test_signature_matches_percentile_on_tied_and_large_samples():
             assert bits(got) == bits(percentile_signature(values))
 
 
+def test_signature_matches_percentile_on_any_input_layout():
+    # the sample is copied once and sorted in place: every layout must give
+    # the flattened sample's quartiles, and the caller's values must stay
+    rng = np.random.default_rng(149)
+    grid = rng.normal(size=(6, 7))
+    for values in (rng.normal(size=30), grid.ravel().tolist(),
+                   tuple(grid.ravel()), rng.integers(-50, 50, size=23),
+                   rng.integers(-50, 50, size=(4, 5)).astype(np.int32), grid,
+                   np.asfortranarray(grid), grid.T, grid[::2, ::3],
+                   grid.ravel()[::3], grid[:, 5]):
+        before = np.array(values, dtype=np.float64)
+        got = extract_signature(values).as_vector()
+        assert bits(got) == bits(percentile_signature(np.ravel(values)))
+        assert bits(np.array(values, dtype=np.float64).ravel()) \
+            == bits(before.ravel())
+
+
 def test_signature_rejects_non_finite():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(DomainError):

@@ -13,6 +13,7 @@ from marginlab.errors import (
     NumericalError,
     TrainingDivergedError,
 )
+from marginlab.margin import SearchConfig
 from marginlab.nnet import (
     DenseLayer,
     Network,
@@ -290,6 +291,29 @@ def test_train_sgd_logs_final_epoch_loss_without_a_prediction_pass(
     [record] = [r for r in caplog.records if r.name == "marginlab.nnet"]
     assert record.getMessage().startswith("final epoch mean loss: ")
     assert record.args[0] == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, np.float64(3.0), True, "3"],
+                         ids=["float", "integral-float", "np-float", "bool",
+                              "str"])
+def test_count_fields_must_be_integers(value):
+    # a float count used to leak TypeError from range or be accepted
+    blob = dict(classes=3, samples_per_class=10, dim=2, spread=1.0, seed=0)
+    train = dict(epochs=2, batch_size=4, learning_rate=0.1)
+    ds = gen_blobs(BlobConfig(**blob))
+    net = init_network(2, [4], 3, seed=0)
+    for field in ("classes", "samples_per_class", "dim"):
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            gen_blobs(BlobConfig(**{**blob, field: value}))
+    for field in ("epochs", "batch_size"):
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            train_sgd(net, ds, TrainConfig(**{**train, field: value}))
+    with pytest.raises(DomainError, match="max_iters must be an integer"):
+        SearchConfig(max_iters=value)
+    # numpy integers are integers
+    assert gen_blobs(BlobConfig(**{**blob, "dim": np.int64(2)})).feature_count == 2
+    train_sgd(net, ds, TrainConfig(**{**train, "epochs": np.int32(1)}))
+    assert SearchConfig(max_iters=np.int64(3)).max_iters == 3
 
 
 def test_train_config_validation():

@@ -19,14 +19,10 @@ from .errors import (
     WorkbenchError,
 )
 from .margin import (
-    MarginResult,
+    MarginTable,
     SearchConfig,
     SearchStatus,
-    constrained_deepfool_margin,
-    constrained_taylor_margin,
-    deepfool_margin,
-    deepfool_margin_batch,
-    taylor_margin,
+    search_margins,
     tv_normalize,
 )
 from .metrics import (
@@ -54,7 +50,7 @@ __all__ = [
     "DomainError",
     "EvaluatedModel",
     "HyperparamConfig",
-    "MarginResult",
+    "MarginTable",
     "ModelTable",
     "Network",
     "NumericalError",
@@ -66,14 +62,10 @@ __all__ = [
     "accuracy",
     "adv_directions",
     "cmi_score",
-    "constrained_deepfool_margin",
-    "constrained_taylor_margin",
     "corrupt_inputs_gaussian",
     "corrupt_labels",
     "cross_validate_predictor",
     "cumulative_share",
-    "deepfool_margin",
-    "deepfool_margin_batch",
     "extract_signature",
     "fit_linear_predictor",
     "fit_pca",
@@ -87,8 +79,8 @@ __all__ = [
     "predict_gap",
     "r_squared",
     "save_dataset",
+    "search_margins",
     "select_components_kneedle",
-    "taylor_margin",
     "train_sgd",
     "tv_normalize",
 ]

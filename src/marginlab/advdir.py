@@ -37,7 +37,7 @@ def adv_directions(pca: PcaModel, originals: np.ndarray,
                    boundary_points: np.ndarray) -> AdvShare:
     """Share of perturbation mass per principal component.
 
-    Each row of |transform(x) - transform(x_hat)| is divided by its own
+    Each row of |(x - x_hat) @ components.T| is divided by its own
     maximum, so every retained sample contributes the same total weight
     regardless of how far its boundary point lies.
     """

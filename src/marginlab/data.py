@@ -16,7 +16,7 @@ import numpy as np
 
 from ._atomic import atomic_open
 from ._csvio import read_numeric_csv, write_csv
-from .errors import ConfigError, DomainError, check_integers
+from .errors import ConfigError, DomainError, check_integers, check_seed
 
 _MAGIC = b"MWDS"
 _BIN_VERSION = 1
@@ -86,6 +86,7 @@ class BlobConfig:
     def __post_init__(self):
         check_integers(classes=self.classes,
                        samples_per_class=self.samples_per_class, dim=self.dim)
+        check_seed(self.seed)
         if self.classes < 2:
             raise DomainError("blob generation needs at least 2 classes")
         if self.samples_per_class < 1:
@@ -160,6 +161,7 @@ def _corruption_indices(sample_count: int, fraction: float, rng: np.random.Gener
 
 def corrupt_labels(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, CorruptionReport]:
     """Reassign a uniformly chosen *different* label on round(fraction*s) samples."""
+    check_seed(seed)
     if ds.class_count < 2:
         raise DomainError("label corruption needs at least 2 classes")
     rng = np.random.default_rng(seed)
@@ -186,6 +188,7 @@ def corrupt_inputs_gaussian(ds: Dataset, fraction: float, seed: int) -> tuple[Da
     zero-std sample is reproduced exactly. Results are clipped to the dataset
     bounds.
     """
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     indices = _corruption_indices(ds.sample_count, fraction, rng)
 
@@ -247,10 +250,6 @@ def normalize(ds: Dataset, scheme: str) -> tuple[Dataset, NormalizationMeta]:
     out = Dataset(features, ds.labels.copy(), lower, upper,
                   ds.corrupt_flags.copy(), ds.class_count)
     return out, meta
-
-
-def denormalize(features: np.ndarray, meta: NormalizationMeta) -> np.ndarray:
-    return np.asarray(features) * meta.scales + meta.offsets
 
 
 def apply_normalization(features: np.ndarray, meta: NormalizationMeta) -> np.ndarray:

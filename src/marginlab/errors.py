@@ -29,6 +29,14 @@ def check_integers(**fields) -> None:
             raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
+def check_seed(seed) -> None:
+    """Raise DomainError unless ``seed`` is an integer >= 0, as numpy's
+    generators take it."""
+    check_integers(seed=seed)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+
+
 class UndefinedMetricError(DomainError):
     """The requested metric is mathematically undefined on these inputs."""
 
@@ -41,20 +49,8 @@ class TrainingDivergedError(NumericalError):
     """Loss or parameters became non-finite during training."""
 
 
-class DegenerateGradientError(NumericalError):
-    """A gradient difference had (near-)zero norm where one was required."""
-
-
 class DegenerateVarianceError(NumericalError):
     """Total variation (or a variance) needed as a divisor is zero."""
-
-
-class UnreachableSubspaceError(NumericalError):
-    """No decision boundary is reachable inside the restricted subspace.
-
-    Raised where a constrained estimate would be infinite; the error itself is
-    the infinite-margin sentinel.
-    """
 
 
 class FitError(NumericalError):

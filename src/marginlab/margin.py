@@ -30,11 +30,8 @@ others reuse their gradients, which are the bits a fresh backprop would
 give.
 
 The engine returns one ``MarginTable``: a NumPy column per field, so a
-caller that writes or averages margins reads whole columns, and
-``table[i]`` gives one row as a ``MarginResult`` (None for a closed-form row
-without a margin). ``taylor_margin``, ``deepfool_margin`` and the
-constrained variants are one-row calls into the engine,
-``deepfool_margin_batch`` an all-rows call.
+caller that writes or averages margins reads whole columns. It is the only
+margin entry point; one sample is a one-row call.
 The total-variation helpers normalize hidden-layer margins so that values
 from layers of different scale become comparable.
 """
@@ -46,17 +43,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegenerateGradientError,
-    DegenerateVarianceError,
-    DomainError,
-    UnreachableSubspaceError,
-    check_integers,
-)
+from .errors import DegenerateVarianceError, DomainError, check_integers
 # forward_batch and logit_diffs_all_batch are imported for the benchmark's
 # tracer (bench/tracing.py), which wraps the nnet calls made through here
 from .nnet import (
     Network,
+    _checked_rows,
     _logit_diff_grads,
     _logit_diffs,
     forward_batch,
@@ -106,31 +98,8 @@ class SearchConfig:
             raise DomainError("max_iters must be at least 1")
 
 
-@dataclass(frozen=True)
-class MarginResult:
-    """Outcome of one margin estimate.
-
-    ``d_best`` is the distance to the best near-boundary iterate found
-    (for the closed-form estimators, the linearized distance itself).
-    ``v_best`` is the logit gap |f_i - f_j| at that iterate —
-    ``inf`` when no iterate was ever accepted. ``steps`` counts accepted
-    updates, in batch mode too. ``trace`` (opt-in) lists (distance,
-    violation) per accepted iterate, in order.
-    """
-
-    d_best: float
-    v_best: float
-    class_pair: tuple[int, int]
-    steps: int
-    status: SearchStatus
-    boundary_point: np.ndarray | None = None
-    left_subspace: bool = False
-    trace: list[tuple[float, float]] | None = None
-
-
-# a MarginTable's status codes index this tuple
-_STATUSES = tuple(SearchStatus)
-_CODE = {status: code for code, status in enumerate(_STATUSES)}
+# a MarginTable's status codes index tuple(SearchStatus)
+_CODE = {status: code for code, status in enumerate(SearchStatus)}
 
 
 @dataclass(frozen=True)
@@ -138,17 +107,18 @@ class MarginTable:
     """Margin estimates of ``search_margins``, one row per measured point,
     as NumPy columns.
 
-    ``d_best``, ``v_best``, ``base`` (the predicted class), ``competitor``,
-    ``steps`` and ``left_subspace`` are the ``MarginResult`` fields of every
-    row; ``status`` holds codes, indices into ``tuple(SearchStatus)``.
+    ``d_best`` is the distance to the best near-boundary iterate found (for
+    the closed form, the linearized distance itself) and ``v_best`` the
+    logit gap |f_i - f_j| there, ``inf`` when no iterate was ever accepted.
+    ``base`` is the predicted class i and ``competitor`` the class j.
+    ``steps`` counts accepted updates, in batch mode too. ``status`` holds
+    codes, indices into ``tuple(SearchStatus)``. ``left_subspace`` flags a
+    constrained row whose boundary point clipping pushed off the subspace.
     ``boundary`` is the (rows x width) matrix of boundary points, None for
     the closed form. ``stuck`` marks the closed form's rows without a usable
     gradient, which have no margin; their other cells are meaningless.
     ``trace``, when collected, lists (row, distance, violation) per accepted
     iterate, in order.
-
-    ``len(table)`` is the row count and ``table[i]`` row i as a
-    ``MarginResult``, or None for a stuck row; iterating yields the rows.
     """
 
     d_best: np.ndarray
@@ -161,35 +131,6 @@ class MarginTable:
     boundary: np.ndarray | None
     stuck: np.ndarray
     trace: list[tuple[int, float, float]] | None = None
-
-    def __len__(self) -> int:
-        return self.d_best.size
-
-    def __getitem__(self, i: int) -> MarginResult | None:
-        i = range(len(self))[i]
-        return self._row(i, None if self.trace is None
-                         else [(d, v) for k, d, v in self.trace if k == i])
-
-    def __iter__(self):
-        # one pass over the trace, not one per row
-        traces = None
-        if self.trace is not None:
-            traces = [[] for _ in range(len(self))]
-            for k, d, v in self.trace:
-                traces[k].append((d, v))
-        for i in range(len(self)):
-            yield self._row(i, None if traces is None else traces[i])
-
-    def _row(self, i: int,
-             trace: list[tuple[float, float]] | None) -> MarginResult | None:
-        if self.stuck[i]:
-            return None
-        return MarginResult(
-            d_best=float(self.d_best[i]), v_best=float(self.v_best[i]),
-            class_pair=(int(self.base[i]), int(self.competitor[i])),
-            steps=int(self.steps[i]), status=_STATUSES[self.status[i]],
-            boundary_point=None if self.boundary is None else self.boundary[i],
-            left_subspace=bool(self.left_subspace[i]), trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +275,8 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
     Without ``cfg``, the closed-form first-order margin: the opening
     evaluation's nearest-boundary distance o_j / ||grad o_j||, the target
     of the search's first step. Competitors whose gradient vanishes are
-    skipped; a row left with none is stuck, and ``table[i]`` is None.
+    skipped; a row left with none is stuck (``table.stuck``): no competitor
+    is reachable, or none inside the subspace of a constrained search.
 
     With ``cfg``, the iterative boundary search. By default each row stops
     on its own: its violation rose, its distance settled, it hit
@@ -342,6 +284,9 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
     stuck row stops at once). With ``batch_mean`` the whole batch stops
     once the mean distance over all rows settles, and each status reports
     how that row stood then.
+
+    ``X`` must be one row or a matrix of rows of finite values; anything
+    else is a ``DomainError``.
 
     ``pca`` and ``m`` restrict the perturbation to the top-``m`` principal
     directions (input space only); distance is still measured in the
@@ -365,7 +310,7 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
     no descent direction from there. The batch-mean mode evaluates every
     row on every iteration and reads whole arrays.
     """
-    X0 = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X0 = np.atleast_2d(_checked_rows(X))
     s = X0.shape[0]
     projector = None
     if pca is not None:
@@ -513,81 +458,6 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
                        competitor=pair, steps=steps, status=status,
                        left_subspace=left, boundary=boundary,
                        stuck=np.zeros(s, dtype=bool), trace=trace)
-
-
-# ---------------------------------------------------------------------------
-# single-sample and batch entry points
-
-
-def taylor_margin(net: Network, lam: int,
-                  x_lam: np.ndarray) -> MarginResult:
-    """First-order margin (f_i - f_j) / ||grad(f_i - f_j)|| at one point:
-    the distance to the nearest linearized boundary, from the predicted
-    class i over every competitor j, which is where the search's first step
-    aims. Competitor pairs whose gradient difference vanishes cannot be
-    reached by a first-order step and are skipped; if every competitor is
-    degenerate this raises DegenerateGradientError.
-    """
-    result = search_margins(net, lam, np.reshape(x_lam, (1, -1)))[0]
-    if result is None:
-        raise DegenerateGradientError(
-            "every candidate logit-difference gradient vanishes at this point")
-    return result
-
-
-def constrained_taylor_margin(net: Network, x: np.ndarray, pca: PcaModel,
-                              m: int) -> MarginResult:
-    """First-order margin with the perturbation restricted to the span of
-    the top ``m`` principal directions; distance is measured in the
-    original input space. If no competitor's gradient has a component
-    inside the subspace, the boundary is unreachable there and
-    UnreachableSubspaceError is raised.
-    """
-    result = search_margins(net, 0, np.reshape(x, (1, -1)), pca=pca, m=m)[0]
-    if result is None:
-        raise UnreachableSubspaceError(
-            f"no decision boundary is reachable within the top-{m} subspace")
-    return result
-
-
-def deepfool_margin(net: Network, lam: int, activ: np.ndarray,
-                    cfg: SearchConfig,
-                    collect_trace: bool = False) -> MarginResult:
-    """Iterative boundary search from one activation vector at layer ``lam``.
-
-    Steps use the signed logit gap, which lets the search walk back after
-    overshooting the boundary.
-    """
-    return search_margins(net, lam, np.reshape(activ, (1, -1)), cfg,
-                          collect_trace=collect_trace)[0]
-
-
-def deepfool_margin_batch(net: Network, lam: int, samples: np.ndarray,
-                          cfg: SearchConfig) -> list[MarginResult]:
-    """Batched boundary search; one result per row of ``samples``.
-
-    Unlike the single-sample mode, the only stopping rule is stabilization
-    of the mean distance across the batch, so per-sample statuses report
-    how each row stood when the batch stopped. Each result carries the
-    smallest-violation iterate that row ever visited, and ``steps`` counts
-    the updates that improved it.
-    """
-    if len(samples) < 1:
-        raise DomainError("margin search needs at least one sample")
-    return list(search_margins(net, lam, samples, cfg, batch_mean=True))
-
-
-def constrained_deepfool_margin(net: Network, x: np.ndarray, pca: PcaModel,
-                                m: int, cfg: SearchConfig,
-                                collect_trace: bool = False) -> MarginResult:
-    """Boundary search restricted to the span of the top ``m`` principal
-    directions (input space only); distance is measured in the original
-    space. Steps use the magnitude of the logit gap. When clipping to the
-    data box pushes the returned iterate off the subspace, the result's
-    ``left_subspace`` flag records it.
-    """
-    return search_margins(net, 0, np.reshape(x, (1, -1)), cfg, pca, m,
-                          collect_trace=collect_trace)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .errors import (
     NumericalError,
     TrainingDivergedError,
     check_integers,
+    check_seed,
 )
 
 logger = logging.getLogger(__name__)
@@ -64,6 +65,18 @@ def _check_activations(net: Network, lam: int, X: np.ndarray, top: int) -> None:
                           f"layer {lam} width {expected}")
 
 
+def _checked_rows(X) -> np.ndarray:
+    """``X`` as float64 activations, one row or a matrix of rows; a
+    DomainError when it has another rank or holds a non-finite value."""
+    A = np.asarray(X, dtype=np.float64)
+    if A.ndim not in (1, 2):
+        raise DomainError(f"activations must be one row or a matrix of "
+                          f"rows, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise DomainError("activations hold non-finite values")
+    return A
+
+
 def _forward(net: Network, lam: int, A: np.ndarray):
     """Run layers ``lam``.. of the net on activations ``A`` at layer ``lam``.
 
@@ -81,7 +94,7 @@ def _forward(net: Network, lam: int, A: np.ndarray):
 def forward_batch(net: Network, X: np.ndarray, lam: int = 0) -> list[np.ndarray]:
     """Activation matrices x^lam..x^L for a batch ``X`` of activations at
     layer ``lam``; by default X holds inputs, shape (s, input_dim)."""
-    A = np.asarray(X, dtype=np.float64)
+    A = _checked_rows(X)
     _check_activations(net, lam, A, len(net.layers))
     return _forward(net, lam, A)[0]
 
@@ -141,18 +154,6 @@ def _logit_diff_grads(net: Network, lam: int, pres, base: np.ndarray):
     return G
 
 
-def logit_diff_grad(net: Network, lam: int, x_lam: np.ndarray, i: int, j: int):
-    """(f_i − f_j, ∇_{x^lam}(f_i − f_j)) at one activation vector."""
-    if i == j:
-        raise DomainError("class pair must be distinct")
-    for k in (i, j):
-        if not 0 <= k < net.num_classes:
-            raise DomainError(f"class index {k} outside [0, {net.num_classes})")
-    o, G, _ = logit_diffs_all_batch(net, lam, np.asarray(x_lam)[None, :],
-                                    np.array([i]))
-    return float(o[0, j]), G[0, j]
-
-
 # ---------------------------------------------------------------------------
 # initialization and training
 
@@ -160,11 +161,16 @@ def logit_diff_grad(net: Network, lam: int, x_lam: np.ndarray, i: int, j: int):
 def init_network(input_dim: int, hidden_widths, num_classes: int, seed: int,
                  norm_meta: NormalizationMeta | None = None) -> Network:
     """Uniform ±1/sqrt(fan_in) init; ReLU hidden layers, linear output."""
+    widths = [input_dim, *hidden_widths, num_classes]
+    check_integers(input_dim=input_dim, num_classes=num_classes,
+                   **{f"hidden_widths[{k}]": w
+                      for k, w in enumerate(widths[1:-1])})
+    check_seed(seed)
+    widths = [int(w) for w in widths]  # NumPy integers become ints
     if num_classes < 2:
         raise DomainError("num_classes must be >= 2")
     if input_dim < 1:
         raise DomainError("input_dim must be >= 1")
-    widths = [int(input_dim), *[int(w) for w in hidden_widths], int(num_classes)]
     if any(w < 1 for w in widths):
         raise DomainError("layer widths must be >= 1")
     rng = np.random.default_rng(seed)
@@ -176,8 +182,8 @@ def init_network(input_dim: int, hidden_widths, num_classes: int, seed: int,
         b = rng.uniform(-bound, bound, size=widths[k + 1])
         act = "relu" if k < len(widths) - 2 else "none"
         layers.append(DenseLayer(weights=w, bias=b, activation=act))
-    return Network(layers=layers, input_dim=input_dim, num_classes=num_classes,
-                   norm_meta=norm_meta)
+    return Network(layers=layers, input_dim=widths[0],
+                   num_classes=widths[-1], norm_meta=norm_meta)
 
 
 @dataclass(frozen=True)
@@ -190,6 +196,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_integers(epochs=self.epochs, batch_size=self.batch_size)
+        check_seed(self.seed)
         if self.epochs < 1:
             raise DomainError("epochs must be >= 1")
         if self.batch_size < 1:

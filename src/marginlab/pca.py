@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ._atomic import atomic_open
-from .errors import ConfigError, DomainError, NumericalError
+from .errors import ConfigError, DomainError, NumericalError, check_integers
 
 PCA_FORMAT = "mw-pca/1"
 
@@ -46,11 +46,15 @@ def fit_pca(X: np.ndarray, n_components: int | None = None) -> PcaModel:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DomainError("fit_pca expects a (samples, features) matrix")
+    if not np.isfinite(X).all():
+        raise DomainError("fit_pca data hold non-finite values")
     s, n = X.shape
     if s < 2:
         raise DomainError("need at least 2 samples to fit")
-    limit = min(s - 1, n)
-    m = limit if n_components is None else int(n_components)
+    m = limit = min(s - 1, n)
+    if n_components is not None:
+        check_integers(n_components=n_components)
+        m = n_components
     if not 1 <= m <= limit:
         raise DomainError(f"n_components must lie in [1, {limit}] for this data")
 
@@ -71,14 +75,6 @@ def fit_pca(X: np.ndarray, n_components: int | None = None) -> PcaModel:
     return PcaModel(mean=mean, components=components,
                     explained_variance=variances,
                     explained_ratio=variances / total)
-
-
-def transform(pca: PcaModel, X: np.ndarray) -> np.ndarray:
-    return (np.asarray(X, dtype=np.float64) - pca.mean) @ pca.components.T
-
-
-def inverse_transform(pca: PcaModel, Y: np.ndarray) -> np.ndarray:
-    return np.asarray(Y, dtype=np.float64) @ pca.components + pca.mean
 
 
 def validate_orthonormal(components: np.ndarray) -> bool:

@@ -22,15 +22,13 @@ from marginlab.cli import ExperimentConfig, main, run_capacity_sweep
 from marginlab.data import (BlobConfig, Dataset, corrupt_labels, gen_blobs,
                             normalize, save_dataset)
 from marginlab.errors import UndefinedMetricError
-from marginlab.margin import (SearchConfig, constrained_deepfool_margin,
-                              constrained_taylor_margin, deepfool_margin,
-                              deepfool_margin_batch, taylor_margin)
+from marginlab.margin import SearchConfig, search_margins
 from marginlab.metrics import (cmi_score, cross_validate_predictor,
                                extract_signature, granulated_kendall,
                                kendall_tau)
 from marginlab.nnet import (DenseLayer, Network, TrainConfig, forward_batch,
-                            init_network, logit_diff_grad, predict_batch,
-                            train_sgd)
+                            init_network, logit_diffs_all_batch,
+                            predict_batch, train_sgd)
 from marginlab.pca import fit_pca, select_components_kneedle
 
 
@@ -51,24 +49,24 @@ def test_linear_classifiers_all_estimators_match_analytic_distance():
         expected = test_margin.analytic_linear_margin(net, x)
         pca = test_margin.orthonormal_pca(rng, 10)
 
-        closed_form = taylor_margin(net, 0, x)
-        assert abs(closed_form.d_best - expected) <= 1e-4
+        closed_form = test_margin.one_row(net, 0, x)
+        assert abs(closed_form.d_best[0] - expected) <= 1e-4
         # the closed form returns no iterate, so evaluate the logit gap at
         # the boundary point it implies
-        i, j = closed_form.class_pair
-        _, grad = logit_diff_grad(net, 0, x, i, j)
-        implied = x - closed_form.d_best * grad / np.linalg.norm(grad)
+        i, j = closed_form.base[0], closed_form.competitor[0]
+        grad = logit_diffs_all_batch(net, 0, x[None, :], [i])[1][0, j]
+        implied = x - closed_form.d_best[0] * grad / np.linalg.norm(grad)
         logits = forward_batch(net, implied[None, :])[-1][0]
         assert abs(logits[i] - logits[j]) <= 1e-3
 
         iterative = [
-            deepfool_margin(net, 0, x, unit),
-            deepfool_margin(net, 0, x, fine),
-            constrained_deepfool_margin(net, x, pca, 10, unit),
+            test_margin.one_row(net, 0, x, unit),
+            test_margin.one_row(net, 0, x, fine),
+            test_margin.one_row(net, 0, x, unit, pca, 10),
         ]
         for r in iterative:
-            assert abs(r.d_best - expected) <= 1e-4
-            assert r.v_best <= 1e-3
+            assert abs(r.d_best[0] - expected) <= 1e-4
+            assert r.v_best[0] <= 1e-3
     assert time.monotonic() - started < 10.0
 
 
@@ -112,7 +110,7 @@ def test_logit_difference_gradients_match_finite_differences():
 
         i = int(rng.integers(0, classes))
         j = (i + 1 + int(rng.integers(0, classes - 1))) % classes
-        _, grad = logit_diff_grad(net, 0, x, i, j)
+        grad = logit_diffs_all_batch(net, 0, x[None, :], [i])[1][0, j]
 
         grad_fd = np.empty(dim)
         for k in range(dim):
@@ -146,9 +144,9 @@ def test_full_rank_projection_margin_equals_unconstrained():
             if np.any(hidden.weights @ x + hidden.bias > 1e-6):
                 break
         pca = test_margin.orthonormal_pca(rng, 5)
-        full = constrained_taylor_margin(net, x, pca, 5)
-        plain = taylor_margin(net, 0, x)
-        assert abs(full.d_best - plain.d_best) <= 1e-10
+        full = test_margin.one_row(net, 0, x, None, pca, 5)
+        plain = test_margin.one_row(net, 0, x)
+        assert abs(full.d_best[0] - plain.d_best[0]) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +170,19 @@ def test_quarter_rate_search_refines_distances_with_more_steps():
         kept = np.flatnonzero(predict_batch(net, ds.features) == ds.labels)
         assert kept.size > 0
 
-        coarse_runs = deepfool_margin_batch(net, 0, ds.features[kept], coarse)
-        fine_runs = deepfool_margin_batch(net, 0, ds.features[kept], fine)
-        mean_coarse = np.mean([r.d_best for r in coarse_runs])
-        mean_fine = np.mean([r.d_best for r in fine_runs])
+        coarse_runs = search_margins(net, 0, ds.features[kept], coarse,
+                                     batch_mean=True)
+        fine_runs = search_margins(net, 0, ds.features[kept], fine,
+                                   batch_mean=True)
+        mean_coarse = np.mean(coarse_runs.d_best)
+        mean_fine = np.mean(fine_runs.d_best)
         assert mean_fine <= mean_coarse + 1e-9
-        assert (sum(r.steps for r in fine_runs)
-                >= sum(r.steps for r in coarse_runs))
+        assert fine_runs.steps.sum() >= coarse_runs.steps.sum()
 
         for idx in kept[:10]:
-            trace = deepfool_margin(net, 0, ds.features[idx], trace_cfg,
-                                    collect_trace=True).trace
-            violations = [v for _, v in trace]
+            trace = test_margin.one_row(net, 0, ds.features[idx], trace_cfg,
+                                        collect_trace=True).trace
+            violations = [v for _, _, v in trace]
             assert all(b < a for a, b in zip(violations, violations[1:]))
 
 
@@ -355,12 +354,11 @@ def test_projected_margins_rank_models_at_least_as_well():
             kept = np.flatnonzero(predict_batch(net, ds.features)
                                   == ds.labels)
             assert kept.size > 0
-            standard = np.mean(
-                [r.d_best for r in deepfool_margin_batch(
-                    net, 0, ds.features[kept], batch_cfg)])
+            standard = np.mean(search_margins(
+                net, 0, ds.features[kept], batch_cfg, batch_mean=True).d_best)
             constrained = np.mean(
-                [constrained_deepfool_margin(net, ds.features[idx], pca, m,
-                                             single_cfg).d_best
+                [test_margin.one_row(net, 0, ds.features[idx], single_cfg,
+                                     pca, m).d_best[0]
                  for idx in kept])
             rows.append((tag, acc, float(standard), float(constrained)))
 

@@ -1,0 +1,10 @@
+import marginlab
+
+
+def test_public_names_resolve_once_in_sorted_order():
+    names = marginlab.__all__
+    assert [n for n in names if not hasattr(marginlab, n)] == []
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    # the margin API is the engine and its table
+    assert {"search_margins", "MarginTable"} <= set(names)

@@ -15,15 +15,11 @@ from marginlab.data import (
     load_dataset,
     save_dataset,
 )
-from marginlab.errors import DegenerateGradientError, UnreachableSubspaceError
 from marginlab.margin import (
     SearchConfig,
+    SearchStatus,
     compute_total_variation,
-    constrained_deepfool_margin,
-    constrained_taylor_margin,
-    deepfool_margin,
     search_margins,
-    taylor_margin,
 )
 from marginlab.nnet import (
     DenseLayer,
@@ -105,6 +101,21 @@ def test_corrupt_rejects_bad_fraction(capsys, tmp_path):
                        "--mode", "label", "--fraction", 1.5, "--seed", 0)
     assert code == 2
     assert err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-data",), ("corrupt", "--mode", "label", "--fraction", 0.2),
+    ("corrupt", "--mode", "input", "--fraction", 0.2)],
+    ids=["gen-data", "corrupt-label", "corrupt-input"])
+def test_negative_seed_exits_2(capsys, tmp_path, argv):
+    # numpy's ValueError used to end these in a traceback
+    if argv[0] == "corrupt":
+        argv += ("--in", gen(capsys, tmp_path))
+    code, out, err = run(capsys, *argv, "--out", tmp_path / "x.csv",
+                         "--seed", -1)
+    assert (code, out) == (2, "")
+    assert "seed must be >= 0" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_missing_input_file_exits_2(capsys, tmp_path):
@@ -435,15 +446,11 @@ def _half_dead_net(rng):
     return Network(layers, 3, 3, norm_meta=meta)
 
 
-_SINGLE = {
-    "taylor": lambda net, lam, x, pca, cfg: taylor_margin(net, lam, x),
-    "deepfool": lambda net, lam, x, pca, cfg: deepfool_margin(net, lam, x,
-                                                              cfg),
-    "constrained-taylor": lambda net, lam, x, pca, cfg:
-        constrained_taylor_margin(net, x, pca, 2),
-    "constrained-deepfool": lambda net, lam, x, pca, cfg:
-        constrained_deepfool_margin(net, x, pca, 2, cfg),
-}
+# whether each estimator searches (takes the SearchConfig) and whether it
+# is constrained to the top-2 principal subspace
+_SINGLE = {"taylor": (False, False), "deepfool": (True, False),
+           "constrained-taylor": (False, True),
+           "constrained-deepfool": (True, True)}
 
 
 @pytest.mark.parametrize("estimator,layer", [
@@ -472,26 +479,29 @@ def test_measure_rows_match_single_sample_calls(capsys, tmp_path, estimator,
     assert code == 0
 
     acts = forward_batch(net, X)[layer]
-    cfg = SearchConfig(stop_tolerance=0.001, max_iters=8)
+    searches, constrained = _SINGLE[estimator]
+    cfg = SearchConfig(stop_tolerance=0.001, max_iters=8) if searches \
+        else None
+    subspace = (pca, 2) if constrained else (None, None)
     lines = out.read_text().splitlines()
     assert len(lines) == 41
     unusable = 0
     for line in lines[1:]:
         idx, margin, _, steps, status, base, comp, left = line.split(",")
-        try:
-            ref = _SINGLE[estimator](net, layer, acts[int(idx)], pca, cfg)
-        except (DegenerateGradientError, UnreachableSubspaceError) as exc:
-            assert status == ("unreachable" if isinstance(
-                exc, UnreachableSubspaceError) else "degenerate")
+        ref = search_margins(net, layer, acts[int(idx)][None, :], cfg,
+                             *subspace)
+        if ref.stuck[0]:
+            assert status == ("unreachable" if constrained
+                              else "degenerate")
             assert margin == steps == base == comp == left == ""
             unusable += 1
             continue
-        assert status == ref.status.value
-        assert int(steps) == ref.steps
-        assert (int(base), int(comp)) == ref.class_pair
-        assert left == ("true" if ref.left_subspace else "false")
-        assert abs(float(margin) - ref.d_best) <= 1e-12
-        unusable += status == "no-descent" and ref.steps == 0
+        assert status == tuple(SearchStatus)[ref.status[0]].value
+        assert int(steps) == ref.steps[0]
+        assert (int(base), int(comp)) == (ref.base[0], ref.competitor[0])
+        assert left == ("true" if ref.left_subspace[0] else "false")
+        assert abs(float(margin) - ref.d_best[0]) <= 1e-12
+        unusable += status == "no-descent" and ref.steps[0] == 0
     assert unusable >= (10 if layer == 0 else 0)
 
 
@@ -526,13 +536,14 @@ def test_measure_constrained_deepfool_batch_with_boundary_out(capsys,
     lines = out.read_text().splitlines()
     assert len(lines) == 41
     flags = set()
-    for line, ref in zip(lines[1:], refs):
+    for i, line in enumerate(lines[1:]):
         _, margin, _, steps, status, base, comp, left = line.split(",")
         assert 0.0 <= float(margin) < np.inf
-        assert abs(float(margin) - ref.d_best) <= 1e-12
-        assert (status, int(steps)) == (ref.status.value, ref.steps)
-        assert (int(base), int(comp)) == ref.class_pair
-        assert left == ("true" if ref.left_subspace else "false")
+        assert abs(float(margin) - refs.d_best[i]) <= 1e-12
+        assert (status, int(steps)) == (
+            tuple(SearchStatus)[refs.status[i]].value, refs.steps[i])
+        assert (int(base), int(comp)) == (refs.base[i], refs.competitor[i])
+        assert left == ("true" if refs.left_subspace[i] else "false")
         flags.add(left)
     # the tight data box pushes some searches off the subspace
     assert flags == {"true", "false"}
@@ -617,19 +628,22 @@ def test_measure_csv_bytes_render_the_search_table(capsys, tmp_path, setting,
     boundary = [_line(["sample_index"]
                       + [f"orig_{j}" for j in range(acts[layer].shape[1])]
                       + [f"bound_{j}" for j in range(acts[layer].shape[1])])]
+    statuses = tuple(SearchStatus)
     for i, idx in enumerate(kept.tolist()):
-        r = table[i]
+        stuck = table.stuck[i]
+        d_best = float(table.d_best[i])
         cells = ([idx, None, None, None,
                   "unreachable" if constrained else "degenerate",
-                  None, None, None] if r is None else
-                 [idx, r.d_best, r.v_best, r.steps, r.status.value,
-                  *r.class_pair, r.left_subspace])
+                  None, None, None] if stuck else
+                 [idx, d_best, float(table.v_best[i]), int(table.steps[i]),
+                  statuses[table.status[i]].value, int(table.base[i]),
+                  int(table.competitor[i]), bool(table.left_subspace[i])])
         if tv:
-            cells.append(None if r is None else r.d_best / tv)
+            cells.append(None if stuck else d_best / tv)
         lines.append(_line(cells))
-        if r is not None and r.boundary_point is not None:
+        if not stuck and table.boundary is not None:
             boundary.append(_line([idx, *acts[layer][idx].tolist(),
-                                   *r.boundary_point.tolist()]))
+                                   *table.boundary[i].tolist()]))
     assert out.read_text() == "\n".join(lines) + "\n"
     if "--boundary-out" in flags:
         assert bout.read_text() == "\n".join(boundary) + "\n"

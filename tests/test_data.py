@@ -13,7 +13,6 @@ from marginlab.data import (
     SampleFlag,
     corrupt_inputs_gaussian,
     corrupt_labels,
-    denormalize,
     gen_blobs,
     load_dataset_bin,
     load_dataset_csv,
@@ -260,11 +259,13 @@ def test_normalize_round_trips_to_1e12():
     for scheme in ("znorm", "minmax"):
         ds = gen_blobs(BlobConfig(classes=2, samples_per_class=60, dim=6, spread=1.4, seed=21))
         out, meta = normalize(ds, scheme)
-        back = denormalize(out.features, meta)
+        # x = x_normalized * scales + offsets inverts the map
+        back = out.features * meta.scales + meta.offsets
         assert np.max(np.abs(back - ds.features)) <= 1e-12
         # bounds transform consistently and stay ordered
         assert np.all(out.lower < out.upper)
-        assert np.allclose(denormalize(out.lower, meta), ds.lower, atol=1e-12)
+        assert np.allclose(out.lower * meta.scales + meta.offsets, ds.lower,
+                           atol=1e-12)
 
 
 def test_normalize_rejects_unknown_scheme():
@@ -478,3 +479,14 @@ def test_csv_round_trip_is_bit_identical(data, rows, cols):
                                   features.view(np.int64))
             assert np.array_equal(loaded.labels, labels)
             assert loaded.class_count == labels.max() + 1
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", -1],
+                         ids=["float", "integral-float", "bool", "str",
+                              "negative"])
+@pytest.mark.parametrize("corrupt", [corrupt_labels, corrupt_inputs_gaussian])
+def test_corruption_seed_must_be_a_non_negative_integer(corrupt, seed):
+    # numpy's TypeError or ValueError used to leak, and True was seed 1
+    ds = _toy_dataset()
+    with pytest.raises(DomainError, match="seed must be"):
+        corrupt(ds, 0.5, seed)

@@ -48,8 +48,9 @@ _SCALARS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.text(max_size=4),
 )
+_EMPTY = st.one_of(st.builds(dict), st.builds(list))
 _JSON = st.recursive(
-    _SCALARS,
+    st.one_of(_SCALARS, _EMPTY),
     lambda inner: st.one_of(st.lists(inner, max_size=3),
                             st.dictionaries(st.text(max_size=4), inner,
                                             max_size=3)),
@@ -71,8 +72,8 @@ def _paths(node, prefix=()):
 
 
 def _mutate(data, doc):
-    """A copy of ``doc`` with one node replaced or deleted, or a sibling
-    added next to it."""
+    """A copy of ``doc`` with one node replaced, emptied (made an empty
+    object or list) or deleted, or a sibling added next to it."""
     doc = copy.deepcopy(doc)
     path = data.draw(st.sampled_from(list(_paths(doc))))
     if not path:
@@ -80,9 +81,12 @@ def _mutate(data, doc):
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    action = data.draw(st.sampled_from(["replace", "empty", "delete",
+                                        "add"]))
     if action == "replace":
         parent[path[-1]] = data.draw(_JSON)
+    elif action == "empty":
+        parent[path[-1]] = data.draw(_EMPTY)
     elif action == "delete":
         del parent[path[-1]]
     elif isinstance(parent, dict):

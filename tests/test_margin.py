@@ -7,23 +7,12 @@ import pytest
 import marginlab.margin
 import marginlab.nnet
 from marginlab.data import BlobConfig, gen_blobs, normalize
-from marginlab.errors import (
-    DegenerateGradientError,
-    DegenerateVarianceError,
-    DomainError,
-    UnreachableSubspaceError,
-)
+from marginlab.errors import DegenerateVarianceError, DomainError
 from marginlab.margin import (
-    MarginResult,
     SearchConfig,
     SearchStatus,
     compute_total_variation,
-    constrained_deepfool_margin,
-    constrained_taylor_margin,
-    deepfool_margin,
-    deepfool_margin_batch,
     search_margins,
-    taylor_margin,
     tv_normalize,
 )
 from marginlab.nnet import (
@@ -32,10 +21,20 @@ from marginlab.nnet import (
     TrainConfig,
     forward_batch,
     init_network,
+    logit_diffs_all_batch,
     predict_batch,
     train_sgd,
 )
 from marginlab.pca import PcaModel, fit_pca
+
+# a MarginTable's status codes index this tuple
+STATUSES = tuple(SearchStatus)
+
+
+def one_row(net, lam, x, cfg=None, pca=None, m=None, **kwargs):
+    """The table of ``search_margins`` on the single sample ``x`` alone."""
+    return search_margins(net, lam, np.reshape(x, (1, -1)), cfg, pca, m,
+                          **kwargs)
 
 
 def two_class_line():
@@ -80,23 +79,22 @@ def orthonormal_pca(rng, n, m=None):
 
 def test_taylor_margin_linear_hand_example():
     net = two_class_line()
-    r = taylor_margin(net, 0, np.array([1.0, 0.0]))
-    assert r.d_best == pytest.approx(0.5, abs=1e-15)
-    assert r.class_pair == (0, 1)
-    assert r.v_best == pytest.approx(1.0)
-    assert r.steps == 0
-    assert r.boundary_point is None
+    r = one_row(net, 0, np.array([1.0, 0.0]))
+    assert r.d_best[0] == pytest.approx(0.5, abs=1e-15)
+    assert (r.base[0], r.competitor[0]) == (0, 1)
+    assert r.v_best[0] == pytest.approx(1.0)
+    assert r.steps[0] == 0
+    assert r.boundary is None
+    assert not r.stuck[0]
 
 
 def test_taylor_margin_on_boundary_is_zero():
     net = two_class_line()
-    r = taylor_margin(net, 0, np.array([0.5, 3.0]))
-    assert r.d_best == 0.0
+    r = one_row(net, 0, np.array([0.5, 3.0]))
+    assert r.d_best[0] == 0.0
 
 
 def test_taylor_margin_matches_formula_rederivation():
-    from marginlab.nnet import logit_diff_grad
-
     rng = np.random.default_rng(17)
     for _ in range(30):
         net = random_affine(rng, dim=6, classes=4)
@@ -110,19 +108,19 @@ def test_taylor_margin_matches_formula_rederivation():
         i = int(predict_batch(net, x[None, :])[0])
         expected = np.inf
         expected_pair = None
+        o, G, _ = logit_diffs_all_batch(net, 0, x[None, :], np.array([i]))
         for j in range(4):
             if j == i:
                 continue
-            o, w = logit_diff_grad(net, 0, x, i, j)
-            nrm = np.linalg.norm(w)
+            nrm = np.linalg.norm(G[0, j])
             if nrm < 1e-12:
                 continue
-            if o / nrm < expected:
-                expected = o / nrm
+            if o[0, j] / nrm < expected:
+                expected = o[0, j] / nrm
                 expected_pair = (i, j)
-        r = taylor_margin(net, 0, x)
-        assert abs(r.d_best - expected) <= 1e-12
-        assert r.class_pair == expected_pair
+        r = one_row(net, 0, x)
+        assert abs(r.d_best[0] - expected) <= 1e-12
+        assert (r.base[0], r.competitor[0]) == expected_pair
 
 
 @pytest.mark.parametrize("shape", [(600, 5, 64), (37, 3, 11), (1, 2, 1),
@@ -148,7 +146,7 @@ def test_closed_form_search_makes_one_gradient_call(monkeypatch, m):
     seen = _count_rows(monkeypatch)
     results = search_margins(net, 0, X, pca=pca, m=m)
     assert seen == {"evaluated": [40], "backprop": [40]}
-    assert len(results) == 40
+    assert results.d_best.shape == (40,)
 
 
 @pytest.mark.parametrize("cfg", [None, SearchConfig(stop_tolerance=1e-3)],
@@ -179,7 +177,7 @@ def test_search_opens_with_one_forward_pass(monkeypatch, cfg):
         assert forwards == [30]
     else:
         assert len(forwards) > 2
-        assert any(r.steps > 1 for r in results)
+        assert results.steps.max() > 1
 
 
 def _dead_relu_net():
@@ -195,47 +193,6 @@ def _dead_relu_net():
                    norm_meta=None)
 
 
-@pytest.mark.parametrize("cfg", [None, SearchConfig()],
-                         ids=["closed-form", "search"])
-def test_table_rows_are_views_of_its_columns(cfg):
-    net = _dead_relu_net()
-    x0 = np.arange(-8, 25) / 8.0
-    X = np.column_stack([x0, np.random.default_rng(5).normal(size=x0.size)])
-    table = search_margins(net, 0, X, cfg)
-    assert len(table) == len(X) == len(list(table))
-    statuses = tuple(SearchStatus)
-    for i, r in enumerate(table):
-        assert (r is None) == table.stuck[i]
-        if r is None:
-            continue
-        assert (r.d_best, r.v_best, r.class_pair, r.steps, r.status,
-                r.left_subspace) == (
-            table.d_best[i], table.v_best[i],
-            (table.base[i], table.competitor[i]), table.steps[i],
-            statuses[table.status[i]], table.left_subspace[i])
-        assert (r.boundary_point is None) == (cfg is None)
-    assert table[-1].d_best == table.d_best[-1]
-    with pytest.raises(IndexError):
-        table[len(X)]
-    assert len(search_margins(net, 0, X[:0], cfg)) == 0
-
-
-@pytest.mark.parametrize("batch_mean", [False, True])
-def test_iterated_rows_carry_the_traces_of_indexed_rows(batch_mean):
-    # iterating groups the trace by row in one pass; each row's list must
-    # be the one indexing gives
-    net, lam, X, cfg, pca, m = _reuse_case("input-clipped")
-    table = search_margins(net, lam, X, cfg, pca, m, batch_mean=batch_mean,
-                           collect_trace=True)
-    rows = list(table)
-    assert len(rows) == len(X)
-    for i, row in enumerate(rows):
-        assert row.trace == table[i].trace
-        assert len(row.trace) == row.steps
-    assert sum(len(row.trace) for row in rows) == len(table.trace)
-    assert all(r.trace is None for r in search_margins(net, lam, X, cfg))
-
-
 @pytest.mark.parametrize("batch_mean", [False, True])
 def test_closed_form_none_rows_are_the_search_no_descent_rows(batch_mean):
     # "stuck" is decided once, by the opening's nearest-boundary rule: the
@@ -247,24 +204,25 @@ def test_closed_form_none_rows_are_the_search_no_descent_rows(batch_mean):
     searched = search_margins(net, 0, X, SearchConfig(),
                               batch_mean=batch_mean)
     dead = np.flatnonzero(x0 <= 1.0).tolist()
-    assert [k for k, r in enumerate(closed) if r is None] == dead
-    assert [k for k, r in enumerate(searched)
-            if r.status is SearchStatus.NO_DESCENT] == dead
+    assert np.flatnonzero(closed.stuck).tolist() == dead
+    no_descent = STATUSES.index(SearchStatus.NO_DESCENT)
+    assert np.flatnonzero(searched.status == no_descent).tolist() == dead
+    assert not searched.stuck.any()
     for k in dead:
-        r = searched[k]
-        assert (r.steps, r.d_best, r.v_best) == (0, 0.0, np.inf)
-        assert np.array_equal(r.boundary_point, X[k])
+        assert (searched.steps[k], searched.d_best[k],
+                searched.v_best[k]) == (0, 0.0, np.inf)
+        assert np.array_equal(searched.boundary[k], X[k])
     live = np.flatnonzero(x0 > 1.0)
-    assert all(closed[k].d_best > 0.0 for k in live)
-    assert all(searched[k].steps > 0 for k in live)
+    assert all(closed.d_best[live] > 0.0)
+    assert all(searched.steps[live] > 0)
 
 
 def test_taylor_margin_degenerate_pair_errors():
     layer = DenseLayer(weights=np.array([[1.0, 0.0], [1.0, 0.0]]),
                        bias=np.array([0.5, 0.0]), activation="none")
     net = Network(layers=[layer], input_dim=2, num_classes=2, norm_meta=None)
-    with pytest.raises(DegenerateGradientError):
-        taylor_margin(net, 0, np.array([1.0, 2.0]))
+    # no competitor is reachable: the row is stuck and has no margin
+    assert one_row(net, 0, np.array([1.0, 2.0])).stuck.tolist() == [True]
 
 
 # ---------------------------------------------------------------------------
@@ -274,21 +232,21 @@ def test_taylor_margin_degenerate_pair_errors():
 def test_deepfool_linear_one_step_with_unit_rate():
     net = two_class_line()
     cfg = SearchConfig(learning_rate=1.0)
-    r = deepfool_margin(net, 0, np.array([1.0, 0.0]), cfg)
-    assert r.d_best == pytest.approx(0.5, abs=1e-12)
-    assert r.v_best <= 1e-10
-    assert r.steps == 1
-    assert r.status == SearchStatus.VIOLATION_ROSE
-    assert np.allclose(r.boundary_point, [0.5, 0.0], atol=1e-12)
-    assert r.class_pair == (0, 1)
+    r = one_row(net, 0, np.array([1.0, 0.0]), cfg)
+    assert r.d_best[0] == pytest.approx(0.5, abs=1e-12)
+    assert r.v_best[0] <= 1e-10
+    assert r.steps[0] == 1
+    assert STATUSES[r.status[0]] == SearchStatus.VIOLATION_ROSE
+    assert np.allclose(r.boundary[0], [0.5, 0.0], atol=1e-12)
+    assert (r.base[0], r.competitor[0]) == (0, 1)
 
 
 def test_deepfool_quarter_rate_refines_to_same_boundary():
     net = two_class_line()
     cfg = SearchConfig(learning_rate=0.25, stop_tolerance=1e-8)
-    r = deepfool_margin(net, 0, np.array([1.0, 0.0]), cfg)
-    assert r.d_best == pytest.approx(0.5, abs=1e-6)
-    assert r.steps > 1
+    r = one_row(net, 0, np.array([1.0, 0.0]), cfg)
+    assert r.d_best[0] == pytest.approx(0.5, abs=1e-6)
+    assert r.steps[0] > 1
 
 
 def test_deepfool_matches_analytic_distance_on_random_linear_nets():
@@ -299,9 +257,9 @@ def test_deepfool_matches_analytic_distance_on_random_linear_nets():
             net = random_affine(rng)
             x = rng.normal(size=10)
             expected = analytic_linear_margin(net, x)
-            r = deepfool_margin(net, 0, x, cfg)
-            assert abs(r.d_best - expected) <= 1e-4
-            assert r.v_best <= 1e-3
+            r = one_row(net, 0, x, cfg)
+            assert abs(r.d_best[0] - expected) <= 1e-4
+            assert r.v_best[0] <= 1e-3
 
 
 def test_deepfool_clips_to_bounds():
@@ -309,12 +267,12 @@ def test_deepfool_clips_to_bounds():
     lower = np.array([0.8, -1.0])
     upper = np.array([2.0, 1.0])
     cfg = SearchConfig(learning_rate=1.0, bounds=(lower, upper))
-    r = deepfool_margin(net, 0, np.array([1.0, 0.0]), cfg)
+    r = one_row(net, 0, np.array([1.0, 0.0]), cfg)
     # true boundary (x1=0.5) lies outside the box; search pins at x1=0.8
-    assert r.d_best == pytest.approx(0.2, abs=1e-12)
-    assert r.status == SearchStatus.VIOLATION_ROSE
-    assert np.all(r.boundary_point >= lower - 1e-12)
-    assert np.all(r.boundary_point <= upper + 1e-12)
+    assert r.d_best[0] == pytest.approx(0.2, abs=1e-12)
+    assert STATUSES[r.status[0]] == SearchStatus.VIOLATION_ROSE
+    assert np.all(r.boundary[0] >= lower - 1e-12)
+    assert np.all(r.boundary[0] <= upper + 1e-12)
 
 
 def test_deepfool_near_boundary_sample_returns_the_degenerate_zero():
@@ -322,29 +280,29 @@ def test_deepfool_near_boundary_sample_returns_the_degenerate_zero():
     # search reports (0, inf) exactly as the bookkeeping dictates
     net = two_class_line()
     cfg = SearchConfig(learning_rate=1.0, stop_tolerance=0.01)
-    r = deepfool_margin(net, 0, np.array([0.5 + 1e-6, 0.0]), cfg)
-    assert r.d_best == 0.0
-    assert r.v_best == np.inf
-    assert r.steps == 0
-    assert r.status == SearchStatus.CONVERGED
+    r = one_row(net, 0, np.array([0.5 + 1e-6, 0.0]), cfg)
+    assert r.d_best[0] == 0.0
+    assert r.v_best[0] == np.inf
+    assert r.steps[0] == 0
+    assert STATUSES[r.status[0]] == SearchStatus.CONVERGED
 
 
 def test_deepfool_no_descent_when_all_gradients_vanish():
     layer = DenseLayer(weights=np.zeros((3, 2)), bias=np.array([0.1, 0.0, -0.2]),
                        activation="none")
     net = Network(layers=[layer], input_dim=2, num_classes=3, norm_meta=None)
-    r = deepfool_margin(net, 0, np.array([1.0, 1.0]), SearchConfig())
-    assert r.status == SearchStatus.NO_DESCENT
-    assert r.steps == 0
-    assert r.d_best == 0.0
+    r = one_row(net, 0, np.array([1.0, 1.0]), SearchConfig())
+    assert STATUSES[r.status[0]] == SearchStatus.NO_DESCENT
+    assert r.steps[0] == 0
+    assert r.d_best[0] == 0.0
 
 
 def test_deepfool_max_iters_never_raises():
     net = two_class_line()
     cfg = SearchConfig(learning_rate=0.01, stop_tolerance=1e-15, max_iters=3)
-    r = deepfool_margin(net, 0, np.array([1.0, 0.0]), cfg)
-    assert r.status == SearchStatus.MAX_ITERS
-    assert r.steps == 3
+    r = one_row(net, 0, np.array([1.0, 0.0]), cfg)
+    assert STATUSES[r.status[0]] == SearchStatus.MAX_ITERS
+    assert r.steps[0] == 3
 
 
 def test_deepfool_violation_trace_is_strictly_decreasing():
@@ -354,8 +312,8 @@ def test_deepfool_violation_trace_is_strictly_decreasing():
     cfg = SearchConfig(learning_rate=0.25, stop_tolerance=1e-6, max_iters=150)
     traced = 0
     for x in X[:10]:
-        r = deepfool_margin(net, 0, x, cfg, collect_trace=True)
-        vs = [v for _, v in r.trace]
+        r = one_row(net, 0, x, cfg, collect_trace=True)
+        vs = [v for _, _, v in r.trace]
         assert all(b < a for a, b in zip(vs, vs[1:]))
         traced += len(vs)
     assert traced > 0
@@ -366,9 +324,9 @@ def test_deepfool_hidden_layer_runs_without_clipping():
     net = _trained_net(ds, seed=5)
     h = forward_batch(net, ds.features[:1])[1][0]
     cfg = SearchConfig(learning_rate=0.25, stop_tolerance=1e-6, max_iters=200)
-    r = deepfool_margin(net, 1, h, cfg)
-    assert r.d_best >= 0.0
-    assert r.boundary_point.shape == h.shape
+    r = one_row(net, 1, h, cfg)
+    assert r.d_best[0] >= 0.0
+    assert r.boundary[0].shape == h.shape
 
 
 def test_search_config_validation():
@@ -407,13 +365,10 @@ def test_batch_of_identical_samples_gives_identical_results():
     net = _trained_net(ds, seed=7)
     x = ds.features[0]
     batch = np.tile(x, (5, 1))
-    results = deepfool_margin_batch(net, 0, batch, SearchConfig())
-    first = results[0]
-    for r in results[1:]:
-        assert r.d_best == first.d_best
-        assert r.v_best == first.v_best
-        assert r.steps == first.steps
-        assert r.status == first.status
+    results = search_margins(net, 0, batch, SearchConfig(), batch_mean=True)
+    for column in (results.d_best, results.v_best, results.steps,
+                   results.status):
+        assert (column == column[0]).all()
 
 
 def test_batch_of_one_close_to_single_mode():
@@ -422,9 +377,10 @@ def test_batch_of_one_close_to_single_mode():
     cfg = SearchConfig(learning_rate=0.25, stop_tolerance=0.01, max_iters=100)
     correct = ds.features[predict_batch(net, ds.features) == ds.labels]
     for x in correct[:8]:
-        single = deepfool_margin(net, 0, x, cfg)
-        batched = deepfool_margin_batch(net, 0, x[None, :], cfg)[0]
-        assert abs(single.d_best - batched.d_best) <= cfg.stop_tolerance
+        single = one_row(net, 0, x, cfg)
+        batched = search_margins(net, 0, x[None, :], cfg, batch_mean=True)
+        assert abs(single.d_best[0] - batched.d_best[0]) \
+            <= cfg.stop_tolerance
 
 
 def test_rows_searched_alone_match_one_call_up_to_rounding():
@@ -449,12 +405,11 @@ def test_batch_converged_samples_meet_equality_threshold():
     net = _trained_net(ds, seed=11)
     correct = ds.features[predict_batch(net, ds.features) == ds.labels][:50]
     cfg = SearchConfig(learning_rate=0.25, stop_tolerance=1e-6, max_iters=500)
-    results = deepfool_margin_batch(net, 0, correct, cfg)
-    assert len(results) == len(correct)
-    converged = [r for r in results if r.status == SearchStatus.CONVERGED]
-    assert converged
-    for r in converged:
-        assert r.v_best <= 1e-3
+    results = search_margins(net, 0, correct, cfg, batch_mean=True)
+    assert results.d_best.shape == (len(correct),)
+    converged = results.status == STATUSES.index(SearchStatus.CONVERGED)
+    assert converged.any()
+    assert (results.v_best[converged] <= 1e-3).all()
 
 
 def test_batch_steps_count_accepted_updates():
@@ -464,18 +419,61 @@ def test_batch_steps_count_accepted_updates():
     cfg = SearchConfig(learning_rate=0.25,
                        bounds=(np.array([0.8, -1.0]), np.array([2.0, 1.0])))
     rows = np.array([[0.85, 0.0], [1.9, 0.0]])
-    pinned, far = deepfool_margin_batch(net, 0, rows, cfg)
-    assert pinned.steps == 1
-    assert pinned.steps == deepfool_margin(net, 0, rows[0], cfg).steps
-    assert pinned.d_best == pytest.approx(0.05, abs=1e-12)
-    assert far.steps == 6
+    both = search_margins(net, 0, rows, cfg, batch_mean=True)
+    assert both.steps.tolist() == [1, 6]
+    assert one_row(net, 0, rows[0], cfg).steps[0] == 1
+    assert both.d_best[0] == pytest.approx(0.05, abs=1e-12)
 
 
-def test_batch_rejects_empty_input():
-    ds, _ = _normalized_blobs(seed=12)
-    net = _trained_net(ds, seed=12)
+@pytest.mark.parametrize("cfg,batch_mean", [
+    (None, False), (SearchConfig(), False), (SearchConfig(), True)],
+    ids=["closed-form", "search", "batch-mean"])
+def test_input_without_rows_gives_an_empty_table(cfg, batch_mean):
+    net = init_network(4, [8], 3, seed=12)
+    table = search_margins(net, 0, np.empty((0, 4)), cfg,
+                           batch_mean=batch_mean)
+    assert table.d_best.shape == table.stuck.shape == (0,)
+    assert table.trace is None
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "rank-3"])
+@pytest.mark.parametrize("lam", [0, 1])
+def test_non_finite_or_high_rank_activations_are_rejected(lam, bad):
+    # a NaN row used to give d_best 0.0 with a leaked RuntimeWarning, an
+    # inf row d_best NaN, and a rank-3 input an IndexError
+    net = init_network(4, [8], 3, seed=2)
+    A = forward_batch(net, np.random.default_rng(5).normal(size=(6, 4)))[lam]
+    if bad == "rank-3":
+        A = A.reshape(2, 3, -1)
+    else:
+        A = A.copy()
+        A[3, 1] = float(bad)
     with pytest.raises(DomainError):
-        deepfool_margin_batch(net, 0, np.empty((0, 4)), SearchConfig())
+        forward_batch(net, A, lam)
+    for cfg, batch_mean in ((None, False), (SearchConfig(), False),
+                            (SearchConfig(), True)):
+        with pytest.raises(DomainError):
+            search_margins(net, lam, A, cfg, batch_mean=batch_mean)
+    if bad != "rank-3":
+        with pytest.raises(DomainError):
+            one_row(net, lam, A[3], SearchConfig())
+
+
+def test_activations_are_checked_once_per_search(monkeypatch):
+    # the entry check runs once, not on each iteration's evaluation
+    net, lam, X, cfg, pca, m = _reuse_case("input-clipped")
+    checked = []
+    check = marginlab.margin._checked_rows
+
+    def counted(A):
+        checked.append(len(A))
+        return check(A)
+
+    monkeypatch.setattr(marginlab.margin, "_checked_rows", counted)
+    seen = _count_rows(monkeypatch)
+    search_margins(net, lam, X, cfg, pca, m)
+    assert checked == [len(X)]
+    assert len(seen["evaluated"]) > 2
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +492,7 @@ def test_subspace_dimension_must_be_an_integer_in_range(m):
         with pytest.raises(DomainError, match="must be an integer in"):
             search_margins(net, 0, X, cfg, pca, m)
     for ok in (1, np.int64(2), 4):
-        assert len(search_margins(net, 0, X, None, pca, ok)) == len(X)
+        assert search_margins(net, 0, X, None, pca, ok).d_best.shape == (10,)
 
 
 def test_subspace_dimension_without_a_basis_is_rejected():
@@ -507,10 +505,9 @@ def test_subspace_dimension_without_a_basis_is_rejected():
         for cfg in (None, SearchConfig()):
             with pytest.raises(DomainError, match="needs a pca basis"):
                 search_margins(net, lam, rows, cfg, None, m)
-    with pytest.raises(DomainError, match="needs a pca basis"):
-        constrained_taylor_margin(net, X[0], None, 2)
-    with pytest.raises(DomainError, match="needs a pca basis"):
-        constrained_deepfool_margin(net, X[0], None, 2, SearchConfig())
+    for cfg in (None, SearchConfig()):
+        with pytest.raises(DomainError, match="needs a pca basis"):
+            one_row(net, 0, X[0], cfg, None, 2)
 
 
 def test_constrained_taylor_orthogonal_subspace_unreachable():
@@ -518,8 +515,9 @@ def test_constrained_taylor_orthogonal_subspace_unreachable():
     pca = PcaModel(mean=np.zeros(2), components=np.array([[0.0, 1.0]]),
                    explained_variance=np.array([1.0]),
                    explained_ratio=np.array([0.6]))
-    with pytest.raises(UnreachableSubspaceError):
-        constrained_taylor_margin(net, np.array([1.0, 0.0]), pca, 1)
+    # no competitor is reachable inside the subspace: the row is stuck
+    assert one_row(net, 0, np.array([1.0, 0.0]), None, pca,
+                   1).stuck.tolist() == [True]
 
 
 def test_constrained_taylor_aligned_subspace_equals_unconstrained():
@@ -527,8 +525,8 @@ def test_constrained_taylor_aligned_subspace_equals_unconstrained():
     pca = PcaModel(mean=np.zeros(2), components=np.array([[1.0, 0.0]]),
                    explained_variance=np.array([1.0]),
                    explained_ratio=np.array([0.6]))
-    r = constrained_taylor_margin(net, np.array([1.0, 0.0]), pca, 1)
-    assert r.d_best == pytest.approx(0.5, abs=1e-15)
+    r = one_row(net, 0, np.array([1.0, 0.0]), None, pca, 1)
+    assert r.d_best[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_constrained_taylor_full_rank_equals_taylor():
@@ -543,9 +541,9 @@ def test_constrained_taylor_full_rank_equals_taylor():
         x = rng.normal(size=5)
         pca = orthonormal_pca(rng, 5)
         assert pca.components.shape == (5, 5)
-        full = constrained_taylor_margin(net, x, pca, 5)
-        plain = taylor_margin(net, 0, x)
-        assert abs(full.d_best - plain.d_best) <= 1e-10
+        full = one_row(net, 0, x, None, pca, 5)
+        plain = one_row(net, 0, x)
+        assert abs(full.d_best[0] - plain.d_best[0]) <= 1e-10
 
 
 def test_constrained_deepfool_full_rank_matches_standard_on_linear():
@@ -555,10 +553,10 @@ def test_constrained_deepfool_full_rank_matches_standard_on_linear():
         net = random_affine(rng, dim=6, classes=3)
         x = rng.normal(size=6)
         pca = orthonormal_pca(rng, 6)
-        standard = deepfool_margin(net, 0, x, cfg)
-        constrained = constrained_deepfool_margin(net, x, pca, 6, cfg)
-        assert abs(standard.d_best - constrained.d_best) <= 1e-6
-        assert constrained.left_subspace is False
+        standard = one_row(net, 0, x, cfg)
+        constrained = one_row(net, 0, x, cfg, pca, 6)
+        assert abs(standard.d_best[0] - constrained.d_best[0]) <= 1e-6
+        assert not constrained.left_subspace[0]
 
 
 def test_constrained_deepfool_orthogonal_subspace_no_descent():
@@ -566,8 +564,8 @@ def test_constrained_deepfool_orthogonal_subspace_no_descent():
     pca = PcaModel(mean=np.zeros(2), components=np.array([[0.0, 1.0]]),
                    explained_variance=np.array([1.0]),
                    explained_ratio=np.array([0.6]))
-    r = constrained_deepfool_margin(net, np.array([1.0, 0.0]), pca, 1, SearchConfig())
-    assert r.status == SearchStatus.NO_DESCENT
+    r = one_row(net, 0, np.array([1.0, 0.0]), SearchConfig(), pca, 1)
+    assert STATUSES[r.status[0]] == SearchStatus.NO_DESCENT
 
 
 def test_constrained_deepfool_steps_by_gap_magnitude():
@@ -585,10 +583,10 @@ def test_constrained_deepfool_steps_by_gap_magnitude():
                    explained_ratio=np.array([1.0]))
     cfg = SearchConfig(learning_rate=1.0)
     x = np.array([2.0])
-    assert deepfool_margin(net, 0, x, cfg).d_best == pytest.approx(1.5)
-    constrained = constrained_deepfool_margin(net, x, pca, 1, cfg)
-    assert constrained.d_best == pytest.approx(4.0)
-    assert constrained.status == SearchStatus.VIOLATION_ROSE
+    assert one_row(net, 0, x, cfg).d_best[0] == pytest.approx(1.5)
+    constrained = one_row(net, 0, x, cfg, pca, 1)
+    assert constrained.d_best[0] == pytest.approx(4.0)
+    assert STATUSES[constrained.status[0]] == SearchStatus.VIOLATION_ROSE
 
 
 def test_constrained_deepfool_stays_in_span_without_clipping():
@@ -599,12 +597,12 @@ def test_constrained_deepfool_stays_in_span_without_clipping():
     cfg = SearchConfig(learning_rate=0.25, stop_tolerance=1e-7, max_iters=300)
     correct = ds.features[predict_batch(bare, ds.features) == ds.labels]
     x = correct[0]
-    r = constrained_deepfool_margin(bare, x, pca, 2, cfg)
-    if r.steps > 0:
-        p = r.boundary_point - x
+    r = one_row(bare, 0, x, cfg, pca, 2)
+    if r.steps[0] > 0:
+        p = r.boundary[0] - x
         residual = p - (p @ pca.components.T) @ pca.components
         assert np.linalg.norm(residual) <= 1e-9
-        assert r.left_subspace is False
+        assert not r.left_subspace[0]
 
 
 def test_constrained_deepfool_records_when_clipping_leaves_span():
@@ -616,9 +614,9 @@ def test_constrained_deepfool_records_when_clipping_leaves_span():
     lower = np.array([0.8, -0.1])
     upper = np.array([2.0, 0.1])
     cfg = SearchConfig(learning_rate=1.0, bounds=(lower, upper))
-    r = constrained_deepfool_margin(net, np.array([1.0, 0.0]), pca, 1, cfg)
-    assert r.steps >= 1
-    assert r.left_subspace is True
+    r = one_row(net, 0, np.array([1.0, 0.0]), cfg, pca, 1)
+    assert r.steps[0] >= 1
+    assert r.left_subspace[0]
 
 
 def test_constrained_deepfool_single_direction_matches_bisection_oracle():
@@ -635,8 +633,8 @@ def test_constrained_deepfool_single_direction_matches_bisection_oracle():
         oracle = _line_boundary_distance(bare, x, direction)
         if oracle is None:
             continue
-        r = constrained_deepfool_margin(bare, x, pca, 1, cfg)
-        assert abs(r.d_best - oracle) <= 1e-4
+        r = one_row(bare, 0, x, cfg, pca, 1)
+        assert abs(r.d_best[0] - oracle) <= 1e-4
         checked += 1
         if checked >= 5:
             break
@@ -677,11 +675,11 @@ def test_constrained_distance_dominates_standard_on_linear_nets():
         x = rng.normal(size=6)
         pca = orthonormal_pca(rng, 6)
         m = int(rng.integers(2, 6))
-        standard = deepfool_margin(net, 0, x, cfg)
-        constrained = constrained_deepfool_margin(net, x, pca, m, cfg)
-        if constrained.status == SearchStatus.NO_DESCENT:
+        standard = one_row(net, 0, x, cfg)
+        constrained = one_row(net, 0, x, cfg, pca, m)
+        if STATUSES[constrained.status[0]] == SearchStatus.NO_DESCENT:
             continue
-        assert constrained.d_best >= standard.d_best - 1e-6
+        assert constrained.d_best[0] >= standard.d_best[0] - 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -885,15 +883,13 @@ def test_reused_gradients_give_the_results_of_a_full_backprop(
                           collect_trace=True)
     assert seen["backprop"] == seen["evaluated"]
 
-    assert len(cached) == len(full) == len(X)
-    for a, b in zip(cached, full):
-        assert (repr(a.d_best), repr(a.v_best)) == (repr(b.d_best),
-                                                    repr(b.v_best))
-        assert (a.class_pair, a.steps, a.status, a.left_subspace) == (
-            b.class_pair, b.steps, b.status, b.left_subspace)
-        assert a.boundary_point.tobytes() == b.boundary_point.tobytes()
-        assert repr(a.trace) == repr(b.trace)
-    assert any(r.steps > 1 for r in cached)
+    assert cached.d_best.shape == full.d_best.shape == (len(X),)
+    for name in ("d_best", "v_best", "base", "competitor", "steps",
+                 "status", "left_subspace", "boundary", "stuck"):
+        assert (getattr(cached, name).tobytes()
+                == getattr(full, name).tobytes()), name
+    assert repr(cached.trace) == repr(full.trace)
+    assert cached.steps.max() > 1
 
 
 @pytest.mark.parametrize("lam,m", [(0, None), (0, 3), (1, None)])
@@ -938,7 +934,7 @@ def test_no_relu_above_the_layer_means_one_backprop_per_search(
                              batch_mean=batch_mean)
     assert seen["backprop"] == [40]
     assert len(seen["evaluated"]) > 2
-    assert any(r.steps > 1 for r in results)
+    assert results.steps.max() > 1
 
 
 def test_rows_that_stop_cost_no_copy_of_the_gradient_tensor():

@@ -22,11 +22,18 @@ from marginlab.nnet import (
     forward_batch,
     init_network,
     load_model,
-    logit_diff_grad,
+    logit_diffs_all_batch,
     predict_batch,
     save_model,
     train_sgd,
 )
+
+
+def logit_diff_grad(net, lam, x, i, j):
+    """(f_i - f_j, its gradient) at the activation vector ``x``, read from
+    ``logit_diffs_all_batch`` with base class i."""
+    o, G, _ = logit_diffs_all_batch(net, lam, x[None, :], [i])
+    return o[0, j], G[0, j]
 
 
 def random_net(rng, input_dim=4, hidden=(6, 5), num_classes=3):
@@ -183,14 +190,10 @@ def test_logit_diff_grad_rejects_bad_args():
     net = random_net(rng)
     x = rng.normal(size=net.input_dim)
     with pytest.raises(DomainError):
-        logit_diff_grad(net, 0, x, 1, 1)
-    with pytest.raises(DomainError):
         logit_diff_grad(net, len(net.layers),
                         forward_batch(net, x[None, :])[-1][0], 0, 1)
     with pytest.raises(DomainError):
         logit_diff_grad(net, -1, x, 0, 1)
-    with pytest.raises(DomainError):
-        logit_diff_grad(net, 0, x, 0, net.num_classes)
 
 
 @pytest.mark.parametrize("rows,dim,hidden,classes,lam", [
@@ -314,6 +317,53 @@ def test_count_fields_must_be_integers(value):
     assert gen_blobs(BlobConfig(**{**blob, "dim": np.int64(2)})).feature_count == 2
     train_sgd(net, ds, TrainConfig(**{**train, "epochs": np.int32(1)}))
     assert SearchConfig(max_iters=np.int64(3)).max_iters == 3
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, np.float64(3.0), True, "3"],
+                         ids=["float", "integral-float", "np-float", "bool",
+                              "str"])
+def test_seeds_and_widths_must_be_integers(value):
+    # a float seed used to leak numpy's TypeError, a bool seed was taken as
+    # 0 or 1, and a float width was truncated to an integer
+    blob = dict(classes=3, samples_per_class=10, dim=2, spread=1.0, seed=0)
+    train = dict(epochs=2, batch_size=4, learning_rate=0.1)
+    with pytest.raises(DomainError, match="seed must be an integer"):
+        gen_blobs(BlobConfig(**{**blob, "seed": value}))
+    with pytest.raises(DomainError, match="seed must be an integer"):
+        TrainConfig(**train, seed=value)
+    with pytest.raises(DomainError, match="seed must be an integer"):
+        init_network(2, [4], 3, seed=value)
+    with pytest.raises(DomainError,
+                       match=r"hidden_widths\[1\] must be an integer"):
+        init_network(2, [4, value], 3, seed=2)
+    with pytest.raises(DomainError, match="input_dim must be an integer"):
+        init_network(value, [4], 3, seed=2)
+    with pytest.raises(DomainError, match="num_classes must be an integer"):
+        init_network(2, [4], value, seed=2)
+
+
+def test_negative_seeds_are_rejected():
+    # numpy's ValueError used to leak from default_rng
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        BlobConfig(classes=3, samples_per_class=10, dim=2, spread=1.0,
+                   seed=-1)
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        TrainConfig(epochs=2, batch_size=4, learning_rate=0.1, seed=-1)
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        init_network(2, [4], 3, seed=-1)
+
+
+def test_numpy_integer_seeds_and_widths_draw_what_python_ints_draw():
+    blob = dict(classes=3, samples_per_class=10, dim=2, spread=1.0)
+    a = gen_blobs(BlobConfig(**blob, seed=7))
+    b = gen_blobs(BlobConfig(**blob, seed=np.int64(7)))
+    assert a.features.tobytes() == b.features.tobytes()
+    n = init_network(2, [4, 5], 3, seed=7)
+    m = init_network(np.int32(2), [np.int64(4), np.uint8(5)], np.int64(3),
+                     seed=np.uint64(7))
+    for x, y in zip(n.layers, m.layers):
+        assert x.weights.tobytes() == y.weights.tobytes()
+        assert x.bias.tobytes() == y.bias.tobytes()
 
 
 def test_train_config_validation():

@@ -8,11 +8,9 @@ from marginlab.errors import ConfigError, DomainError, NumericalError
 from marginlab.pca import (
     PcaModel,
     fit_pca,
-    inverse_transform,
     load_pca,
     save_pca,
     select_components_kneedle,
-    transform,
 )
 
 
@@ -64,37 +62,6 @@ def test_fit_pca_component_cap():
         fit_pca(X, n_components=5)
     with pytest.raises(DomainError):
         fit_pca(X, n_components=0)
-
-
-def test_transform_round_trip_full_rank():
-    rng = np.random.default_rng(3)
-    X = rng.normal(size=(50, 8))
-    p = fit_pca(X)
-    Y = transform(p, X)
-    back = inverse_transform(p, Y)
-    assert np.max(np.abs(back - X)) <= 1e-10
-    # single-vector path
-    x = X[0]
-    assert np.max(np.abs(inverse_transform(p, transform(p, x)) - x)) <= 1e-10
-
-
-def test_truncated_inverse_is_the_orthogonal_projection():
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(60, 6))
-    m = 3
-    p = fit_pca(X, n_components=m)
-    x = rng.normal(size=6)
-    back = inverse_transform(p, transform(p, x))
-    P = p.components
-    oracle = p.mean + (x - p.mean) @ P.T @ P
-    assert np.max(np.abs(back - oracle)) <= 1e-12
-
-
-def test_transform_centers_on_mean():
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(30, 5)) + 7.0
-    p = fit_pca(X)
-    assert np.max(np.abs(transform(p, p.mean))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -239,3 +206,22 @@ def test_load_pca_rejects_malformed_arrays(tmp_path, key, value):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError):
         load_pca(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_pca_rejects_non_finite_data(bad):
+    # NaN data used to give a PcaModel full of NaNs
+    X = np.random.default_rng(8).normal(size=(10, 3))
+    X[4, 2] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        fit_pca(X)
+
+
+@pytest.mark.parametrize("n", [2.7, 2.0, True, "2"],
+                         ids=["fraction", "integral-float", "bool", "str"])
+def test_fit_pca_component_count_must_be_an_integer(n):
+    # int() used to truncate 2.7 to 2 and take True as 1
+    X = np.random.default_rng(8).normal(size=(10, 3))
+    with pytest.raises(DomainError, match="n_components must be an integer"):
+        fit_pca(X, n_components=n)
+    assert fit_pca(X, n_components=np.int64(2)).components.shape == (2, 3)

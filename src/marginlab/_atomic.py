@@ -30,3 +30,9 @@ def atomic_open(path, binary: bool = False):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically, as ``atomic_open`` does."""
+    with atomic_open(path) as fh:
+        fh.write(text)

@@ -131,6 +131,18 @@ def _text_blocks(header, columns):
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
+def _optional(values, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as one table column, a None among them a missing cell."""
+    return (np.array([0 if v is None else v for v in values], dtype=dtype),
+            np.array([v is None for v in values], dtype=bool))
+
+
+def _texts(values) -> np.ndarray:
+    """``values`` as a table column written by ``str``: an object array,
+    which keeps every Python int and every string as it is."""
+    return np.array(values, dtype=object)
+
+
 def csv_text(header, columns) -> str:
     """The table as CSV text: a one-line header, then one line per row.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, _checked_rows
 from .pca import PcaModel
 
 
@@ -39,10 +39,11 @@ def adv_directions(pca: PcaModel, originals: np.ndarray,
 
     Each row of |(x - x_hat) @ components.T| is divided by its own
     maximum, so every retained sample contributes the same total weight
-    regardless of how far its boundary point lies.
+    regardless of how far its boundary point lies. Inputs other than one
+    row or a matrix of finite rows raise DomainError.
     """
-    X = np.atleast_2d(np.asarray(originals, dtype=np.float64))
-    Xhat = np.atleast_2d(np.asarray(boundary_points, dtype=np.float64))
+    X = np.atleast_2d(_checked_rows(originals))
+    Xhat = np.atleast_2d(_checked_rows(boundary_points))
     if X.shape != Xhat.shape or X.shape[0] < 1:
         raise DomainError("originals and boundary points must be equal-shape, "
                           "non-empty sample matrices")

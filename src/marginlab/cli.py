@@ -17,42 +17,29 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import operator
 import sys
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import replace
 
 import numpy as np
 
-from ._atomic import atomic_open
-from ._csvio import csv_text, read_numeric_csv, write_csv
+from ._atomic import write_text
+from ._csvio import _optional, _texts, read_numeric_csv, write_csv
 from ._seed import derive_seed
 from .advdir import adv_directions, cumulative_share
-from .data import (
-    BlobConfig,
-    Dataset,
-    apply_normalization,
-    corrupt_inputs_gaussian,
-    corrupt_labels,
-    gen_blobs,
-    load_dataset,
-    max_margin,
-    normalize,
-    save_dataset,
-)
+from .data import BlobConfig, gen_blobs, load_dataset, save_dataset
 from .errors import (
     ConfigError,
     DomainError,
     NumericalError,
     UndefinedMetricError,
-    WorkbenchError,
+    _is_finite_real,
 )
 from .margin import (
     SearchConfig,
     SearchStatus,
+    _measure_correct,
     compute_total_variation,
-    search_margins,
     tv_normalize,
 )
 from .metrics import (
@@ -66,22 +53,24 @@ from .metrics import (
 from .nnet import (
     TrainConfig,
     accuracy,
-    forward_batch,
     init_network,
     load_model,
-    predict_batch,
     save_model,
     train_sgd,
 )
 from .pca import fit_pca, load_pca, save_pca, select_components_kneedle
+from .sweep import (
+    _CORRUPTERS,
+    _NORMALIZE_SCHEMES,
+    _clip_box,
+    _load_sweep_config,
+    _model_inputs,
+    _normalized,
+    run_capacity_sweep,
+)
 
 # ---------------------------------------------------------------------------
 # output helpers
-
-
-def _write_text(path, text: str) -> None:
-    with atomic_open(path) as fh:
-        fh.write(text)
 
 
 def _json_line(obj) -> str:
@@ -105,67 +94,6 @@ def _load_json(path):
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _mean(values) -> float | None:
-    vals = [v for v in values if v is not None]
-    return float(np.mean(vals)) if vals else None
-
-
-def _optional(values, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` as one table column, a None among them a missing cell."""
-    return (np.array([0 if v is None else v for v in values], dtype=dtype),
-            np.array([v is None for v in values], dtype=bool))
-
-
-def _texts(values) -> np.ndarray:
-    """``values`` as a table column written by ``str``: an object array,
-    which keeps every Python int and every string as it is."""
-    return np.array(values, dtype=object)
-
-
-# ---------------------------------------------------------------------------
-# pipeline steps shared by the single commands and the sweep
-
-
-_CORRUPTERS = {"label": corrupt_labels, "input": corrupt_inputs_gaussian}
-_NORMALIZE_SCHEMES = ("znorm", "minmax", "none")
-
-
-def _normalized(ds: Dataset, scheme: str):
-    """``ds`` normalized by ``scheme`` and its meta; ``none`` keeps ``ds``
-    and gives no meta."""
-    return (ds, None) if scheme == "none" else normalize(ds, scheme)
-
-
-def _model_inputs(net, raw: Dataset) -> np.ndarray:
-    """The raw dataset's features in the space ``net`` operates in."""
-    if net.norm_meta is None:
-        return raw.features
-    return apply_normalization(raw.features, net.norm_meta)
-
-
-def _measure_correct(net, X, labels, layer: int, search, pca=None, m=None,
-                     *, batch_mean: bool, keep_all: bool = False):
-    """Margins at ``layer`` of the rows of ``X`` that ``net`` classifies
-    correctly, or of every row with ``keep_all``.
-
-    Returns every row's activations at ``layer``, the kept row indices and
-    the ``search_margins`` table of the kept rows.
-    """
-    acts = forward_batch(net, X)
-    kept = (np.arange(len(labels)) if keep_all else
-            np.flatnonzero(np.argmax(acts[-1], axis=1) == labels))
-    table = search_margins(net, layer, acts[layer][kept], search, pca, m,
-                           batch_mean=batch_mean)
-    return acts[layer], kept, table
-
-
-def _clip_box(net, ds: Dataset):
-    """The clip box of ``net``'s input-space searches on the dataset ``ds``:
-    None when the model's normalization carries one, else the bounds of
-    ``ds``, whose raw features such a model takes as they are."""
-    return None if net.norm_meta is not None else (ds.lower, ds.upper)
-
-
 # ---------------------------------------------------------------------------
 # gen-data / corrupt / train
 
@@ -184,17 +112,14 @@ def _cmd_corrupt(args) -> None:
     ds = load_dataset(args.infile)
     out_ds, report = _CORRUPTERS[args.mode](ds, args.fraction, args.seed)
     save_dataset(out_ds, args.out)
+    info = {"mode": report.mode, "seed": int(report.seed),
+            "fraction_requested": float(report.fraction_requested)}
     if args.report:
-        payload = {"mode": report.mode,
-                   "fraction_requested": float(report.fraction_requested),
-                   "seed": int(report.seed),
-                   "indices_corrupted": [int(i) for i in
-                                         report.indices_corrupted]}
-        _write_text(args.report, json.dumps(payload, sort_keys=True) + "\n")
-    _print_json({"mode": report.mode,
-                 "fraction_requested": float(report.fraction_requested),
-                 "num_corrupted": len(report.indices_corrupted),
-                 "path": str(args.out), "seed": int(report.seed)})
+        indices = [int(i) for i in report.indices_corrupted]
+        write_text(args.report, json.dumps(
+            {**info, "indices_corrupted": indices}, sort_keys=True) + "\n")
+    _print_json({**info, "num_corrupted": len(report.indices_corrupted),
+                 "path": str(args.out)})
 
 
 def _parse_hidden(text: str) -> list[int]:
@@ -310,11 +235,9 @@ def _cmd_measure(args) -> None:
 
     write_csv(args.out, header, columns)
     if args.boundary_out:
-        width = acts.shape[1]
-        bheader = (["sample_index"]
-                   + [f"orig_{j}" for j in range(width)]
-                   + [f"bound_{j}" for j in range(width)])
-        write_csv(args.boundary_out, bheader,
+        points = [f"{side}_{j}" for side in ("orig", "bound")
+                  for j in range(acts.shape[1])]
+        write_csv(args.boundary_out, ["sample_index", *points],
                   [kept, *acts[kept].T, *table.boundary.T])
     _print_json(summary)
 
@@ -346,15 +269,6 @@ _ENTRY_REQUIRED = {"hyperparams", "train_acc", "test_acc", "measures"}
 _ENTRY_ALLOWED = _ENTRY_REQUIRED | {"model_path"}
 _ENTRY_FIELDS = operator.itemgetter("hyperparams", "train_acc", "test_acc",
                                     "measures")
-
-
-def _is_finite_real(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
 
 
 def _load_models_file(path, measure_col: str, axes: bool) -> ModelTable:
@@ -557,293 +471,9 @@ def _cmd_advdir(args) -> None:
 # sweep
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated description of one capacity-sweep run.
-
-    The data come from ``blob`` or from ``dataset_path``/``test_path``. The
-    seeds in ``blob`` and ``train`` are placeholders: each run derives its
-    own from ``seed``.
-    """
-
-    blob: BlobConfig | None
-    dataset_path: str | None
-    test_path: str | None
-    corruptions: tuple[tuple[str, float], ...]
-    widths: tuple[int, ...]
-    seeds: tuple[int, ...]
-    train: TrainConfig
-    estimator: str
-    search: SearchConfig
-    normalize: str
-    output_dir: str
-    seed: int
-
-
-_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
-               dict: "an object", list: "a list"}
-
-
-def _typed(value, kind: type, where: str):
-    """``value`` if it is a JSON value of ``kind``; ConfigError otherwise.
-
-    Integers exclude booleans and floats, so nothing is truncated; ``float``
-    takes any finite number and returns it as a float.
-    """
-    if kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    elif kind is float:
-        ok = _is_finite_real(value)
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
-        raise ConfigError(f"{where}: expected {_KIND_NAMES[kind]}, "
-                          f"got {value!r}")
-    return float(value) if kind is float else value
-
-
-_REQUIRED = object()
-
-# Each table maps a config object's keys to (kind, default); its keys are the
-# object's allowed key set.
-_SWEEP_FIELDS = {
-    "dataset": (dict, _REQUIRED), "widths": (list, _REQUIRED),
-    "output_dir": (str, _REQUIRED),
-    "corruptions": (list, [{"mode": "label", "fraction": 0.2}]),
-    "seeds": (list, [0]), "train": (dict, {}), "estimator": (dict, {}),
-    "normalize": (str, "znorm"), "seed": (int, 0)}
-_BLOB_FIELDS = {"classes": (int, _REQUIRED),
-                "samples_per_class": (int, _REQUIRED),
-                "dim": (int, _REQUIRED), "spread": (float, _REQUIRED)}
-_PATH_FIELDS = {"path": (str, _REQUIRED), "test_path": (str, _REQUIRED)}
-_CORRUPTION_FIELDS = {"mode": (str, _REQUIRED), "fraction": (float, 0.2)}
-_TRAIN_FIELDS = {"epochs": (int, 40), "batch_size": (int, 32),
-                 "learning_rate": (float, 0.05), "momentum": (float, 0.9)}
-_ESTIMATOR_FIELDS = {"name": (str, "deepfool"),
-                     "learning_rate": (float, 0.25),
-                     "stop_tolerance": (float, 0.001),
-                     "max_iters": (int, 100)}
-
-
-def _section(obj, table: dict, where: str, prefix: str | None = None) -> dict:
-    """Every key of ``table`` read from the JSON object ``obj``: its value
-    checked against the key's kind, or the key's default when absent."""
-    _typed(obj, dict, where)
-    unknown = sorted(set(obj) - set(table))
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-    missing = [key for key, (_, default) in table.items()
-               if default is _REQUIRED and key not in obj]
-    if missing:
-        raise ConfigError(f"{where}: missing keys {missing}")
-    prefix = f"{where}." if prefix is None else prefix
-    return {key: _typed(obj.get(key, default), kind, prefix + key)
-            for key, (kind, default) in table.items()}
-
-
-def _built(cls, where: str, **fields):
-    """``cls(**fields)``, with the section named in its range-check error."""
-    try:
-        return cls(**fields)
-    except WorkbenchError as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
-
-
-def _load_sweep_config(args) -> ExperimentConfig:
-    top = _section(_load_json(args.config), _SWEEP_FIELDS, str(args.config),
-                   prefix="")
-    if "path" in top["dataset"]:
-        paths = _section(top["dataset"], _PATH_FIELDS, "dataset")
-        blob = None
-    else:
-        paths = dict.fromkeys(_PATH_FIELDS)
-        blob = _built(BlobConfig, "dataset",
-                      **_section(top["dataset"], _BLOB_FIELDS, "dataset"),
-                      seed=0)
-
-    corruptions = []
-    for k, entry in enumerate(top["corruptions"]):
-        where = f"corruptions[{k}]"
-        entry = _section(entry, _CORRUPTION_FIELDS, where)
-        if entry["mode"] not in _CORRUPTERS:
-            raise ConfigError(f"{where}: mode must be 'label' or 'input'")
-        if not 0.0 < entry["fraction"] <= 1.0:
-            raise ConfigError(f"{where}: fraction must lie in (0, 1]")
-        corruptions.append((entry["mode"], entry["fraction"]))
-
-    widths = [_typed(w, int, f"widths[{k}]")
-              for k, w in enumerate(top["widths"])]
-    if not widths or min(widths) < 1:
-        raise ConfigError("widths: expected a non-empty list of positive "
-                          "integers")
-    seeds = [_typed(v, int, f"seeds[{k}]") for k, v in enumerate(top["seeds"])]
-    if not seeds:
-        raise ConfigError("seeds: expected a non-empty list of integers")
-
-    est = _section(top["estimator"], _ESTIMATOR_FIELDS, "estimator")
-    estimator = est.pop("name")
-    if estimator not in ("deepfool", "taylor"):
-        raise ConfigError("estimator: name must be 'deepfool' or 'taylor'")
-    if top["normalize"] not in _NORMALIZE_SCHEMES:
-        raise ConfigError("normalize: expected znorm, minmax, or none")
-
-    return ExperimentConfig(
-        blob=blob, dataset_path=paths["path"], test_path=paths["test_path"],
-        corruptions=tuple(corruptions), widths=tuple(widths),
-        seeds=tuple(seeds),
-        train=_built(TrainConfig, "train",
-                     **_section(top["train"], _TRAIN_FIELDS, "train")),
-        estimator=estimator, search=_built(SearchConfig, "estimator", **est),
-        normalize=top["normalize"],
-        output_dir=args.output_dir if args.output_dir else top["output_dir"],
-        seed=args.seed if args.seed is not None else top["seed"])
-
-
-def _sweep_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    if cfg.dataset_path is not None:
-        return load_dataset(cfg.dataset_path), load_dataset(cfg.test_path)
-    blob = cfg.blob
-    rng = np.random.default_rng(derive_seed(cfg.seed, "centers"))
-    centers = rng.uniform(-10.0, 10.0, size=(blob.classes, blob.dim))
-    return tuple(gen_blobs(replace(blob, seed=derive_seed(cfg.seed, split),
-                                   centers=centers))
-                 for split in ("data", "test"))
-
-
-def _run_sweep_entry(cfg: ExperimentConfig, variant: str, ds: Dataset,
-                     meta, test_raw: Dataset, width: int, seed: int) -> dict:
-    net = init_network(ds.feature_count, [width], ds.class_count,
-                       seed=derive_seed(cfg.seed, "init", variant, width,
-                                        seed),
-                       norm_meta=meta)
-    net = train_sgd(net, ds, replace(
-        cfg.train, seed=derive_seed(cfg.seed, "train", variant, width, seed)))
-    search = (replace(cfg.search, bounds=_clip_box(net, ds))
-              if cfg.estimator == "deepfool" else None)
-    _, kept, table = _measure_correct(net, ds.features, ds.labels, 0,
-                                      search, batch_mean=True)
-    test_acc = float(np.mean(predict_batch(net, _model_inputs(net, test_raw))
-                             == test_raw.labels))
-
-    values = np.full(ds.sample_count, np.nan)
-    values[kept] = np.where(table.stuck, np.nan, table.d_best)
-    finite = np.isfinite(values)
-    clean_mask = (ds.corrupt_flags == 0) & finite
-    corrupt_mask = (ds.corrupt_flags != 0) & finite
-    return {
-        "width": width, "seed": seed, "variant": variant,
-        "train_accuracy": kept.size / ds.sample_count,
-        "test_accuracy": test_acc,
-        "margin_clean": _mean(values[clean_mask].tolist()),
-        "margin_corrupt": _mean(values[corrupt_mask].tolist()),
-        "margin_overall": _mean(values[finite].tolist()),
-        "flags": ds.corrupt_flags,
-        "margins": values,
-    }
-
-
-def run_capacity_sweep(cfg: ExperimentConfig) -> dict:
-    """Train the width x seed x variant grid and write the report files.
-
-    Every report table, the data-level ``max_margin`` columns included, is
-    computed before the output directory is created, so a run that fails
-    writes nothing. Its error carries the tag of the stage that failed.
-    Returns the names of the written files and the output directory.
-    """
-    stage = "generate"
-    try:
-        train_raw, test_raw = _sweep_datasets(cfg)
-        if np.unique(train_raw.labels).size < 2:
-            # the report's max margin is undefined; fail before training
-            raise DomainError("the training set has a single class present")
-
-        stage = "corrupt"
-        variants: list[tuple[str, Dataset]] = [("clean", train_raw)]
-        for mode, fraction in cfg.corruptions:
-            ds, _ = _CORRUPTERS[mode](
-                train_raw, fraction,
-                derive_seed(cfg.seed, "corrupt", mode, fraction))
-            variants.append((f"{mode}-corrupted", ds))
-
-        stage = "normalize"
-        prepared = [(name, *_normalized(ds, cfg.normalize))
-                    for name, ds in variants]
-
-        stage = "train"
-        rows = [_run_sweep_entry(cfg, name, ds, meta, test_raw, width, seed)
-                for width in cfg.widths
-                for seed in cfg.seeds
-                for name, ds, meta in prepared]
-
-        stage = "report"
-        outputs = {}
-        grid = [_texts([r[key] for r in rows])
-                for key in ("width", "seed", "variant")]
-        outputs["margins.csv"] = csv_text(
-            ["width", "seed", "variant", "train_accuracy", "test_accuracy",
-             "margin_clean", "margin_corrupt", "margin_overall"],
-            [*grid,
-             *(np.array([r[key] for r in rows])
-               for key in ("train_accuracy", "test_accuracy")),
-             *(_optional([r[key] for r in rows])
-               for key in ("margin_clean", "margin_corrupt",
-                           "margin_overall"))])
-        counts = [r["margins"].size for r in rows]
-        margins = np.concatenate([r["margins"] for r in rows])
-        outputs["per_sample_margins.csv"] = csv_text(
-            ["width", "seed", "variant", "sample_index", "flag", "margin"],
-            [*(np.repeat(column, counts) for column in grid),
-             np.concatenate([np.arange(n) for n in counts]),
-             np.concatenate([r["flags"] for r in rows]),
-             (margins, ~np.isfinite(margins))])
-
-        # data-level nearest-other-label distances, one column per variant
-        variant_names = [name for name, _, _ in prepared]
-        mm_columns = {name: max_margin(ds) for name, ds, _ in prepared}
-        outputs["max_margins.csv"] = csv_text(
-            ["sample_index"] + [f"max_margin_{n}" for n in variant_names],
-            [np.arange(train_raw.sample_count),
-             *(mm_columns[name] for name in variant_names)])
-
-        per_width = {}
-        for width in cfg.widths:
-            cell = {}
-            for name in variant_names:
-                sub = [r for r in rows
-                       if r["width"] == width and r["variant"] == name]
-                for kind, field in (("clean", "margin_clean"),
-                                    ("corrupt", "margin_corrupt"),
-                                    ("overall", "margin_overall")):
-                    value = _mean([r[field] for r in sub])
-                    if value is not None:
-                        cell[f"{kind}:{name}"] = value
-                cell[f"test_accuracy:{name}"] = _mean(
-                    [r["test_accuracy"] for r in sub])
-            per_width[str(width)] = cell
-        summary = {
-            "estimator": cfg.estimator,
-            "max_margin": {name: float(np.mean(mm_columns[name]))
-                           for name in variant_names},
-            "per_width": per_width,
-            "seed": cfg.seed,
-            "seeds": list(cfg.seeds),
-            "variants": variant_names,
-            "widths": list(cfg.widths),
-        }
-        outputs["summary.json"] = json.dumps(summary, sort_keys=True,
-                                             indent=2) + "\n"
-    except WorkbenchError as exc:
-        raise type(exc)(f"stage {stage}: {exc}") from exc
-
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in outputs.items():
-        _write_text(out_dir / name, text)
-    return {"files": list(outputs), "output_dir": str(out_dir)}
-
-
 def _cmd_sweep(args) -> None:
-    cfg = _load_sweep_config(args)
+    cfg = _load_sweep_config(_load_json(args.config), str(args.config),
+                             args.output_dir, args.seed)
     _print_json(run_capacity_sweep(cfg))
 
 

@@ -16,7 +16,13 @@ import numpy as np
 
 from ._atomic import atomic_open
 from ._csvio import read_numeric_csv, write_csv
-from .errors import ConfigError, DomainError, check_integers, check_seed
+from .errors import (
+    ConfigError,
+    DomainError,
+    _checked_rows,
+    check_integers,
+    check_seed,
+)
 
 _MAGIC = b"MWDS"
 _BIN_VERSION = 1
@@ -134,21 +140,13 @@ def gen_blobs(config: BlobConfig) -> Dataset:
     else:
         centers = np.asarray(config.centers, dtype=np.float64)
 
-    blocks = []
-    for k in range(config.classes):
-        noise = rng.normal(0.0, config.spread, size=(config.samples_per_class, config.dim))
-        blocks.append(centers[k] + noise)
-    features = np.concatenate(blocks, axis=0)
-    labels = np.repeat(np.arange(config.classes, dtype=np.int64), config.samples_per_class)
-    lower, upper = _expanded_bounds(features)
-    return Dataset(
-        features=features,
-        labels=labels,
-        lower=lower,
-        upper=upper,
-        corrupt_flags=np.zeros(len(labels), dtype=np.int64),
-        class_count=config.classes,
-    )
+    # one draw fills the classes' blocks in order, as a draw per class would
+    n = config.samples_per_class
+    features = np.repeat(centers, n, axis=0) + rng.normal(
+        0.0, config.spread, size=(config.classes * n, config.dim))
+    labels = np.repeat(np.arange(config.classes, dtype=np.int64), n)
+    return Dataset(features, labels, *_expanded_bounds(features),
+                   np.zeros(len(labels), dtype=np.int64), config.classes)
 
 
 def _corruption_indices(sample_count: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
@@ -211,14 +209,16 @@ def corrupt_inputs_gaussian(ds: Dataset, fraction: float, seed: int) -> tuple[Da
 
 
 def max_margin(ds: Dataset) -> np.ndarray:
-    """Exact distance from each sample to its nearest different-class sample."""
+    """Exact distance from each sample to its nearest different-class sample.
+    Features must be one row or a matrix of finite rows, else DomainError."""
+    X = np.atleast_2d(_checked_rows(ds.features))
     present = np.unique(ds.labels)
     if present.size < 2:
         raise DomainError("max margin is undefined with a single class present")
     out = np.empty(ds.sample_count, dtype=np.float64)
     for i in range(ds.sample_count):
         mask = ds.labels != ds.labels[i]
-        diff = ds.features[mask] - ds.features[i]
+        diff = X[mask] - X[i]
         out[i] = np.sqrt(np.min(np.einsum("ij,ij->i", diff, diff)))
     return out
 

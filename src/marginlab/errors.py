@@ -6,7 +6,10 @@ numerically while computing. The CLI maps the first family to exit code 2 and
 the second to exit code 3.
 """
 
+import math
 import numbers
+
+import numpy as np
 
 
 class WorkbenchError(Exception):
@@ -35,6 +38,26 @@ def check_seed(seed) -> None:
     check_integers(seed=seed)
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
+
+
+def _is_finite_real(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _checked_rows(X) -> np.ndarray:
+    """``X`` as float64 values, one row or a matrix of rows; a DomainError
+    when it has another rank or holds a non-finite value."""
+    A = np.asarray(X, dtype=np.float64)
+    if A.ndim not in (1, 2):
+        raise DomainError(f"need one row or a matrix of rows, got {A.shape}")
+    if not np.isfinite(A).all():
+        raise DomainError("rows hold non-finite values")
+    return A
 
 
 class UndefinedMetricError(DomainError):

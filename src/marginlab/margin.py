@@ -14,20 +14,8 @@ zero-step case. With one it runs the DeepFool-style search
 (Moosavi-Dezfooli et al. 2016): each row repeatedly steps toward its
 nearest linearized boundary and keeps its best (smallest-violation)
 iterate, stopping row by row or, in batch-mean mode, all together when the
-mean distance settles. Between iterations the engine keeps only per-row
-state. In the per-row mode it keeps it only for the rows still searching,
-compact and in row order: the start point and base class, the current
-iterate (the last one kept) with its distance, gap, runner-up class and
-step count, and the next step. A row is written into the output columns
-once, when it stops, and leaves the state then. The batch-mean mode keeps
-every row, with its best iterate beside the current one. The gradients at
-each current iterate, with their ReLU activation pattern and per-class
-norms, stay keyed by the original row, so rows that stop never make the
-engine copy them. For a ReLU net the gradients depend only on the base
-class and that pattern, so each iteration runs the forward pass on the
-active rows and backpropagates only the rows whose pattern changed; the
-others reuse their gradients, which are the bits a fresh backprop would
-give.
+mean distance settles. ``search_margins`` says what state it keeps between
+iterations and which rows it backpropagates.
 
 The engine returns one ``MarginTable``: a NumPy column per field, so a
 caller that writes or averages margins reads whole columns. It is the only
@@ -43,12 +31,16 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, DomainError, check_integers
-# forward_batch and logit_diffs_all_batch are imported for the benchmark's
-# tracer (bench/tracing.py), which wraps the nnet calls made through here
+from .errors import (
+    DegenerateVarianceError,
+    DomainError,
+    _checked_rows,
+    check_integers,
+)
+# the benchmark's tracer (bench/tracing.py) wraps the nnet calls made
+# through here; logit_diffs_all_batch is imported for it alone
 from .nnet import (
     Network,
-    _checked_rows,
     _logit_diff_grads,
     _logit_diffs,
     forward_batch,
@@ -142,13 +134,12 @@ def _resolve_bounds(net: Network, lam: int, cfg: SearchConfig):
     if lam != 0:
         return None
     if cfg.bounds is not None:
-        lower = np.asarray(cfg.bounds[0], dtype=np.float64)
-        upper = np.asarray(cfg.bounds[1], dtype=np.float64)
+        box = cfg.bounds
     elif net.norm_meta is not None:
-        lower = np.asarray(net.norm_meta.lower, dtype=np.float64)
-        upper = np.asarray(net.norm_meta.upper, dtype=np.float64)
+        box = net.norm_meta.lower, net.norm_meta.upper
     else:
         return None
+    lower, upper = (np.asarray(bound, dtype=np.float64) for bound in box)
     if lower.shape != (net.input_dim,) or upper.shape != (net.input_dim,):
         raise DomainError("clip bounds do not match the input dimension")
     if np.any(lower >= upper):
@@ -367,10 +358,6 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
         v = np.abs(o[np.arange(b.size), runner])
         return Xp, d, v, runner, next_step, next_stuck
 
-    def record(k, d, v):
-        if trace is not None:
-            trace.extend(zip(k.tolist(), d.tolist(), v.tolist()))
-
     if batch_mean:
         # every row is evaluated, stuck ones in place, so the matrix shapes,
         # and with them the rounding, do not depend on which rows got stuck;
@@ -387,7 +374,8 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
             d_best[k], v_best[k], boundary[k], pair[k] = (
                 d[k], v[k], Xp[k], runner[k])
             steps[k] += 1
-            record(k, d[k], v[k])
+            if trace is not None:
+                trace.extend(zip(k.tolist(), d[k].tolist(), v[k].tolist()))
             # the rows that are not active stay where they are
             rest = ~active
             np.copyto(Xp, Xhat, where=rest[:, None])
@@ -435,7 +423,9 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
                                      _CODE[SearchStatus.CONVERGED]))
             Xhat, d_hat, v_hat, j_hat, n_hat = Xp, d, v, runner, n_hat + 1
             del Xp  # so that compacting Xhat frees the full-size iterate
-            record(idx[kept], d_hat[kept], v_hat[kept])
+            if trace is not None:
+                trace.extend(zip(idx[kept].tolist(), d_hat[kept].tolist(),
+                                 v_hat[kept].tolist()))
             # a kept row stops on it at max_iters or without a next step
             full = n_hat >= cfg.max_iters
             out = kept & (full | next_stuck)
@@ -458,6 +448,22 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
                        competitor=pair, steps=steps, status=status,
                        left_subspace=left, boundary=boundary,
                        stuck=np.zeros(s, dtype=bool), trace=trace)
+
+
+def _measure_correct(net, X, labels, layer: int, search, pca=None, m=None,
+                     *, batch_mean: bool, keep_all: bool = False):
+    """Margins at ``layer`` of the rows of ``X`` that ``net`` classifies
+    correctly, or of every row with ``keep_all``.
+
+    Returns every row's activations at ``layer``, the kept row indices and
+    the ``search_margins`` table of the kept rows.
+    """
+    acts = forward_batch(net, X)
+    kept = (np.arange(len(labels)) if keep_all else
+            np.flatnonzero(np.argmax(acts[-1], axis=1) == labels))
+    table = search_margins(net, layer, acts[layer][kept], search, pca, m,
+                           batch_mean=batch_mean)
+    return acts[layer], kept, table
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from ._atomic import atomic_open
+from ._atomic import write_text
 from .data import Dataset, NormalizationMeta
 from .errors import (
     ConfigError,
     DomainError,
     NumericalError,
     TrainingDivergedError,
+    _checked_rows,
     check_integers,
     check_seed,
 )
@@ -31,6 +32,8 @@ logger = logging.getLogger(__name__)
 
 _ACTIVATIONS = ("relu", "none")
 MODEL_FORMAT = "mw-model/1"
+# the NormalizationMeta arrays a model file stores, under these keys
+_NORM_ARRAYS = ("offsets", "scales", "lower", "upper")
 
 
 @dataclass(frozen=True)
@@ -63,18 +66,6 @@ def _check_activations(net: Network, lam: int, X: np.ndarray, top: int) -> None:
     if X.shape[-1] != expected:
         raise DomainError(f"activation width {X.shape[-1]} does not match "
                           f"layer {lam} width {expected}")
-
-
-def _checked_rows(X) -> np.ndarray:
-    """``X`` as float64 activations, one row or a matrix of rows; a
-    DomainError when it has another rank or holds a non-finite value."""
-    A = np.asarray(X, dtype=np.float64)
-    if A.ndim not in (1, 2):
-        raise DomainError(f"activations must be one row or a matrix of "
-                          f"rows, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise DomainError("activations hold non-finite values")
-    return A
 
 
 def _forward(net: Network, lam: int, A: np.ndarray):
@@ -228,13 +219,9 @@ def train_sgd(net: Network, dataset: Dataset, config: TrainConfig) -> Network:
         raise DomainError("dataset class_count does not match network num_classes")
 
     # SGD updates the copied parameters in place
-    trained = Network(
-        layers=[DenseLayer(layer.weights.copy(), layer.bias.copy(),
-                           layer.activation) for layer in net.layers],
-        input_dim=net.input_dim,
-        num_classes=net.num_classes,
-        norm_meta=net.norm_meta,
-    )
+    trained = replace(net, layers=[
+        DenseLayer(layer.weights.copy(), layer.bias.copy(), layer.activation)
+        for layer in net.layers])
     # divergence shows up as overflow/nan before the finiteness check catches
     # it; the warnings are noise, the typed error below is the signal
     with np.errstate(over="ignore", invalid="ignore"):
@@ -302,31 +289,16 @@ def accuracy(net: Network, dataset: Dataset) -> float:
 
 
 def save_model(net: Network, path) -> None:
-    norm = None
-    if net.norm_meta is not None:
-        m = net.norm_meta
-        norm = {
-            "scheme": m.scheme,
-            "offsets": m.offsets.tolist(),
-            "scales": m.scales.tolist(),
-            "lower": m.lower.tolist(),
-            "upper": m.upper.tolist(),
-        }
-    doc = {
-        "format": MODEL_FORMAT,
-        "input_dim": net.input_dim,
-        "num_classes": net.num_classes,
-        "norm": norm,
-        "layers": [
-            {"w": layer.weights.tolist(), "b": layer.bias.tolist(),
-             "act": layer.activation}
-            for layer in net.layers
-        ],
-    }
+    m = net.norm_meta
+    norm = None if m is None else {
+        "scheme": m.scheme,
+        **{key: getattr(m, key).tolist() for key in _NORM_ARRAYS}}
+    layers = [{"w": layer.weights.tolist(), "b": layer.bias.tolist(),
+               "act": layer.activation} for layer in net.layers]
+    doc = {"format": MODEL_FORMAT, "input_dim": net.input_dim,
+           "num_classes": net.num_classes, "norm": norm, "layers": layers}
     # dumps runs the C encoder; dump into a file would run the Python one
-    text = json.dumps(doc, sort_keys=True) + "\n"
-    with atomic_open(path) as fh:
-        fh.write(text)
+    write_text(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _model_size(value, key: str, path) -> int:
@@ -385,18 +357,14 @@ def load_model(path) -> Network:
         try:
             norm_meta = NormalizationMeta(
                 scheme=n["scheme"],
-                offsets=np.asarray(n["offsets"], dtype=np.float64),
-                scales=np.asarray(n["scales"], dtype=np.float64),
-                lower=np.asarray(n["lower"], dtype=np.float64),
-                upper=np.asarray(n["upper"], dtype=np.float64),
-            )
+                **{key: np.asarray(n[key], dtype=np.float64)
+                   for key in _NORM_ARRAYS})
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: malformed norm block ({exc})") from exc
         if norm_meta.scheme not in ("znorm", "minmax"):
             raise ConfigError(f"{path}: unknown normalization scheme "
                               f"{norm_meta.scheme!r}")
-        arrays = (norm_meta.offsets, norm_meta.scales, norm_meta.lower,
-                  norm_meta.upper)
+        arrays = [getattr(norm_meta, key) for key in _NORM_ARRAYS]
         if any(a.shape != (input_dim,) for a in arrays):
             raise ConfigError(f"{path}: normalization arrays must each hold "
                               f"input_dim={input_dim} values")

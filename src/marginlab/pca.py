@@ -13,10 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ._atomic import atomic_open
+from ._atomic import write_text
 from .errors import ConfigError, DomainError, NumericalError, check_integers
 
 PCA_FORMAT = "mw-pca/1"
+# the PcaModel fields, each an array a projection file stores under its name
+_FIELDS = ("mean", "components", "explained_variance", "explained_ratio")
 
 
 @dataclass(frozen=True)
@@ -65,9 +67,8 @@ def fit_pca(X: np.ndarray, n_components: int | None = None) -> PcaModel:
     order = np.argsort(eigvals)[::-1][:m]
     variances = np.maximum(eigvals[order], 0.0)
     components = eigvecs[:, order].T.copy()
-    for row in components:
-        if row[np.argmax(np.abs(row))] < 0:
-            row *= -1.0
+    lead = components[np.arange(m), np.argmax(np.abs(components), axis=1)]
+    components[lead < 0] *= -1.0
 
     total = float(np.trace(cov))
     if total <= 0.0:
@@ -135,17 +136,10 @@ def select_components_kneedle(pca: PcaModel) -> ElbowChoice:
 
 
 def save_pca(pca: PcaModel, path) -> None:
-    doc = {
-        "format": PCA_FORMAT,
-        "mean": pca.mean.tolist(),
-        "components": pca.components.tolist(),
-        "explained_variance": pca.explained_variance.tolist(),
-        "explained_ratio": pca.explained_ratio.tolist(),
-    }
+    doc = {"format": PCA_FORMAT,
+           **{key: getattr(pca, key).tolist() for key in _FIELDS}}
     # dumps runs the C encoder; dump into a file would run the Python one
-    text = json.dumps(doc, sort_keys=True) + "\n"
-    with atomic_open(path) as fh:
-        fh.write(text)
+    write_text(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_pca(path) -> PcaModel:
@@ -156,12 +150,8 @@ def load_pca(path) -> PcaModel:
     if not isinstance(doc, dict) or doc.get("format") != PCA_FORMAT:
         raise ConfigError(f"{path}: not a {PCA_FORMAT} file")
     try:
-        pca = PcaModel(
-            mean=np.asarray(doc["mean"], dtype=np.float64),
-            components=np.asarray(doc["components"], dtype=np.float64),
-            explained_variance=np.asarray(doc["explained_variance"], dtype=np.float64),
-            explained_ratio=np.asarray(doc["explained_ratio"], dtype=np.float64),
-        )
+        pca = PcaModel(**{key: np.asarray(doc[key], dtype=np.float64)
+                          for key in _FIELDS})
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: malformed projection file ({exc})") from exc
     if (pca.mean.ndim != 1 or pca.components.ndim != 2
@@ -173,9 +163,7 @@ def load_pca(path) -> PcaModel:
     if pca.explained_ratio.shape != count:
         raise ConfigError(f"{path}: explained_ratio count does not match "
                           f"components")
-    if not all(np.all(np.isfinite(a)) for a in (
-            pca.mean, pca.components, pca.explained_variance,
-            pca.explained_ratio)):
+    if not all(np.all(np.isfinite(getattr(pca, key))) for key in _FIELDS):
         raise NumericalError(f"{path}: projection holds non-finite values")
     if not validate_orthonormal(pca.components):
         raise ConfigError(f"{path}: component rows are not orthonormal")

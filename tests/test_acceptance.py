@@ -18,7 +18,7 @@ import test_margin
 import test_metrics
 import test_pca
 from marginlab.advdir import adv_directions, cumulative_share
-from marginlab.cli import ExperimentConfig, main, run_capacity_sweep
+from marginlab.cli import main
 from marginlab.data import (BlobConfig, Dataset, corrupt_labels, gen_blobs,
                             normalize, save_dataset)
 from marginlab.errors import UndefinedMetricError
@@ -30,6 +30,7 @@ from marginlab.nnet import (DenseLayer, Network, TrainConfig, forward_batch,
                             init_network, logit_diffs_all_batch,
                             predict_batch, train_sgd)
 from marginlab.pca import fit_pca, select_components_kneedle
+from marginlab.sweep import ExperimentConfig, run_capacity_sweep
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +467,7 @@ def _pipeline_steps(tmp: Path) -> tuple[list[list[str]], list[Path]]:
     shares = tmp / "shares.csv"
     scores = tmp / "scores.csv"
     sweep_dir = tmp / "sweep"
+    path_sweep_dir = tmp / "path_sweep"
 
     models_json = tmp / "models.json"
     if not models_json.exists():
@@ -493,6 +495,19 @@ def _pipeline_steps(tmp: Path) -> tuple[list[list[str]], list[Path]]:
             "normalize": "znorm",
             "output_dir": str(sweep_dir), "seed": 3}))
 
+    # a path-mode sweep over the CSVs the steps before it write
+    path_sweep_cfg = tmp / "path_sweep.json"
+    if not path_sweep_cfg.exists():
+        path_sweep_cfg.write_text(json.dumps({
+            "dataset": {"path": str(data), "test_path": str(corrupted)},
+            "corruptions": [{"mode": "input", "fraction": 0.2}],
+            "widths": [8], "seeds": [0],
+            "train": {"epochs": 30, "batch_size": 16,
+                      "learning_rate": 0.02},
+            "estimator": {"name": "deepfool", "max_iters": 30},
+            "normalize": "none",
+            "output_dir": str(path_sweep_dir), "seed": 4}))
+
     steps = [
         ["gen-data", "--classes", "3", "--samples-per-class", "40",
          "--dim", "4", "--spread", "1.2", "--seed", "5", "--out", str(data)],
@@ -511,11 +526,15 @@ def _pipeline_steps(tmp: Path) -> tuple[list[list[str]], list[Path]]:
         ["evaluate", "--models", str(models_json), "--metric", "granulated",
          "--measure-col", "mm", "--out", str(scores)],
         ["sweep", "--config", str(sweep_cfg)],
+        ["sweep", "--config", str(path_sweep_cfg)],
     ]
     outputs = [data, corrupted, model, margins, boundary, pca_path, shares,
                scores, sweep_dir / "margins.csv",
                sweep_dir / "per_sample_margins.csv",
-               sweep_dir / "max_margins.csv", sweep_dir / "summary.json"]
+               sweep_dir / "max_margins.csv", sweep_dir / "summary.json",
+               *(path_sweep_dir / name for name in (
+                   "margins.csv", "per_sample_margins.csv", "max_margins.csv",
+                   "summary.json"))]
     return steps, outputs
 
 

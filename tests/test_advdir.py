@@ -101,6 +101,24 @@ def test_mismatched_inputs_rejected():
         adv_directions(pca, np.zeros((3, 2)), np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "rank-3"])
+def test_non_finite_or_misshapen_inputs_rejected(bad):
+    # an inf boundary point used to leak a divide warning, a NaN one was
+    # dropped as if its perturbation were zero, and (2, 2, 2) inputs gave a
+    # 4-row b_adv
+    pca = axis_pca(2)
+    X = np.zeros((3, 2))
+    Xhat = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    if bad == "rank-3":
+        X, Xhat = np.zeros((2, 2, 2)), np.ones((2, 2, 2))
+    else:
+        Xhat[2, 0] = float(bad)
+    with pytest.raises(DomainError):
+        adv_directions(pca, X, Xhat)
+    with pytest.raises(DomainError):
+        adv_directions(pca, Xhat, X)
+
+
 def test_cumulative_share_hand_examples():
     ratio = np.array([0.5, 0.3, 0.2])
     res = cumulative_share(np.array([1.0, 0.0, 0.0]), ratio)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import marginlab.cli
+import marginlab.sweep
 from marginlab._csvio import read_numeric_csv
 from marginlab.cli import main
 from marginlab.data import (
@@ -1214,7 +1215,7 @@ def test_sweep_single_class_dataset_writes_nothing(capsys, tmp_path,
         "widths": [3], "train": {"epochs": 2, "batch_size": 4},
         "output_dir": str(out_dir)}))
     train = mock.Mock(side_effect=AssertionError("train_sgd called"))
-    monkeypatch.setattr(marginlab.cli, "train_sgd", train)
+    monkeypatch.setattr(marginlab.sweep, "train_sgd", train)
     code, out_text, err = run(capsys, "sweep", "--config", cfg_path)
     train.assert_not_called()
     assert code == 2

@@ -224,6 +224,21 @@ def test_max_margin_single_class_error():
         max_margin(single)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "rank-3"])
+def test_max_margin_rejects_non_finite_or_misshapen_features(bad):
+    # a NaN row used to poison every row that had it as a neighbour, an inf
+    # row gave inf, and 3-D features leaked numpy's einsum ValueError
+    ds = _toy_dataset()
+    features = ds.features.copy()
+    if bad == "rank-3":
+        features = features[:, :, None]
+    else:
+        features[1, 0] = float(bad)
+    with pytest.raises(DomainError):
+        max_margin(Dataset(features, ds.labels, ds.lower, ds.upper,
+                           ds.corrupt_flags, ds.class_count))
+
+
 def test_mean_max_margin_does_not_increase_after_label_corruption():
     for seed in range(5):
         ds = gen_blobs(BlobConfig(classes=3, samples_per_class=40, dim=4, spread=0.8, seed=seed))

@@ -30,13 +30,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import marginlab.cli
-from marginlab.cli import ExperimentConfig, main
+from marginlab.cli import main
 from marginlab.data import BlobConfig
 from marginlab.errors import ConfigError
 from marginlab.margin import SearchConfig
 from marginlab.metrics import ModelTable
 from marginlab.nnet import TrainConfig, load_model
 from marginlab.pca import fit_pca, load_pca, save_pca
+from marginlab.sweep import ExperimentConfig
 
 _SCALARS = st.one_of(
     st.none(),

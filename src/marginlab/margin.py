@@ -148,9 +148,10 @@ def _resolve_bounds(net: Network, lam: int, cfg: SearchConfig):
 
 
 def _runner_up(logits: np.ndarray, base: np.ndarray) -> np.ndarray:
-    masked = logits.copy()
-    masked[np.arange(logits.shape[0]), base] = -np.inf
-    return np.argmax(masked, axis=1)
+    """Each row's highest logit other than its base class; masks
+    ``logits`` in place, so it must be their last reader."""
+    logits[np.arange(logits.shape[0]), base] = -np.inf
+    return np.argmax(logits, axis=1)
 
 
 def _row_norms(G: np.ndarray) -> np.ndarray:
@@ -166,12 +167,19 @@ def _row_norms(G: np.ndarray) -> np.ndarray:
 
 def _activation_pattern(net: Network, lam: int, pres) -> np.ndarray:
     """Which units are on, ``Z > 0``, on every ReLU layer from ``lam`` on:
-    the masks the backward pass multiplies by, one row per point."""
+    the masks the backward pass multiplies by, one row per point, packed
+    into uint64 words (the units padded with off ones to a multiple of 64),
+    so that comparing two patterns reads one word per 64 units."""
     masks = [Z > 0.0 for layer, Z in zip(net.layers[lam:], pres)
              if layer.activation == "relu"]
+    s = len(pres[0])
+    pad = -sum(mask.shape[1] for mask in masks) % 64
+    if pad:
+        masks.append(np.zeros((s, pad), dtype=bool))
     if not masks:
-        return np.zeros((len(pres[0]), 0), dtype=bool)
-    return np.concatenate(masks, axis=1)
+        return np.zeros((s, 0), dtype=np.uint64)
+    units = masks[0] if len(masks) == 1 else np.concatenate(masks, axis=1)
+    return np.packbits(units, axis=1).view(np.uint64)
 
 
 class _RowGradients:
@@ -188,7 +196,8 @@ class _RowGradients:
     The state is keyed by the original row and never compacted: ``move``
     and ``_next_step`` take the rows evaluated, or None for every row, and
     read only their entries, so rows that stop searching cost no copy of
-    the gradient tensor.
+    the gradient tensor. Rows are read with ``take``, which copies them
+    several times faster than fancy indexing does.
     """
 
     def __init__(self, net: Network, lam: int, projector, pres,
@@ -206,14 +215,16 @@ class _RowGradients:
     def move(self, rows, pres, base: np.ndarray) -> None:
         """Take ``rows`` (None: every row) to the points whose
         pre-activations are ``pres``."""
+        if not self.pattern.shape[1]:
+            return  # no ReLU from lam on: no row's gradients can change
         pattern = _activation_pattern(self.net, self.lam, pres)
-        held = self.pattern if rows is None else self.pattern[rows]
-        changed = np.any(pattern != held, axis=1)
-        if changed.any():
-            k = np.flatnonzero(changed) if rows is None else rows[changed]
+        held = self.pattern if rows is None else self.pattern.take(rows, 0)
+        changed = np.flatnonzero(np.any(pattern != held, axis=1))
+        if changed.size:
+            k = changed if rows is None else rows[changed]
             self.pattern[k] = pattern[changed]
             self.grads[k], self.norms[k] = self._backprop(
-                [Z[changed] for Z in pres], base[changed])
+                [Z.take(changed, 0) for Z in pres], base[changed])
 
 
 def _nearest_boundary(o, base, norms):
@@ -243,15 +254,18 @@ def _next_step(o, base, grads: _RowGradients, rows, rate: float):
     """
     r = np.arange(o.shape[0])
     projector = grads.projector
-    norms = grads.norms if rows is None else grads.norms[rows]
+    norms = grads.norms if rows is None else grads.norms.take(rows, 0)
     j, _, stuck = _nearest_boundary(o, base, norms)
     gap = o[r, j] if projector is None else np.abs(o[r, j])
     coef = np.divide(gap, norms[r, j] ** 2, out=np.zeros_like(gap),
                      where=~stuck)
-    direction = grads.grads[r if rows is None else rows, j]
+    _, c, width = grads.grads.shape
+    direction = grads.grads.reshape(-1, width).take(
+        (r if rows is None else rows) * c + j, 0)
     if projector is not None:
         direction = direction @ projector
-    return (rate * coef)[:, None] * direction, stuck
+    direction *= (rate * coef)[:, None]  # a gathered copy, ours to scale
+    return direction, stuck
 
 
 def search_margins(net: Network, lam: int, X: np.ndarray,
@@ -348,13 +362,16 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
         gap and runner-up class, and the step and stuck flags from it."""
         Xp = Xhat - step
         if bounds is not None:
-            np.clip(Xp, bounds[0], bounds[1], out=Xp)
-        d = np.linalg.norm(x0 - Xp, axis=1)
+            np.maximum(Xp, bounds[0], out=Xp)
+            np.minimum(Xp, bounds[1], out=Xp)
+        diff = x0 - Xp
+        diff *= diff
+        d = np.sqrt(np.add.reduce(diff, axis=1))  # np.linalg.norm's sum
         o, logits, pres, _ = _logit_diffs(net, lam, Xp, b)
         grads.move(rows, pres, b)
         next_step, next_stuck = _next_step(o, b, grads, rows,
                                            cfg.learning_rate)
-        runner = _runner_up(logits, b)
+        runner = _runner_up(logits, b)  # the logits' last reader
         v = np.abs(o[np.arange(b.size), runner])
         return Xp, d, v, runner, next_step, next_stuck
 
@@ -434,9 +451,11 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
                                    _CODE[SearchStatus.NO_DESCENT]))
             keep = kept & ~out
             if not keep.all():
+                stay = np.flatnonzero(keep)
                 idx, x0, b, Xhat, step, d_hat, v_hat, j_hat, n_hat = (
-                    col[keep] for col in (idx, x0, b, Xhat, step, d_hat,
-                                          v_hat, j_hat, n_hat))
+                    col.take(stay, 0) for col in (idx, x0, b, Xhat, step,
+                                                  d_hat, v_hat, j_hat,
+                                                  n_hat))
 
     if projector is not None:
         P = boundary - X0
@@ -471,8 +490,10 @@ def _measure_correct(net, X, labels, layer: int, search, pca=None, m=None,
 
 
 def compute_total_variation(acts: np.ndarray) -> float:
-    """sqrt of the summed per-feature population variance of ``acts``."""
-    A = np.atleast_2d(np.asarray(acts, dtype=np.float64))
+    """sqrt of the summed per-feature population variance of ``acts``, one
+    row or a matrix of rows of finite values; anything else is a
+    ``DomainError``."""
+    A = np.atleast_2d(_checked_rows(acts))
     if A.shape[0] < 2:
         raise DomainError("total variation needs at least two samples")
     return float(np.sqrt(np.var(A, axis=0).sum()))
@@ -480,7 +501,9 @@ def compute_total_variation(acts: np.ndarray) -> float:
 
 def tv_normalize(margins: np.ndarray, acts: np.ndarray) -> np.ndarray:
     """Divide margins by the total variation of the activations they were
-    measured at; raises DegenerateVarianceError when that scale vanishes."""
+    measured at; raises DegenerateVarianceError when that scale vanishes.
+    The activations are checked as ``compute_total_variation`` checks them;
+    the margins may hold NaN, which stays NaN."""
     tv = compute_total_variation(acts)
     if tv < _DEGENERATE:
         raise DegenerateVarianceError(

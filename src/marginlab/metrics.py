@@ -581,12 +581,19 @@ class PredictorFit:
     underdetermined: bool
 
 
-def _log_features(features: np.ndarray) -> np.ndarray:
+def _log_features(features: np.ndarray, width: int | None = None):
+    """ln of the clamped signature matrix; a DomainError unless it is a
+    matrix (or one vector) of finite values, ``width`` wide when given."""
     F = np.asarray(features, dtype=np.float64)
     if F.ndim == 1:
         F = F[None, :]
     if F.ndim != 2:
         raise DomainError("signature features must form a 2-D matrix")
+    if width is not None and F.shape[1] != width:
+        raise DomainError(f"signatures hold {F.shape[1]} features; the fit "
+                          f"takes {width}")
+    if not np.isfinite(F).all():
+        raise DomainError("signature features contain non-finite values")
     # lower fences can be negative or zero; clamp before the log transform
     return np.log(np.maximum(F, _LOG_CLAMP))
 
@@ -602,7 +609,7 @@ def fit_linear_predictor(features: np.ndarray,
     g = np.asarray(gaps, dtype=np.float64).ravel()
     if Phi.shape[0] != g.size:
         raise DomainError("feature rows and gap values must correspond")
-    if not (np.all(np.isfinite(Phi)) and np.all(np.isfinite(g))):
+    if not np.all(np.isfinite(g)):
         raise DomainError("predictor inputs contain non-finite values")
     X = np.hstack([Phi, np.ones((Phi.shape[0], 1))])
     A = X.T @ X + _RIDGE * np.eye(X.shape[1])
@@ -617,9 +624,11 @@ def fit_linear_predictor(features: np.ndarray,
 
 
 def predict_gap(fit: PredictorFit, features: np.ndarray):
-    """Predicted gap(s); a single signature vector yields a scalar."""
+    """Predicted gap(s); a single signature vector yields a scalar. The
+    signatures must be finite and as wide as the fit's, or it is a
+    ``DomainError``."""
     single = np.asarray(features).ndim == 1
-    Phi = _log_features(features)
+    Phi = _log_features(features, fit.alpha.size)
     out = Phi @ fit.alpha + fit.intercept
     return float(out[0]) if single else out
 

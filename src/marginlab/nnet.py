@@ -76,7 +76,8 @@ def _forward(net: Network, lam: int, A: np.ndarray):
     """
     acts, pres = [A], []
     for layer in net.layers[lam:]:
-        Z = acts[-1] @ layer.weights.T + layer.bias
+        Z = acts[-1] @ layer.weights.T
+        Z += layer.bias
         pres.append(Z)
         acts.append(np.maximum(Z, 0.0) if layer.activation == "relu" else Z)
     return acts, pres
@@ -106,9 +107,21 @@ def logit_diffs_all_batch(net: Network, lam: int, X: np.ndarray, base: np.ndarra
     class j, computes o[s, j] = f_i(x_s) − f_j(x_s) and the exact reverse-mode
     gradient G[s, j] = ∇_{x^lam}(f_i − f_j), where i = base[s]. Row j = base[s]
     is identically zero. Also returns the logits.
+
+    ``X`` must be one row or a matrix of rows of finite values, and
+    ``base`` must hold one integer class in [0, num_classes) per row;
+    anything else is a ``DomainError``.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    base = np.asarray(base, dtype=np.int64)
+    X = np.atleast_2d(_checked_rows(X))
+    b = np.asarray(base)
+    if b.size == 0:
+        b = b.astype(np.int64)
+    if (b.shape != X.shape[:1] or b.dtype.kind not in "iu"
+            or b.size and not 0 <= b.min() <= b.max() < net.num_classes):
+        raise DomainError(f"base must hold one integer class in [0, "
+                          f"{net.num_classes}) for each of the "
+                          f"{X.shape[0]} rows of X")
+    base = b.astype(np.int64, copy=False)
     o, logits, pres, _ = _logit_diffs(net, lam, X, base)
     return o, _logit_diff_grads(net, lam, pres, base), logits
 
@@ -131,14 +144,30 @@ def _logit_diff_grads(net: Network, lam: int, pres, base: np.ndarray):
     """Backward half of :func:`logit_diffs_all_batch`: the gradients G from
     the pre-activations ``_forward`` returned for the same rows.
 
-    G depends on a row only through its base class and the ReLU masks
-    ``Z > 0``, and each row's slice of every stacked product is computed on
-    its own, so a row gets the same bits in any subset of rows.
+    At the output layer the gradient of f_i − f_j is the weight-row
+    difference W[i] − W[j], so each row gathers its block from one class-pair
+    table instead of multiplying (e_i − e_j) by W; each layer below then
+    applies its ReLU mask ``Z > 0`` and its weights. G depends on a row only
+    through its base class and its masks, and each row's slice of every
+    stacked product is computed on its own, so a row gets the same bits in
+    any subset of rows.
     """
-    s, c = len(base), net.num_classes
-    G = np.broadcast_to(-np.eye(c), (s, c, c)).copy()
-    G[np.arange(s), :, base] += 1.0
-    for layer, Z in zip(reversed(net.layers[lam:]), reversed(pres)):
+    out, c = net.layers[-1], net.num_classes
+    if out.activation == "relu":
+        # a class whose output unit is off passes no gradient: it reads the
+        # zero row appended as class c
+        W = np.vstack([out.weights, np.zeros_like(out.weights[:1])])
+        on = pres[-1] > 0.0
+        i = np.where(on[np.arange(len(base)), base], base, c)[:, None]
+        j = np.where(on, np.arange(c), c)
+    else:
+        W, i, j = out.weights, base, slice(None)
+    table = W[:, None, :] - W[None, :, :]
+    # (e_i − e_j) W, summed from 0.0, holds no -0.0 even where W does;
+    # adding 0.0 gives the table the same zeros
+    table += 0.0
+    G = table[i, j]
+    for layer, Z in zip(reversed(net.layers[lam:-1]), reversed(pres[:-1])):
         if layer.activation == "relu":
             G *= (Z > 0.0)[:, None, :]  # relu'(0) = 0; G is our own copy
         G = G @ layer.weights

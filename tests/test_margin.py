@@ -920,6 +920,54 @@ def test_moved_rows_hold_the_gradients_of_their_new_points(lam, m):
         assert got.tobytes() == want.tobytes()
 
 
+def _one_flip_per_row(widths, rng):
+    """Pre-activations of a net with ReLU layers ``widths`` over 3 inputs
+    and 2 logits: row u flips the sign of unit u (counted across layers)
+    of the last row, the reference."""
+    n = sum(widths)
+    Z = np.tile(rng.choice([-1.0, 1.0], size=n), (n + 1, 1))
+    Z[np.arange(n), np.arange(n)] *= -1.0
+    layers = np.split(Z, np.cumsum(widths)[:-1], axis=1)
+    return init_network(3, list(widths), 2, seed=3), layers + [
+        rng.normal(size=(n + 1, 2))]
+
+
+@pytest.mark.parametrize("widths", [(1,), (7,), (8,), (13,), (64,), (65,),
+                                    (13, 7)])
+def test_packed_patterns_see_a_change_at_every_unit(widths):
+    # the pattern packs the masks into uint64 words; a flip of any unit,
+    # in any word and on either layer, must read as a change
+    rng = np.random.default_rng(sum(widths))
+    net, pres = _one_flip_per_row(widths, rng)
+    n = sum(widths)
+    pattern = marginlab.margin._activation_pattern(net, 0, pres)
+    assert pattern.dtype == np.uint64
+    assert pattern.shape == (n + 1, -(-n // 64))
+    bits = np.unpackbits(pattern.view(np.uint8), axis=1)
+    assert np.array_equal(bits[:, :n].astype(bool),
+                          np.concatenate(pres[:-1], axis=1) > 0.0)
+    assert not bits[:, n:].any()  # the padding units are off
+    changed = np.any(pattern != pattern[-1], axis=1)
+    assert changed.tolist() == [True] * n + [False]
+
+
+@pytest.mark.parametrize("widths", [(1,), (8,), (65,), (13, 7)])
+def test_a_move_backprops_exactly_the_rows_with_a_flipped_unit(
+        monkeypatch, widths):
+    rng = np.random.default_rng(sum(widths) + 1)
+    net, pres = _one_flip_per_row(widths, rng)
+    n = sum(widths)
+    base = np.zeros(n + 1, dtype=np.int64)
+    reference = [np.tile(Z[-1], (n + 1, 1)) for Z in pres]
+    grads = marginlab.margin._RowGradients(net, 0, None, reference, base)
+    seen = _count_rows(monkeypatch)
+    grads.move(None, pres, base)
+    assert seen["backprop"] == [n]
+    fresh = marginlab.margin._RowGradients(net, 0, None, pres, base)
+    assert grads.pattern.tobytes() == fresh.pattern.tobytes()
+    assert grads.grads.tobytes() == fresh.grads.tobytes()
+
+
 @pytest.mark.parametrize("batch_mean", [False, True])
 @pytest.mark.parametrize("hidden,lam", [([24], 1), ([16, 12], 2)])
 def test_no_relu_above_the_layer_means_one_backprop_per_search(
@@ -988,6 +1036,23 @@ def test_tv_zero_variance_is_degenerate():
     acts = np.ones((5, 3))
     with pytest.raises(DegenerateVarianceError):
         tv_normalize(np.array([1.0]), acts)
+
+
+@pytest.mark.parametrize("acts", [np.array([[np.nan, 1.0], [1.0, 2.0]]),
+                                  np.array([[np.inf, 1.0], [1.0, 2.0]]),
+                                  np.zeros((2, 2, 2))],
+                         ids=["nan", "inf", "rank-3"])
+def test_tv_rejects_non_finite_or_misshapen_activations(acts):
+    with pytest.raises(DomainError):
+        compute_total_variation(acts)
+    with pytest.raises(DomainError):
+        tv_normalize(np.array([1.0, 2.0]), acts)
+
+
+def test_tv_normalize_keeps_nan_margins():
+    # mw measure passes NaN for the rows without a margin
+    out = tv_normalize(np.array([np.nan, 6.0]), np.array([[0.0], [4.0]]))
+    assert np.isnan(out[0]) and out[1] == 3.0
 
 
 def test_tv_normalizer_over_network_layers():

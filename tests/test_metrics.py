@@ -809,6 +809,19 @@ def test_predictor_single_vector_prediction_is_scalar():
     assert isinstance(value, float)
 
 
+@pytest.mark.parametrize("features", [
+    np.full(5, np.nan), np.full((2, 5), np.inf),
+    np.array([2.0, 2.0, 2.0, 2.0, -np.inf]), np.ones(3), np.ones((2, 6)),
+    np.ones((2, 2, 5))],
+    ids=["nan", "inf", "minus-inf", "narrow", "wide", "rank-3"])
+def test_predict_gap_rejects_non_finite_or_misfit_signatures(features):
+    rng = np.random.default_rng(113)
+    theta, gaps = synthetic_signatures(rng, 12)
+    fit = fit_linear_predictor(theta, gaps)
+    with pytest.raises(DomainError):
+        predict_gap(fit, features)
+
+
 def test_kfold_sizes_disjoint_and_seeded():
     folds = kfold_splits(96, 3, seed=5, shuffle_index=0)
     assert [len(f) for f in folds] == [32, 32, 32]

@@ -1,6 +1,7 @@
 import io
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -215,6 +216,79 @@ def test_gradients_of_a_row_subset_match_the_full_batch(rows, dim, hidden,
         got = nnet._logit_diff_grads(net, lam, [Z[subset] for Z in pres],
                                      base[subset])
         assert np.array_equal(got.view(np.int64), full[subset].view(np.int64))
+
+
+
+def stacked_identity_grads(net, lam, pres, base):
+    """The gradients as the stacked product of e_i − e_j with each layer's
+    weights, the formulation the class-pair table replaced, kept here as
+    its oracle."""
+    s, c = len(base), net.num_classes
+    G = np.broadcast_to(-np.eye(c), (s, c, c)).copy()
+    G[np.arange(s), :, base] += 1.0
+    for layer, Z in zip(reversed(net.layers[lam:]), reversed(pres)):
+        if layer.activation == "relu":
+            G *= (Z > 0.0)[:, None, :]
+        G = G @ layer.weights
+    return G
+
+
+@pytest.mark.parametrize("output", ["none", "relu"])
+@pytest.mark.parametrize("hidden", [(9,), (9, 6)])
+def test_class_pair_table_matches_the_stacked_identity_product(hidden,
+                                                               output):
+    # the output layer's gradient for classes (i, j) is W[i] − W[j], read
+    # from a table; it must carry the stacked product's bits, the signs of
+    # its zeros included, at every layer
+    rng = np.random.default_rng(len(hidden))
+    net = random_net(rng, 5, hidden, 4)
+    W = net.layers[-1].weights
+    W[1] = W[0]  # the table's (0, 1) and (1, 0) entries are exact zeros
+    W[2, :3], W[3, :3] = [0.0, -0.0, -0.0], [-0.0, 0.0, -0.0]
+    net.layers[-1] = replace(net.layers[-1], activation=output)
+    X = rng.normal(size=(60, 5))
+    base = np.arange(60) % 4
+    for lam in range(len(net.layers)):
+        pres = nnet._forward(net, lam, forward_batch(net, X)[lam])[1]
+        got = nnet._logit_diff_grads(net, lam, pres, base)
+        want = stacked_identity_grads(net, lam, pres, base)
+        assert got.shape == (60, 4, net.layers[lam].weights.shape[1])
+        assert got.tobytes() == want.tobytes()
+    if output == "relu":
+        on = pres[-1] > 0.0
+        assert on.any() and not on.all()
+    else:
+        assert not got[base == 0, 1].any() and not got[base == 1, 0].any()
+
+
+@pytest.mark.parametrize("base", [[3], [0], [-1, 0], [0, 1.0], [True, False],
+                                  [[0, 1]], "01"])
+def test_logit_diffs_all_batch_rejects_bad_base_classes(base):
+    # one integer class in [0, num_classes) per row, checked at entry
+    net = random_net(np.random.default_rng(5))
+    with pytest.raises(DomainError):
+        logit_diffs_all_batch(net, 0, np.zeros((2, net.input_dim)), base)
+
+
+@pytest.mark.parametrize("X", [[[np.nan, 0.0, 0.0, 0.0]],
+                               [[np.inf, 0.0, 0.0, 0.0]], np.zeros((1, 1, 4))],
+                         ids=["nan", "inf", "rank-3"])
+def test_logit_diffs_all_batch_rejects_non_finite_or_misshapen_rows(X):
+    net = random_net(np.random.default_rng(5))
+    with pytest.raises(DomainError):
+        logit_diffs_all_batch(net, 0, X, [0])
+
+
+def test_logit_diffs_all_batch_takes_any_integer_dtype():
+    rng = np.random.default_rng(6)
+    net = random_net(rng)
+    X = rng.normal(size=(4, net.input_dim))
+    want = logit_diffs_all_batch(net, 0, X, [0, 2, 1, 2])
+    for base in (np.array([0, 2, 1, 2], dtype=np.uint8),
+                 np.array([0, 2, 1, 2], dtype=np.int32)):
+        got = logit_diffs_all_batch(net, 0, X, base)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    assert logit_diffs_all_batch(net, 0, X[:0], [])[1].shape == (0, 3, 4)
 
 
 # ---------------------------------------------------------------------------

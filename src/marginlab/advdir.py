@@ -40,7 +40,8 @@ def adv_directions(pca: PcaModel, originals: np.ndarray,
     Each row of |(x - x_hat) @ components.T| is divided by its own
     maximum, so every retained sample contributes the same total weight
     regardless of how far its boundary point lies. Inputs other than one
-    row or a matrix of finite rows raise DomainError.
+    row or a matrix of finite rows raise DomainError; perturbations too
+    large for a float raise NumericalError.
     """
     X = np.atleast_2d(_checked_rows(originals))
     Xhat = np.atleast_2d(_checked_rows(boundary_points))
@@ -51,7 +52,10 @@ def adv_directions(pca: PcaModel, originals: np.ndarray,
         raise DomainError(f"samples have {X.shape[1]} features but the "
                           f"projection expects {pca.mean.size}")
 
-    B = np.abs((X - Xhat) @ pca.components.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = np.abs((X - Xhat) @ pca.components.T)
+    if not np.isfinite(B).all():
+        raise NumericalError("a projected perturbation overflows")
     maxima = B.max(axis=1)
     keep = maxima > 0.0
     dropped = int(np.count_nonzero(~keep))
@@ -86,13 +90,23 @@ def _coverage_marker(cum_ratio: np.ndarray, threshold: float) -> int:
 
 def cumulative_share(p_share: np.ndarray,
                      explained_ratio: np.ndarray) -> CumulativeShare:
-    """Cumulative perturbation share with 70%/99% variance markers."""
+    """Cumulative perturbation share with 70%/99% variance markers.
+
+    Both inputs must be equal-length, non-empty vectors of finite values,
+    else it is a ``DomainError``; a prefix sum that overflows a float is a
+    ``NumericalError``.
+    """
     p = np.asarray(p_share, dtype=np.float64).ravel()
     ratio = np.asarray(explained_ratio, dtype=np.float64).ravel()
     if p.size != ratio.size or p.size == 0:
         raise DomainError("p_share and explained_ratio must be equal-length "
                           "and non-empty")
-    cum_ratio = np.cumsum(ratio)
-    return CumulativeShare(cumulative=np.cumsum(p),
+    if not (np.isfinite(p).all() and np.isfinite(ratio).all()):
+        raise DomainError("p_share and explained_ratio must be finite")
+    with np.errstate(over="ignore"):  # the check below names the overflow
+        cumulative, cum_ratio = np.cumsum(p), np.cumsum(ratio)
+    if not (np.isfinite(cumulative).all() and np.isfinite(cum_ratio).all()):
+        raise NumericalError("cumulative share overflows")
+    return CumulativeShare(cumulative=cumulative,
                            marker_70=_coverage_marker(cum_ratio, 0.70),
                            marker_99=_coverage_marker(cum_ratio, 0.99))

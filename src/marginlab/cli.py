@@ -27,7 +27,15 @@ from ._atomic import write_text
 from ._csvio import _optional, _texts, read_numeric_csv, write_csv
 from ._seed import derive_seed
 from .advdir import adv_directions, cumulative_share
-from .data import BlobConfig, gen_blobs, load_dataset, save_dataset
+from .data import (
+    CORRUPTERS,
+    NORMALIZE_SCHEMES,
+    BlobConfig,
+    gen_blobs,
+    load_dataset,
+    normalize,
+    save_dataset,
+)
 from .errors import (
     ConfigError,
     DomainError,
@@ -59,15 +67,7 @@ from .nnet import (
     train_sgd,
 )
 from .pca import fit_pca, load_pca, save_pca, select_components_kneedle
-from .sweep import (
-    _CORRUPTERS,
-    _NORMALIZE_SCHEMES,
-    _clip_box,
-    _load_sweep_config,
-    _model_inputs,
-    _normalized,
-    run_capacity_sweep,
-)
+from .sweep import _load_sweep_config, run_capacity_sweep
 
 # ---------------------------------------------------------------------------
 # output helpers
@@ -110,7 +110,7 @@ def _cmd_gen_data(args) -> None:
 
 def _cmd_corrupt(args) -> None:
     ds = load_dataset(args.infile)
-    out_ds, report = _CORRUPTERS[args.mode](ds, args.fraction, args.seed)
+    out_ds, report = CORRUPTERS[args.mode](ds, args.fraction, args.seed)
     save_dataset(out_ds, args.out)
     info = {"mode": report.mode, "seed": int(report.seed),
             "fraction_requested": float(report.fraction_requested)}
@@ -134,7 +134,7 @@ def _parse_hidden(text: str) -> list[int]:
 
 
 def _cmd_train(args) -> None:
-    ds, meta = _normalized(load_dataset(args.data), args.normalize)
+    ds, meta = normalize(load_dataset(args.data), args.normalize)
     hidden = _parse_hidden(args.hidden)
     net = init_network(ds.feature_count, hidden, ds.class_count,
                        seed=derive_seed(args.seed, "init"), norm_meta=meta)
@@ -159,7 +159,7 @@ _ESTIMATORS = ("taylor", "deepfool", "constrained-taylor",
 _STATUS_TEXT = np.array([status.value for status in SearchStatus])
 
 
-def _resolve_subspace(args, X):
+def _resolve_subspace(args, features: int):
     """PCA model and component count for the constrained estimators."""
     if args.pca is None:
         raise ConfigError("constrained estimators need --pca")
@@ -172,14 +172,12 @@ def _resolve_subspace(args, X):
         except ValueError as exc:
             raise ConfigError(f"--m must be an integer or 'auto', "
                               f"got {args.m!r}") from exc
-    if X.shape[1] != pca.mean.size:
+    if features != pca.mean.size:
         raise ConfigError("pca feature count does not match the dataset")
     return pca, m
 
 
 def _cmd_measure(args) -> None:
-    if args.estimator not in _ESTIMATORS:
-        raise ConfigError(f"unknown estimator {args.estimator!r}")
     constrained = args.estimator.startswith("constrained-")
     if constrained and args.layer != 0:
         raise ConfigError("constrained estimators measure input space only")
@@ -196,19 +194,19 @@ def _cmd_measure(args) -> None:
     if raw.feature_count != net.input_dim:
         raise ConfigError(f"{args.data} has {raw.feature_count} features; "
                           f"the model takes {net.input_dim}")
-    X = _model_inputs(net, raw)
     cfg = SearchConfig(learning_rate=args.gamma, stop_tolerance=args.tol,
-                       max_iters=args.max_iters, bounds=_clip_box(net, raw))
-    pca, m = _resolve_subspace(args, X) if constrained else (None, None)
+                       max_iters=args.max_iters)
+    pca, m = (_resolve_subspace(args, raw.feature_count) if constrained
+              else (None, None))
 
     search = None if args.estimator.endswith("taylor") else cfg
-    acts, kept, table = _measure_correct(
-        net, X, raw.labels, args.layer, search, pca, m,
+    acts, kept, table, margins = _measure_correct(
+        net, raw, args.layer, search, pca, m,
         batch_mean=args.batch, keep_all=args.include_misclassified)
     skipped = int(raw.sample_count - kept.size)
     # a closed-form row without a usable gradient has no margin
     stuck = table.stuck
-    margins = table.d_best[~stuck]
+    resolved = margins[~stuck]
     status = np.where(stuck, "unreachable" if constrained else "degenerate",
                       _STATUS_TEXT[table.status])
 
@@ -218,17 +216,17 @@ def _cmd_measure(args) -> None:
                (table.steps, stuck), status, (table.base, stuck),
                (table.competitor, stuck), (table.left_subspace, stuck)]
     summary = {"estimator": args.estimator, "layer": int(args.layer),
-               "measured": int(margins.size),
+               "measured": int(resolved.size),
                "degenerate": int(np.count_nonzero(stuck)),
                "skipped_misclassified": skipped,
-               "mean_margin": float(np.mean(margins)) if margins.size
+               "mean_margin": float(np.mean(resolved)) if resolved.size
                else None}
     if constrained:
         summary["subspace_dims"] = int(m)
     if args.tv_normalize:
         # raises DegenerateVarianceError, before any file is written, when
         # the layer's total variation vanishes
-        scaled = tv_normalize(np.where(stuck, np.nan, table.d_best), acts)
+        scaled = tv_normalize(margins, acts)
         header.append("margin_tv")
         columns.append((scaled, stuck))
         summary["total_variation"] = compute_total_variation(acts)
@@ -409,15 +407,13 @@ def _cmd_evaluate(args) -> None:
         csv_header = ["pair", "normalized_cmi"]
         csv_columns = [_texts([*per_pair, "final"]),
                        np.array([*per_pair.values(), score.final])]
-    elif args.metric == "r2":
+    else:  # "r2", the last of argparse's choices
         r2 = r_squared(table.gen_gap, table.complexity)
         result = {"measure": args.measure_col, "metric": "r2",
                   "r2": float(r2), "target": "gen_gap"}
         csv_header = ["metric", "measure", "value"]
         csv_columns = [_texts(["r2"]), _texts([args.measure_col]),
                        np.array([r2])]
-    else:
-        raise ConfigError(f"unknown metric {args.metric!r}")
 
     summary = _json_line(result)  # a non-finite score fails before writing
     if args.out:
@@ -501,7 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corrupt", help="corrupt labels or inputs")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=tuple(_CORRUPTERS), required=True)
+    p.add_argument("--mode", choices=tuple(CORRUPTERS), required=True)
     p.add_argument("--fraction", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default=None,
@@ -516,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--learning-rate", type=float, default=0.05)
     p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--normalize", choices=_NORMALIZE_SCHEMES,
+    p.add_argument("--normalize", choices=NORMALIZE_SCHEMES,
                    default="znorm")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

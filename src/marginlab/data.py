@@ -19,6 +19,7 @@ from ._csvio import read_numeric_csv, write_csv
 from .errors import (
     ConfigError,
     DomainError,
+    NumericalError,
     _checked_rows,
     check_integers,
     check_seed,
@@ -210,27 +211,42 @@ def corrupt_inputs_gaussian(ds: Dataset, fraction: float, seed: int) -> tuple[Da
 
 def max_margin(ds: Dataset) -> np.ndarray:
     """Exact distance from each sample to its nearest different-class sample.
-    Features must be one row or a matrix of finite rows, else DomainError."""
+    Features must be one row or a matrix of finite rows, with one label per
+    row, else DomainError; a distance that overflows a float is a
+    NumericalError."""
     X = np.atleast_2d(_checked_rows(ds.features))
+    if np.shape(ds.labels) != (len(X),):
+        raise DomainError(f"{np.size(ds.labels)} labels for {len(X)} "
+                          f"samples")
     present = np.unique(ds.labels)
     if present.size < 2:
         raise DomainError("max margin is undefined with a single class present")
-    out = np.empty(ds.sample_count, dtype=np.float64)
-    for i in range(ds.sample_count):
-        mask = ds.labels != ds.labels[i]
-        diff = X[mask] - X[i]
-        out[i] = np.sqrt(np.min(np.einsum("ij,ij->i", diff, diff)))
+    out = np.empty(len(X), dtype=np.float64)
+    with np.errstate(over="ignore"):  # the check below names the overflow
+        for i in range(len(X)):
+            mask = ds.labels != ds.labels[i]
+            diff = X[mask] - X[i]
+            out[i] = np.sqrt(np.min(np.einsum("ij,ij->i", diff, diff)))
+    if not np.isfinite(out).all():
+        raise NumericalError("a nearest-other-class distance overflows")
     return out
 
 
-def normalize(ds: Dataset, scheme: str) -> tuple[Dataset, NormalizationMeta]:
+NORMALIZE_SCHEMES = ("znorm", "minmax", "none")
+
+
+def normalize(ds: Dataset,
+              scheme: str) -> tuple[Dataset, NormalizationMeta | None]:
     """Normalize features per the scheme and return the dataset plus its meta.
 
     znorm: per-feature zero mean, unit (population) std; zero-variance features
     keep scale 1. minmax: observed range mapped onto [0, 1]; constant features
     map to 0. The dataset bounds are pushed through the same affine map.
+    none: ``ds`` itself and no meta.
     """
     X = ds.features
+    if scheme == "none":
+        return ds, None
     if scheme == "znorm":
         offsets = X.mean(axis=0)
         scales = X.std(axis=0)
@@ -252,9 +268,18 @@ def normalize(ds: Dataset, scheme: str) -> tuple[Dataset, NormalizationMeta]:
     return out, meta
 
 
-def apply_normalization(features: np.ndarray, meta: NormalizationMeta) -> np.ndarray:
-    """Map raw features into the normalized space described by ``meta``."""
+def apply_normalization(features: np.ndarray,
+                        meta: NormalizationMeta | None) -> np.ndarray:
+    """Map raw features into the normalized space described by ``meta``;
+    None, a model without normalization, leaves them as they are."""
+    if meta is None:
+        return features
     return (np.asarray(features) - meta.offsets) / meta.scales
+
+
+# corruption mode -> corrupter, as ``mw corrupt --mode`` and the sweep's
+# ``corruptions`` name them
+CORRUPTERS = {"label": corrupt_labels, "input": corrupt_inputs_gaussian}
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,16 @@ from layers of different scale become comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
+from .data import apply_normalization
 from .errors import (
     DegenerateVarianceError,
     DomainError,
+    NumericalError,
     _checked_rows,
     check_integers,
 )
@@ -469,20 +471,28 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
                        stuck=np.zeros(s, dtype=bool), trace=trace)
 
 
-def _measure_correct(net, X, labels, layer: int, search, pca=None, m=None,
-                     *, batch_mean: bool, keep_all: bool = False):
-    """Margins at ``layer`` of the rows of ``X`` that ``net`` classifies
-    correctly, or of every row with ``keep_all``.
+def _measure_correct(net, ds, layer: int, search, pca=None, m=None, *,
+                     batch_mean: bool, keep_all: bool = False):
+    """Margins at ``layer`` of the samples of the raw dataset ``ds`` that
+    ``net`` classifies correctly, or of every sample with ``keep_all``.
 
-    Returns every row's activations at ``layer``, the kept row indices and
-    the ``search_margins`` table of the kept rows.
+    The features are mapped into the model's space first. A model without
+    normalization takes them as they are, so its search is clipped to the
+    bounds of ``ds``; a normalized model's box comes from its meta.
+
+    Returns every sample's activations at ``layer``, the kept sample
+    indices, the ``search_margins`` table of the kept samples and their
+    margins, NaN where the table marks a row ``stuck``.
     """
-    acts = forward_batch(net, X)
-    kept = (np.arange(len(labels)) if keep_all else
-            np.flatnonzero(np.argmax(acts[-1], axis=1) == labels))
+    if search is not None and net.norm_meta is None:
+        search = replace(search, bounds=(ds.lower, ds.upper))
+    acts = forward_batch(net, apply_normalization(ds.features, net.norm_meta))
+    kept = (np.arange(ds.sample_count) if keep_all else
+            np.flatnonzero(np.argmax(acts[-1], axis=1) == ds.labels))
     table = search_margins(net, layer, acts[layer][kept], search, pca, m,
                            batch_mean=batch_mean)
-    return acts[layer], kept, table
+    return (acts[layer], kept, table,
+            np.where(table.stuck, np.nan, table.d_best))
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +502,17 @@ def _measure_correct(net, X, labels, layer: int, search, pca=None, m=None,
 def compute_total_variation(acts: np.ndarray) -> float:
     """sqrt of the summed per-feature population variance of ``acts``, one
     row or a matrix of rows of finite values; anything else is a
-    ``DomainError``."""
+    ``DomainError``. Activations so large that the variance overflows a
+    float on the way raise ``NumericalError``."""
     A = np.atleast_2d(_checked_rows(acts))
     if A.shape[0] < 2:
         raise DomainError("total variation needs at least two samples")
-    return float(np.sqrt(np.var(A, axis=0).sum()))
+    # an overflow leaves inf or NaN in the result, which the check names
+    with np.errstate(over="ignore", invalid="ignore"):
+        tv = float(np.sqrt(np.var(A, axis=0).sum()))
+    if not np.isfinite(tv):
+        raise NumericalError("activation total variation overflows")
+    return tv
 
 
 def tv_normalize(margins: np.ndarray, acts: np.ndarray) -> np.ndarray:

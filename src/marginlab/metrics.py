@@ -27,7 +27,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._seed import derive_seed
-from .errors import DomainError, FitError, UndefinedMetricError
+from .errors import (
+    DomainError,
+    FitError,
+    UndefinedMetricError,
+    check_integers,
+    check_seed,
+)
 
 _LOG_CLAMP = 1e-12
 _RIDGE = 1e-10
@@ -491,15 +497,18 @@ def _normalized_sign_information(concordant: np.ndarray,
 
 
 def r_squared(z: np.ndarray, z_hat: np.ndarray) -> float:
-    """1 - SSE/SST; unbounded below, at most 1."""
+    """1 - SSE/SST; unbounded below, at most 1. ``z`` and ``z_hat`` must be
+    equal-length vectors of finite values, else it is a ``DomainError``."""
     z = np.asarray(z, dtype=np.float64).ravel()
     z_hat = np.asarray(z_hat, dtype=np.float64).ravel()
     if z.shape != z_hat.shape or z.size < 2:
         raise DomainError("r_squared needs two equal-length vectors of "
                           "at least two points")
-    # a sum that overflows gives inf, which callers reject as a non-finite
-    # score; numpy's overflow warning would only repeat that
-    with np.errstate(over="ignore"):
+    if not (np.isfinite(z).all() and np.isfinite(z_hat).all()):
+        raise DomainError("r_squared needs finite values")
+    # a sum that overflows gives inf or NaN, which callers reject as a
+    # non-finite score; numpy's warning would only repeat that
+    with np.errstate(over="ignore", invalid="ignore"):
         sst = float(np.sum((z - z.mean()) ** 2))
         sse = float(np.sum((z_hat - z) ** 2))
     if sst == 0.0:
@@ -614,7 +623,10 @@ def fit_linear_predictor(features: np.ndarray,
     X = np.hstack([Phi, np.ones((Phi.shape[0], 1))])
     A = X.T @ X + _RIDGE * np.eye(X.shape[1])
     try:
-        beta = np.linalg.solve(A, X.T @ g)
+        # gaps near the float limit overflow X.T @ g; the check below
+        # names the non-finite coefficients that follow
+        with np.errstate(over="ignore", invalid="ignore"):
+            beta = np.linalg.solve(A, X.T @ g)
     except np.linalg.LinAlgError as exc:
         raise FitError(f"normal equations unsolvable: {exc}") from exc
     if not np.all(np.isfinite(beta)):
@@ -651,11 +663,21 @@ class CrossValResult:
 def cross_validate_predictor(features: np.ndarray, gaps: np.ndarray,
                              k: int = 3, shuffles: int = 5,
                              seed: int = 0) -> CrossValResult:
-    """Held-out R^2 of the linear predictor over k folds x shuffle rounds."""
+    """Held-out R^2 of the linear predictor over k folds x shuffle rounds.
+
+    ``k`` and ``shuffles`` are integers, ``seed`` an integer >= 0, and
+    ``features`` a matrix with one row per gap value; anything else is a
+    ``DomainError``.
+    """
+    check_integers(k=k, shuffles=shuffles)
+    check_seed(seed)
     if shuffles < 1:
         raise DomainError(f"shuffles={shuffles} must be at least 1")
     F = np.asarray(features, dtype=np.float64)
     g = np.asarray(gaps, dtype=np.float64).ravel()
+    if F.ndim != 2 or F.shape[0] != g.size:
+        raise DomainError(f"features of shape {F.shape} need one row per "
+                          f"gap value, of which there are {g.size}")
     scores = []
     for shuffle_index in range(shuffles):
         for fold in kfold_splits(g.size, k, seed, shuffle_index):

@@ -18,11 +18,11 @@ from ._atomic import write_text
 from ._csvio import _optional, _texts, csv_text
 from ._seed import derive_seed
 from .data import (
+    CORRUPTERS,
+    NORMALIZE_SCHEMES,
     BlobConfig,
     Dataset,
     apply_normalization,
-    corrupt_inputs_gaussian,
-    corrupt_labels,
     gen_blobs,
     load_dataset,
     max_margin,
@@ -31,34 +31,6 @@ from .data import (
 from .errors import ConfigError, DomainError, WorkbenchError, _is_finite_real
 from .margin import SearchConfig, _measure_correct
 from .nnet import Network, TrainConfig, init_network, predict_batch, train_sgd
-
-# ---------------------------------------------------------------------------
-# pipeline steps shared with the single commands
-
-
-_CORRUPTERS = {"label": corrupt_labels, "input": corrupt_inputs_gaussian}
-_NORMALIZE_SCHEMES = ("znorm", "minmax", "none")
-
-
-def _normalized(ds: Dataset, scheme: str):
-    """``ds`` normalized by ``scheme`` and its meta; ``none`` keeps ``ds``
-    and gives no meta."""
-    return (ds, None) if scheme == "none" else normalize(ds, scheme)
-
-
-def _model_inputs(net, raw: Dataset) -> np.ndarray:
-    """The raw dataset's features in the space ``net`` operates in."""
-    if net.norm_meta is None:
-        return raw.features
-    return apply_normalization(raw.features, net.norm_meta)
-
-
-def _clip_box(net, ds: Dataset):
-    """The clip box of ``net``'s input-space searches on the dataset ``ds``:
-    None when the model's normalization carries one, else the bounds of
-    ``ds``, whose raw features such a model takes as they are."""
-    return None if net.norm_meta is not None else (ds.lower, ds.upper)
-
 
 # ---------------------------------------------------------------------------
 # config
@@ -175,7 +147,7 @@ def _load_sweep_config(doc, source: str, output_dir: str | None,
     for k, entry in enumerate(top["corruptions"]):
         where = f"corruptions[{k}]"
         entry = _section(entry, _CORRUPTION_FIELDS, where)
-        if entry["mode"] not in _CORRUPTERS:
+        if entry["mode"] not in CORRUPTERS:
             raise ConfigError(f"{where}: mode must be 'label' or 'input'")
         if not 0.0 < entry["fraction"] <= 1.0:
             raise ConfigError(f"{where}: fraction must lie in (0, 1]")
@@ -194,7 +166,7 @@ def _load_sweep_config(doc, source: str, output_dir: str | None,
     estimator = est.pop("name")
     if estimator not in ("deepfool", "taylor"):
         raise ConfigError("estimator: name must be 'deepfool' or 'taylor'")
-    if top["normalize"] not in _NORMALIZE_SCHEMES:
+    if top["normalize"] not in NORMALIZE_SCHEMES:
         raise ConfigError("normalize: expected znorm, minmax, or none")
 
     return ExperimentConfig(
@@ -243,16 +215,15 @@ def _train_entry(cfg: ExperimentConfig, variant: str, ds: Dataset, meta,
 def _measure_entry(cfg: ExperimentConfig, net: Network, ds: Dataset,
                    test_raw: Dataset) -> dict:
     """The accuracies and the input-space margins of the trained ``net`` on
-    its training set ``ds``, per sample and as group means."""
-    search = (replace(cfg.search, bounds=_clip_box(net, ds))
-              if cfg.estimator == "deepfool" else None)
-    _, kept, table = _measure_correct(net, ds.features, ds.labels, 0,
-                                      search, batch_mean=True)
-    test_acc = float(np.mean(predict_batch(net, _model_inputs(net, test_raw))
-                             == test_raw.labels))
+    its raw training set ``ds``, per sample and as group means."""
+    search = cfg.search if cfg.estimator == "deepfool" else None
+    _, kept, _, margins = _measure_correct(net, ds, 0, search,
+                                           batch_mean=True)
+    X_test = apply_normalization(test_raw.features, net.norm_meta)
+    test_acc = float(np.mean(predict_batch(net, X_test) == test_raw.labels))
 
     values = np.full(ds.sample_count, np.nan)
-    values[kept] = np.where(table.stuck, np.nan, table.d_best)
+    values[kept] = margins
     finite = np.isfinite(values)
     clean = ds.corrupt_flags == 0
     return {
@@ -284,23 +255,23 @@ def run_capacity_sweep(cfg: ExperimentConfig) -> dict:
         stage = "corrupt"
         variants: list[tuple[str, Dataset]] = [("clean", train_raw)]
         for mode, fraction in cfg.corruptions:
-            ds, _ = _CORRUPTERS[mode](
+            ds, _ = CORRUPTERS[mode](
                 train_raw, fraction,
                 derive_seed(cfg.seed, "corrupt", mode, fraction))
             variants.append((f"{mode}-corrupted", ds))
 
         stage = "normalize"
-        prepared = [(name, *_normalized(ds, cfg.normalize))
-                    for name, ds in variants]
+        prepared = [(name, raw, *normalize(raw, cfg.normalize))
+                    for name, raw in variants]
 
         stage = "train"
         rows = [{"width": width, "seed": seed, "variant": name,
                  **_measure_entry(
                      cfg, _train_entry(cfg, name, ds, meta, width, seed),
-                     ds, test_raw)}
+                     raw, test_raw)}
                 for width in cfg.widths
                 for seed in cfg.seeds
-                for name, ds, meta in prepared]
+                for name, raw, ds, meta in prepared]
 
         stage = "report"
         outputs = {}
@@ -325,7 +296,7 @@ def run_capacity_sweep(cfg: ExperimentConfig) -> dict:
              (margins, ~np.isfinite(margins))])
 
         # data-level nearest-other-label distances, one column per variant
-        mm_columns = {name: max_margin(ds) for name, ds, _ in prepared}
+        mm_columns = {name: max_margin(ds) for name, _, ds, _ in prepared}
         variant_names = list(mm_columns)
         outputs["max_margins.csv"] = csv_text(
             ["sample_index"] + [f"max_margin_{n}" for n in variant_names],

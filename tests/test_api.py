@@ -1,5 +1,7 @@
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import marginlab
 
@@ -19,3 +21,20 @@ def test_sweep_module_does_not_import_the_cli():
             "sys.exit('marginlab.cli' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code])
     assert done.returncode == 0
+
+
+def test_only_the_cli_imports_the_sweep():
+    # the pipeline steps the sweep shares with the single commands live in
+    # data and margin; the sweep module keeps only the sweep's config and grid
+    src = Path(marginlab.__file__).parent
+    importers = {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = [alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and node.module == "sweep" and node.level == 1
+                 for alias in node.names]
+        if names:
+            importers[path.name] = sorted(names)
+    assert importers == {"cli.py": ["_load_sweep_config",
+                                    "run_capacity_sweep"]}

@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 from unittest import mock
@@ -14,6 +15,7 @@ from marginlab.data import (
     NormalizationMeta,
     apply_normalization,
     load_dataset,
+    normalize,
     save_dataset,
 )
 from marginlab.margin import (
@@ -35,6 +37,7 @@ from marginlab.pca import (
     save_pca,
     select_components_kneedle,
 )
+from marginlab.sweep import _load_sweep_config, _train_entry
 
 
 def run(capsys, *argv):
@@ -1222,3 +1225,67 @@ def test_sweep_single_class_dataset_writes_nothing(capsys, tmp_path,
     assert "stage generate" in err and "single class" in err
     assert out_text == ""
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("scheme", ["znorm", "none"])
+def test_sweep_margins_match_mw_measure(capsys, tmp_path, scheme):
+    # the sweep and mw measure measure a model through one function: the
+    # sweep's clean entry, rebuilt and measured with the sweep's search
+    # settings, gives the same margin cell for every measured sample
+    train_csv = gen(capsys, tmp_path, "train.csv", classes=3, spc=30, dim=3,
+                    spread=1.5, seed=4)
+    test_csv = gen(capsys, tmp_path, "test.csv", classes=3, spc=20, dim=3,
+                   spread=1.5, seed=5)
+    doc = {"dataset": {"path": str(train_csv), "test_path": str(test_csv)},
+           "corruptions": [{"mode": "label", "fraction": 0.2}],
+           "widths": [8], "seeds": [0],
+           "train": {"epochs": 60, "batch_size": 16, "learning_rate": 0.1},
+           "estimator": {"name": "deepfool", "learning_rate": 0.25,
+                         "stop_tolerance": 0.001, "max_iters": 100},
+           "normalize": scheme, "output_dir": str(tmp_path / "out"),
+           "seed": 2}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(doc))
+    code, _, _ = run(capsys, "sweep", "--config", cfg_path)
+    assert code == 0
+
+    cfg = _load_sweep_config(doc, "sweep.json", None, None)
+    ds, meta = normalize(load_dataset(train_csv), scheme)
+    model = tmp_path / "model.json"
+    save_model(_train_entry(cfg, "clean", ds, meta, 8, 0), model)
+    out = tmp_path / "m.csv"
+    code, _, _ = run(capsys, "measure", "--model", model, "--data", train_csv,
+                     "--estimator", "deepfool", "--batch", "--gamma", 0.25,
+                     "--tol", 0.001, "--max-iters", 100, "--out", out)
+    assert code == 0
+
+    with open(tmp_path / "out" / "per_sample_margins.csv", newline="") as fh:
+        expected = {r["sample_index"]: r["margin"]
+                    for r in csv.DictReader(fh)
+                    if r["variant"] == "clean" and r["margin"]}
+    with open(out, newline="") as fh:
+        got = {r["sample_index"]: r["margin"] for r in csv.DictReader(fh)}
+    assert len(got) > 60
+    assert got == expected
+
+
+def test_measure_tv_normalize_overflow_exits_3(capsys, tmp_path):
+    # hidden activations near 1e200 overflow the layer's variance; that is
+    # a numerical error with one error line, not a leaked numpy warning
+    net = Network([DenseLayer(np.array([[1e200, 0.0], [0.0, 1.0]]),
+                              np.zeros(2), "relu"),
+                   DenseLayer(np.array([[1.0, 0.0], [0.0, 1.0]]),
+                              np.zeros(2), "none")], 2, 2, norm_meta=None)
+    save_model(net, tmp_path / "model.json")
+    data = tmp_path / "d.csv"
+    data.write_text("f0,f1,label\n1.0,0.0,0\n-1.0,0.5,1\n2.0,0.0,0\n")
+    out = tmp_path / "m.csv"
+    code, stdout, err = run(capsys, "measure", "--model",
+                            tmp_path / "model.json", "--data", data,
+                            "--estimator", "taylor", "--layer", 1,
+                            "--tv-normalize", "--out", out)
+    assert code == 3
+    assert err.splitlines() == ["error: activation total variation "
+                                "overflows"]
+    assert stdout == ""
+    assert not out.exists()

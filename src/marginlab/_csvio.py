@@ -1,8 +1,8 @@
-"""CSV tables: the one numeric reader and the one writer behind every CSV
-file the package reads or writes.
+"""CSV tables: the one numeric reader and the one formatter behind every
+CSV file the package reads or writes.
 
 The reader parses a whole file body in one numpy call, whose parser rounds
-each cell exactly as ``float()`` does. The writer takes a table as columns
+each cell exactly as ``float()`` does. The formatter takes a table as columns
 and formats each column once by its dtype, a float as its ``repr``, so a
 table written here reads back into the same bits.
 """
@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._atomic import atomic_open
 from .errors import ConfigError
 
 
@@ -116,21 +115,6 @@ def _cells(values: np.ndarray, missing: np.ndarray | None) -> list[str]:
     return cells
 
 
-def _text_blocks(header, columns):
-    """The table as CSV text, the header line first and then a block of
-    rows at a time."""
-    pairs = [c if isinstance(c, tuple) else (c, None) for c in columns]
-    rows = {len(values) for values, _ in pairs}
-    if len(rows) > 1:
-        raise ValueError(f"CSV columns differ in length: {sorted(rows)}")
-    yield ",".join(header) + "\n"
-    for i in range(0, rows.pop() if rows else 0, _BLOCK_ROWS):
-        j = i + _BLOCK_ROWS
-        cells = [_cells(values[i:j], None if missing is None else missing[i:j])
-                 for values, missing in pairs]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
-
-
 def _optional(values, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
     """``values`` as one table column, a None among them a missing cell."""
     return (np.array([0 if v is None else v for v in values], dtype=dtype),
@@ -150,11 +134,14 @@ def csv_text(header, columns) -> str:
     whose boolean ``missing`` marks the cells written empty; see ``_cells``
     for how a cell is written.
     """
-    return "".join(_text_blocks(header, columns))
-
-
-def write_csv(path, header, columns) -> None:
-    """Write the table of ``csv_text`` atomically; a column that fails to
-    format leaves the file at ``path`` as it was."""
-    with atomic_open(path) as fh:
-        fh.writelines(_text_blocks(header, columns))
+    pairs = [c if isinstance(c, tuple) else (c, None) for c in columns]
+    rows = {len(values) for values, _ in pairs}
+    if len(rows) > 1:
+        raise ValueError(f"CSV columns differ in length: {sorted(rows)}")
+    blocks = [",".join(header) + "\n"]
+    for i in range(0, rows.pop() if rows else 0, _BLOCK_ROWS):
+        j = i + _BLOCK_ROWS
+        cells = [_cells(values[i:j], None if missing is None else missing[i:j])
+                 for values, missing in pairs]
+        blocks.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    return "".join(blocks)

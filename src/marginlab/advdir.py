@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, _checked_rows
+from .errors import DomainError, NumericalError, _checked_rows, check_overflow
 from .pca import PcaModel
 
 
@@ -54,8 +54,7 @@ def adv_directions(pca: PcaModel, originals: np.ndarray,
 
     with np.errstate(over="ignore", invalid="ignore"):
         B = np.abs((X - Xhat) @ pca.components.T)
-    if not np.isfinite(B).all():
-        raise NumericalError("a projected perturbation overflows")
+    check_overflow("a projected perturbation", B)
     maxima = B.max(axis=1)
     keep = maxima > 0.0
     dropped = int(np.count_nonzero(~keep))
@@ -105,8 +104,7 @@ def cumulative_share(p_share: np.ndarray,
         raise DomainError("p_share and explained_ratio must be finite")
     with np.errstate(over="ignore"):  # the check below names the overflow
         cumulative, cum_ratio = np.cumsum(p), np.cumsum(ratio)
-    if not (np.isfinite(cumulative).all() and np.isfinite(cum_ratio).all()):
-        raise NumericalError("cumulative share overflows")
+    check_overflow("cumulative share", cumulative, cum_ratio)
     return CumulativeShare(cumulative=cumulative,
                            marker_70=_coverage_marker(cum_ratio, 0.70),
                            marker_99=_coverage_marker(cum_ratio, 0.99))

@@ -1,11 +1,13 @@
 """Command-line front end: data generation, training, margin measurement,
 metric evaluation, perturbation decomposition, and capacity sweeps.
 
-Every subcommand is a thin driver over the library modules. Datasets on
-disk always hold raw (unnormalized) features; models carry their own
-normalization, which ``measure`` and ``sweep`` apply internally. All
-tables are CSV with a one-line header, all summaries are single-line JSON
-on stdout, and a fixed ``--seed`` reproduces every byte of output.
+Every subcommand is a thin driver over the library modules that returns
+its summary and its writes, each a writer and its arguments; ``main`` runs
+the writes once the summary line is made. Datasets on disk always hold raw
+(unnormalized) features; models carry their own normalization, which
+``measure`` and ``sweep`` apply internally. All tables are CSV with a
+one-line header, all summaries are single-line JSON on stdout, and a fixed
+``--seed`` reproduces every byte of output.
 
 Exit codes: 0 success, 2 configuration/domain errors (a size too large
 for memory included), 3 numerical errors.
@@ -23,8 +25,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from ._atomic import write_text
-from ._csvio import _optional, _texts, read_numeric_csv, write_csv
+from ._atomic import read_json, write_file, write_json
+from ._csvio import _optional, _texts, csv_text, read_numeric_csv
 from ._seed import derive_seed
 from .advdir import adv_directions, cumulative_share
 from .data import (
@@ -47,8 +49,8 @@ from .margin import (
     SearchConfig,
     SearchStatus,
     _measure_correct,
+    _scale_by_tv,
     compute_total_variation,
-    tv_normalize,
 )
 from .metrics import (
     ModelTable,
@@ -81,45 +83,31 @@ def _json_line(obj) -> str:
             from exc
 
 
-def _print_json(obj) -> None:
-    print(_json_line(obj))
-
-
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    # ValueError covers bad JSON and bad UTF-8; deep nesting recurses
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # gen-data / corrupt / train
 
 
-def _cmd_gen_data(args) -> None:
+def _cmd_gen_data(args):
     ds = gen_blobs(BlobConfig(classes=args.classes,
                               samples_per_class=args.samples_per_class,
                               dim=args.dim, spread=args.spread,
                               seed=args.seed))
-    save_dataset(ds, args.out)
-    _print_json({"classes": ds.class_count, "features": ds.feature_count,
-                 "path": str(args.out), "samples": ds.sample_count})
+    return ({"classes": ds.class_count, "features": ds.feature_count,
+             "path": str(args.out), "samples": ds.sample_count},
+            [(save_dataset, ds, args.out)])
 
 
-def _cmd_corrupt(args) -> None:
+def _cmd_corrupt(args):
     ds = load_dataset(args.infile)
     out_ds, report = CORRUPTERS[args.mode](ds, args.fraction, args.seed)
-    save_dataset(out_ds, args.out)
     info = {"mode": report.mode, "seed": int(report.seed),
             "fraction_requested": float(report.fraction_requested)}
+    writes = [(save_dataset, out_ds, args.out)]
     if args.report:
-        indices = [int(i) for i in report.indices_corrupted]
-        write_text(args.report, json.dumps(
-            {**info, "indices_corrupted": indices}, sort_keys=True) + "\n")
-    _print_json({**info, "num_corrupted": len(report.indices_corrupted),
-                 "path": str(args.out)})
+        writes.append((write_json, args.report, {
+            **info, "indices_corrupted": report.indices_corrupted.tolist()}))
+    return ({**info, "num_corrupted": len(report.indices_corrupted),
+             "path": str(args.out)}, writes)
 
 
 def _parse_hidden(text: str) -> list[int]:
@@ -133,7 +121,7 @@ def _parse_hidden(text: str) -> list[int]:
     return widths
 
 
-def _cmd_train(args) -> None:
+def _cmd_train(args):
     ds, meta = normalize(load_dataset(args.data), args.normalize)
     hidden = _parse_hidden(args.hidden)
     net = init_network(ds.feature_count, hidden, ds.class_count,
@@ -143,9 +131,9 @@ def _cmd_train(args) -> None:
                       momentum=args.momentum,
                       seed=derive_seed(args.seed, "shuffle"))
     net = train_sgd(net, ds, cfg)
-    save_model(net, args.out)
-    _print_json({"hidden": hidden, "path": str(args.out),
-                 "train_accuracy": float(accuracy(net, ds))})
+    return ({"hidden": hidden, "path": str(args.out),
+             "train_accuracy": float(accuracy(net, ds))},
+            [(save_model, net, args.out)])
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +165,7 @@ def _resolve_subspace(args, features: int):
     return pca, m
 
 
-def _cmd_measure(args) -> None:
+def _cmd_measure(args):
     constrained = args.estimator.startswith("constrained-")
     if constrained and args.layer != 0:
         raise ConfigError("constrained estimators measure input space only")
@@ -215,39 +203,37 @@ def _cmd_measure(args) -> None:
     columns = [kept, (table.d_best, stuck), (table.v_best, stuck),
                (table.steps, stuck), status, (table.base, stuck),
                (table.competitor, stuck), (table.left_subspace, stuck)]
+    with np.errstate(over="ignore"):  # _json_line names an overflow
+        mean = float(np.mean(resolved)) if resolved.size else None
     summary = {"estimator": args.estimator, "layer": int(args.layer),
                "measured": int(resolved.size),
                "degenerate": int(np.count_nonzero(stuck)),
-               "skipped_misclassified": skipped,
-               "mean_margin": float(np.mean(resolved)) if resolved.size
-               else None}
+               "skipped_misclassified": skipped, "mean_margin": mean}
     if constrained:
         summary["subspace_dims"] = int(m)
     if args.tv_normalize:
-        # raises DegenerateVarianceError, before any file is written, when
-        # the layer's total variation vanishes
-        scaled = tv_normalize(margins, acts)
+        tv = compute_total_variation(acts)
         header.append("margin_tv")
-        columns.append((scaled, stuck))
-        summary["total_variation"] = compute_total_variation(acts)
+        columns.append((_scale_by_tv(margins, tv), stuck))
+        summary["total_variation"] = tv
 
-    write_csv(args.out, header, columns)
+    writes = [(write_file, args.out, csv_text(header, columns))]
     if args.boundary_out:
         points = [f"{side}_{j}" for side in ("orig", "bound")
                   for j in range(acts.shape[1])]
-        write_csv(args.boundary_out, ["sample_index", *points],
-                  [kept, *acts[kept].T, *table.boundary.T])
-    _print_json(summary)
+        writes.append((write_file, args.boundary_out, csv_text(
+            ["sample_index", *points],
+            [kept, *acts[kept].T, *table.boundary.T])))
+    return summary, writes
 
 
 # ---------------------------------------------------------------------------
 # pca
 
 
-def _cmd_pca(args) -> None:
+def _cmd_pca(args):
     ds = load_dataset(args.data)
     model = fit_pca(ds.features, n_components=args.components)
-    save_pca(model, args.out)
     info = {"components": int(model.components.shape[0]),
             "features": int(model.components.shape[1]),
             "explained_ratio_sum": float(model.explained_ratio.sum()),
@@ -256,7 +242,7 @@ def _cmd_pca(args) -> None:
         choice = select_components_kneedle(model)
         info["knee_m"] = int(choice.m)
         info["knee_fallback"] = bool(choice.fallback_used)
-    _print_json(info)
+    return info, [(save_pca, model, args.out)]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +265,7 @@ def _load_models_file(path, measure_col: str, axes: bool) -> ModelTable:
     one numpy call. Only when that fails does an entry-by-entry scan run,
     to name the first bad entry.
     """
-    data = _load_json(path)
+    data = read_json(path, "models file")
     if not isinstance(data, list) or not data:
         raise ConfigError(f"{path}: expected a non-empty JSON list of models")
     table = _models_table(data, measure_col, axes)
@@ -358,7 +344,7 @@ def _raise_first_bad_entry(path, data: list, measure_col: str,
                               f"{sorted(data[0]['hyperparams'])}")
 
 
-def _cmd_evaluate(args) -> None:
+def _cmd_evaluate(args):
     table = _load_models_file(args.models, args.measure_col,
                               axes=args.metric in ("granulated", "cmi"))
 
@@ -415,10 +401,8 @@ def _cmd_evaluate(args) -> None:
         csv_columns = [_texts(["r2"]), _texts([args.measure_col]),
                        np.array([r2])]
 
-    summary = _json_line(result)  # a non-finite score fails before writing
-    if args.out:
-        write_csv(args.out, csv_header, csv_columns)
-    print(summary)
+    return result, ([(write_file, args.out, csv_text(csv_header, csv_columns))]
+                    if args.out else [])
 
 
 # ---------------------------------------------------------------------------
@@ -446,31 +430,31 @@ def _read_boundary_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return X, Xhat
 
 
-def _cmd_advdir(args) -> None:
+def _cmd_advdir(args):
     pca = load_pca(args.pca)
     X, Xhat = _read_boundary_csv(args.boundary_csv)
     share = adv_directions(pca, X, Xhat)
     cum = cumulative_share(share.p_share, pca.explained_ratio)
-    write_csv(args.out, ["component_index", "explained_ratio", "p_share",
-                         "cumulative"],
-              [np.arange(1, share.p_share.size + 1), pca.explained_ratio,
-               share.p_share, cum.cumulative])
-    _print_json({"components": int(share.p_share.size),
-                 "dropped_rows": int(share.dropped_rows),
-                 "marker_70": int(cum.marker_70),
-                 "marker_99": int(cum.marker_99),
-                 "path": str(args.out),
-                 "samples": int(share.b_adv.shape[0])})
+    return ({"components": int(share.p_share.size),
+             "dropped_rows": int(share.dropped_rows),
+             "marker_70": int(cum.marker_70),
+             "marker_99": int(cum.marker_99), "path": str(args.out),
+             "samples": int(share.b_adv.shape[0])},
+            [(write_file, args.out, csv_text(
+                ["component_index", "explained_ratio", "p_share",
+                 "cumulative"],
+                [np.arange(1, share.p_share.size + 1), pca.explained_ratio,
+                 share.p_share, cum.cumulative]))])
 
 
 # ---------------------------------------------------------------------------
 # sweep
 
 
-def _cmd_sweep(args) -> None:
-    cfg = _load_sweep_config(_load_json(args.config), str(args.config),
-                             args.output_dir, args.seed)
-    _print_json(run_capacity_sweep(cfg))
+def _cmd_sweep(args):
+    cfg = _load_sweep_config(read_json(args.config, "sweep config"),
+                             str(args.config), args.output_dir, args.seed)
+    return run_capacity_sweep(cfg), []  # it writes its own files
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +566,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        args.func(args)
+        summary, writes = args.func(args)
+        line = _json_line(summary)  # made first: a failure writes nothing
+        for write, *what in writes:
+            write(*what)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -596,6 +583,7 @@ def main(argv=None) -> int:
         print(f"error: out of memory{f': {exc}' if str(exc) else ''}",
               file=sys.stderr)
         return 2
+    print(line)
     return 0
 
 

@@ -14,14 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ._atomic import atomic_open
-from ._csvio import read_numeric_csv, write_csv
+from ._atomic import write_file
+from ._csvio import csv_text, read_numeric_csv
 from .errors import (
     ConfigError,
     DomainError,
-    NumericalError,
     _checked_rows,
     check_integers,
+    check_overflow,
     check_seed,
 )
 
@@ -185,7 +185,7 @@ def corrupt_inputs_gaussian(ds: Dataset, fraction: float, seed: int) -> tuple[Da
     Every feature of a chosen sample is redrawn from N(mean(x), std(x)) where
     the statistics are over that sample's feature vector (population std). A
     zero-std sample is reproduced exactly. Results are clipped to the dataset
-    bounds.
+    bounds. A mean or std that overflows raises NumericalError.
     """
     check_seed(seed)
     rng = np.random.default_rng(seed)
@@ -196,8 +196,10 @@ def corrupt_inputs_gaussian(ds: Dataset, fraction: float, seed: int) -> tuple[Da
     n = ds.feature_count
     for i in indices:
         x = ds.features[i]
-        mu = float(x.mean())
-        sigma = float(x.std())
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = float(x.mean())
+            sigma = float(x.std())
+        check_overflow(f"sample {i}'s feature mean or spread", mu, sigma)
         if sigma == 0.0:
             continue  # redrawing from N(mu, 0) reproduces the sample exactly
         noise = rng.normal(mu, sigma, size=n)
@@ -222,13 +224,12 @@ def max_margin(ds: Dataset) -> np.ndarray:
     if present.size < 2:
         raise DomainError("max margin is undefined with a single class present")
     out = np.empty(len(X), dtype=np.float64)
-    with np.errstate(over="ignore"):  # the check below names the overflow
+    with np.errstate(over="ignore"):
         for i in range(len(X)):
             mask = ds.labels != ds.labels[i]
             diff = X[mask] - X[i]
             out[i] = np.sqrt(np.min(np.einsum("ij,ij->i", diff, diff)))
-    if not np.isfinite(out).all():
-        raise NumericalError("a nearest-other-class distance overflows")
+    check_overflow("a nearest-other-class distance", out)
     return out
 
 
@@ -242,25 +243,30 @@ def normalize(ds: Dataset,
     znorm: per-feature zero mean, unit (population) std; zero-variance features
     keep scale 1. minmax: observed range mapped onto [0, 1]; constant features
     map to 0. The dataset bounds are pushed through the same affine map.
-    none: ``ds`` itself and no meta.
+    none: ``ds`` itself and no meta. Other schemes need finite features
+    (DomainError); an overflow raises NumericalError.
     """
-    X = ds.features
     if scheme == "none":
         return ds, None
-    if scheme == "znorm":
-        offsets = X.mean(axis=0)
-        scales = X.std(axis=0)
-        scales = np.where(scales == 0.0, 1.0, scales)
-    elif scheme == "minmax":
-        offsets = X.min(axis=0)
-        span = X.max(axis=0) - offsets
-        scales = np.where(span > 0.0, span, 1.0)
-    else:
-        raise DomainError(f"unknown normalization scheme: {scheme!r}")
-
-    features = (X - offsets) / scales
-    lower = (ds.lower - offsets) / scales
-    upper = (ds.upper - offsets) / scales
+    X = _checked_rows(ds.features)
+    if X.ndim != 2 or not len(X):
+        raise DomainError("normalization needs at least one row of features")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if scheme == "znorm":
+            offsets = X.mean(axis=0)
+            scales = X.std(axis=0)
+            scales = np.where(scales == 0.0, 1.0, scales)
+        elif scheme == "minmax":
+            offsets = X.min(axis=0)
+            span = X.max(axis=0) - offsets
+            scales = np.where(span > 0.0, span, 1.0)
+        else:
+            raise DomainError(f"unknown normalization scheme: {scheme!r}")
+        features = (X - offsets) / scales
+        lower = (ds.lower - offsets) / scales
+        upper = (ds.upper - offsets) / scales
+    check_overflow(f"{scheme} normalization", offsets, scales, lower, upper,
+                   features)
     meta = NormalizationMeta(scheme=scheme, offsets=offsets, scales=scales,
                              lower=lower, upper=upper)
     out = Dataset(features, ds.labels.copy(), lower, upper,
@@ -271,10 +277,14 @@ def normalize(ds: Dataset,
 def apply_normalization(features: np.ndarray,
                         meta: NormalizationMeta | None) -> np.ndarray:
     """Map raw features into the normalized space described by ``meta``;
-    None, a model without normalization, leaves them as they are."""
+    None, a model without normalization, leaves them as they are. A
+    feature the map overflows raises NumericalError."""
     if meta is None:
         return features
-    return (np.asarray(features) - meta.offsets) / meta.scales
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (np.asarray(features) - meta.offsets) / meta.scales
+    check_overflow("a normalized feature", out)
+    return out
 
 
 # corruption mode -> corrupter, as ``mw corrupt --mode`` and the sweep's
@@ -302,12 +312,11 @@ def save_dataset_bin(ds: Dataset, path) -> None:
     with np.errstate(over="ignore"):  # the check below names the overflow
         features = np.ascontiguousarray(ds.features, dtype="<f4")
     _check_finite(features, path)
-    with atomic_open(path, binary=True) as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQQI", _BIN_VERSION, ds.sample_count,
-                             ds.feature_count, ds.class_count))
-        fh.write(features.tobytes())
-        fh.write(np.ascontiguousarray(ds.labels, dtype="<u4").tobytes())
+    write_file(path, b"".join((
+        _MAGIC, struct.pack("<IQQI", _BIN_VERSION, ds.sample_count,
+                            ds.feature_count, ds.class_count),
+        features.tobytes(),
+        np.ascontiguousarray(ds.labels, dtype="<u4").tobytes())))
 
 
 def load_dataset_bin(path) -> Dataset:
@@ -341,8 +350,9 @@ def save_dataset_csv(ds: Dataset, path) -> None:
     loader would, before the file is opened."""
     features = np.asarray(ds.features, dtype=np.float64)
     _check_finite(features, path)
-    write_csv(path, [f"f{j}" for j in range(ds.feature_count)] + ["label"],
-              [*features.T, np.asarray(ds.labels, dtype=np.int64)])
+    write_file(path, csv_text(
+        [f"f{j}" for j in range(ds.feature_count)] + ["label"],
+        [*features.T, np.asarray(ds.labels, dtype=np.int64)]))
 
 
 def load_dataset_csv(path) -> Dataset:

@@ -68,6 +68,13 @@ class NumericalError(WorkbenchError):
     """A computation failed numerically."""
 
 
+def check_overflow(what: str, *values) -> None:
+    """NumericalError "``what`` overflows" unless every one of ``values`` is
+    finite, as arithmetic run under ``np.errstate`` leaves an overflow."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise NumericalError(f"{what} overflows")
+
+
 class TrainingDivergedError(NumericalError):
     """Loss or parameters became non-finite during training."""
 

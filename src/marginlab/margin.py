@@ -35,9 +35,9 @@ from .data import apply_normalization
 from .errors import (
     DegenerateVarianceError,
     DomainError,
-    NumericalError,
     _checked_rows,
     check_integers,
+    check_overflow,
 )
 # the benchmark's tracer (bench/tracing.py) wraps the nnet calls made
 # through here; logit_diffs_all_batch is imported for it alone
@@ -270,6 +270,7 @@ def _next_step(o, base, grads: _RowGradients, rows, rate: float):
     return direction, stuck
 
 
+@np.errstate(over="ignore", invalid="ignore")  # check_overflow names it
 def search_margins(net: Network, lam: int, X: np.ndarray,
                    cfg: SearchConfig | None = None,
                    pca: PcaModel | None = None, m: int | None = None, *,
@@ -293,7 +294,8 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
     how that row stood then.
 
     ``X`` must be one row or a matrix of rows of finite values; anything
-    else is a ``DomainError``.
+    else is a ``DomainError``. A logit gap, gradient norm or distance that
+    overflows is a ``NumericalError``.
 
     ``pca`` and ``m`` restrict the perturbation to the top-``m`` principal
     directions (input space only); distance is still measured in the
@@ -336,6 +338,7 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
     o, logits, pres, base = _logit_diffs(net, lam, X0)
     grads = _RowGradients(net, lam, projector, pres, base)
     del pres  # the search's own evaluations make theirs
+    check_overflow("a logit gap or gradient norm", o, grads.norms)
 
     if cfg is None:
         j, dist, stuck = _nearest_boundary(o, base, grads.norms)
@@ -375,6 +378,7 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
                                            cfg.learning_rate)
         runner = _runner_up(logits, b)  # the logits' last reader
         v = np.abs(o[np.arange(b.size), runner])
+        check_overflow("a search iterate's distance or logit gap", d, v)
         return Xp, d, v, runner, next_step, next_stuck
 
     if batch_mean:
@@ -476,7 +480,8 @@ def _measure_correct(net, ds, layer: int, search, pca=None, m=None, *,
     """Margins at ``layer`` of the samples of the raw dataset ``ds`` that
     ``net`` classifies correctly, or of every sample with ``keep_all``.
 
-    The features are mapped into the model's space first. A model without
+    The features are mapped into the model's space first, and a feature or
+    activation that overflows raises NumericalError. A model without
     normalization takes them as they are, so its search is clipped to the
     bounds of ``ds``; a normalized model's box comes from its meta.
 
@@ -507,11 +512,9 @@ def compute_total_variation(acts: np.ndarray) -> float:
     A = np.atleast_2d(_checked_rows(acts))
     if A.shape[0] < 2:
         raise DomainError("total variation needs at least two samples")
-    # an overflow leaves inf or NaN in the result, which the check names
     with np.errstate(over="ignore", invalid="ignore"):
         tv = float(np.sqrt(np.var(A, axis=0).sum()))
-    if not np.isfinite(tv):
-        raise NumericalError("activation total variation overflows")
+    check_overflow("activation total variation", tv)
     return tv
 
 
@@ -520,8 +523,16 @@ def tv_normalize(margins: np.ndarray, acts: np.ndarray) -> np.ndarray:
     measured at; raises DegenerateVarianceError when that scale vanishes.
     The activations are checked as ``compute_total_variation`` checks them;
     the margins may hold NaN, which stays NaN."""
-    tv = compute_total_variation(acts)
+    return _scale_by_tv(margins, compute_total_variation(acts))
+
+
+def _scale_by_tv(margins: np.ndarray, tv: float) -> np.ndarray:
+    """``margins / tv``; DegenerateVarianceError when ``tv`` vanishes."""
     if tv < _DEGENERATE:
         raise DegenerateVarianceError(
             "activation total variation is numerically zero")
-    return np.asarray(margins, dtype=np.float64) / tv
+    with np.errstate(over="ignore"):
+        scaled = np.asarray(margins, dtype=np.float64) / tv
+    check_overflow("a margin divided by the total variation",
+                   scaled[~np.isnan(scaled)])
+    return scaled

@@ -30,6 +30,7 @@ from ._seed import derive_seed
 from .errors import (
     DomainError,
     FitError,
+    NumericalError,
     UndefinedMetricError,
     check_integers,
     check_seed,
@@ -548,7 +549,8 @@ def extract_signature(margins: np.ndarray) -> MarginSignature:
     the last value. The sample is sorted once and the formula evaluated in
     that order, so the quartiles equal ``np.percentile``'s bit for bit,
     except that a zero quartile of a sample holding both +0.0 and -0.0 may
-    carry the other sign.
+    carry the other sign. A quartile or fence that overflows raises
+    NumericalError.
     """
     # np.array copies, so the in-place sort never touches the caller's array
     s = np.array(margins, dtype=np.float64).ravel()
@@ -572,9 +574,11 @@ def extract_signature(margins: np.ndarray) -> MarginSignature:
                              else b - (b - a) * (1 - t))
         q1, q2, q3 = quartiles
     iqr = q3 - q1
-    return MarginSignature(q1=q1, q2=q2, q3=q3,
-                           lower_fence=q1 - 1.5 * iqr,
-                           upper_fence=q3 + 1.5 * iqr)
+    lower, upper = q1 - 1.5 * iqr, q3 + 1.5 * iqr
+    if not all(map(math.isfinite, (q2, lower, upper))):  # q1, q3: fences
+        raise NumericalError("a margin quartile or fence overflows")
+    return MarginSignature(q1=q1, q2=q2, q3=q3, lower_fence=lower,
+                           upper_fence=upper)
 
 
 # ---------------------------------------------------------------------------

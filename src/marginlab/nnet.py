@@ -9,14 +9,12 @@ quantity every boundary-distance estimator in this package is built on.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from ._atomic import write_text
+from ._atomic import read_json, write_json
 from .data import Dataset, NormalizationMeta
 from .errors import (
     ConfigError,
@@ -25,6 +23,7 @@ from .errors import (
     TrainingDivergedError,
     _checked_rows,
     check_integers,
+    check_overflow,
     check_seed,
 )
 
@@ -51,18 +50,12 @@ class Network:
     norm_meta: NormalizationMeta | None = None
 
 
-def layer_width(net: Network, lam: int) -> int:
-    """Width of the activation vector at layer index ``lam`` (0 = input)."""
-    if lam == 0:
-        return net.input_dim
-    return net.layers[lam - 1].weights.shape[0]
-
-
 def _check_activations(net: Network, lam: int, X: np.ndarray, top: int) -> None:
     """DomainError unless ``X`` holds activations at layer ``lam`` in [0, top]."""
     if not 0 <= lam <= top:
         raise DomainError(f"layer index {lam} outside [0, {top + 1})")
-    expected = layer_width(net, lam)
+    # the width of the activations at layer lam, 0 being the input
+    expected = net.layers[lam - 1].weights.shape[0] if lam else net.input_dim
     if X.shape[-1] != expected:
         raise DomainError(f"activation width {X.shape[-1]} does not match "
                           f"layer {lam} width {expected}")
@@ -83,12 +76,16 @@ def _forward(net: Network, lam: int, A: np.ndarray):
     return acts, pres
 
 
+@np.errstate(over="ignore", invalid="ignore")  # check_overflow names it
 def forward_batch(net: Network, X: np.ndarray, lam: int = 0) -> list[np.ndarray]:
     """Activation matrices x^lam..x^L for a batch ``X`` of activations at
-    layer ``lam``; by default X holds inputs, shape (s, input_dim)."""
+    layer ``lam``; by default X holds inputs, shape (s, input_dim). An
+    activation that overflows raises NumericalError."""
     A = _checked_rows(X)
     _check_activations(net, lam, A, len(net.layers))
-    return _forward(net, lam, A)[0]
+    acts = _forward(net, lam, A)[0]
+    check_overflow("the forward pass", *acts)
+    return acts
 
 
 def predict_batch(net: Network, X: np.ndarray) -> np.ndarray:
@@ -326,8 +323,7 @@ def save_model(net: Network, path) -> None:
                "act": layer.activation} for layer in net.layers]
     doc = {"format": MODEL_FORMAT, "input_dim": net.input_dim,
            "num_classes": net.num_classes, "norm": norm, "layers": layers}
-    # dumps runs the C encoder; dump into a file would run the Python one
-    write_text(path, json.dumps(doc, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def _model_size(value, key: str, path) -> int:
@@ -340,10 +336,7 @@ def _model_size(value, key: str, path) -> int:
 
 
 def load_model(path) -> Network:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError, RecursionError) as exc:
-        raise ConfigError(f"{path}: cannot read model file ({exc})") from exc
+    doc = read_json(path, "model file")
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ConfigError(f"{path}: not a {MODEL_FORMAT} model file")
     try:

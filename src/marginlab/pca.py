@@ -7,14 +7,13 @@ to a cumulative-variance rule when the curve has no knee.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ._atomic import write_text
-from .errors import ConfigError, DomainError, NumericalError, check_integers
+from ._atomic import read_json, write_json
+from .errors import (ConfigError, DomainError, NumericalError,
+                     check_integers, check_overflow)
 
 PCA_FORMAT = "mw-pca/1"
 # the PcaModel fields, each an array a projection file stores under its name
@@ -43,7 +42,8 @@ def fit_pca(X: np.ndarray, n_components: int | None = None) -> PcaModel:
 
     At most min(s−1, n) components exist. Component signs are fixed so each
     row's largest-magnitude entry is positive; tiny negative eigenvalues from
-    round-off are clamped to zero.
+    round-off are clamped to zero. A covariance that overflows raises
+    NumericalError.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -60,9 +60,12 @@ def fit_pca(X: np.ndarray, n_components: int | None = None) -> PcaModel:
     if not 1 <= m <= limit:
         raise DomainError(f"n_components must lie in [1, {limit}] for this data")
 
-    mean = X.mean(axis=0)
-    centered = X - mean
-    cov = (centered.T @ centered) / (s - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        centered = X - mean
+        cov = (centered.T @ centered) / (s - 1)
+        total = float(np.trace(cov))  # bounds every eigenvalue
+    check_overflow("the data's covariance", cov, total)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:m]
     variances = np.maximum(eigvals[order], 0.0)
@@ -70,17 +73,11 @@ def fit_pca(X: np.ndarray, n_components: int | None = None) -> PcaModel:
     lead = components[np.arange(m), np.argmax(np.abs(components), axis=1)]
     components[lead < 0] *= -1.0
 
-    total = float(np.trace(cov))
     if total <= 0.0:
         raise DomainError("data has zero total variance")
     return PcaModel(mean=mean, components=components,
                     explained_variance=variances,
                     explained_ratio=variances / total)
-
-
-def validate_orthonormal(components: np.ndarray) -> bool:
-    gram = components @ components.T
-    return bool(np.max(np.abs(gram - np.eye(len(components)))) <= 1e-8)
 
 
 def select_components_kneedle(pca: PcaModel) -> ElbowChoice:
@@ -136,17 +133,12 @@ def select_components_kneedle(pca: PcaModel) -> ElbowChoice:
 
 
 def save_pca(pca: PcaModel, path) -> None:
-    doc = {"format": PCA_FORMAT,
-           **{key: getattr(pca, key).tolist() for key in _FIELDS}}
-    # dumps runs the C encoder; dump into a file would run the Python one
-    write_text(path, json.dumps(doc, sort_keys=True) + "\n")
+    write_json(path, {"format": PCA_FORMAT,
+                      **{key: getattr(pca, key).tolist() for key in _FIELDS}})
 
 
 def load_pca(path) -> PcaModel:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError, RecursionError) as exc:
-        raise ConfigError(f"{path}: cannot read projection file ({exc})") from exc
+    doc = read_json(path, "projection file")
     if not isinstance(doc, dict) or doc.get("format") != PCA_FORMAT:
         raise ConfigError(f"{path}: not a {PCA_FORMAT} file")
     try:
@@ -165,6 +157,7 @@ def load_pca(path) -> PcaModel:
                           f"components")
     if not all(np.all(np.isfinite(getattr(pca, key))) for key in _FIELDS):
         raise NumericalError(f"{path}: projection holds non-finite values")
-    if not validate_orthonormal(pca.components):
+    gram = pca.components @ pca.components.T
+    if np.max(np.abs(gram - np.eye(len(gram)))) > 1e-8:
         raise ConfigError(f"{path}: component rows are not orthonormal")
     return pca

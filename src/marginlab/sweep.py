@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._atomic import write_text
+from ._atomic import write_file
 from ._csvio import _optional, _texts, csv_text
 from ._seed import derive_seed
 from .data import (
@@ -333,5 +333,5 @@ def run_capacity_sweep(cfg: ExperimentConfig) -> dict:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in outputs.items():
-        write_text(out_dir / name, text)
+        write_file(out_dir / name, text)
     return {"files": list(outputs), "output_dir": str(out_dir)}

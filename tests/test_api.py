@@ -38,3 +38,51 @@ def test_only_the_cli_imports_the_sweep():
             importers[path.name] = sorted(names)
     assert importers == {"cli.py": ["_load_sweep_config",
                                     "run_capacity_sweep"]}
+
+
+def _file_calls(tree: ast.AST) -> list[str]:
+    """The calls in ``tree`` that write a file or read or write JSON: an
+    ``open`` whose mode writes, appends or updates, ``.write_text``,
+    ``.write_bytes``, ``json.dump`` and ``json.load``/``json.loads``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            func, "id", None)
+        if name == "open":
+            # open(path, mode) or Path.open(mode), or mode=...
+            args = node.args[1:] if isinstance(func, ast.Name) else node.args
+            modes = args[:1] + [k.value for k in node.keywords
+                                if k.arg == "mode"]
+            if any(not isinstance(m, ast.Constant)
+                   or set(str(m.value)) & set("wxa+") for m in modes):
+                found.append(f"open:{node.lineno}")
+        elif name in ("write_text", "write_bytes"):
+            found.append(f"{name}:{node.lineno}")
+        elif (isinstance(func, ast.Attribute) and name in ("dump", "load",
+                                                            "loads")
+              and isinstance(func.value, ast.Name)
+              and func.value.id == "json"):
+            found.append(f"json.{name}:{node.lineno}")
+    return found
+
+
+def test_only_the_file_layer_writes_files_and_reads_json():
+    # every output goes through _atomic.write_file, and every JSON input
+    # through _atomic.read_json
+    src = Path(marginlab.__file__).parent
+    users = [path.name for path in sorted(src.glob("*.py"))
+             if _file_calls(ast.parse(path.read_text(encoding="utf-8")))]
+    assert users == ["_atomic.py"]
+
+
+def test_file_call_scan_sees_each_kind_of_call():
+    code = ("open(p, 'w'); open(p, mode='ab'); Path(p).open('x')\n"
+            "p.write_text(t); p.write_bytes(b); json.dump(d, fh)\n"
+            "json.load(fh); json.loads(t)\n"
+            "open(p); open(p, 'rb'); p.read_text(); json.dumps(d)\n")
+    assert [c.partition(":")[0] for c in _file_calls(ast.parse(code))] == [
+        "open", "open", "open", "write_text", "write_bytes", "json.dump",
+        "json.load", "json.loads"]

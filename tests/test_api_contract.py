@@ -17,6 +17,7 @@ from marginlab import (
     Dataset,
     DomainError,
     NumericalError,
+    SearchConfig,
     WorkbenchError,
     adv_directions,
     cross_validate_predictor,
@@ -26,10 +27,13 @@ from marginlab import (
     fit_pca,
     kendall_tau,
     max_margin,
+    normalize,
     predict_gap,
     r_squared,
+    search_margins,
 )
 from marginlab.margin import compute_total_variation, tv_normalize
+from marginlab.nnet import DenseLayer, Network
 
 CONTRACT = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -81,6 +85,18 @@ def _fixed_fit():
 
 _FIT = _fixed_fit()
 _PCA = fit_pca(np.random.default_rng(1).normal(size=(20, 3)))
+
+
+def _fixed_net():
+    """A 3-input ReLU net with three classes, its weights of order one."""
+    rng = np.random.default_rng(3)
+    return Network([DenseLayer(rng.normal(size=(4, 3)), rng.normal(size=4),
+                               "relu"),
+                    DenseLayer(rng.normal(size=(3, 4)), rng.normal(size=3),
+                               "none")], 3, 3)
+
+
+_NET = _fixed_net()
 
 
 @CONTRACT
@@ -184,6 +200,35 @@ def test_max_margin(data):
 
 
 @CONTRACT
+@given(st.one_of(arrays(), matrices()),
+       st.one_of(st.none(), COUNTS))
+def test_fit_pca(X, n_components):
+    _returns_or_raises_workbench_error(fit_pca, X, n_components)
+
+
+@CONTRACT
+@given(st.integers(0, 6).flatmap(
+    lambda n: _filled((n, 2))),
+    st.sampled_from(["znorm", "minmax", "none", "zscore"]))
+def test_normalize(features, scheme):
+    n = len(features)
+    ds = Dataset(features, np.zeros(n, dtype=np.int64),
+                 features.min(axis=0, initial=0.0),
+                 features.max(axis=0, initial=1.0),
+                 np.zeros(n, dtype=np.int64), 2)
+    _returns_or_raises_workbench_error(normalize, ds, scheme)
+
+
+@CONTRACT
+@given(st.one_of(arrays(), _filled(st.tuples(st.integers(0, 5),
+                                             st.just(3)))),
+       st.sampled_from([None, SearchConfig(max_iters=5)]), st.booleans())
+def test_search_margins(X, cfg, batch_mean):
+    _returns_or_raises_workbench_error(search_margins, _NET, 0, X, cfg,
+                                       batch_mean=batch_mean)
+
+
+@CONTRACT
 @given(arrays())
 def test_compute_total_variation(acts):
     _returns_or_raises_workbench_error(compute_total_variation, acts)
@@ -230,8 +275,16 @@ def test_probed_edges_raise_domain_error(call):
     lambda: adv_directions(_PCA, np.full((1, 3), 1e308),
                            np.full((1, 3), -1e308)),
     lambda: cumulative_share(np.array([1e308, 1e308]), np.array([0.5, 0.5])),
+    lambda: fit_pca(np.array([[1e308, 0.0], [-1e308, 1.0], [0.0, 2.0]])),
+    lambda: normalize(Dataset(np.array([[1e308], [-1e308]]), np.arange(2),
+                              np.array([-1e308]), np.array([1e308]),
+                              np.zeros(2, dtype=np.int64), 2), "znorm"),
+    lambda: extract_signature(np.array([1e308, -1e308, 1e308, -1e308])),
+    lambda: search_margins(_NET, 0, np.array([[1e308, -1e308, 1e308]])),
+    lambda: tv_normalize(np.array([1e308]), np.array([[0.0], [1.0]])),
 ], ids=["total-variation", "tv-normalize", "max-margin", "adv-directions",
-        "cumulative-share"])
+        "cumulative-share", "fit-pca", "normalize", "extract-signature",
+        "search-margins", "tv-normalize-quotient"])
 def test_values_that_overflow_are_numerical_errors(call):
     with pytest.raises(NumericalError):
         call()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import marginlab.cli
+import marginlab.margin
 import marginlab.sweep
 from marginlab._csvio import read_numeric_csv
 from marginlab.cli import main
@@ -1289,3 +1290,174 @@ def test_measure_tv_normalize_overflow_exits_3(capsys, tmp_path):
                                 "overflows"]
     assert stdout == ""
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# a failing command writes nothing: every payload and the summary line are
+# built before the first file is written
+
+
+# finite features near the float limit, two rows per class
+_NEAR_LIMIT = ("f0,f1,label\n1e308,-1e308,0\n-1e308,1e308,1\n"
+               "1e308,1e308,0\n-1e308,-1e308,1\n")
+
+
+def test_measure_overflowing_search_exits_3_and_writes_nothing(capsys,
+                                                               tmp_path):
+    # a model trained on small values searches from rows near the float
+    # limit: the distance to the first iterate overflows
+    model, _ = train(capsys, tmp_path, gen(capsys, tmp_path, dim=2))
+    data = tmp_path / "big.csv"
+    data.write_text(_NEAR_LIMIT)
+    out, boundary = tmp_path / "m.csv", tmp_path / "b.csv"
+    code, stdout, err = run(capsys, "measure", "--model", model, "--data",
+                            data, "--include-misclassified",
+                            "--boundary-out", boundary, "--out", out)
+    assert code == 3
+    assert err.splitlines() == ["error: a search iterate's distance or "
+                                "logit gap overflows"]
+    assert stdout == ""
+    assert not out.exists() and not boundary.exists()
+
+
+def test_measure_summary_overflow_writes_nothing(capsys, tmp_path):
+    # a linear net whose closed-form margins are the rows' first features:
+    # each is finite, but their mean overflows, and the table is not
+    # written either
+    net = Network([DenseLayer(np.array([[0.5, 0.0], [-0.5, 0.0]]),
+                              np.zeros(2), "none")], 2, 2, norm_meta=None)
+    save_model(net, tmp_path / "model.json")
+    data = tmp_path / "d.csv"
+    data.write_text("f0,f1,label\n1e308,0,0\n1.5e308,0,0\n-1,0,1\n")
+    out = tmp_path / "m.csv"
+    code, stdout, err = run(capsys, "measure", "--model",
+                            tmp_path / "model.json", "--data", data,
+                            "--estimator", "taylor", "--out", out)
+    assert code == 3
+    assert err.startswith("error: summary holds a non-finite value")
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_measure_tv_normalize_computes_the_total_variation_once(
+        capsys, tmp_path, monkeypatch):
+    calls = []
+    original = marginlab.margin.compute_total_variation
+
+    def counted(acts):
+        calls.append(acts.shape)
+        return original(acts)
+
+    monkeypatch.setattr(marginlab.margin, "compute_total_variation", counted)
+    monkeypatch.setattr(marginlab.cli, "compute_total_variation", counted)
+    model, _ = train(capsys, tmp_path, gen(capsys, tmp_path))
+    code, stdout, _ = run(capsys, "measure", "--model", model, "--data",
+                          tmp_path / "blobs.mwds", "--estimator", "taylor",
+                          "--layer", 1, "--tv-normalize",
+                          "--out", tmp_path / "m.csv")
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(stdout)["total_variation"] > 0
+
+
+@pytest.mark.parametrize("scheme", ["znorm", "minmax"])
+def test_train_overflowing_normalization_exits_3_and_writes_nothing(
+        capsys, tmp_path, scheme):
+    # the spread of features near the float limit overflows a float, so
+    # the model's scales would be infinite, a model no reader takes
+    data = tmp_path / "big.csv"
+    data.write_text(_NEAR_LIMIT)
+    out = tmp_path / "model.json"
+    code, stdout, err = run(capsys, "train", "--data", data, "--hidden", 4,
+                            "--normalize", scheme, "--out", out)
+    assert code == 3
+    assert err.splitlines() == [f"error: {scheme} normalization overflows"]
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_sweep_overflowing_normalization_fails_at_its_stage(capsys,
+                                                            tmp_path):
+    for name in ("train.csv", "test.csv"):
+        (tmp_path / name).write_text(_NEAR_LIMIT)
+    out_dir = tmp_path / "out"
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({
+        "dataset": {"path": str(tmp_path / "train.csv"),
+                    "test_path": str(tmp_path / "test.csv")},
+        "corruptions": [{"mode": "label", "fraction": 0.5}],
+        "widths": [3], "train": {"epochs": 2, "batch_size": 4},
+        "output_dir": str(out_dir)}))
+    code, stdout, err = run(capsys, "sweep", "--config", cfg_path)
+    assert code == 3
+    assert err.splitlines() == ["error: stage normalize: znorm "
+                                "normalization overflows"]
+    assert stdout == ""
+    assert not out_dir.exists()
+
+
+def test_pca_knee_failure_writes_nothing(capsys, tmp_path):
+    # two features give two components, too few for a knee
+    data = gen(capsys, tmp_path, dim=2)
+    out = tmp_path / "pca.json"
+    code, stdout, err = run(capsys, "pca", "--data", data, "--knee",
+                            "--out", out)
+    assert code == 2
+    assert "knee selection needs at least 3" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, what", [("evaluate", "models file"),
+                                           ("sweep", "sweep config")])
+@pytest.mark.parametrize("content", [None, b"[{", b"\xff[]"],
+                         ids=["missing", "bad-json", "bad-utf8"])
+def test_unreadable_json_input_is_named_with_its_role(capsys, tmp_path,
+                                                      command, what,
+                                                      content):
+    path = tmp_path / "in.json"
+    if content is not None:
+        path.write_bytes(content)
+    argv = (["evaluate", "--models", path, "--metric", "kendall",
+             "--measure-col", "m"] if command == "evaluate"
+            else ["sweep", "--config", path])
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {path}: cannot read {what} (")
+    assert len(err.splitlines()) == 1
+    assert stdout == ""
+
+
+def test_measure_overflowing_forward_pass_exits_3_and_writes_nothing(
+        capsys, tmp_path):
+    # weights of 10 take a row near the float limit past it in layer 1
+    net = Network([DenseLayer(np.array([[10.0, 10.0], [1.0, -1.0]]),
+                              np.zeros(2), "relu"),
+                   DenseLayer(np.eye(2), np.zeros(2), "none")], 2, 2,
+                  norm_meta=None)
+    save_model(net, tmp_path / "model.json")
+    data = tmp_path / "d.csv"
+    data.write_text("f0,f1,label\n1e308,1e308,0\n-1,2,1\n")
+    out = tmp_path / "m.csv"
+    code, stdout, err = run(capsys, "measure", "--model",
+                            tmp_path / "model.json", "--data", data,
+                            "--include-misclassified", "--out", out)
+    assert code == 3
+    assert err.splitlines() == ["error: the forward pass overflows"]
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_corrupt_overflowing_input_noise_exits_3_and_writes_nothing(
+        capsys, tmp_path):
+    data = tmp_path / "big.csv"
+    data.write_text(_NEAR_LIMIT)
+    out, report = tmp_path / "c.csv", tmp_path / "r.json"
+    code, stdout, err = run(capsys, "corrupt", "--in", data, "--out", out,
+                            "--mode", "input", "--fraction", 1.0,
+                            "--report", report)
+    assert code == 3
+    assert err.splitlines() == ["error: sample 0's feature mean or spread "
+                                "overflows"]
+    assert stdout == ""
+    assert not out.exists() and not report.exists()

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marginlab._csvio import csv_text, read_numeric_csv, write_csv
+from marginlab._atomic import write_file
+from marginlab._csvio import csv_text, read_numeric_csv
 from marginlab.errors import ConfigError
 
 
@@ -69,22 +70,22 @@ def test_csv_text_matches_per_cell_formatter(table):
 
 def test_csv_columns_of_different_lengths_are_refused(tmp_path):
     with pytest.raises(ValueError, match="differ in length"):
-        write_csv(tmp_path / "t.csv", ["a", "b"],
-                  [np.arange(3), np.arange(2.0)])
+        write_file(tmp_path / "t.csv", csv_text(
+            ["a", "b"], [np.arange(3), np.arange(2.0)]))
     assert list(tmp_path.iterdir()) == []
 
 
-def test_write_csv_leaves_no_file_when_a_row_fails(tmp_path):
+def test_a_csv_row_that_fails_to_format_leaves_no_file(tmp_path):
     class Unprintable:
         def __str__(self):
             raise ValueError("no text")
 
     # the bad cell lies past the first block of rows, so part of the table
-    # has been written when it fails
+    # has been formatted when it fails
     cells = np.array([1.5] * 1000 + [Unprintable()], dtype=object)
     path = tmp_path / "t.csv"
     with pytest.raises(ValueError, match="no text"):
-        write_csv(path, ["a"], [cells])
+        write_file(path, csv_text(["a"], [cells]))
     assert list(tmp_path.iterdir()) == []
 
 

@@ -7,7 +7,11 @@ import pytest
 import marginlab.margin
 import marginlab.nnet
 from marginlab.data import BlobConfig, gen_blobs, normalize
-from marginlab.errors import DegenerateVarianceError, DomainError
+from marginlab.errors import (
+    DegenerateVarianceError,
+    DomainError,
+    NumericalError,
+)
 from marginlab.margin import (
     SearchConfig,
     SearchStatus,
@@ -1065,3 +1069,37 @@ def test_tv_normalizer_over_network_layers():
         tv = compute_total_variation(A)
         assert tv > 0
         assert np.allclose(tv_normalize(margins, A), margins / tv)
+
+
+# ---------------------------------------------------------------------------
+# overflow
+
+
+def _half_line():
+    """A linear two-class net whose logit gap at x is x[0] and whose
+    gradient is (1, 0): the closed-form margin of x is |x[0]|."""
+    return Network([DenseLayer(np.array([[0.5, 0.0], [-0.5, 0.0]]),
+                               np.zeros(2), "none")], 2, 2)
+
+
+@pytest.mark.parametrize("batch_mean", [False, True])
+def test_search_whose_iterate_distance_overflows_raises(batch_mean):
+    # the first step from 1e308 lands 0.25e308 away, whose square overflows
+    X = np.array([[1e308, 0.0], [-1.0, 0.0]])
+    with pytest.raises(NumericalError, match="iterate's distance or logit "
+                                             "gap overflows"):
+        search_margins(_half_line(), 0, X, SearchConfig(),
+                       batch_mean=batch_mean)
+
+
+def test_closed_form_near_the_float_limit_is_finite_or_raises():
+    net = _half_line()
+    # the gap 1e308 is finite, and so is the margin
+    table = search_margins(net, 0, np.array([[1e308, 0.0]]))
+    assert table.d_best.tolist() == [1e308]
+    # the logits 2e308 apart overflow their difference
+    wide = Network([DenseLayer(np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                               np.zeros(2), "none")], 2, 2)
+    with pytest.raises(NumericalError, match="logit gap or gradient norm "
+                                             "overflows"):
+        search_margins(wide, 0, np.array([[1e308, 0.0]]))

@@ -35,6 +35,7 @@ from .data import apply_normalization
 from .errors import (
     DegenerateVarianceError,
     DomainError,
+    NumericalError,
     _checked_rows,
     check_integers,
     check_overflow,
@@ -232,14 +233,23 @@ class _RowGradients:
 def _nearest_boundary(o, base, norms):
     """Each row's nearest linearized boundary: the competitor j minimizing
     |o_j| / ||grad o_j||, that distance, and whether the row is stuck, with
-    no competitor whose gradient norm reaches ``_DEGENERATE``."""
+    no competitor whose gradient norm reaches ``_DEGENERATE``. A distance
+    that overflows, a finite gap over such a norm, is a NumericalError."""
     r = np.arange(o.shape[0])
-    ratios = np.where(norms < _DEGENERATE, np.inf,
-                      np.abs(o) / np.maximum(norms, _DEGENERATE))
+    usable = norms >= _DEGENERATE
+    ratios = np.where(usable, np.abs(o) / np.maximum(norms, _DEGENERATE),
+                      np.inf)
     ratios[r, base] = np.inf
     j = np.argmin(ratios, axis=1)
     dist = ratios[r, j]
-    return j, dist, np.isinf(dist)
+    stuck = np.isinf(dist)
+    rows = np.flatnonzero(stuck)
+    if rows.size:
+        usable = usable.take(rows, 0)
+        usable[np.arange(rows.size), base.take(rows)] = False
+        if usable.any():
+            raise NumericalError("a linearized boundary distance overflows")
+    return j, dist, stuck
 
 
 def _next_step(o, base, grads: _RowGradients, rows, rate: float):

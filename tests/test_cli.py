@@ -834,6 +834,46 @@ def test_evaluate_granulated_and_csv_output(capsys, tmp_path):
     assert len(lines) == 4  # two axes + mean row + header
 
 
+def _csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_evaluate_quotes_a_measure_name_holding_csv_syntax(capsys,
+                                                          tmp_path):
+    # a comma, a quote or a line break in a text cell is quoted as the csv
+    # module quotes it, so the data row stays one row of three cells
+    name = 'm,1"\n'
+    entries = [{"hyperparams": {"width": str(w)}, "train_acc": 1.0,
+                "test_acc": acc, "measures": {name: mm}}
+               for w, acc, mm in [(8, 0.4, 1.0), (16, 0.3, 2.0)]]
+    out = tmp_path / "scores.csv"
+    code, _, _ = run(capsys, "evaluate", "--models",
+                     models_file(tmp_path, entries), "--metric", "kendall",
+                     "--measure-col", name, "--out", out)
+    assert code == 0
+    assert out.read_text() == ('metric,measure,value\n'
+                               'kendall,"m,1""\n",-1.0\n')
+    assert _csv_rows(out) == [["metric", "measure", "value"],
+                              ["kendall", name, "-1.0"]]
+
+
+def test_evaluate_granulated_quotes_an_axis_name_holding_a_comma(capsys,
+                                                                tmp_path):
+    entries = [{"hyperparams": {"wid,th": str(w), "seed": str(s)},
+                "train_acc": 1.0, "test_acc": 0.5 + 0.1 * (w == 16),
+                "measures": {"mm": float(w + s)}}
+               for w in (8, 16) for s in (0, 1)]
+    out = tmp_path / "scores.csv"
+    code, _, _ = run(capsys, "evaluate", "--models",
+                     models_file(tmp_path, entries), "--metric",
+                     "granulated", "--measure-col", "mm", "--out", out)
+    assert code == 0
+    rows = _csv_rows(out)
+    assert [len(r) for r in rows] == [4, 4, 4, 4]
+    assert sorted(r[0] for r in rows[1:]) == ["mean", "seed", "wid,th"]
+
+
 def test_evaluate_cmi_negates_measure(capsys, tmp_path):
     # measure = -gap exactly, so with the sign convention complexity == gap
     # and the score must be perfect
@@ -1318,6 +1358,28 @@ def test_measure_overflowing_search_exits_3_and_writes_nothing(capsys,
                                 "logit gap overflows"]
     assert stdout == ""
     assert not out.exists() and not boundary.exists()
+
+
+@pytest.mark.parametrize("estimator", ["taylor", "deepfool"])
+def test_measure_overflowing_linearized_distance_exits_3_and_writes_nothing(
+        capsys, tmp_path, estimator):
+    # gap 1e300 over a gradient norm of 1e-11 at the one correctly
+    # classified row: the first linearized distance overflows
+    net = Network([DenseLayer(np.array([[5e-12, 0.0], [-5e-12, 0.0]]),
+                              np.array([1e300, 0.0]), "none")], 2, 2,
+                  norm_meta=None)
+    save_model(net, tmp_path / "model.json")
+    data = tmp_path / "d.csv"
+    data.write_text("f0,f1,label\n1,0,0\n-1,0,1\n")
+    out = tmp_path / "m.csv"
+    code, stdout, err = run(capsys, "measure", "--model",
+                            tmp_path / "model.json", "--data", data,
+                            "--estimator", estimator, "--out", out)
+    assert code == 3
+    assert err.splitlines() == ["error: a linearized boundary distance "
+                                "overflows"]
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_measure_summary_overflow_writes_nothing(capsys, tmp_path):

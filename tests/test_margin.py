@@ -229,6 +229,43 @@ def test_taylor_margin_degenerate_pair_errors():
     assert one_row(net, 0, np.array([1.0, 2.0])).stuck.tolist() == [True]
 
 
+def overflowing_distance_net():
+    """A linear 2-class net whose gap at x = (1, 0) is 1e300 and whose
+    logit-difference gradient has norm 1e-11: the linearized distance,
+    1e311, overflows."""
+    layer = DenseLayer(weights=np.array([[5e-12, 0.0], [-5e-12, 0.0]]),
+                       bias=np.array([1e300, 0.0]), activation="none")
+    return Network(layers=[layer], input_dim=2, num_classes=2, norm_meta=None)
+
+
+@pytest.mark.parametrize("cfg, batch_mean", [(None, False),
+                                             (SearchConfig(), False),
+                                             (SearchConfig(), True)])
+def test_an_overflowing_linearized_distance_is_a_numerical_error(
+        cfg, batch_mean):
+    # a finite gap over a usable gradient norm: not a stuck row
+    with pytest.raises(NumericalError, match="boundary distance overflows"):
+        one_row(overflowing_distance_net(), 0, np.array([1.0, 0.0]), cfg,
+                batch_mean=batch_mean)
+
+
+@pytest.mark.parametrize("batch_mean", [False, True])
+def test_rows_whose_every_gradient_vanishes_stay_stuck(batch_mean):
+    # the same gap with no usable gradient: stuck, not an overflow
+    layer = DenseLayer(weights=np.zeros((2, 2)),
+                       bias=np.array([1e300, 0.0]), activation="none")
+    net = Network(layers=[layer], input_dim=2, num_classes=2, norm_meta=None)
+    X = np.array([[1.0, 0.0], [-3.0, 2.0]])
+    closed = search_margins(net, 0, X)
+    assert closed.stuck.tolist() == [True, True]
+    assert np.isinf(closed.d_best).all()
+    searched = search_margins(net, 0, X, SearchConfig(),
+                              batch_mean=batch_mean)
+    assert [STATUSES[k] for k in searched.status] == [
+        SearchStatus.NO_DESCENT] * 2
+    assert searched.steps.tolist() == [0, 0]
+
+
 # ---------------------------------------------------------------------------
 # DeepFool margin, single sample
 

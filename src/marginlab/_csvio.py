@@ -116,10 +116,11 @@ _E4, _E8 = _U(10 ** 4), _U(10 ** 8)
 # a slot holds 11 four-byte words: the sign, 16 integer digits as four
 # 4-digit groups, the point, 20 fraction digits as five groups. A word is
 # its index into the table of ``_slot_words``: a group's value plus the
-# offset of the section that writes it
+# offset of the section that writes it, or one of the single words
 _SLOT = 44
-_LEAD, _UNITS, _TRAIL, _TENTHS = 10000, 20000, 30000, 40000
-_DOT, _MINUS, _NUL = 50000, 50001, 50002     # a NUL word follows "-"
+_LEAD, _TRAIL = 10000, 20000
+_DOT, _MINUS, _NUL = 30000, 30001, 30002     # a NUL word follows "-"
+_UNITS, _TENTHS = 30003, 30004              # "0" alone, as units or tenths
 
 
 @functools.cache
@@ -127,27 +128,21 @@ def _slot_words() -> np.ndarray:
     """The four bytes of every slot word, built on first use. Sections of
     10000 write the groups "0000" to "9999": in full; with leading zeros
     as NULs (``_LEAD``, a group before which the integer part has only
-    zeros), keeping the units digit (``_UNITS``); with trailing zeros as
-    NULs (``_TRAIL``, a group after which the fraction has only zeros),
-    keeping the tenths digit (``_TENTHS``). Then the point and the minus
-    sign, each after three NULs, and four NULs."""
-    scale = np.array([1000, 100, 10, 1], dtype=np.uint16)
-    digits = (np.arange(10000, dtype=np.uint16)[:, None] // scale
-              % 10).astype(np.uint8)
-    place = np.arange(4, dtype=np.uint8)
-    first = np.argmax(digits != 0, axis=1).astype(np.uint8)[:, None]
-    last = 3 - np.argmax(digits[:, ::-1] != 0,
-                         axis=1).astype(np.uint8)[:, None]
-    zero = (digits == 0).all(axis=1)[:, None]
-    text = digits + np.uint8(ord("0"))
-    words = np.zeros((50003, 4), dtype=np.uint8)
-    words[:_LEAD] = text
-    lead, trail = (place >= first) & ~zero, (place <= last) & ~zero
-    words[_LEAD:_UNITS] = np.where(lead, text, 0)
-    words[_UNITS:_TRAIL] = np.where(lead | (place == 3), text, 0)
-    words[_TRAIL:_TENTHS] = np.where(trail, text, 0)
-    words[_TENTHS:_DOT] = np.where(trail | (place == 0), text, 0)
+    zeros); with trailing zeros as NULs (``_TRAIL``, a group after which
+    the fraction has only zeros). Both write group 0 as four NULs. Then
+    the point and the minus sign, each after three NULs, four NULs, and
+    the zero group that keeps its units digit (``_UNITS``) and the one
+    that keeps its tenths digit (``_TENTHS``)."""
+    words = np.zeros((30005, 4), dtype=np.uint8)
+    group = np.arange(10000, dtype=np.uint16)
+    for place, scale in enumerate((1000, 100, 10, 1)):
+        text = group // scale % 10 + ord("0")
+        words[:_LEAD, place] = text
+        # shown after a nonzero digit before it, or before one after it
+        words[_LEAD:_TRAIL, place] = text * (group >= scale)
+        words[_TRAIL:_DOT, place] = text * (group % (10 * scale) != 0)
     words[_DOT, 3], words[_MINUS, 3] = ord("."), ord("-")
+    words[_UNITS, 3] = words[_TENTHS, 0] = ord("0")
     return words.view(np.uint32).ravel()
 
 
@@ -270,9 +265,9 @@ def _integer_words(mag, count: int) -> list:
     for j in range(count):
         scale = 10 ** (4 * (count - 1 - j))
         group = (mag // _U(scale) % _E4).astype(np.intp)
-        section = _UNITS if j == count - 1 else _LEAD
-        words.append(group + (section if j == 0 else
-                              section * (mag < _U(10 ** 4 * scale))))
+        words.append(group + (_LEAD if j == 0 else
+                              _LEAD * (mag < _U(10 ** 4 * scale))))
+    words[-1] += (_UNITS - _LEAD) * (mag == 0)
     return words
 
 
@@ -281,9 +276,10 @@ def _fraction_words(head, tail) -> list:
     in ``head`` and the other 12 in ``tail``: up to the last nonzero
     digit, the tenths digit at least."""
     low = head % _E4
-    return [(head // _E4).astype(np.intp)
-            + _TENTHS * ((low == 0) & (tail == 0)),
-            low.astype(np.intp) + _TRAIL * (tail == 0),
+    rest = tail == 0
+    return [(head // _E4).astype(np.intp) + _TRAIL * ((low == 0) & rest)
+            + (_TENTHS - _TRAIL) * ((head == 0) & rest),
+            low.astype(np.intp) + _TRAIL * rest,
             (tail // _E8).astype(np.intp) + _TRAIL * (tail % _E8 == 0),
             (tail // _E4 % _E4).astype(np.intp) + _TRAIL * (tail % _E4 == 0),
             (tail % _E4).astype(np.intp) + _TRAIL]

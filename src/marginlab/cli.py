@@ -278,9 +278,10 @@ def _models_table(data: list, measure_col: str,
                   axes: bool) -> ModelTable | None:
     """The entries of ``data`` as a table, or None when one of them fails a
     check of ``_raise_first_bad_entry``. Each check is one pass over all
-    entries in C: ``map``, ``set``, ``all`` and ``operator.itemgetter``."""
+    entries in C: ``map``, ``set``, ``set.union``, ``all`` and
+    ``operator.itemgetter``."""
     if set(map(type, data)) != {dict} \
-            or not all(map(_ENTRY_ALLOWED.issuperset, data)):
+            or not set().union(*data) <= _ENTRY_ALLOWED:
         return None
     try:
         hyper, train, test, measures = zip(*map(_ENTRY_FIELDS, data))
@@ -299,13 +300,24 @@ def _models_table(data: list, measure_col: str,
         return None
     if not np.isfinite(values).all():
         return None
-    keys = hyper[0].keys()
-    if axes and not all(map(keys.__eq__, map(dict.keys, hyper))):
+    tokens = _axis_columns(hyper) if axes else {}
+    if tokens is None:
         return None
     train, test, measure = values
-    tokens = {name: list(map(str, map(operator.itemgetter(name), hyper)))
-              for name in keys} if axes else {}
     return ModelTable.from_tokens(tokens, measure, train - test, test)
+
+
+def _axis_columns(hyper: tuple) -> dict | None:
+    """Each axis's hyperparameter values, one per entry, or None when some
+    entry names other axes than entry 0. When every entry lists its axes
+    in one order, one pass over the entries' values splits the columns."""
+    if len(set(map(tuple, hyper))) == 1:
+        return dict(zip(hyper[0], zip(*map(dict.values, hyper))))
+    keys = hyper[0].keys()
+    if not all(map(keys.__eq__, map(dict.keys, hyper))):
+        return None
+    return {name: list(map(operator.itemgetter(name), hyper))
+            for name in keys}
 
 
 def _raise_first_bad_entry(path, data: list, measure_col: str,

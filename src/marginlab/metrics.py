@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -95,34 +95,64 @@ class ModelTable:
     test_accuracy: np.ndarray
 
     def __post_init__(self):
-        n = len(self.codes)
+        codes = self.codes
+        if not (isinstance(self.names, tuple) and isinstance(codes, np.ndarray)
+                and codes.dtype == np.intp and codes.ndim == 2):
+            raise DomainError("a model table needs a tuple of axis names "
+                              "and an intp matrix of token ids")
+        n = len(codes)
         if n == 0:
             raise DomainError("no models given")
         values = (self.complexity, self.gen_gap, self.test_accuracy)
-        if self.codes.shape != (n, len(self.names)) \
-                or any(v.shape != (n,) for v in values):
+        if codes.shape[1] != len(self.names) or not all(
+                isinstance(v, np.ndarray) and v.dtype == np.float64
+                and v.shape == (n,) for v in values):
             raise DomainError("model table columns differ in length")
         if not np.isfinite(values).all():
             raise DomainError("model table values must be finite")
+        # an axis has at most n tokens
+        if codes.size and not 0 <= codes.min() <= codes.max() < n:
+            raise DomainError(f"token ids must lie in [0, {n})")
 
     @classmethod
-    def from_tokens(cls, tokens: Mapping[str, Sequence[str]], complexity,
+    def from_tokens(cls, tokens: Mapping[str, Sequence], complexity,
                     gen_gap, test_accuracy) -> "ModelTable":
-        """The table whose axis ``name`` holds the token strings
-        ``tokens[name]``, one per model."""
+        """The table whose axis ``name`` holds the tokens ``str(v)`` of the
+        values ``tokens[name]``, a sequence with one value per model; a
+        string is its own token. Each distinct value of an all-int or
+        all-float column is turned into its token once
+        (``_token_codes``), with the codes that stringifying every value
+        would give. Columns of another length than ``complexity``, names
+        that are not strings and values that are not finite are a
+        ``DomainError``."""
+        if not isinstance(tokens, Mapping) \
+                or not all(isinstance(name, str) for name in tokens):
+            raise DomainError("tokens must map axis names to token columns")
+        complexity, gen_gap, test_accuracy = (
+            np.asarray(v, dtype=np.float64)
+            for v in (complexity, gen_gap, test_accuracy))
+        if complexity.ndim != 1:
+            raise DomainError("complexity must hold one value per model")
+        n = complexity.size
         names = tuple(sorted(tokens))
-        codes = np.empty((len(complexity), len(names)), dtype=np.intp)
+        codes = np.empty((n, len(names)), dtype=np.intp)
         for j, name in enumerate(names):
             column = tokens[name]
-            ids = {token: k for k, token in enumerate(sorted(set(column)))}
-            codes[:, j] = list(map(ids.__getitem__, column))
-        return cls(names, codes,
-                   *(np.asarray(v, dtype=np.float64)
-                     for v in (complexity, gen_gap, test_accuracy)))
+            if not (isinstance(column, Sequence) or isinstance(
+                    column, np.ndarray) and column.ndim == 1) \
+                    or len(column) != n:
+                raise DomainError(f"token column {name!r} needs one value "
+                                  f"per model, {n} in all")
+            codes[:, j] = _token_codes(column)
+        return cls(names, codes, complexity, gen_gap, test_accuracy)
 
     @classmethod
     def from_models(cls, models: Sequence[EvaluatedModel]) -> "ModelTable":
         """The table of ``models``, which must all name the same axes."""
+        if not isinstance(models, Sequence) \
+                or not all(isinstance(m, EvaluatedModel) for m in models):
+            raise DomainError("models must be a ModelTable or a sequence of "
+                              "EvaluatedModel")
         if not models:
             raise DomainError("no models given")
         keys = models[0].config.values.keys()
@@ -132,6 +162,42 @@ class ModelTable:
             {name: [m.config.values[name] for m in models] for name in keys},
             [m.complexity for m in models], [m.gen_gap for m in models],
             [m.test_accuracy for m in models])
+
+
+def _token_codes(column: Sequence) -> np.ndarray | list[int]:
+    """Each value's id among the sorted distinct tokens ``str(v)`` of
+    ``column``.
+
+    In a column of only ``int``s that fit int64, or of only finite
+    ``float``s none of which is -0.0, two values have one token exactly
+    when they are equal, so one ``np.unique`` finds the distinct values and
+    only those are stringified and sorted. Every other column (strings,
+    bools, None, lists, ``1`` beside ``1.0``, -0.0, nan, inf, ints beyond
+    int64) stringifies each value.
+    """
+    kinds = set(map(type, column))
+    values = None
+    if kinds == {int}:
+        try:
+            values = np.array(column, dtype=np.int64)
+        except OverflowError:
+            pass
+    elif kinds == {float}:
+        values = np.array(column, dtype=np.float64)
+        # -0.0 equals 0.0 but its token differs
+        if not np.isfinite(values).all() \
+                or np.signbit(values[values == 0]).any():
+            values = None
+    if values is None:
+        strings = list(map(str, column))
+        ids = {token: k for k, token in enumerate(sorted(set(strings)))}
+        return list(map(ids.__getitem__, strings))
+    distinct, inverse = np.unique(values, return_inverse=True)
+    strings = list(map(str, distinct.tolist()))
+    rank = np.empty(len(strings), dtype=np.intp)
+    rank[sorted(range(len(strings)), key=strings.__getitem__)] = \
+        np.arange(len(strings))
+    return rank[inverse]
 
 
 def _as_table(models: ModelTable | Sequence[EvaluatedModel]) -> ModelTable:
@@ -624,7 +690,17 @@ def fit_linear_predictor(features: np.ndarray,
         raise DomainError("feature rows and gap values must correspond")
     if not np.all(np.isfinite(g)):
         raise DomainError("predictor inputs contain non-finite values")
-    X = np.hstack([Phi, np.ones((Phi.shape[0], 1))])
+    return _solve_normal_equations(_design(Phi), g)
+
+
+def _design(Phi: np.ndarray) -> np.ndarray:
+    """The design matrix [ln theta, 1] of the log features ``Phi``."""
+    return np.hstack([Phi, np.ones((Phi.shape[0], 1))])
+
+
+def _solve_normal_equations(X: np.ndarray, g: np.ndarray) -> PredictorFit:
+    """The ridge-stabilized least-squares fit of the finite gaps ``g`` on
+    the design matrix ``X``; a FitError when it has no finite solution."""
     A = X.T @ X + _RIDGE * np.eye(X.shape[1])
     try:
         # gaps near the float limit overflow X.T @ g; the check below
@@ -670,8 +746,12 @@ def cross_validate_predictor(features: np.ndarray, gaps: np.ndarray,
     """Held-out R^2 of the linear predictor over k folds x shuffle rounds.
 
     ``k`` and ``shuffles`` are integers, ``seed`` an integer >= 0, and
-    ``features`` a matrix with one row per gap value; anything else is a
-    ``DomainError``.
+    ``features`` a matrix of finite values with one row per finite gap
+    value; anything else is a ``DomainError``, raised before any fold is
+    fitted. The features are log-transformed and the design matrix built
+    once per call; each fold fits its rows of them as
+    ``fit_linear_predictor`` would and scores ``predict_gap``'s
+    predictions, so every score has the bits of that per-fold loop.
     """
     check_integers(k=k, shuffles=shuffles)
     check_seed(seed)
@@ -682,12 +762,17 @@ def cross_validate_predictor(features: np.ndarray, gaps: np.ndarray,
     if F.ndim != 2 or F.shape[0] != g.size:
         raise DomainError(f"features of shape {F.shape} need one row per "
                           f"gap value, of which there are {g.size}")
+    Phi = _log_features(F)
+    if not np.all(np.isfinite(g)):
+        raise DomainError("predictor inputs contain non-finite values")
+    X = _design(Phi)
     scores = []
     for shuffle_index in range(shuffles):
         for fold in kfold_splits(g.size, k, seed, shuffle_index):
             mask = np.ones(g.size, dtype=bool)
             mask[fold] = False
-            fit = fit_linear_predictor(F[mask], g[mask])
-            scores.append(r_squared(g[fold], predict_gap(fit, F[fold])))
+            fit = _solve_normal_equations(X[mask], g[mask])
+            scores.append(r_squared(g[fold],
+                                    Phi[fold] @ fit.alpha + fit.intercept))
     return CrossValResult(mean_r2=sum(scores) / len(scores),
                           per_fold=tuple(scores))

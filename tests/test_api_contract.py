@@ -16,15 +16,20 @@ from hypothesis.extra import numpy as hnp
 from marginlab import (
     Dataset,
     DomainError,
+    EvaluatedModel,
+    HyperparamConfig,
+    ModelTable,
     NumericalError,
     SearchConfig,
     WorkbenchError,
     adv_directions,
+    cmi_score,
     cross_validate_predictor,
     cumulative_share,
     extract_signature,
     fit_linear_predictor,
     fit_pca,
+    granulated_kendall,
     kendall_tau,
     max_margin,
     normalize,
@@ -238,6 +243,112 @@ def test_compute_total_variation(acts):
 @given(arrays(), st.one_of(arrays(), matrices()))
 def test_tv_normalize(margins, acts):
     _returns_or_raises_workbench_error(tv_normalize, margins, acts)
+
+
+# ranking tables: token columns of every kind of value a models file holds,
+# of matching length or not, and things that are not columns at all
+_TOKEN_VALUES = st.one_of(
+    st.integers(-2, 3), st.integers(2 ** 63, 2 ** 64), FINITE,
+    st.sampled_from([np.nan, np.inf, True, None, "a", "1", (1,)]),
+    st.lists(st.integers(0, 1), max_size=2))
+_NOT_COLUMNS = st.sampled_from([None, 3, 2.5, np.zeros((2, 2)),
+                                np.zeros(()), np.arange(3.0)])
+_NAMES = st.sampled_from(["a", "b", "c", "d"])
+TARGETS = st.sampled_from(["gen_gap", "test_accuracy", "accuracy"])
+
+
+def _token_tables(n):
+    """from_tokens arguments for n models: half of them well formed, the
+    others with a column or value array now and then of another length or
+    kind."""
+    matched = st.lists(_TOKEN_VALUES, min_size=n, max_size=n)
+    finite = hnp.arrays(np.float64, (n,), elements=FINITE)
+    columns = st.one_of(matched, st.lists(_TOKEN_VALUES, max_size=6),
+                        _NOT_COLUMNS)
+    tokens = st.one_of(st.dictionaries(_NAMES, columns, max_size=4),
+                       st.sampled_from([None, [], ["a"], {1: [1]},
+                                        {"a": 1}]))
+    values = st.one_of(_filled((n,)), arrays(max_dims=2, max_side=6))
+    return st.one_of(
+        st.tuples(st.dictionaries(_NAMES, matched, max_size=4), finite,
+                  finite, finite),
+        st.tuples(tokens, values, values, values))
+
+
+def _scores_or_errors(models, target):
+    """Every ranking metric of ``models``: each returns or raises a
+    WorkbenchError."""
+    for name in ("a", "b", "c", "d", "missing"):
+        _returns_or_raises_workbench_error(granulated_kendall, models, name,
+                                           target)
+    _returns_or_raises_workbench_error(cmi_score, models, target)
+
+
+@CONTRACT
+@given(st.integers(0, 6).flatmap(_token_tables), TARGETS)
+def test_model_table_from_tokens(args, target):
+    try:
+        table = ModelTable.from_tokens(*args)
+    except WorkbenchError:
+        return
+    _scores_or_errors(table, target)
+
+
+def _direct_tables(shape):
+    """ModelTable fields for an (n x axes) table: half of them well formed,
+    the others with ids from -1 to n, of intp or another dtype, and value
+    arrays of any shape."""
+    n, axes = shape
+    names = st.lists(_NAMES, min_size=axes, max_size=axes,
+                     unique=True).map(tuple)
+    finite = hnp.arrays(np.float64, (n,), elements=FINITE)
+    codes = st.one_of(
+        hnp.arrays(np.intp, (n, axes), elements=st.integers(-1, n)),
+        hnp.arrays(st.sampled_from([np.int32, np.uint64, np.float64]),
+                   hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                    max_side=4)),
+        st.just([[0] * axes] * n))
+    values = st.one_of(_filled((n,)), arrays(max_dims=2, max_side=6),
+                       st.just([0.0] * n))
+    return st.one_of(
+        st.tuples(names, hnp.arrays(np.intp, (n, axes),
+                                    elements=st.integers(0, max(n - 1, 0))),
+                  finite, finite, finite),
+        st.tuples(st.one_of(names, st.sampled_from([(), ("a",),
+                                                    ["a", "b"]])),
+                  codes, values, values, values))
+
+
+@CONTRACT
+@given(st.tuples(st.integers(0, 6), st.integers(0, 4)).flatmap(
+    _direct_tables), TARGETS)
+def test_model_table(fields, target):
+    try:
+        table = ModelTable(*fields)
+    except WorkbenchError:
+        return
+    _scores_or_errors(table, target)
+
+
+def _model_lists(axes):
+    """Lists of models that name ``axes``, and lists holding other
+    things."""
+    config = st.fixed_dictionaries(
+        {name: st.sampled_from(["0", "1", 2, 2.5]) for name in axes}).map(
+            HyperparamConfig)
+    models = st.builds(EvaluatedModel, config, FINITE, FINITE, FINITE)
+    return st.one_of(
+        st.lists(models, max_size=8),
+        st.lists(st.one_of(models, st.none(), st.integers(),
+                           st.text(max_size=2)), max_size=4),
+        st.sampled_from([None, 3, "abc", np.zeros(3)]))
+
+
+@CONTRACT
+@given(st.lists(_NAMES, min_size=1, max_size=4, unique=True).flatmap(
+    _model_lists), TARGETS)
+def test_ranking_metrics_on_model_lists(models, target):
+    _scores_or_errors(models, target)
 
 
 # the cases first probed by hand, each named once more outright

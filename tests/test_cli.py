@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import warnings
 from unittest import mock
@@ -918,6 +919,118 @@ def test_evaluate_cmi_reports_retained_pairs(capsys, tmp_path):
     assert set(result["retained_pairs"]) == set(result["per_pair"])
     assert out.read_text().splitlines()[0] == "pair,normalized_cmi"
     assert len(out.read_text().splitlines()) == 5
+
+
+# hyperparameter values of every JSON kind, one axis each: ints whose
+# string order is not their order ("10" < "9"), finite floats, ints beyond
+# int64, -0.0 beside 0.0, and one axis mixing 1, 1.0, true, null, a string,
+# a list, NaN and Infinity. A token is str(value), so 1, 1.0 and true are
+# three tokens and -0.0 is not 0.0
+_MIXED_AXES = {"int": [9, 10, -3], "lr": [0.1, 5e-05],
+               "wide": [2 ** 63, 7, -2 ** 63 - 1],
+               "zero": [0.0, -0.0, 0.5],
+               "mixed": [1, 1.0, True, None, "1", [1], float("nan"),
+                         float("inf")]}
+
+
+def _mixed_token_entries():
+    """About half of the grid of ``_MIXED_AXES``, with tied accuracies and
+    measures."""
+    rng = np.random.default_rng(29)
+    entries = []
+    for point in itertools.product(*_MIXED_AXES.values()):
+        if rng.random() < 0.5:
+            continue
+        test = int(rng.integers(4, 17)) / 20
+        entries.append({"hyperparams": dict(zip(_MIXED_AXES, point)),
+                        "train_acc": min(1.0, test
+                                         + int(rng.integers(0, 4)) / 20),
+                        "test_acc": test,
+                        "measures": {"mm": float(rng.integers(0, 12))}})
+    return entries
+
+
+# stdout and CSV of each metric on ``_mixed_token_entries``, as written
+# when every token was made by str() of its value
+_MIXED_EXPECTED = {
+    "kendall": (
+        '{"measure": "mm", "metric": "kendall", "models": 218,'
+        ' "target": "test_accuracy", "tau": -0.03559802139263518}\n',
+        'metric,measure,value\n'
+        'kendall,mm,-0.03559802139263518\n'),
+    "granulated": (
+        '{"mean_psi": -0.03377069406156974, "measure": "mm",'
+        ' "metric": "granulated",'
+        ' "per_axis": {"int": {"included_groups": 74,'
+        ' "psi": -0.1563063063063063, "skipped_groups": 38},'
+        ' "lr": {"included_groups": 55, "psi": 0.0030303030303030355,'
+        ' "skipped_groups": 91}, "mixed": {"included_groups": 52,'
+        ' "psi": -0.04239926739926737, "skipped_groups": 2},'
+        ' "wide": {"included_groups": 71, "psi": 0.07464788732394367,'
+        ' "skipped_groups": 42}, "zero": {"included_groups": 69,'
+        ' "psi": -0.04782608695652173, "skipped_groups": 42}},'
+        ' "target": "test_accuracy"}\n',
+        'axis,psi,included_groups,skipped_groups\n'
+        'int,-0.1563063063063063,74,38\n'
+        'lr,0.0030303030303030355,55,91\n'
+        'mixed,-0.04239926739926737,52,2\n'
+        'wide,0.07464788732394367,71,42\n'
+        'zero,-0.04782608695652173,69,42\n'
+        'mean,-0.03377069406156974,,\n'),
+    "cmi": (
+        '{"final": 1.1951993768792766, "measure": "mm", "metric": "cmi",'
+        ' "per_pair": {"int|lr": 0.011951993768792765,'
+        ' "int|mixed": 0.08014241325511658,'
+        ' "int|wide": 0.02399314711858824,'
+        ' "int|zero": 0.022908274007769854,'
+        ' "lr|mixed": 0.06833251832556445, "lr|wide": 0.014902149212799141,'
+        ' "lr|zero": 0.02197659649603477,'
+        ' "mixed|wide": 0.08995703154581935,'
+        ' "mixed|zero": 0.09370079647181717,'
+        ' "wide|zero": 0.012186813818206799},'
+        ' "retained_pairs": {"int|lr": 2941, "int|mixed": 896,'
+        ' "int|wide": 1980, "int|zero": 1954, "lr|mixed": 1357,'
+        ' "lr|wide": 2959, "lr|zero": 2907, "mixed|wide": 936,'
+        ' "mixed|zero": 880, "wide|zero": 1915}, "sign": "negated-measure",'
+        ' "target": "gen_gap"}\n',
+        'pair,normalized_cmi\n'
+        'int|lr,0.011951993768792765\n'
+        'int|mixed,0.08014241325511658\n'
+        'int|wide,0.02399314711858824\n'
+        'int|zero,0.022908274007769854\n'
+        'lr|mixed,0.06833251832556445\n'
+        'lr|wide,0.014902149212799141\n'
+        'lr|zero,0.02197659649603477\n'
+        'mixed|wide,0.08995703154581935\n'
+        'mixed|zero,0.09370079647181717\n'
+        'wide|zero,0.012186813818206799\n'
+        'final,1.1951993768792766\n'),
+    "r2": (
+        '{"measure": "mm", "metric": "r2", "r2": -12857.432102992536,'
+        ' "target": "gen_gap"}\n',
+        'metric,measure,value\n'
+        'r2,mm,-12857.432102992536\n'),
+}
+
+
+@pytest.mark.parametrize("reorder", [False, True],
+                         ids=["one-key-order", "mixed-key-orders"])
+def test_evaluate_mixed_tokens_write_the_stringified_scores(capsys, tmp_path,
+                                                            reorder):
+    entries = _mixed_token_entries()
+    if reorder:  # every fifth entry lists its axes backwards
+        for entry in entries[::5]:
+            entry["hyperparams"] = dict(
+                reversed(list(entry["hyperparams"].items())))
+    path = models_file(tmp_path, entries)
+    out = tmp_path / "scores.csv"
+    for metric, (stdout, csv_text) in _MIXED_EXPECTED.items():
+        code, out_text, err = run(capsys, "evaluate", "--models", path,
+                                  "--metric", metric, "--measure-col", "mm",
+                                  "--out", out)
+        assert (code, err) == (0, "")
+        assert out_text == stdout
+        assert out.read_text() == csv_text
 
 
 def test_evaluate_non_finite_score_exits_3_before_writing(capsys, tmp_path):

@@ -11,9 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marginlab import metrics
-from marginlab.errors import DomainError, UndefinedMetricError
+from marginlab.errors import (
+    DomainError,
+    FitError,
+    UndefinedMetricError,
+    WorkbenchError,
+)
 from marginlab.metrics import (
     CmiScore,
+    CrossValResult,
     EvaluatedModel,
     HyperparamConfig,
     MarginSignature,
@@ -848,6 +854,92 @@ def test_cross_validation_rejects_fewer_than_one_shuffle(shuffles):
         cross_validate_predictor(theta, gaps, k=3, shuffles=shuffles)
 
 
+def per_fold_cross_validation(features, gaps, k, shuffles, seed):
+    """Cross-validation as a loop of public calls: each fold is fitted by
+    ``fit_linear_predictor``, predicted by ``predict_gap`` and scored by
+    ``r_squared``."""
+    F = np.asarray(features, dtype=np.float64)
+    g = np.asarray(gaps, dtype=np.float64).ravel()
+    scores = []
+    for shuffle_index in range(shuffles):
+        for fold in kfold_splits(g.size, k, seed, shuffle_index):
+            mask = np.ones(g.size, dtype=bool)
+            mask[fold] = False
+            fit = fit_linear_predictor(F[mask], g[mask])
+            scores.append(r_squared(g[fold], predict_gap(fit, F[fold])))
+    return CrossValResult(mean_r2=sum(scores) / len(scores),
+                          per_fold=tuple(scores))
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type of the error it raises."""
+    try:
+        return fn(*args)
+    except WorkbenchError as exc:
+        return type(exc)
+
+
+# signature cells: ordinary, at or below the log clamp, and large enough
+# that a fit's normal equations lose their ridge
+_SIGNATURE_CELLS = st.one_of(
+    st.floats(0.01, 100.0),
+    st.sampled_from([0.0, -1.0, 1e-13, 1e-12, 1.0, 1e100, 1e300]))
+_GAP_CELLS = st.one_of(st.floats(-10.0, 10.0),
+                       st.sampled_from([0.0, 1.0, 1e300, -1e308]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cross_validation_equals_the_per_fold_loop(data):
+    n = data.draw(st.integers(2, 24))
+    features = np.array(data.draw(st.lists(
+        st.lists(_SIGNATURE_CELLS, min_size=5, max_size=5),
+        min_size=n, max_size=n)))
+    gaps = np.array(data.draw(st.lists(_GAP_CELLS, min_size=n, max_size=n)))
+    k = data.draw(st.integers(2, min(n, 5)))
+    args = (features, gaps, k, data.draw(st.integers(1, 3)),
+            data.draw(st.integers(0, 2 ** 32)))
+    got = outcome(cross_validate_predictor, *args)
+    want = outcome(per_fold_cross_validation, *args)
+    if isinstance(want, CrossValResult):
+        # bit for bit: a held-out gap of 1e300 overflows r_squared's sums
+        # to a score of -inf or NaN, which both return
+        assert isinstance(got, CrossValResult)
+        assert np.array([got.mean_r2, *got.per_fold]).tobytes() == \
+            np.array([want.mean_r2, *want.per_fold]).tobytes()
+    else:
+        assert got is want
+
+
+_CV_FEATURES = np.random.default_rng(127).uniform(0.5, 3.0, size=(9, 5))
+
+
+def _singular_after_fold_one():
+    """Signatures that only row 0 keeps from being constant near the float
+    limit: a fold that holds row 0 out has singular normal equations."""
+    features = np.full((9, 5), 1e300)
+    features[0] = _CV_FEATURES[0]
+    return features
+
+
+@pytest.mark.parametrize("features,gaps,error", [
+    (_CV_FEATURES, np.where(np.arange(9) == 4, np.nan, 1.0 * np.arange(9)),
+     DomainError),
+    (_CV_FEATURES, np.where(np.arange(9) == 7, np.inf, 1.0 * np.arange(9)),
+     DomainError),
+    (np.full((9, 5), 1e300), np.arange(9.0), FitError),
+    (_singular_after_fold_one(), np.arange(9.0), FitError),
+    (_CV_FEATURES, np.full(9, 1e308) * (-1.0) ** np.arange(9), FitError),
+], ids=["nan-gap", "inf-gap", "singular", "singular-later-fold",
+        "non-finite-coefficients"])
+def test_cross_validation_raises_what_the_per_fold_loop_raises(features,
+                                                               gaps, error):
+    for seed in range(4):
+        args = (features, gaps, 3, 2, seed)
+        assert outcome(per_fold_cross_validation, *args) is error
+        assert outcome(cross_validate_predictor, *args) is error
+
+
 # ---------------------------------------------------------------------------
 # model bookkeeping
 
@@ -960,6 +1052,74 @@ def test_table_groups_where_a_mixed_radix_key_would_overflow():
         rank = {key: k for k, key in enumerate(sorted(set(others)))}
         assert kernel.call_args.args[2].tolist() == [rank[key]
                                                      for key in others]
+
+
+# raw hyperparameter values of every kind a JSON models file can hold
+_NAN, _INF = float("nan"), float("inf")
+_INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+_BEYOND_INT64 = st.one_of(st.integers(2 ** 63, 2 ** 70),
+                          st.integers(-2 ** 70, -2 ** 63 - 1))
+_FINITE = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_ODD_VALUES = [_NAN, _INF, -_INF, True, False, None, "x", "1", "", [1],
+               [1, 2.0], 1, 1.0, -0.0, 0.0, 0, 2 ** 63]
+# each column draws its values from one of these: a few ints or floats
+# whose string order is not their order, so groups form, then wider draws
+_TOKEN_KINDS = [
+    st.integers(-3, 12), st.sampled_from([9, 10, 100, -2 ** 63, 2 ** 63 - 1]),
+    _INT64, st.one_of(_INT64, _BEYOND_INT64),
+    st.sampled_from([0.5, 0.05, 5e-05, 10.0, 1e16, 1e-07, -2.5]),
+    _FINITE, st.sampled_from([0.0, -0.0, 1.0]),
+    st.one_of(_FINITE, st.sampled_from([_NAN, _INF, -_INF])),
+    st.booleans(), st.none(), st.text(max_size=3),
+    st.lists(st.integers(0, 2), max_size=2), st.sampled_from([1, 1.0, True]),
+    st.sampled_from(_ODD_VALUES),
+    st.one_of(st.integers(-3, 3), _FINITE, st.sampled_from(_ODD_VALUES)),
+]
+
+
+def stringified_table(columns, n):
+    """The reference: the table of each value's str()."""
+    zeros = np.zeros(n)
+    return ModelTable.from_tokens(
+        {name: [str(v) for v in column] for name, column in columns.items()},
+        zeros, zeros, zeros)
+
+
+def assert_codes_of_strings(columns, n):
+    zeros = np.zeros(n)
+    got = ModelTable.from_tokens(columns, zeros, zeros, zeros)
+    want = stringified_table(columns, n)
+    assert got.names == want.names
+    assert got.codes.dtype == want.codes.dtype
+    assert got.codes.tolist() == want.codes.tolist()
+    # the reference's ids are ranks in sorted string order
+    for j, column in enumerate(columns[name] for name in want.names):
+        strings = [str(v) for v in column]
+        rank = {s: r for r, s in enumerate(sorted(set(strings)))}
+        assert want.codes[:, j].tolist() == [rank[s] for s in strings]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_from_tokens_codes_raw_values_as_their_strings(data):
+    n = data.draw(st.integers(1, 30))
+    columns = {f"h{j}": data.draw(st.lists(
+        data.draw(st.sampled_from(_TOKEN_KINDS)), min_size=n, max_size=n))
+        for j in range(data.draw(st.integers(1, 4)))}
+    assert_codes_of_strings(columns, n)
+
+
+@pytest.mark.parametrize("column", [
+    [0.0, -0.0, 0.5, 0.0], [-0.0, -0.0], [1, 1.0, True, 1], [2 ** 63, 1, 1],
+    [-2 ** 63 - 1, 5], [_NAN, _NAN, 1.0], [_INF, 1.0, _INF], [None, 0],
+    [9, 10, 100, 9], [0.05, 5e-05, 0.1, 0.05], ["10", "9"], [[1], [1]],
+    [True, False, True], [1, 1.0, 2]],
+    ids=["signed-zeros", "minus-zeros", "one-int-float-bool", "beyond-int64",
+         "below-int64", "nan", "inf", "none", "int-order", "float-order",
+         "strings", "lists", "bools", "ints-and-floats"])
+def test_from_tokens_codes_each_kind_of_value_as_its_string(column):
+    assert_codes_of_strings({"a": column}, len(column))
 
 
 def test_model_table_rejects_bad_columns():

@@ -300,24 +300,13 @@ def _models_table(data: list, measure_col: str,
         return None
     if not np.isfinite(values).all():
         return None
-    tokens = _axis_columns(hyper) if axes else {}
-    if tokens is None:
+    keys = hyper[0].keys()
+    if axes and not all(map(keys.__eq__, map(dict.keys, hyper))):
         return None
     train, test, measure = values
+    tokens = {name: list(map(operator.itemgetter(name), hyper))
+              for name in keys} if axes else {}
     return ModelTable.from_tokens(tokens, measure, train - test, test)
-
-
-def _axis_columns(hyper: tuple) -> dict | None:
-    """Each axis's hyperparameter values, one per entry, or None when some
-    entry names other axes than entry 0. When every entry lists its axes
-    in one order, one pass over the entries' values splits the columns."""
-    if len(set(map(tuple, hyper))) == 1:
-        return dict(zip(hyper[0], zip(*map(dict.values, hyper))))
-    keys = hyper[0].keys()
-    if not all(map(keys.__eq__, map(dict.keys, hyper))):
-        return None
-    return {name: list(map(operator.itemgetter(name), hyper))
-            for name in keys}
 
 
 def _raise_first_bad_entry(path, data: list, measure_col: str,

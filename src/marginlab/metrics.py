@@ -119,18 +119,22 @@ class ModelTable:
                     gen_gap, test_accuracy) -> "ModelTable":
         """The table whose axis ``name`` holds the tokens ``str(v)`` of the
         values ``tokens[name]``, a sequence with one value per model; a
-        string is its own token. Each distinct value of an all-int or
-        all-float column is turned into its token once
-        (``_token_codes``), with the codes that stringifying every value
-        would give. Columns of another length than ``complexity``, names
-        that are not strings and values that are not finite are a
-        ``DomainError``."""
+        string is its own token, and values with one string share a token
+        (``1`` and ``1.0`` do not; ``10`` sorts before ``2``). Each
+        distinct value of an all-int or all-float column is turned into
+        its token once (``_token_codes``), with the codes that
+        stringifying every value would give. Columns of another length
+        than ``complexity``, names that are not strings and values that
+        are not finite numbers are a ``DomainError``."""
         if not isinstance(tokens, Mapping) \
                 or not all(isinstance(name, str) for name in tokens):
             raise DomainError("tokens must map axis names to token columns")
-        complexity, gen_gap, test_accuracy = (
-            np.asarray(v, dtype=np.float64)
-            for v in (complexity, gen_gap, test_accuracy))
+        try:
+            complexity, gen_gap, test_accuracy = (
+                np.asarray(v, dtype=np.float64)
+                for v in (complexity, gen_gap, test_accuracy))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"model values must be numbers: {exc}") from None
         if complexity.ndim != 1:
             raise DomainError("complexity must hold one value per model")
         n = complexity.size
@@ -149,10 +153,11 @@ class ModelTable:
     @classmethod
     def from_models(cls, models: Sequence[EvaluatedModel]) -> "ModelTable":
         """The table of ``models``, which must all name the same axes."""
-        if not isinstance(models, Sequence) \
-                or not all(isinstance(m, EvaluatedModel) for m in models):
+        if not isinstance(models, Sequence) or not all(
+                isinstance(m, EvaluatedModel)
+                and isinstance(m.config, HyperparamConfig) for m in models):
             raise DomainError("models must be a ModelTable or a sequence of "
-                              "EvaluatedModel")
+                              "EvaluatedModel with a HyperparamConfig")
         if not models:
             raise DomainError("no models given")
         keys = models[0].config.values.keys()

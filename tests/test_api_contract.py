@@ -260,7 +260,7 @@ TARGETS = st.sampled_from(["gen_gap", "test_accuracy", "accuracy"])
 def _token_tables(n):
     """from_tokens arguments for n models: half of them well formed, the
     others with a column or value array now and then of another length or
-    kind."""
+    kind, or values numpy cannot read as floats."""
     matched = st.lists(_TOKEN_VALUES, min_size=n, max_size=n)
     finite = hnp.arrays(np.float64, (n,), elements=FINITE)
     columns = st.one_of(matched, st.lists(_TOKEN_VALUES, max_size=6),
@@ -268,7 +268,10 @@ def _token_tables(n):
     tokens = st.one_of(st.dictionaries(_NAMES, columns, max_size=4),
                        st.sampled_from([None, [], ["a"], {1: [1]},
                                         {"a": 1}]))
-    values = st.one_of(_filled((n,)), arrays(max_dims=2, max_side=6))
+    unreadable = st.sampled_from([["a"] * n, [[1.0]] + [[2.0, 3.0]] * n,
+                                  {"a": 1.0}, [2 ** 1100] * n, "1.0"])
+    values = st.one_of(_filled((n,)), arrays(max_dims=2, max_side=6),
+                       unreadable)
     return st.one_of(
         st.tuples(st.dictionaries(_NAMES, matched, max_size=4), finite,
                   finite, finite),
@@ -337,9 +340,12 @@ def _model_lists(axes):
         {name: st.sampled_from(["0", "1", 2, 2.5]) for name in axes}).map(
             HyperparamConfig)
     models = st.builds(EvaluatedModel, config, FINITE, FINITE, FINITE)
+    # a model whose config is a plain dict, not a HyperparamConfig
+    loose = st.builds(EvaluatedModel, st.just({name: "0" for name in axes}),
+                      FINITE, FINITE, FINITE)
     return st.one_of(
         st.lists(models, max_size=8),
-        st.lists(st.one_of(models, st.none(), st.integers(),
+        st.lists(st.one_of(models, loose, st.none(), st.integers(),
                            st.text(max_size=2)), max_size=4),
         st.sampled_from([None, 3, "abc", np.zeros(3)]))
 

@@ -1122,6 +1122,14 @@ def test_from_tokens_codes_each_kind_of_value_as_its_string(column):
     assert_codes_of_strings({"a": column}, len(column))
 
 
+def test_from_tokens_gives_each_string_its_own_token_in_string_order():
+    zeros = np.zeros(2)
+    # 1 and 1.0 have two strings; "10" sorts before "2"
+    for column, codes in (([1, 1.0], [[0], [1]]), ([2, 10], [[1], [0]])):
+        table = ModelTable.from_tokens({"a": column}, zeros, zeros, zeros)
+        assert table.codes.tolist() == codes
+
+
 def test_model_table_rejects_bad_columns():
     good = table_of([model((0, 0, 0), 1.0, 1.0), model((1, 0, 0), 2.0, 2.0)])
     for change in ({"complexity": np.array([1.0, np.nan])},

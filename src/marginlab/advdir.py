@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, _checked_rows, check_overflow
+from .errors import (DomainError, NumericalError, _as_floats, _checked_rows,
+                     check_overflow)
 from .pca import PcaModel
 
 
@@ -95,13 +96,11 @@ def cumulative_share(p_share: np.ndarray,
     else it is a ``DomainError``; a prefix sum that overflows a float is a
     ``NumericalError``.
     """
-    p = np.asarray(p_share, dtype=np.float64).ravel()
-    ratio = np.asarray(explained_ratio, dtype=np.float64).ravel()
-    if p.size != ratio.size or p.size == 0:
-        raise DomainError("p_share and explained_ratio must be equal-length "
-                          "and non-empty")
-    if not (np.isfinite(p).all() and np.isfinite(ratio).all()):
-        raise DomainError("p_share and explained_ratio must be finite")
+    p, ratio = (_as_floats(v).ravel() for v in (p_share, explained_ratio))
+    if p.size != ratio.size or p.size == 0 \
+            or not (np.isfinite(p).all() and np.isfinite(ratio).all()):
+        raise DomainError("p_share and explained_ratio must be equal-length, "
+                          "non-empty vectors of finite values")
     with np.errstate(over="ignore"):  # the check below names the overflow
         cumulative, cum_ratio = np.cumsum(p), np.cumsum(ratio)
     check_overflow("cumulative share", cumulative, cum_ratio)

@@ -147,7 +147,7 @@ _ESTIMATORS = ("taylor", "deepfool", "constrained-taylor",
 _STATUS_TEXT = np.array([status.value for status in SearchStatus])
 
 
-def _resolve_subspace(args, features: int):
+def _resolve_subspace(args):
     """PCA model and component count for the constrained estimators."""
     if args.pca is None:
         raise ConfigError("constrained estimators need --pca")
@@ -160,15 +160,11 @@ def _resolve_subspace(args, features: int):
         except ValueError as exc:
             raise ConfigError(f"--m must be an integer or 'auto', "
                               f"got {args.m!r}") from exc
-    if features != pca.mean.size:
-        raise ConfigError("pca feature count does not match the dataset")
     return pca, m
 
 
 def _cmd_measure(args):
     constrained = args.estimator.startswith("constrained-")
-    if constrained and args.layer != 0:
-        raise ConfigError("constrained estimators measure input space only")
     if args.boundary_out and args.estimator not in _DEEPFOOL_ESTIMATORS:
         raise ConfigError("--boundary-out needs a deepfool-family estimator")
     if args.batch and args.estimator not in _DEEPFOOL_ESTIMATORS:
@@ -184,8 +180,7 @@ def _cmd_measure(args):
                           f"the model takes {net.input_dim}")
     cfg = SearchConfig(learning_rate=args.gamma, stop_tolerance=args.tol,
                        max_iters=args.max_iters)
-    pca, m = (_resolve_subspace(args, raw.feature_count) if constrained
-              else (None, None))
+    pca, m = _resolve_subspace(args) if constrained else (None, None)
 
     search = None if args.estimator.endswith("taylor") else cfg
     acts, kept, table, margins = _measure_correct(

@@ -19,7 +19,10 @@ from ._csvio import csv_text, read_numeric_csv
 from .errors import (
     ConfigError,
     DomainError,
+    _as_floats,
+    _check_reals,
     _checked_rows,
+    _is_finite_real,
     check_integers,
     check_overflow,
     check_seed,
@@ -100,14 +103,14 @@ class BlobConfig:
             raise DomainError("samples_per_class must be >= 1")
         if self.dim < 2:
             raise DomainError("dim must be >= 2")
+        _check_reals(spread=self.spread)
         if not self.spread > 0:
             raise DomainError("spread must be positive")
-        if self.centers is not None \
-                and np.shape(self.centers) != (self.classes, self.dim):
-            raise DomainError(
-                f"centers shape {np.shape(self.centers)} does not match "
-                f"({self.classes}, {self.dim})"
-            )
+        if self.centers is not None:
+            shape = _checked_rows(self.centers).shape
+            if shape != (self.classes, self.dim):
+                raise DomainError(f"centers shape {shape} does not match "
+                                  f"({self.classes}, {self.dim})")
 
 
 def _expanded_bounds(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,10 +139,8 @@ def _expanded_bounds(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def gen_blobs(config: BlobConfig) -> Dataset:
     """Sample isotropic Gaussian blobs, one per class, deterministically."""
     rng = np.random.default_rng(config.seed)
-    if config.centers is None:
-        centers = rng.uniform(-10.0, 10.0, size=(config.classes, config.dim))
-    else:
-        centers = np.asarray(config.centers, dtype=np.float64)
+    centers = (rng.uniform(-10.0, 10.0, size=(config.classes, config.dim))
+               if config.centers is None else _as_floats(config.centers))
 
     # one draw fills the classes' blocks in order, as a draw per class would
     n = config.samples_per_class
@@ -151,8 +152,9 @@ def gen_blobs(config: BlobConfig) -> Dataset:
 
 
 def _corruption_indices(sample_count: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
-    if not 0.0 <= fraction <= 1.0:
-        raise DomainError("corruption fraction must lie in [0, 1]")
+    if not (_is_finite_real(fraction) and 0.0 <= fraction <= 1.0):
+        raise DomainError(f"corruption fraction must be a number in [0, 1], "
+                          f"got {fraction!r}")
     # round half up: 2.5 -> 3
     count = int(np.floor(fraction * sample_count + 0.5))
     return np.sort(rng.choice(sample_count, size=count, replace=False))

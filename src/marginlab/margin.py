@@ -36,6 +36,8 @@ from .errors import (
     DegenerateVarianceError,
     DomainError,
     NumericalError,
+    _as_floats,
+    _check_reals,
     _checked_rows,
     check_integers,
     check_overflow,
@@ -83,12 +85,14 @@ class SearchConfig:
 
     def __post_init__(self):
         check_integers(max_iters=self.max_iters)
+        _check_reals(learning_rate=self.learning_rate,
+                     stop_tolerance=self.stop_tolerance)
         if not 0.0 < self.learning_rate <= 1.0:
             raise DomainError(f"learning_rate must lie in (0, 1], got "
                               f"{self.learning_rate}")
-        if not 0.0 < self.stop_tolerance < np.inf:
-            raise DomainError(f"stop_tolerance must be positive and finite, "
-                              f"got {self.stop_tolerance}")
+        if not self.stop_tolerance > 0.0:
+            raise DomainError(f"stop_tolerance must be positive, got "
+                              f"{self.stop_tolerance}")
         if self.max_iters < 1:
             raise DomainError("max_iters must be at least 1")
 
@@ -133,7 +137,7 @@ class MarginTable:
 
 
 def _resolve_bounds(net: Network, lam: int, cfg: SearchConfig):
-    """Clipping box for input-space searches; None when nothing applies."""
+    """Clip box of input-space searches, rows lower and upper; or None."""
     if lam != 0:
         return None
     if cfg.bounds is not None:
@@ -142,12 +146,12 @@ def _resolve_bounds(net: Network, lam: int, cfg: SearchConfig):
         box = net.norm_meta.lower, net.norm_meta.upper
     else:
         return None
-    lower, upper = (np.asarray(bound, dtype=np.float64) for bound in box)
-    if lower.shape != (net.input_dim,) or upper.shape != (net.input_dim,):
+    bounds = _as_floats(box)
+    if bounds.shape != (2, net.input_dim):
         raise DomainError("clip bounds do not match the input dimension")
-    if np.any(lower >= upper):
+    if np.any(bounds[0] >= bounds[1]):
         raise DomainError("clip bounds require lower < upper everywhere")
-    return lower, upper
+    return bounds
 
 
 def _runner_up(logits: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -309,7 +313,8 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
 
     ``pca`` and ``m`` restrict the perturbation to the top-``m`` principal
     directions (input space only); distance is still measured in the
-    original space. ``m`` without ``pca`` is a ``DomainError``.
+    original space. ``m`` without ``pca`` is a ``DomainError``, and so is a
+    basis whose width is not that of ``X``.
 
     The search keeps each row's (projected) gradients, their per-class
     norms and the activation pattern ``Z > 0`` of every ReLU layer from
@@ -336,7 +341,10 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
         if lam != 0:
             raise DomainError("subspace-constrained margins are measured in "
                               "input space only")
-        k = pca.components.shape[0]
+        k, width = pca.components.shape
+        if width != X0.shape[1]:
+            raise DomainError(f"the pca basis spans {width} features, the "
+                              f"rows of X hold {X0.shape[1]}")
         if (isinstance(m, bool) or not isinstance(m, (int, np.integer))
                 or not 1 <= m <= k):
             raise DomainError(f"m={m!r} must be an integer in [1, {k}]")
@@ -542,7 +550,7 @@ def _scale_by_tv(margins: np.ndarray, tv: float) -> np.ndarray:
         raise DegenerateVarianceError(
             "activation total variation is numerically zero")
     with np.errstate(over="ignore"):
-        scaled = np.asarray(margins, dtype=np.float64) / tv
+        scaled = _as_floats(margins) / tv
     check_overflow("a margin divided by the total variation",
                    scaled[~np.isnan(scaled)])
     return scaled

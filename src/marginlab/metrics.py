@@ -32,6 +32,9 @@ from .errors import (
     FitError,
     NumericalError,
     UndefinedMetricError,
+    _as_floats,
+    _check_reals,
+    _checked_rows,
     check_integers,
     check_seed,
 )
@@ -51,8 +54,9 @@ class HyperparamConfig:
     values: Mapping[str, str]
 
     def __post_init__(self):
-        if not self.values:
-            raise DomainError("hyperparameter config must not be empty")
+        if not isinstance(self.values, Mapping) or not self.values:
+            raise DomainError("hyperparameter config must be a non-empty "
+                              "mapping")
         coerced = {str(k): str(v) for k, v in self.values.items()}
         object.__setattr__(self, "values", coerced)
 
@@ -67,9 +71,8 @@ class EvaluatedModel:
     test_accuracy: float
 
     def __post_init__(self):
-        for name in ("complexity", "gen_gap", "test_accuracy"):
-            if not np.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        _check_reals(complexity=self.complexity, gen_gap=self.gen_gap,
+                     test_accuracy=self.test_accuracy)
 
 
 _TARGETS = ("gen_gap", "test_accuracy")
@@ -129,12 +132,8 @@ class ModelTable:
         if not isinstance(tokens, Mapping) \
                 or not all(isinstance(name, str) for name in tokens):
             raise DomainError("tokens must map axis names to token columns")
-        try:
-            complexity, gen_gap, test_accuracy = (
-                np.asarray(v, dtype=np.float64)
-                for v in (complexity, gen_gap, test_accuracy))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"model values must be numbers: {exc}") from None
+        complexity, gen_gap, test_accuracy = map(
+            _as_floats, (complexity, gen_gap, test_accuracy))
         if complexity.ndim != 1:
             raise DomainError("complexity must hold one value per model")
         n = complexity.size
@@ -394,10 +393,7 @@ def kendall_tau(pairs: Sequence[tuple[float, float]] | np.ndarray) -> float:
     in either coordinate; the normalization is n(n-1), so heavy ties
     shrink |tau| rather than being renormalized away.
     """
-    try:
-        array = np.asarray(pairs, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"kendall_tau needs numeric pairs: {exc}") from exc
+    array = _as_floats(pairs)
     if array.ndim != 2 or array.shape[1] != 2:
         raise DomainError(f"kendall_tau needs an (n x 2) array of pairs, "
                           f"got shape {array.shape}")
@@ -571,13 +567,11 @@ def _normalized_sign_information(concordant: np.ndarray,
 def r_squared(z: np.ndarray, z_hat: np.ndarray) -> float:
     """1 - SSE/SST; unbounded below, at most 1. ``z`` and ``z_hat`` must be
     equal-length vectors of finite values, else it is a ``DomainError``."""
-    z = np.asarray(z, dtype=np.float64).ravel()
-    z_hat = np.asarray(z_hat, dtype=np.float64).ravel()
-    if z.shape != z_hat.shape or z.size < 2:
-        raise DomainError("r_squared needs two equal-length vectors of "
-                          "at least two points")
-    if not (np.isfinite(z).all() and np.isfinite(z_hat).all()):
-        raise DomainError("r_squared needs finite values")
+    z, z_hat = (_as_floats(v).ravel() for v in (z, z_hat))
+    if z.shape != z_hat.shape or z.size < 2 \
+            or not (np.isfinite(z).all() and np.isfinite(z_hat).all()):
+        raise DomainError("r_squared needs two equal-length vectors of at "
+                          "least two finite values")
     # a sum that overflows gives inf or NaN, which callers reject as a
     # non-finite score; numpy's warning would only repeat that
     with np.errstate(over="ignore", invalid="ignore"):
@@ -623,8 +617,8 @@ def extract_signature(margins: np.ndarray) -> MarginSignature:
     carry the other sign. A quartile or fence that overflows raises
     NumericalError.
     """
-    # np.array copies, so the in-place sort never touches the caller's array
-    s = np.array(margins, dtype=np.float64).ravel()
+    # flatten copies, so the in-place sort never touches the caller's array
+    s = _as_floats(margins).flatten()
     s.sort()
     n = s.size
     if n == 0:
@@ -665,21 +659,11 @@ class PredictorFit:
     underdetermined: bool
 
 
-def _log_features(features: np.ndarray, width: int | None = None):
-    """ln of the clamped signature matrix; a DomainError unless it is a
-    matrix (or one vector) of finite values, ``width`` wide when given."""
-    F = np.asarray(features, dtype=np.float64)
-    if F.ndim == 1:
-        F = F[None, :]
-    if F.ndim != 2:
-        raise DomainError("signature features must form a 2-D matrix")
-    if width is not None and F.shape[1] != width:
-        raise DomainError(f"signatures hold {F.shape[1]} features; the fit "
-                          f"takes {width}")
-    if not np.isfinite(F).all():
-        raise DomainError("signature features contain non-finite values")
+def _log_features(F: np.ndarray) -> np.ndarray:
+    """ln of the clamped signatures ``F``, rows that ``_checked_rows``
+    returned, as a matrix."""
     # lower fences can be negative or zero; clamp before the log transform
-    return np.log(np.maximum(F, _LOG_CLAMP))
+    return np.log(np.maximum(np.atleast_2d(F), _LOG_CLAMP))
 
 
 def fit_linear_predictor(features: np.ndarray,
@@ -689,12 +673,10 @@ def fit_linear_predictor(features: np.ndarray,
     A tiny ridge keeps the system solvable when signatures are collinear;
     fits with fewer samples than coefficients are flagged, not rejected.
     """
-    Phi = _log_features(features)
-    g = np.asarray(gaps, dtype=np.float64).ravel()
-    if Phi.shape[0] != g.size:
-        raise DomainError("feature rows and gap values must correspond")
-    if not np.all(np.isfinite(g)):
-        raise DomainError("predictor inputs contain non-finite values")
+    Phi = _log_features(_checked_rows(features))
+    g = _as_floats(gaps).ravel()
+    if Phi.shape[0] != g.size or not np.isfinite(g).all():
+        raise DomainError("each feature row needs one finite gap value")
     return _solve_normal_equations(_design(Phi), g)
 
 
@@ -724,10 +706,12 @@ def predict_gap(fit: PredictorFit, features: np.ndarray):
     """Predicted gap(s); a single signature vector yields a scalar. The
     signatures must be finite and as wide as the fit's, or it is a
     ``DomainError``."""
-    single = np.asarray(features).ndim == 1
-    Phi = _log_features(features, fit.alpha.size)
-    out = Phi @ fit.alpha + fit.intercept
-    return float(out[0]) if single else out
+    F = _checked_rows(features)
+    if F.shape[-1] != fit.alpha.size:
+        raise DomainError(f"signatures hold {F.shape[-1]} features; the fit "
+                          f"takes {fit.alpha.size}")
+    out = _log_features(F) @ fit.alpha + fit.intercept
+    return float(out[0]) if F.ndim == 1 else out
 
 
 def kfold_splits(n: int, k: int, seed: int,
@@ -756,28 +740,34 @@ def cross_validate_predictor(features: np.ndarray, gaps: np.ndarray,
     fitted. The features are log-transformed and the design matrix built
     once per call; each fold fits its rows of them as
     ``fit_linear_predictor`` would and scores ``predict_gap``'s
-    predictions, so every score has the bits of that per-fold loop.
+    predictions, so every score has the bits of that per-fold loop. A
+    fold whose score, or a mean of scores, is not finite, as sums that
+    overflow leave it, is a ``NumericalError`` that names the fold.
     """
     check_integers(k=k, shuffles=shuffles)
     check_seed(seed)
     if shuffles < 1:
         raise DomainError(f"shuffles={shuffles} must be at least 1")
-    F = np.asarray(features, dtype=np.float64)
-    g = np.asarray(gaps, dtype=np.float64).ravel()
-    if F.ndim != 2 or F.shape[0] != g.size:
+    F = _checked_rows(features)
+    g = _as_floats(gaps).ravel()
+    if F.ndim != 2 or F.shape[0] != g.size or not np.isfinite(g).all():
         raise DomainError(f"features of shape {F.shape} need one row per "
-                          f"gap value, of which there are {g.size}")
+                          f"finite gap value, of which there are {g.size}")
     Phi = _log_features(F)
-    if not np.all(np.isfinite(g)):
-        raise DomainError("predictor inputs contain non-finite values")
     X = _design(Phi)
     scores = []
     for shuffle_index in range(shuffles):
-        for fold in kfold_splits(g.size, k, seed, shuffle_index):
+        folds = kfold_splits(g.size, k, seed, shuffle_index)
+        for fold_index, fold in enumerate(folds):
             mask = np.ones(g.size, dtype=bool)
             mask[fold] = False
             fit = _solve_normal_equations(X[mask], g[mask])
-            scores.append(r_squared(g[fold],
-                                    Phi[fold] @ fit.alpha + fit.intercept))
-    return CrossValResult(mean_r2=sum(scores) / len(scores),
-                          per_fold=tuple(scores))
+            score = r_squared(g[fold], Phi[fold] @ fit.alpha + fit.intercept)
+            if not math.isfinite(score):
+                raise NumericalError(f"fold {fold_index} of shuffle "
+                                     f"{shuffle_index} scores R^2 = {score}")
+            scores.append(score)
+    mean_r2 = sum(scores) / len(scores)
+    if not math.isfinite(mean_r2):
+        raise NumericalError("the mean held-out R^2 overflows")
+    return CrossValResult(mean_r2=mean_r2, per_fold=tuple(scores))

@@ -21,6 +21,7 @@ from .errors import (
     DomainError,
     NumericalError,
     TrainingDivergedError,
+    _check_reals,
     _checked_rows,
     check_integers,
     check_overflow,
@@ -90,7 +91,7 @@ def forward_batch(net: Network, X: np.ndarray, lam: int = 0) -> list[np.ndarray]
 
 def predict_batch(net: Network, X: np.ndarray) -> np.ndarray:
     """Argmax class per row; ties resolve to the lowest index."""
-    return np.argmax(forward_batch(net, X)[-1], axis=1)
+    return np.argmax(forward_batch(net, X)[-1], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +179,11 @@ def _logit_diff_grads(net: Network, lam: int, pres, base: np.ndarray):
 def init_network(input_dim: int, hidden_widths, num_classes: int, seed: int,
                  norm_meta: NormalizationMeta | None = None) -> Network:
     """Uniform ±1/sqrt(fan_in) init; ReLU hidden layers, linear output."""
-    widths = [input_dim, *hidden_widths, num_classes]
+    try:
+        widths = [input_dim, *hidden_widths, num_classes]
+    except TypeError:  # not iterable
+        raise DomainError(f"hidden_widths must be a sequence of integers, "
+                          f"got {hidden_widths!r}") from None
     check_integers(input_dim=input_dim, num_classes=num_classes,
                    **{f"hidden_widths[{k}]": w
                       for k, w in enumerate(widths[1:-1])})
@@ -214,12 +219,14 @@ class TrainConfig:
     def __post_init__(self):
         check_integers(epochs=self.epochs, batch_size=self.batch_size)
         check_seed(self.seed)
+        _check_reals(learning_rate=self.learning_rate,
+                     momentum=self.momentum)
         if self.epochs < 1:
             raise DomainError("epochs must be >= 1")
         if self.batch_size < 1:
             raise DomainError("batch_size must be >= 1")
-        if not 0.0 <= self.learning_rate < np.inf:
-            raise DomainError(f"learning_rate must be finite and >= 0, got "
+        if not self.learning_rate >= 0.0:
+            raise DomainError(f"learning_rate must be >= 0, got "
                               f"{self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise DomainError("momentum must lie in [0, 1)")
@@ -235,14 +242,19 @@ def train_sgd(net: Network, dataset: Dataset, config: TrainConfig) -> Network:
 
     Deterministic for a fixed config seed. Raises TrainingDivergedError when
     the loss or any parameter stops being finite. Returns a new network; the
-    input net provides the initial parameters and is left untouched.
+    input net provides the initial parameters and is left untouched. The
+    dataset must hold a finite (samples x input_dim) matrix, and one class
+    in [0, num_classes) per sample, else it is a DomainError.
     """
-    X = dataset.features
-    y = dataset.labels
-    if X.shape[1] != net.input_dim:
+    X, y = _checked_rows(dataset.features), np.asarray(dataset.labels)
+    if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise DomainError("dataset feature count does not match network input_dim")
     if dataset.class_count != net.num_classes:
         raise DomainError("dataset class_count does not match network num_classes")
+    if (not len(X) or y.shape != X.shape[:1] or y.dtype.kind not in "iu"
+            or not 0 <= y.min() <= y.max() < net.num_classes):
+        raise DomainError(f"training needs samples, each labelled with a "
+                          f"class in [0, {net.num_classes})")
 
     # SGD updates the copied parameters in place
     trained = replace(net, layers=[
@@ -307,7 +319,14 @@ def _run_epochs(net: Network, X, y, rng, config: TrainConfig) -> float:
 
 
 def accuracy(net: Network, dataset: Dataset) -> float:
-    return float(np.mean(predict_batch(net, dataset.features) == dataset.labels))
+    """Share of the samples of ``dataset`` that ``net`` classifies as
+    labelled; a DomainError without samples or with a label count other
+    than the sample count, or as ``forward_batch`` raises one."""
+    predicted = predict_batch(net, dataset.features)
+    if not predicted.size or np.shape(dataset.labels) != predicted.shape:
+        raise DomainError("accuracy needs at least one sample and one label "
+                          "per sample")
+    return float(np.mean(predicted == dataset.labels))
 
 
 # ---------------------------------------------------------------------------

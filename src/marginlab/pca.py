@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._atomic import read_json, write_json
-from .errors import (ConfigError, DomainError, NumericalError,
+from .errors import (ConfigError, DomainError, NumericalError, _checked_rows,
                      check_integers, check_overflow)
 
 PCA_FORMAT = "mw-pca/1"
@@ -45,11 +45,9 @@ def fit_pca(X: np.ndarray, n_components: int | None = None) -> PcaModel:
     round-off are clamped to zero. A covariance that overflows raises
     NumericalError.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _checked_rows(X)
     if X.ndim != 2:
         raise DomainError("fit_pca expects a (samples, features) matrix")
-    if not np.isfinite(X).all():
-        raise DomainError("fit_pca data hold non-finite values")
     s, n = X.shape
     if s < 2:
         raise DomainError("need at least 2 samples to fit")
@@ -90,9 +88,15 @@ def select_components_kneedle(pca: PcaModel) -> ElbowChoice:
     is applied (the curve is an eigenvalue spectrum, already monotone). When no
     knee exists the smallest count reaching 70% of the total variance (or,
     when the ratios never get there, every component) is returned with the
-    fallback flagged.
+    fallback flagged. Variances and ratios other than equal-length vectors
+    of finite values are a DomainError.
     """
-    positive = pca.explained_variance[pca.explained_variance > 0]
+    variance, ratio = map(_checked_rows, (pca.explained_variance,
+                                          pca.explained_ratio))
+    if variance.ndim != 1 or ratio.shape != variance.shape:
+        raise DomainError("explained variances and ratios must be "
+                          "equal-length vectors")
+    positive = variance[variance > 0]
     k = len(positive)
     if k < 3:
         raise DomainError("knee selection needs at least 3 positive-variance components")
@@ -122,7 +126,8 @@ def select_components_kneedle(pca: PcaModel) -> ElbowChoice:
     if knee_original_index is not None:
         return ElbowChoice(m=knee_original_index + 1, curve=curve, fallback_used=False)
 
-    cumulative = np.cumsum(pca.explained_ratio[:k])
+    with np.errstate(over="ignore"):  # an overflow still reaches 70%
+        cumulative = np.cumsum(ratio[:k])
     reached = np.nonzero(cumulative >= 0.70 - 1e-12)[0]
     m = int(reached[0]) + 1 if reached.size else k
     return ElbowChoice(m=m, curve=curve, fallback_used=True)

@@ -28,7 +28,13 @@ from .data import (
     max_margin,
     normalize,
 )
-from .errors import ConfigError, DomainError, WorkbenchError, _is_finite_real
+from .errors import (
+    ConfigError,
+    DomainError,
+    WorkbenchError,
+    _is_finite_real,
+    check_integers,
+)
 from .margin import SearchConfig, _measure_correct
 from .nnet import Network, TrainConfig, init_network, predict_batch, train_sgd
 
@@ -38,7 +44,8 @@ from .nnet import Network, TrainConfig, init_network, predict_batch, train_sgd
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated description of one capacity-sweep run.
+    """Validated description of one capacity-sweep run, range-checked
+    when built; each error names the config key at fault.
 
     The data come from ``blob`` or from ``dataset_path``/``test_path``. The
     seeds in ``blob`` and ``train`` are placeholders: each run derives its
@@ -57,6 +64,39 @@ class ExperimentConfig:
     normalize: str
     output_dir: str
     seed: int
+
+    def __post_init__(self):
+        if (self.blob is None) == (self.dataset_path is None) \
+                or (self.dataset_path is None) != (self.test_path is None):
+            raise DomainError("dataset: expected a blob config or a path "
+                              "and a test_path")
+        for key in ("corruptions", "widths", "seeds"):
+            if not isinstance(getattr(self, key), (tuple, list)):
+                raise DomainError(f"{key}: expected a list, got "
+                                  f"{getattr(self, key)!r}")
+        for k, entry in enumerate(self.corruptions):
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
+                raise DomainError(f"corruptions[{k}]: expected a (mode, "
+                                  f"fraction) pair, got {entry!r}")
+            mode, fraction = entry
+            if not (isinstance(mode, str) and mode in CORRUPTERS):
+                raise DomainError(f"corruptions[{k}]: mode must be 'label' "
+                                  f"or 'input'")
+            if not (_is_finite_real(fraction) and 0.0 < fraction <= 1.0):
+                raise DomainError(f"corruptions[{k}]: fraction must lie in "
+                                  f"(0, 1]")
+        check_integers(seed=self.seed,
+                       **{f"widths[{k}]": w for k, w in enumerate(self.widths)},
+                       **{f"seeds[{k}]": v for k, v in enumerate(self.seeds)})
+        if not self.widths or min(self.widths) < 1:
+            raise DomainError("widths: expected a non-empty list of positive "
+                              "integers")
+        if not self.seeds:
+            raise DomainError("seeds: expected a non-empty list of integers")
+        if self.estimator not in ("deepfool", "taylor"):
+            raise DomainError("estimator: name must be 'deepfool' or 'taylor'")
+        if self.normalize not in NORMALIZE_SCHEMES:
+            raise DomainError("normalize: expected znorm, minmax, or none")
 
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
@@ -130,7 +170,8 @@ def _built(cls, where: str, **fields):
 
 def _load_sweep_config(doc, source: str, output_dir: str | None,
                        seed: int | None) -> ExperimentConfig:
-    """The parsed JSON config ``doc`` as a checked ``ExperimentConfig``;
+    """The parsed JSON config ``doc`` as an ``ExperimentConfig``, which
+    checks the ranges; here each key's presence and JSON kind are checked.
     ``source`` names the config in errors about its top level, and a given
     ``output_dir`` or ``seed`` overrides the config's."""
     top = _section(doc, _SWEEP_FIELDS, source, prefix="")
@@ -143,36 +184,19 @@ def _load_sweep_config(doc, source: str, output_dir: str | None,
                       **_section(top["dataset"], _BLOB_FIELDS, "dataset"),
                       seed=0)
 
-    corruptions = []
-    for k, entry in enumerate(top["corruptions"]):
-        where = f"corruptions[{k}]"
-        entry = _section(entry, _CORRUPTION_FIELDS, where)
-        if entry["mode"] not in CORRUPTERS:
-            raise ConfigError(f"{where}: mode must be 'label' or 'input'")
-        if not 0.0 < entry["fraction"] <= 1.0:
-            raise ConfigError(f"{where}: fraction must lie in (0, 1]")
-        corruptions.append((entry["mode"], entry["fraction"]))
-
-    widths = [_typed(w, int, f"widths[{k}]")
-              for k, w in enumerate(top["widths"])]
-    if not widths or min(widths) < 1:
-        raise ConfigError("widths: expected a non-empty list of positive "
-                          "integers")
-    seeds = [_typed(v, int, f"seeds[{k}]") for k, v in enumerate(top["seeds"])]
-    if not seeds:
-        raise ConfigError("seeds: expected a non-empty list of integers")
-
+    # each entry's (mode, fraction), in _CORRUPTION_FIELDS order
+    corruptions = tuple(tuple(_section(entry, _CORRUPTION_FIELDS,
+                                       f"corruptions[{k}]").values())
+                        for k, entry in enumerate(top["corruptions"]))
     est = _section(top["estimator"], _ESTIMATOR_FIELDS, "estimator")
     estimator = est.pop("name")
-    if estimator not in ("deepfool", "taylor"):
-        raise ConfigError("estimator: name must be 'deepfool' or 'taylor'")
-    if top["normalize"] not in NORMALIZE_SCHEMES:
-        raise ConfigError("normalize: expected znorm, minmax, or none")
-
     return ExperimentConfig(
         blob=blob, dataset_path=paths["path"], test_path=paths["test_path"],
-        corruptions=tuple(corruptions), widths=tuple(widths),
-        seeds=tuple(seeds),
+        corruptions=corruptions,
+        widths=tuple(_typed(w, int, f"widths[{k}]")
+                     for k, w in enumerate(top["widths"])),
+        seeds=tuple(_typed(v, int, f"seeds[{k}]")
+                    for k, v in enumerate(top["seeds"])),
         train=_built(TrainConfig, "train",
                      **_section(top["train"], _TRAIN_FIELDS, "train")),
         estimator=estimator, search=_built(SearchConfig, "estimator", **est),

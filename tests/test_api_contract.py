@@ -1,10 +1,13 @@
 """The library's entry points on malformed arguments.
 
 Hypothesis draws arguments of the wrong rank, empty ones, NaN and ±inf
-cells, finite values near the float limit, mismatched lengths, and bool or
-float counts and seeds. Every call must return, or raise a
-``WorkbenchError`` subclass; any other exception fails the test, and so
-does a leaked numpy ``RuntimeWarning``, which pytest turns into an error.
+cells, finite values near the float limit, mismatched lengths, bool or
+float counts and seeds, and values that are not real numbers a float can
+hold: text cells, ragged rows, complex numbers and ints beyond the float
+range. Every call must return, or raise a ``WorkbenchError`` subclass;
+any other exception fails the test, and so does a leaked numpy
+``RuntimeWarning`` (numpy's ``ComplexWarning`` is one), which pytest turns
+into an error.
 """
 
 import numpy as np
@@ -14,34 +17,49 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from marginlab import (
+    BlobConfig,
     Dataset,
     DomainError,
     EvaluatedModel,
     HyperparamConfig,
     ModelTable,
     NumericalError,
+    PcaModel,
     SearchConfig,
+    TrainConfig,
     WorkbenchError,
+    accuracy,
     adv_directions,
     cmi_score,
+    corrupt_inputs_gaussian,
+    corrupt_labels,
     cross_validate_predictor,
     cumulative_share,
     extract_signature,
     fit_linear_predictor,
     fit_pca,
+    gen_blobs,
     granulated_kendall,
+    init_network,
     kendall_tau,
     max_margin,
     normalize,
     predict_gap,
     r_squared,
     search_margins,
+    select_components_kneedle,
+    train_sgd,
 )
+from marginlab.errors import _checked_rows
 from marginlab.margin import compute_total_variation, tv_normalize
 from marginlab.nnet import DenseLayer, Network
+from marginlab.sweep import ExperimentConfig, run_capacity_sweep
 
 CONTRACT = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
+# for tests that draw ``_values``: twice the examples, a third of them
+# marked by ``_UNREADABLE``
+VALUES = settings(CONTRACT, max_examples=300)
 
 # the edges first, then any float; an array's cells come either from these
 # or from the finite ones alone, so that values near the float limit reach
@@ -58,15 +76,45 @@ def _filled(shape):
         lambda cells: hnp.arrays(np.float64, shape, elements=cells))
 
 
+def _unreadable(a):
+    """The values of the float array ``a`` handed over in ways that are not
+    real numbers a float can hold: with a text cell, as ragged rows, as
+    Python complex numbers, as a complex array, and as an object array with
+    an int beyond the float range."""
+    text, huge = a.astype(object), a.astype(object)
+    if a.size:
+        text.flat[0], huge.flat[0] = "a", 2 ** 1100
+    else:
+        text, huge = np.array(["a"]), np.array([2 ** 1100], dtype=object)
+    return [text.tolist(), [a.tolist(), [1.0]],
+            a.astype(np.complex128).tolist(), a.astype(np.complex128), huge]
+
+
+# drawn once per example: False makes every ``_values`` array of the
+# example a float array, so that about two thirds of a ``VALUES`` test's
+# examples draw what its ``CONTRACT`` settings drew from float arrays alone
+_UNREADABLE = st.shared(st.sampled_from([False, False, True]),
+                        key="unreadable")
+
+
+def _values(shape):
+    """Float arrays of ``shape``; in an example that ``_UNREADABLE`` marks,
+    each may instead hand its values over in a form ``_unreadable``
+    makes."""
+    return st.tuples(_UNREADABLE, _filled(shape)).flatmap(
+        lambda drawn: st.sampled_from([drawn[1], *_unreadable(drawn[1])])
+        if drawn[0] else st.just(drawn[1]))
+
+
 def arrays(max_dims=3, max_side=5):
-    """Float arrays of rank 0 to ``max_dims``, empty ones included."""
-    return _filled(hnp.array_shapes(min_dims=0, max_dims=max_dims,
+    """Arrays of rank 0 to ``max_dims``, empty ones included."""
+    return _values(hnp.array_shapes(min_dims=0, max_dims=max_dims,
                                     min_side=0, max_side=max_side))
 
 
 def matrices(max_rows=8, max_cols=6):
-    """Float matrices with zero rows or columns included."""
-    return _filled(st.tuples(st.integers(0, max_rows),
+    """Matrices with zero rows or columns included."""
+    return _values(st.tuples(st.integers(0, max_rows),
                              st.integers(0, max_cols)))
 
 
@@ -104,41 +152,42 @@ def _fixed_net():
 _NET = _fixed_net()
 
 
-@CONTRACT
+@VALUES
 @given(st.one_of(arrays(), matrices(max_cols=3),
-                 _filled(st.tuples(st.integers(0, 8), st.just(2)))))
+                 _values(st.tuples(st.integers(0, 8), st.just(2)))))
 def test_kendall_tau(pairs):
     _returns_or_raises_workbench_error(kendall_tau, pairs)
 
 
-@CONTRACT
+@VALUES
 @given(arrays(), arrays())
 def test_r_squared(z, z_hat):
     _returns_or_raises_workbench_error(r_squared, z, z_hat)
 
 
-@CONTRACT
+@VALUES
 @given(st.integers(0, 6).flatmap(
-    lambda n: st.tuples(_filled((n,)),
-                        _filled((n,)))))
+    lambda n: st.tuples(_values((n,)),
+                        _values((n,)))))
 def test_r_squared_equal_lengths(pair):
     _returns_or_raises_workbench_error(r_squared, *pair)
 
 
-@CONTRACT
+@VALUES
 @given(st.one_of(arrays(), matrices()), arrays(max_dims=2, max_side=8))
 def test_fit_linear_predictor(features, gaps):
     _returns_or_raises_workbench_error(fit_linear_predictor, features, gaps)
 
 
-@CONTRACT
-@given(st.one_of(arrays(), matrices(), matrices(max_cols=0).map(
-    lambda a: np.resize(a, (a.shape[0], 5)))))
+@VALUES
+@given(st.one_of(arrays(), matrices(), _filled(
+    st.tuples(st.integers(0, 8), st.just(0))).map(
+        lambda a: np.resize(a, (a.shape[0], 5)))))
 def test_predict_gap(features):
     _returns_or_raises_workbench_error(predict_gap, _FIT, features)
 
 
-@CONTRACT
+@VALUES
 @given(st.one_of(arrays(), matrices()), arrays(max_dims=2, max_side=8),
        COUNTS, COUNTS, st.one_of(COUNTS, st.integers(-5, 2 ** 40)))
 def test_cross_validate_predictor(features, gaps, k, shuffles, seed):
@@ -147,53 +196,53 @@ def test_cross_validate_predictor(features, gaps, k, shuffles, seed):
                                        seed=seed)
 
 
-@CONTRACT
+@VALUES
 @given(st.integers(0, 8).flatmap(
-    lambda n: st.tuples(_filled((n, 5)),
-                        _filled((n,)))),
+    lambda n: st.tuples(_values((n, 5)),
+                        _values((n,)))),
        COUNTS, COUNTS, COUNTS)
 def test_cross_validate_predictor_matching_rows(data, k, shuffles, seed):
     _returns_or_raises_workbench_error(cross_validate_predictor, *data,
                                        k=k, shuffles=shuffles, seed=seed)
 
 
-@CONTRACT
+@VALUES
 @given(arrays())
 def test_extract_signature(margins):
     _returns_or_raises_workbench_error(extract_signature, margins)
 
 
-@CONTRACT
+@VALUES
 @given(st.one_of(
     st.tuples(arrays(), arrays()),
     st.integers(0, 5).flatmap(
-        lambda n: st.tuples(_filled((n, 3)),
-                            _filled((n, 3))))))
+        lambda n: st.tuples(_values((n, 3)),
+                            _values((n, 3))))))
 def test_adv_directions(points):
     _returns_or_raises_workbench_error(adv_directions, _PCA, *points)
 
 
-@CONTRACT
+@VALUES
 @given(arrays(), arrays())
 def test_cumulative_share(p_share, explained_ratio):
     _returns_or_raises_workbench_error(cumulative_share, p_share,
                                        explained_ratio)
 
 
-@CONTRACT
+@VALUES
 @given(st.integers(0, 6).flatmap(
-    lambda n: st.tuples(_filled((n,)),
-                        _filled((n,)))))
+    lambda n: st.tuples(_values((n,)),
+                        _values((n,)))))
 def test_cumulative_share_equal_lengths(pair):
     _returns_or_raises_workbench_error(cumulative_share, *pair)
 
 
-@CONTRACT
+@VALUES
 @given(st.one_of(
     st.tuples(st.one_of(arrays(), matrices(max_cols=3)),
               st.lists(st.integers(0, 2), max_size=9)),
     st.integers(0, 6).flatmap(
-        lambda n: st.tuples(_filled((n, 2)),
+        lambda n: st.tuples(_values((n, 2)),
                             st.lists(st.integers(0, 2), min_size=n,
                                      max_size=n)))))
 def test_max_margin(data):
@@ -204,7 +253,7 @@ def test_max_margin(data):
     _returns_or_raises_workbench_error(max_margin, ds)
 
 
-@CONTRACT
+@VALUES
 @given(st.one_of(arrays(), matrices()),
        st.one_of(st.none(), COUNTS))
 def test_fit_pca(X, n_components):
@@ -224,22 +273,28 @@ def test_normalize(features, scheme):
     _returns_or_raises_workbench_error(normalize, ds, scheme)
 
 
-@CONTRACT
-@given(st.one_of(arrays(), _filled(st.tuples(st.integers(0, 5),
+# clip boxes: a (lower, upper) pair for the 3-input net, or any array
+BOXES = st.one_of(_values((2, 3)), arrays(max_dims=2)).map(
+    lambda box: SearchConfig(max_iters=5, bounds=box))
+
+
+@VALUES
+@given(st.one_of(arrays(), _values(st.tuples(st.integers(0, 5),
                                              st.just(3)))),
-       st.sampled_from([None, SearchConfig(max_iters=5)]), st.booleans())
+       st.one_of(st.sampled_from([None, SearchConfig(max_iters=5)]), BOXES),
+       st.booleans())
 def test_search_margins(X, cfg, batch_mean):
     _returns_or_raises_workbench_error(search_margins, _NET, 0, X, cfg,
                                        batch_mean=batch_mean)
 
 
-@CONTRACT
+@VALUES
 @given(arrays())
 def test_compute_total_variation(acts):
     _returns_or_raises_workbench_error(compute_total_variation, acts)
 
 
-@CONTRACT
+@VALUES
 @given(arrays(), st.one_of(arrays(), matrices()))
 def test_tv_normalize(margins, acts):
     _returns_or_raises_workbench_error(tv_normalize, margins, acts)
@@ -270,7 +325,7 @@ def _token_tables(n):
                                         {"a": 1}]))
     unreadable = st.sampled_from([["a"] * n, [[1.0]] + [[2.0, 3.0]] * n,
                                   {"a": 1.0}, [2 ** 1100] * n, "1.0"])
-    values = st.one_of(_filled((n,)), arrays(max_dims=2, max_side=6),
+    values = st.one_of(_values((n,)), arrays(max_dims=2, max_side=6),
                        unreadable)
     return st.one_of(
         st.tuples(st.dictionaries(_NAMES, matched, max_size=4), finite,
@@ -287,7 +342,7 @@ def _scores_or_errors(models, target):
     _returns_or_raises_workbench_error(cmi_score, models, target)
 
 
-@CONTRACT
+@VALUES
 @given(st.integers(0, 6).flatmap(_token_tables), TARGETS)
 def test_model_table_from_tokens(args, target):
     try:
@@ -311,7 +366,7 @@ def _direct_tables(shape):
                    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
                                     max_side=4)),
         st.just([[0] * axes] * n))
-    values = st.one_of(_filled((n,)), arrays(max_dims=2, max_side=6),
+    values = st.one_of(_values((n,)), arrays(max_dims=2, max_side=6),
                        st.just([0.0] * n))
     return st.one_of(
         st.tuples(names, hnp.arrays(np.intp, (n, axes),
@@ -322,7 +377,7 @@ def _direct_tables(shape):
                   codes, values, values, values))
 
 
-@CONTRACT
+@VALUES
 @given(st.tuples(st.integers(0, 6), st.integers(0, 4)).flatmap(
     _direct_tables), TARGETS)
 def test_model_table(fields, target):
@@ -355,6 +410,116 @@ def _model_lists(axes):
     _model_lists), TARGETS)
 def test_ranking_metrics_on_model_lists(models, target):
     _scores_or_errors(models, target)
+
+
+# the rest of marginlab.__all__: knee selection, networks, blobs, the
+# corrupters and the config dataclasses
+
+# real-valued fields: numbers of every kind, and values that are not real
+# numbers or not one number
+REALS = st.one_of(CELLS, COUNTS, st.integers(2 ** 1100, 2 ** 1101),
+                  st.sampled_from([np.float32(0.5), np.int64(3), "a", "0.5",
+                                   None, 1j, np.complex128(0.5), [0.5],
+                                   np.full(2, 0.5)]))
+SEEDS = st.one_of(COUNTS, st.integers(-5, 2 ** 64))
+
+
+@VALUES
+@given(st.one_of(arrays(max_dims=2), _values((6,))),
+       st.one_of(arrays(max_dims=2), _values((6,))))
+def test_select_components_kneedle(variance, ratio):
+    pca = PcaModel(_PCA.mean, _PCA.components, variance, ratio)
+    _returns_or_raises_workbench_error(select_components_kneedle, pca)
+
+
+@CONTRACT
+@given(COUNTS, st.one_of(st.lists(COUNTS, max_size=3),
+                         st.sampled_from([None, 3, "12", [[4]]])),
+       COUNTS, SEEDS)
+def test_init_network(input_dim, hidden_widths, num_classes, seed):
+    _returns_or_raises_workbench_error(init_network, input_dim,
+                                       hidden_widths, num_classes, seed)
+
+
+def _datasets(n):
+    """Datasets of n rows for the 3-input, 3-class net: features of any
+    width and kind, labels in range or not, of n values or not, and class
+    counts that match the net or not."""
+    features = st.one_of(_values((n, 3)), matrices(max_cols=4))
+    labels = st.one_of(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                       st.lists(st.integers(-1, 3), max_size=7))
+    return st.builds(
+        lambda X, y, classes: Dataset(X, np.array(y, dtype=np.int64),
+                                      np.zeros(3), np.ones(3),
+                                      np.zeros(len(y), dtype=np.int64),
+                                      classes),
+        features, labels, st.integers(1, 4))
+
+
+@VALUES
+@given(st.integers(0, 6).flatmap(_datasets))
+def test_train_sgd(ds):
+    _returns_or_raises_workbench_error(
+        train_sgd, _NET, ds, TrainConfig(epochs=2, batch_size=3,
+                                         learning_rate=0.1))
+
+
+@VALUES
+@given(st.integers(0, 6).flatmap(_datasets))
+def test_accuracy(ds):
+    _returns_or_raises_workbench_error(accuracy, _NET, ds)
+
+
+def _blobs(*fields):
+    return gen_blobs(BlobConfig(*fields))
+
+
+@VALUES
+@given(COUNTS, COUNTS, COUNTS, REALS, SEEDS,
+       st.one_of(st.none(), _values((2, 2)), arrays(max_dims=2)))
+def test_gen_blobs(classes, samples_per_class, dim, spread, seed, centers):
+    _returns_or_raises_workbench_error(_blobs, classes, samples_per_class,
+                                       dim, spread, seed, centers)
+
+
+@CONTRACT
+@given(st.integers(0, 6).flatmap(lambda n: _filled((n, 2))),
+       st.integers(1, 3), REALS, SEEDS,
+       st.sampled_from([corrupt_labels, corrupt_inputs_gaussian]))
+def test_corrupters(features, class_count, fraction, seed, corrupt):
+    n = len(features)
+    ds = Dataset(features, np.arange(n) % class_count,
+                 features.min(axis=0, initial=0.0),
+                 features.max(axis=0, initial=1.0),
+                 np.zeros(n, dtype=np.int64), class_count)
+    _returns_or_raises_workbench_error(corrupt, ds, fraction, seed)
+
+
+@CONTRACT
+@given(REALS, REALS, st.one_of(COUNTS, REALS))
+def test_search_config(learning_rate, stop_tolerance, max_iters):
+    _returns_or_raises_workbench_error(SearchConfig, learning_rate,
+                                       stop_tolerance, max_iters)
+
+
+@CONTRACT
+@given(st.one_of(COUNTS, REALS), COUNTS, REALS, REALS, SEEDS)
+def test_train_config(epochs, batch_size, learning_rate, momentum, seed):
+    _returns_or_raises_workbench_error(TrainConfig, epochs, batch_size,
+                                       learning_rate, momentum, seed)
+
+
+def _evaluated_model(values, *numbers):
+    return EvaluatedModel(HyperparamConfig(values), *numbers)
+
+
+@CONTRACT
+@given(st.one_of(st.dictionaries(_NAMES, _TOKEN_VALUES, max_size=3),
+                 st.sampled_from([None, [], "ab", [("a", 1)], 3])),
+       REALS, REALS, REALS)
+def test_evaluated_model(values, complexity, gen_gap, test_accuracy):
+    _returns_or_raises_workbench_error(_evaluated_model, values, complexity,
+                                       gen_gap, test_accuracy)
 
 
 # the cases first probed by hand, each named once more outright
@@ -404,4 +569,73 @@ def test_probed_edges_raise_domain_error(call):
         "search-margins", "tv-normalize-quotient"])
 def test_values_that_overflow_are_numerical_errors(call):
     with pytest.raises(NumericalError):
+        call()
+
+
+_TEXT = [["a", "b"], ["c", "d"]]
+_SWEEP = dict(blob=BlobConfig(2, 4, 2, 1.0, 0), dataset_path=None,
+              test_path=None, corruptions=(("label", 0.2),), widths=(4,),
+              seeds=(0,), train=TrainConfig(2, 4, 0.1),
+              estimator="deepfool", search=SearchConfig(max_iters=5),
+              normalize="znorm", output_dir="unused", seed=0)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: _checked_rows([["a"]]), DomainError),
+    (lambda: _checked_rows([[1.0], [2.0, 3.0]]), DomainError),
+    (lambda: _checked_rows([1j, 2.0]), DomainError),
+    (lambda: _checked_rows(np.array([1.0 + 0j])), DomainError),
+    (lambda: cumulative_share(["a"], [1.0]), DomainError),
+    (lambda: r_squared(["a", "b"], [1.0, 2.0]), DomainError),
+    (lambda: fit_pca(_TEXT), DomainError),
+    (lambda: _blobs(2, 3, 2, 1.0, 0, _TEXT), DomainError),
+    (lambda: tv_normalize(["a"], np.arange(4.0).reshape(2, 2)),
+     DomainError),
+    (lambda: extract_signature(["a"]), DomainError),
+    (lambda: fit_linear_predictor(_TEXT, [0.0, 1.0]), DomainError),
+    (lambda: kendall_tau(np.ones((3, 2), dtype=complex)), DomainError),
+    (lambda: ModelTable.from_tokens({"a": [1, 2]}, np.ones(2, dtype=complex),
+                                    np.ones(2), np.ones(2)), DomainError),
+    (lambda: search_margins(_NET, 0, np.zeros((1, 3)),
+                            SearchConfig(bounds=(["a"] * 3, ["b"] * 3))),
+     DomainError),
+    (lambda: cross_validate_predictor(np.ones((5, 5)),
+                                      np.array([0, 0, 0, 1, 1e300]), k=2,
+                                      shuffles=1, seed=0), NumericalError),
+    (lambda: SearchConfig(learning_rate="a"), DomainError),
+    (lambda: TrainConfig(1, 1, "a"), DomainError),
+    (lambda: _evaluated_model({"a": "1"}, "a", 0.0, 0.5), DomainError),
+    (lambda: search_margins(_NET, 0, np.zeros((1, 3)), None,
+                            fit_pca(np.eye(3)[:, :2]), 1), DomainError),
+    (lambda: run_capacity_sweep(ExperimentConfig(**{**_SWEEP,
+                                                    "widths": ()})),
+     DomainError),
+    (lambda: run_capacity_sweep(ExperimentConfig(**{**_SWEEP,
+                                                    "estimator": "foo"})),
+     DomainError),
+    (lambda: run_capacity_sweep(ExperimentConfig(**{**_SWEEP,
+                                                    "blob": None})),
+     DomainError),
+    (lambda: ExperimentConfig(**{**_SWEEP, "corruptions": ("label", 0.2)}),
+     DomainError),
+    (lambda: ExperimentConfig(**{**_SWEEP, "corruptions": ((["label"], 0.2),)}),
+     DomainError),
+    (lambda: ExperimentConfig(**{**_SWEEP, "widths": 4}), DomainError),
+    (lambda: ExperimentConfig(**{**_SWEEP, "seeds": None}), DomainError),
+], ids=["rows-text", "rows-ragged", "rows-complex-list", "rows-complex-array",
+        "cumulative-share-text", "r2-text", "fit-pca-text", "gen-blobs-text",
+        "tv-normalize-text", "extract-signature-text", "fit-predictor-text",
+        "kendall-complex", "from-tokens-complex", "search-text-box",
+        "cross-validation-non-finite-score", "search-config-text",
+        "train-config-text", "evaluated-model-text", "search-pca-width",
+        "sweep-no-widths", "sweep-unknown-estimator", "sweep-no-data",
+        "sweep-flat-corruption", "sweep-list-mode", "sweep-scalar-widths",
+        "sweep-no-seeds"])
+def test_probed_leaks_raise_workbench_errors(call, error):
+    # each leaked a numpy or Python exception, or a ComplexWarning, or (the
+    # sweep without widths or data) failed late, or (the unknown estimator)
+    # wrote a closed-form sweep; a sweep config of the wrong shape (a flat
+    # corruption pair, a list as its mode, widths or seeds that are not a
+    # list) leaked Python's unpacking, hashing or iteration error
+    with pytest.raises(error):
         call()

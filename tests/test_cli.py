@@ -155,12 +155,15 @@ def test_out_of_memory_exits_2(capsys, tmp_path, monkeypatch, message):
 def test_gen_data_non_finite_features_exit_2(capsys, tmp_path, spread,
                                              suffix):
     # the writer refuses what the loaders would reject: float64 overflow
-    # (1e308, inf), or overflow of the MWDS layout's f32 (1e39)
+    # (1e308), or overflow of the MWDS layout's f32 (1e39); an infinite
+    # spread is refused before any sample is drawn
     out = tmp_path / f"blobs.{suffix}"
     code, out_text, err = run(capsys, "gen-data", "--spread", spread,
                               "--seed", 0, "--out", out)
     assert (code, out_text) == (2, "")
-    assert "non-finite features" in err and err.count("\n") == 1
+    expected = ("spread must be a finite number" if spread == "inf"
+                else "non-finite features")
+    assert expected in err and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 
@@ -192,6 +195,17 @@ def test_train_determinism(capsys, tmp_path):
     p1, _ = train(capsys, tmp_path, data, name="m1.json")
     p2, _ = train(capsys, tmp_path, data, name="m2.json")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("hidden", ["4,x", "4,0"])
+def test_train_bad_hidden_widths_exit_2(capsys, tmp_path, hidden):
+    data = gen(capsys, tmp_path)
+    out = tmp_path / "model.json"
+    code, out_text, err = run(capsys, "train", "--data", data, "--hidden",
+                              hidden, "--out", out)
+    assert (code, out_text) == (2, "")
+    assert "--hidden" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,flag,value", [
@@ -307,6 +321,37 @@ def _tiny_data(tmp_path, features=3):
     save_dataset(Dataset(X, y, X.min(axis=0), X.max(axis=0),
                          np.zeros(12, dtype=np.int64), 2), tmp_path / "d.csv")
     return tmp_path / "d.csv"
+
+
+@pytest.mark.parametrize("options,complaint", [
+    (["--estimator", "constrained-deepfool", "--pca", "pca.json",
+      "--layer", 1], "input space only"),
+    (["--estimator", "constrained-taylor", "--pca", "wide.json"],
+     "the pca basis spans 4 features"),
+    (["--estimator", "constrained-taylor"], "need --pca"),
+    (["--estimator", "constrained-taylor", "--pca", "pca.json", "--m", "x"],
+     "--m must be an integer"),
+    (["--estimator", "taylor", "--boundary-out", "b.csv"],
+     "--boundary-out needs"),
+    (["--estimator", "constrained-taylor", "--pca", "pca.json", "--batch"],
+     "--batch needs"),
+], ids=["constrained-hidden-layer", "pca-width", "no-pca", "m-text",
+        "boundary-out-closed-form", "batch-closed-form"])
+def test_measure_bad_options_exit_2(capsys, tmp_path, monkeypatch, options,
+                                    complaint):
+    data = _tiny_data(tmp_path)
+    model, _ = train(capsys, tmp_path, data, hidden="4", epochs=2)
+    save_pca(fit_pca(load_dataset(data).features), tmp_path / "pca.json")
+    save_pca(fit_pca(np.random.default_rng(4).normal(size=(9, 4))),
+             tmp_path / "wide.json")
+    monkeypatch.chdir(tmp_path)
+    code, out_text, err = run(capsys, "measure", "--model", model, "--data",
+                              data, *options, "--out", "m.csv")
+    assert (code, out_text) == (2, "")
+    assert complaint in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "m.csv").exists()
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_measure_nan_weight_model_exits_3(capsys, tmp_path):
@@ -835,6 +880,25 @@ def test_evaluate_granulated_and_csv_output(capsys, tmp_path):
     assert len(lines) == 4  # two axes + mean row + header
 
 
+def test_evaluate_granulated_reports_an_undefined_axis(capsys, tmp_path):
+    # seed never varies inside a width group, so its psi is undefined
+    entries = [{"hyperparams": {"width": str(w), "seed": "0"},
+                "train_acc": 1.0, "test_acc": 0.5 + 0.1 * (w == 16),
+                "measures": {"mm": float(w)}} for w in (8, 16)]
+    out = tmp_path / "scores.csv"
+    code, out_text, _ = run(capsys, "evaluate", "--models",
+                            models_file(tmp_path, entries), "--metric",
+                            "granulated", "--measure-col", "mm", "--out", out)
+    assert code == 0
+    result = json.loads(out_text)
+    assert result["per_axis"]["seed"] == {"psi": None, "undefined": True}
+    assert result["mean_psi"] == result["per_axis"]["width"]["psi"] == 1.0
+    assert _csv_rows(out) == [
+        ["axis", "psi", "included_groups", "skipped_groups"],
+        ["seed", "", "", ""], ["width", "1.0", "1", "0"],
+        ["mean", "1.0", "", ""]]
+
+
 def _csv_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -1212,6 +1276,20 @@ def test_advdir_rejects_malformed_boundary_csv(capsys, tmp_path, row):
     assert not out.exists()
 
 
+def test_advdir_boundary_csv_without_rows_exits_2(capsys, tmp_path):
+    pca_path = tmp_path / "pca.json"
+    save_pca(fit_pca(np.random.default_rng(2).normal(size=(20, 2))),
+             pca_path)
+    bout = tmp_path / "bounds.csv"
+    bout.write_text("sample_index,orig_0,orig_1,bound_0,bound_1\n")
+    out = tmp_path / "shares.csv"
+    code, out_text, err = run(capsys, "advdir", "--pca", pca_path,
+                              "--boundary-csv", bout, "--out", out)
+    assert (code, out_text) == (2, "")
+    assert "holds no samples" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sample_index", ["a7", "1_0", '"3"'])
 def test_advdir_rejects_non_numeric_cell_outside_orig_bound(capsys, tmp_path,
                                                             sample_index):
@@ -1339,6 +1417,10 @@ def test_sweep_flag_overrides_config(capsys, tmp_path):
     ("dataset", "dim", 1),
     ("dataset", "spread", 0.0),
     ("dataset", "samples_per_class", 0),
+    (None, "corruptions", [{"mode": "flip"}]),
+    (None, "corruptions", [{"mode": "label", "fraction": 1.5}]),
+    ("estimator", "name", "foo"),
+    (None, "normalize", "zscore"),
 ])
 def test_sweep_bad_config_value_exits_2(capsys, tmp_path, section, key,
                                         value):

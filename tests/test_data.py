@@ -1,3 +1,4 @@
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -90,6 +91,12 @@ def test_gen_blobs_validation():
         gen_blobs(BlobConfig(classes=2, samples_per_class=5, dim=1, spread=1.0, seed=0))
     with pytest.raises(DomainError):
         gen_blobs(BlobConfig(classes=2, samples_per_class=5, dim=2, spread=0.0, seed=0))
+    with pytest.raises(DomainError, match="centers shape"):
+        BlobConfig(classes=2, samples_per_class=5, dim=2, spread=1.0, seed=0,
+                   centers=np.zeros((3, 2)))
+    with pytest.raises(DomainError, match="non-finite"):
+        BlobConfig(classes=2, samples_per_class=5, dim=2, spread=1.0, seed=0,
+                   centers=[[0.0, np.nan], [1.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +321,28 @@ def test_binary_rejects_bad_magic(tmp_path):
         load_dataset_bin(path)
 
 
+def _mwds(version=1, samples=2, class_count=2, labels=(0, 1), cut=0):
+    """MWDS bytes of ``samples`` rows of two features, ``cut`` bytes short."""
+    raw = b"".join((b"MWDS", struct.pack("<IQQI", version, samples, 2,
+                                         class_count),
+                    np.zeros(samples * 2, dtype="<f4").tobytes(),
+                    np.array(labels, dtype="<u4").tobytes()))
+    return raw[:len(raw) - cut]
+
+
+@pytest.mark.parametrize("raw,complaint", [
+    (_mwds(version=2), "unsupported MWDS version 2"),
+    (_mwds(cut=1), "truncated or oversized"),
+    (_mwds(class_count=1, labels=(0, 0)), "class_count must be >= 2"),
+    (_mwds(labels=(0, 2)), "label exceeds class_count"),
+], ids=["version", "size", "one-class", "label-out-of-range"])
+def test_binary_rejects_malformed_header(tmp_path, raw, complaint):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError, match=complaint):
+        load_dataset_bin(path)
+
+
 def test_csv_round_trip(tmp_path):
     ds = gen_blobs(BlobConfig(classes=2, samples_per_class=10, dim=3, spread=1.0, seed=7))
     path = tmp_path / "blobs.csv"
@@ -439,6 +468,17 @@ def test_csv_loader_rejects_rows_float_accepted(tmp_path, row):
     path = tmp_path / "plain.csv"
     path.write_text("f0,f1,label\n0.5,1.5,0\n" + row + "\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="data row 2"):
+        load_dataset_csv(path)
+
+
+@pytest.mark.parametrize("text,complaint", [
+    ("label\n0\n1\n", "need at least one feature column"),
+    ("f0,label\n0.5,0\n1.5,0\n", "need at least 2 classes"),
+], ids=["labels-only", "one-class"])
+def test_csv_loader_rejects_degenerate_tables(tmp_path, text, complaint):
+    path = tmp_path / "plain.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=complaint):
         load_dataset_csv(path)
 
 

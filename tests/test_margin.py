@@ -385,6 +385,17 @@ def test_search_config_validation():
         SearchConfig(max_iters=0)
 
 
+@pytest.mark.parametrize("bounds,complaint", [
+    ((np.zeros(3), np.ones(3)), "do not match the input dimension"),
+    ((np.zeros(2), np.ones(2), np.ones(2)), "do not match the input dimension"),
+    ((np.array([0.0, 1.0]), np.array([1.0, 1.0])), "lower < upper"),
+], ids=["width", "three-bounds", "empty-box"])
+def test_search_rejects_a_bad_clip_box(bounds, complaint):
+    cfg = SearchConfig(bounds=bounds)
+    with pytest.raises(DomainError, match=complaint):
+        search_margins(two_class_line(), 0, np.array([[0.2, 0.5]]), cfg)
+
+
 # ---------------------------------------------------------------------------
 # DeepFool margin, batched
 

@@ -14,6 +14,7 @@ from marginlab import metrics
 from marginlab.errors import (
     DomainError,
     FitError,
+    NumericalError,
     UndefinedMetricError,
     WorkbenchError,
 )
@@ -857,7 +858,7 @@ def test_cross_validation_rejects_fewer_than_one_shuffle(shuffles):
 def per_fold_cross_validation(features, gaps, k, shuffles, seed):
     """Cross-validation as a loop of public calls: each fold is fitted by
     ``fit_linear_predictor``, predicted by ``predict_gap`` and scored by
-    ``r_squared``."""
+    ``r_squared``; a score or mean that is not finite is a NumericalError."""
     F = np.asarray(features, dtype=np.float64)
     g = np.asarray(gaps, dtype=np.float64).ravel()
     scores = []
@@ -867,8 +868,12 @@ def per_fold_cross_validation(features, gaps, k, shuffles, seed):
             mask[fold] = False
             fit = fit_linear_predictor(F[mask], g[mask])
             scores.append(r_squared(g[fold], predict_gap(fit, F[fold])))
-    return CrossValResult(mean_r2=sum(scores) / len(scores),
-                          per_fold=tuple(scores))
+            if not math.isfinite(scores[-1]):
+                raise NumericalError("a non-finite fold score")
+    mean_r2 = sum(scores) / len(scores)
+    if not math.isfinite(mean_r2):
+        raise NumericalError("a non-finite mean score")
+    return CrossValResult(mean_r2=mean_r2, per_fold=tuple(scores))
 
 
 def outcome(fn, *args):
@@ -902,13 +907,28 @@ def test_cross_validation_equals_the_per_fold_loop(data):
     got = outcome(cross_validate_predictor, *args)
     want = outcome(per_fold_cross_validation, *args)
     if isinstance(want, CrossValResult):
-        # bit for bit: a held-out gap of 1e300 overflows r_squared's sums
-        # to a score of -inf or NaN, which both return
-        assert isinstance(got, CrossValResult)
+        assert isinstance(got, CrossValResult)  # bit for bit
         assert np.array([got.mean_r2, *got.per_fold]).tobytes() == \
             np.array([want.mean_r2, *want.per_fold]).tobytes()
     else:
+        # a held-out gap of 1e300 overflows r_squared's sums to a score of
+        # -inf or NaN, a NumericalError on both paths
         assert got is want
+
+
+def test_cross_validation_names_the_fold_whose_score_is_not_finite():
+    with pytest.raises(NumericalError, match="fold 0 of shuffle 0 scores"):
+        cross_validate_predictor(np.ones((5, 5)),
+                                 np.array([0, 0, 0, 1, 1e300]), k=2,
+                                 shuffles=1, seed=0)
+
+
+def test_cross_validation_rejects_a_mean_score_that_overflows():
+    # two finite fold scores whose sum overflows
+    theta, gaps = synthetic_signatures(np.random.default_rng(113), 12)
+    with mock.patch.object(metrics, "r_squared", return_value=-1e308), \
+            pytest.raises(NumericalError, match="mean held-out R"):
+        cross_validate_predictor(theta, gaps, k=2, shuffles=1)
 
 
 _CV_FEATURES = np.random.default_rng(127).uniform(0.5, 3.0, size=(9, 5))
@@ -949,10 +969,31 @@ def test_hyperparam_config_tokens_are_stringified():
     assert cfg.values == {"lr": "0.1", "width": "32"}
 
 
+@pytest.mark.parametrize("values", [{}, None, "ab", [("a", "1")]])
+def test_hyperparam_config_needs_a_non_empty_mapping(values):
+    with pytest.raises(DomainError, match="non-empty mapping"):
+        HyperparamConfig(values)
+
+
 def test_evaluated_model_rejects_non_finite():
     cfg = HyperparamConfig({"a": "x", "b": "y", "c": "z"})
     with pytest.raises(DomainError):
         EvaluatedModel(cfg, float("nan"), 0.0, 0.5)
+
+
+@pytest.mark.parametrize("value", [float("inf"), "1.0", True, 2 ** 1100,
+                                   np.ones(1)])
+def test_evaluated_model_takes_finite_numbers_only(value):
+    # text leaked numpy's TypeError; a bool and a one-value array passed
+    cfg = HyperparamConfig({"a": "x"})
+    with pytest.raises(DomainError, match="complexity must be a finite"):
+        EvaluatedModel(cfg, value, 0.0, 0.5)
+
+
+def test_evaluated_model_takes_numpy_scalars_as_python_numbers():
+    cfg = HyperparamConfig({"a": "x"})
+    model = EvaluatedModel(cfg, np.float32(0.5), np.int64(1), 0.5)
+    assert table_of([model]).complexity.tolist() == [0.5]
 
 
 def test_metric_schema_mismatch_rejected():
@@ -1130,11 +1171,18 @@ def test_from_tokens_gives_each_string_its_own_token_in_string_order():
         assert table.codes.tolist() == codes
 
 
+def test_from_tokens_rejects_a_short_column():
+    with pytest.raises(DomainError, match="one value per model, 2 in all"):
+        ModelTable.from_tokens({"a": [1, 2], "b": [1]}, np.ones(2),
+                               np.ones(2), np.ones(2))
+
+
 def test_model_table_rejects_bad_columns():
     good = table_of([model((0, 0, 0), 1.0, 1.0), model((1, 0, 0), 2.0, 2.0)])
     for change in ({"complexity": np.array([1.0, np.nan])},
                    {"gen_gap": np.array([1.0])},
                    {"codes": good.codes[:, :2]},
+                   {"codes": good.codes + 1},
                    {"codes": good.codes[:0], "complexity": np.array([]),
                     "gen_gap": np.array([]), "test_accuracy": np.array([])}):
         with pytest.raises(DomainError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from marginlab import nnet
-from marginlab.data import BlobConfig, gen_blobs, normalize
+from marginlab.data import BlobConfig, Dataset, gen_blobs, normalize
 from marginlab.errors import (
     ConfigError,
     DomainError,
@@ -440,6 +440,35 @@ def test_numpy_integer_seeds_and_widths_draw_what_python_ints_draw():
         assert x.bias.tobytes() == y.bias.tobytes()
 
 
+@pytest.mark.parametrize("args,complaint", [
+    ((2, [4], 1), "num_classes must be >= 2"),
+    ((0, [4], 3), "input_dim must be >= 1"),
+    ((2, [4, 0], 3), "layer widths must be >= 1"),
+    ((2, 4, 3), "hidden_widths must be a sequence"),
+], ids=["one-class", "no-inputs", "empty-layer", "width-not-a-sequence"])
+def test_init_network_rejects_bad_sizes(args, complaint):
+    with pytest.raises(DomainError, match=complaint):
+        init_network(*args, seed=0)
+
+
+@pytest.mark.parametrize("change,complaint", [
+    (dict(features=np.zeros((6, 3))), "feature count"),
+    (dict(class_count=4), "class_count"),
+    (dict(labels=np.array([0, 1, 2, 0, 1, 3])), "labelled with a class"),
+    (dict(labels=np.zeros(5, dtype=np.int64)), "labelled with a class"),
+], ids=["feature-count", "class-count", "label-out-of-range",
+        "label-count"])
+def test_train_sgd_rejects_a_dataset_the_net_does_not_fit(change, complaint):
+    X = np.random.default_rng(5).normal(size=(6, 4))
+    ds = Dataset(**{**dict(features=X, labels=np.arange(6) % 3,
+                           lower=X.min(axis=0), upper=X.max(axis=0),
+                           corrupt_flags=np.zeros(6, dtype=np.int64),
+                           class_count=3), **change})
+    with pytest.raises(DomainError, match=complaint):
+        train_sgd(init_network(4, [5], 3, seed=2), ds,
+                  TrainConfig(epochs=1, batch_size=4, learning_rate=0.1))
+
+
 def test_train_config_validation():
     with pytest.raises(DomainError):
         TrainConfig(epochs=0, batch_size=8, learning_rate=0.1)
@@ -542,6 +571,21 @@ def test_load_model_rejects_non_positive_scale(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="scales must be positive"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("edit,complaint", [
+    (lambda doc: doc.update(num_classes=1), "num_classes must be >= 2"),
+    (lambda doc: doc.update(layers=[]), "model has no layers"),
+    (lambda doc: doc["norm"].update(lower=doc["norm"]["upper"]),
+     "lower < upper"),
+], ids=["one-class", "no-layers", "empty-box"])
+def test_load_model_rejects_inconsistent_sizes(tmp_path, edit, complaint):
+    doc = _model_doc(tmp_path)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=complaint):
         load_model(path)
 
 

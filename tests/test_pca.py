@@ -225,3 +225,9 @@ def test_fit_pca_component_count_must_be_an_integer(n):
     with pytest.raises(DomainError, match="n_components must be an integer"):
         fit_pca(X, n_components=n)
     assert fit_pca(X, n_components=np.int64(2)).components.shape == (2, 3)
+
+
+def test_fit_pca_rejects_constant_data():
+    # identical rows have no direction of variance to rank
+    with pytest.raises(DomainError, match="zero total variance"):
+        fit_pca(np.ones((4, 3)))

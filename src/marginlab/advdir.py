@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (DomainError, NumericalError, _as_floats, _checked_rows,
                      check_overflow)
-from .pca import PcaModel
+from .pca import PcaModel, _checked_pca
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,11 @@ def adv_directions(pca: PcaModel, originals: np.ndarray,
     Each row of |(x - x_hat) @ components.T| is divided by its own
     maximum, so every retained sample contributes the same total weight
     regardless of how far its boundary point lies. Inputs other than one
-    row or a matrix of finite rows raise DomainError; perturbations too
-    large for a float raise NumericalError.
+    row or a matrix of finite rows raise DomainError, and ``pca`` raises as
+    ``load_pca`` would; perturbations too large for a float raise
+    NumericalError.
     """
+    _checked_pca(pca)
     X = np.atleast_2d(_checked_rows(originals))
     Xhat = np.atleast_2d(_checked_rows(boundary_points))
     if X.shape != Xhat.shape or X.shape[0] < 1:

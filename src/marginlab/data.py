@@ -8,7 +8,7 @@ returns a new dataset; nothing mutates its input.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from pathlib import Path
 
@@ -21,7 +21,9 @@ from .errors import (
     DomainError,
     _as_floats,
     _check_reals,
+    _checked_file,
     _checked_rows,
+    _real_arrays,
     _is_finite_real,
     check_integers,
     check_overflow,
@@ -56,6 +58,38 @@ class Dataset:
     @property
     def feature_count(self) -> int:
         return self.features.shape[1]
+
+
+def _checked_dataset(ds: Dataset) -> Dataset:
+    """``ds`` itself, if its features are a finite (samples x features)
+    matrix of real numbers, with one integer label in [0, class_count) and
+    one flag per sample and one lower and one upper bound per feature;
+    else a DomainError."""
+    if not isinstance(ds, Dataset):
+        raise DomainError(f"expected a Dataset, got {type(ds).__name__}")
+    X, y, c = ds.features, ds.labels, ds.class_count
+    if not (_real_arrays(X) and X.ndim == 2):
+        raise DomainError("dataset features must be a (samples x features) "
+                          "matrix of real numbers")
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise DomainError(f"{bad.size} sample(s) hold non-finite features "
+                          f"(first: sample {bad[0]})")
+    check_integers(class_count=c)
+    s, n = X.shape
+    if not (isinstance(y, np.ndarray) and y.dtype.kind in "iu"
+            and y.shape == (s,) and (not s or 0 <= y.min() <= y.max() < c)):
+        raise DomainError(f"every sample must be labelled with a class in "
+                          f"[0, {c}): one integer label per sample, and no "
+                          f"label exceeds class_count")
+    if not (isinstance(ds.corrupt_flags, np.ndarray)
+            and ds.corrupt_flags.shape == (s,)):
+        raise DomainError("a dataset needs one corruption flag per sample")
+    if not (_real_arrays(ds.lower, ds.upper)
+            and ds.lower.shape == ds.upper.shape == (n,)):
+        raise DomainError(f"lower and upper bounds must each match the "
+                          f"feature count, {n}")
+    return ds
 
 
 @dataclass(frozen=True)
@@ -125,7 +159,9 @@ def _expanded_bounds(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo = features.min(axis=0)
     hi = features.max(axis=0)
     limit = np.finfo(np.float64).max
-    with np.errstate(over="ignore"):  # the clamps below handle overflow
+    # the clamps below handle overflow; non-finite features, which the
+    # dataset check refuses, give NaN bounds
+    with np.errstate(over="ignore", invalid="ignore"):
         span = hi - lo
         pad = np.where(np.isfinite(span),
                        0.01 * np.where(span > 0, span, 1.0),
@@ -161,9 +197,10 @@ def _corruption_indices(sample_count: int, fraction: float, rng: np.random.Gener
 
 
 def corrupt_labels(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, CorruptionReport]:
-    """Reassign a uniformly chosen *different* label on round(fraction*s) samples."""
+    """Reassign a uniformly chosen *different* label on round(fraction*s)
+    samples; a dataset ``_checked_dataset`` rejects is a DomainError."""
     check_seed(seed)
-    if ds.class_count < 2:
+    if _checked_dataset(ds).class_count < 2:
         raise DomainError("label corruption needs at least 2 classes")
     rng = np.random.default_rng(seed)
     indices = _corruption_indices(ds.sample_count, fraction, rng)
@@ -187,9 +224,14 @@ def corrupt_inputs_gaussian(ds: Dataset, fraction: float, seed: int) -> tuple[Da
     Every feature of a chosen sample is redrawn from N(mean(x), std(x)) where
     the statistics are over that sample's feature vector (population std). A
     zero-std sample is reproduced exactly. Results are clipped to the dataset
-    bounds. A mean or std that overflows raises NumericalError.
+    bounds. A mean or std that overflows raises NumericalError, and a
+    dataset ``_checked_dataset`` rejects, or one whose features are not
+    floats, a DomainError.
     """
     check_seed(seed)
+    if _checked_dataset(ds).features.dtype.kind != "f":
+        raise DomainError("input corruption writes draws into the features, "
+                          "which must be floats")
     rng = np.random.default_rng(seed)
     indices = _corruption_indices(ds.sample_count, fraction, rng)
 
@@ -215,13 +257,10 @@ def corrupt_inputs_gaussian(ds: Dataset, fraction: float, seed: int) -> tuple[Da
 
 def max_margin(ds: Dataset) -> np.ndarray:
     """Exact distance from each sample to its nearest different-class sample.
-    Features must be one row or a matrix of finite rows, with one label per
-    row, else DomainError; a distance that overflows a float is a
+    A dataset ``_checked_dataset`` rejects, or one with a single class
+    present, is a DomainError; a distance that overflows a float is a
     NumericalError."""
-    X = np.atleast_2d(_checked_rows(ds.features))
-    if np.shape(ds.labels) != (len(X),):
-        raise DomainError(f"{np.size(ds.labels)} labels for {len(X)} "
-                          f"samples")
+    X = _as_floats(_checked_dataset(ds).features)
     present = np.unique(ds.labels)
     if present.size < 2:
         raise DomainError("max margin is undefined with a single class present")
@@ -245,13 +284,14 @@ def normalize(ds: Dataset,
     znorm: per-feature zero mean, unit (population) std; zero-variance features
     keep scale 1. minmax: observed range mapped onto [0, 1]; constant features
     map to 0. The dataset bounds are pushed through the same affine map.
-    none: ``ds`` itself and no meta. Other schemes need finite features
-    (DomainError); an overflow raises NumericalError.
+    none: ``ds`` itself and no meta. A dataset ``_checked_dataset``
+    rejects is a DomainError, and so is one without samples under another
+    scheme; an overflow raises NumericalError.
     """
+    X = _as_floats(_checked_dataset(ds).features)
     if scheme == "none":
         return ds, None
-    X = _checked_rows(ds.features)
-    if X.ndim != 2 or not len(X):
+    if not len(X):
         raise DomainError("normalization needs at least one row of features")
     with np.errstate(over="ignore", invalid="ignore"):
         if scheme == "znorm":
@@ -298,22 +338,22 @@ CORRUPTERS = {"label": corrupt_labels, "input": corrupt_inputs_gaussian}
 # file formats
 
 
-def _check_finite(features: np.ndarray, path) -> None:
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    if bad.size:
-        raise ConfigError(f"{path}: {bad.size} sample(s) hold non-finite "
-                          f"features (first: sample {bad[0]})")
-
-
 def save_dataset_bin(ds: Dataset, path) -> None:
     """Write the MWDS binary layout (f32 features, u32 labels, little-endian).
 
-    Features that are not finite once stored as f32 raise ConfigError, as
-    the loader would, before the file is opened.
+    A dataset the loader would not read back raises ConfigError before the
+    file is opened: one ``_checked_dataset`` rejects, one without samples,
+    one whose class count is below 2 or beyond u32, and one whose features
+    are not finite once stored as f32.
     """
+    _checked_file(_checked_dataset, ds, path)
+    if not (ds.sample_count and 2 <= ds.class_count < 2 ** 32):
+        raise ConfigError(f"{path}: an MWDS file holds samples and a "
+                          f"class_count in [2, 2**32)")
     with np.errstate(over="ignore"):  # the check below names the overflow
         features = np.ascontiguousarray(ds.features, dtype="<f4")
-    _check_finite(features, path)
+    # a value beyond the f32 range is stored as inf, which the loader refuses
+    _checked_file(_checked_dataset, replace(ds, features=features), path)
     write_file(path, b"".join((
         _MAGIC, struct.pack("<IQQI", _BIN_VERSION, ds.sample_count,
                             ds.feature_count, ds.class_count),
@@ -333,25 +373,31 @@ def load_dataset_bin(path) -> Dataset:
     need = offset + s * n * 4 + s * 4
     if len(raw) != need:
         raise ConfigError(f"{path}: truncated or oversized MWDS payload")
+    if not s:
+        raise ConfigError(f"{path}: MWDS file holds no samples")
     features = np.frombuffer(raw, dtype="<f4", count=s * n, offset=offset)
     features = features.reshape(s, n).astype(np.float64)
-    _check_finite(features, path)
     labels = np.frombuffer(raw, dtype="<u4", count=s, offset=offset + s * n * 4)
     labels = labels.astype(np.int64)
     if class_count < 2:
         raise ConfigError(f"{path}: class_count must be >= 2")
-    if labels.size and labels.max() >= class_count:
-        raise ConfigError(f"{path}: label exceeds class_count")
     lower, upper = _expanded_bounds(features)
-    return Dataset(features, labels, lower, upper,
-                   np.zeros(s, dtype=np.int64), int(class_count))
+    return _checked_file(_checked_dataset, Dataset(
+        features, labels, lower, upper, np.zeros(s, dtype=np.int64),
+        int(class_count)), path)
 
 
 def save_dataset_csv(ds: Dataset, path) -> None:
-    """Write the CSV layout; non-finite features raise ConfigError, as the
-    loader would, before the file is opened."""
+    """Write the CSV layout. A dataset the loader would not read back raises
+    ConfigError before the file is opened: one ``_checked_dataset``
+    rejects, and one without samples, features or a label of 1 or more,
+    from which the loader counts two classes."""
+    # features holding text raise numpy's ValueError here, before the check
     features = np.asarray(ds.features, dtype=np.float64)
-    _check_finite(features, path)
+    _checked_file(_checked_dataset, ds, path)
+    if not (ds.sample_count and ds.feature_count and ds.labels.max() >= 1):
+        raise ConfigError(f"{path}: a CSV dataset needs samples, a feature "
+                          f"and a label of 1 or more")
     write_file(path, csv_text(
         [f"f{j}" for j in range(ds.feature_count)] + ["label"],
         [*features.T, np.asarray(ds.labels, dtype=np.int64)]))
@@ -366,7 +412,6 @@ def load_dataset_csv(path) -> Dataset:
     if values.shape[1] < 2:
         raise ConfigError(f"{path}: need at least one feature column")
     features = np.ascontiguousarray(values[:, :-1])
-    _check_finite(features, path)
     y = values[:, -1]
     bad = np.flatnonzero(~((y >= 0) & (y < 2.0 ** 63) & (y == np.floor(y))))
     if bad.size:
@@ -378,8 +423,9 @@ def load_dataset_csv(path) -> Dataset:
     if class_count < 2:
         raise ConfigError(f"{path}: need at least 2 classes")
     lower, upper = _expanded_bounds(features)
-    return Dataset(features, labels, lower, upper,
-                   np.zeros(len(labels), dtype=np.int64), class_count)
+    return _checked_file(_checked_dataset, Dataset(
+        features, labels, lower, upper, np.zeros(len(labels), dtype=np.int64),
+        class_count), path)
 
 
 def load_dataset(path) -> Dataset:

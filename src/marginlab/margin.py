@@ -46,12 +46,13 @@ from .errors import (
 # through here; logit_diffs_all_batch is imported for it alone
 from .nnet import (
     Network,
+    _checked_network,
     _logit_diff_grads,
     _logit_diffs,
     forward_batch,
     logit_diffs_all_batch,
 )
-from .pca import PcaModel
+from .pca import PcaModel, _checked_pca
 
 _DEGENERATE = 1e-12
 _SPAN_TOL = 1e-9
@@ -149,7 +150,7 @@ def _resolve_bounds(net: Network, lam: int, cfg: SearchConfig):
     bounds = _as_floats(box)
     if bounds.shape != (2, net.input_dim):
         raise DomainError("clip bounds do not match the input dimension")
-    if np.any(bounds[0] >= bounds[1]):
+    if not np.all(bounds[0] < bounds[1]):
         raise DomainError("clip bounds require lower < upper everywhere")
     return bounds
 
@@ -308,8 +309,9 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
     how that row stood then.
 
     ``X`` must be one row or a matrix of rows of finite values; anything
-    else is a ``DomainError``. A logit gap, gradient norm or distance that
-    overflows is a ``NumericalError``.
+    else is a ``DomainError``, and ``net`` and ``pca`` raise as
+    ``load_model`` and ``load_pca`` would. A logit gap, gradient norm or
+    distance that overflows is a ``NumericalError``.
 
     ``pca`` and ``m`` restrict the perturbation to the top-``m`` principal
     directions (input space only); distance is still measured in the
@@ -334,6 +336,7 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
     no descent direction from there. The batch-mean mode evaluates every
     row on every iteration and reads whole arrays.
     """
+    _checked_network(net)
     X0 = np.atleast_2d(_checked_rows(X))
     s = X0.shape[0]
     projector = None
@@ -341,7 +344,7 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
         if lam != 0:
             raise DomainError("subspace-constrained margins are measured in "
                               "input space only")
-        k, width = pca.components.shape
+        k, width = _checked_pca(pca).components.shape
         if width != X0.shape[1]:
             raise DomainError(f"the pca basis spans {width} features, the "
                               f"rows of X hold {X0.shape[1]}")

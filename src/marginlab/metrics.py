@@ -566,21 +566,25 @@ def _normalized_sign_information(concordant: np.ndarray,
 
 def r_squared(z: np.ndarray, z_hat: np.ndarray) -> float:
     """1 - SSE/SST; unbounded below, at most 1. ``z`` and ``z_hat`` must be
-    equal-length vectors of finite values, else it is a ``DomainError``."""
+    equal-length vectors of finite values, else it is a ``DomainError``; a
+    score left non-finite by sums that overflow is a ``NumericalError``."""
     z, z_hat = (_as_floats(v).ravel() for v in (z, z_hat))
     if z.shape != z_hat.shape or z.size < 2 \
             or not (np.isfinite(z).all() and np.isfinite(z_hat).all()):
         raise DomainError("r_squared needs two equal-length vectors of at "
                           "least two finite values")
-    # a sum that overflows gives inf or NaN, which callers reject as a
-    # non-finite score; numpy's warning would only repeat that
+    # a sum that overflows gives inf or NaN, which the check below names;
+    # numpy's warning would only repeat that
     with np.errstate(over="ignore", invalid="ignore"):
         sst = float(np.sum((z - z.mean()) ** 2))
         sse = float(np.sum((z_hat - z) ** 2))
     if sst == 0.0:
         raise UndefinedMetricError("r_squared is undefined for a constant "
                                    "target")
-    return 1.0 - sse / sst
+    score = 1.0 - sse / sst
+    if not math.isfinite(score):
+        raise NumericalError(f"R^2 = {score}, a non-finite score")
+    return score
 
 
 # ---------------------------------------------------------------------------
@@ -762,11 +766,12 @@ def cross_validate_predictor(features: np.ndarray, gaps: np.ndarray,
             mask = np.ones(g.size, dtype=bool)
             mask[fold] = False
             fit = _solve_normal_equations(X[mask], g[mask])
-            score = r_squared(g[fold], Phi[fold] @ fit.alpha + fit.intercept)
-            if not math.isfinite(score):
+            try:
+                scores.append(r_squared(
+                    g[fold], Phi[fold] @ fit.alpha + fit.intercept))
+            except NumericalError as exc:
                 raise NumericalError(f"fold {fold_index} of shuffle "
-                                     f"{shuffle_index} scores R^2 = {score}")
-            scores.append(score)
+                                     f"{shuffle_index} scores {exc}") from exc
     mean_r2 = sum(scores) / len(scores)
     if not math.isfinite(mean_r2):
         raise NumericalError("the mean held-out R^2 overflows")

@@ -15,14 +15,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._atomic import read_json, write_json
-from .data import Dataset, NormalizationMeta
+from .data import Dataset, NormalizationMeta, _checked_dataset
 from .errors import (
     ConfigError,
     DomainError,
     NumericalError,
     TrainingDivergedError,
+    _as_floats,
     _check_reals,
+    _checked_file,
     _checked_rows,
+    _real_arrays,
     check_integers,
     check_overflow,
     check_seed,
@@ -49,6 +52,60 @@ class Network:
     input_dim: int
     num_classes: int
     norm_meta: NormalizationMeta | None = None
+
+
+def _checked_network(net: Network) -> Network:
+    """``net`` itself, if it is a net ``load_model`` would load: integer
+    sizes, two classes or more, one layer or more, each a real weight
+    matrix fed by the width before it with a bias per output and a known
+    activation, the last as wide as ``num_classes``, and no normalization
+    or a known scheme with four ``input_dim``-long arrays, positive scales
+    and lower < upper. Else a DomainError, or a NumericalError on a
+    non-finite parameter or normalization value."""
+    if not isinstance(net, Network):
+        raise DomainError(f"expected a Network, got {type(net).__name__}")
+    check_integers(input_dim=net.input_dim, num_classes=net.num_classes)
+    if net.num_classes < 2:
+        raise DomainError("num_classes must be >= 2")
+    layers = net.layers
+    if not (isinstance(layers, (list, tuple))
+            and all(isinstance(layer, DenseLayer) for layer in layers)):
+        raise DomainError("layers must be a list of DenseLayer")
+    prev = net.input_dim
+    for idx, layer in enumerate(layers):
+        w, b, act = layer.weights, layer.bias, layer.activation
+        if not (isinstance(act, str) and act in _ACTIVATIONS):
+            raise DomainError(f"layer {idx} has unknown activation {act!r}")
+        if not (_real_arrays(w, b) and w.ndim == 2 and w.shape[1] == prev
+                and b.shape == (w.shape[0],)):
+            raise DomainError(f"layer {idx} shapes are inconsistent")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise NumericalError(f"layer {idx} holds non-finite parameters")
+        prev = w.shape[0]
+    if not layers:
+        raise DomainError("model has no layers")
+    if prev != net.num_classes:
+        raise DomainError(f"final layer width {prev} != num_classes")
+
+    meta = net.norm_meta
+    if meta is None:
+        return net
+    scheme = getattr(meta, "scheme", None)
+    if not (isinstance(meta, NormalizationMeta) and isinstance(scheme, str)
+            and scheme in ("znorm", "minmax")):
+        raise DomainError(f"unknown normalization scheme {scheme!r}")
+    arrays = [getattr(meta, key) for key in _NORM_ARRAYS]
+    if not (_real_arrays(*arrays)
+            and all(a.shape == (net.input_dim,) for a in arrays)):
+        raise DomainError(f"normalization arrays must each hold "
+                          f"input_dim={net.input_dim} values")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalError("normalization holds non-finite values")
+    if not np.all(meta.scales > 0):
+        raise DomainError("normalization scales must be positive")
+    if not np.all(meta.lower < meta.upper):
+        raise DomainError("normalization bounds must satisfy lower < upper")
+    return net
 
 
 def _check_activations(net: Network, lam: int, X: np.ndarray, top: int) -> None:
@@ -81,9 +138,10 @@ def _forward(net: Network, lam: int, A: np.ndarray):
 def forward_batch(net: Network, X: np.ndarray, lam: int = 0) -> list[np.ndarray]:
     """Activation matrices x^lam..x^L for a batch ``X`` of activations at
     layer ``lam``; by default X holds inputs, shape (s, input_dim). An
-    activation that overflows raises NumericalError."""
+    activation that overflows raises NumericalError. A net
+    ``load_model`` would not load raises as it does, without the file."""
     A = _checked_rows(X)
-    _check_activations(net, lam, A, len(net.layers))
+    _check_activations(_checked_network(net), lam, A, len(net.layers))
     acts = _forward(net, lam, A)[0]
     check_overflow("the forward pass", *acts)
     return acts
@@ -98,6 +156,7 @@ def predict_batch(net: Network, X: np.ndarray) -> np.ndarray:
 # logit-difference gradients
 
 
+@np.errstate(over="ignore", invalid="ignore")  # check_overflow names it
 def logit_diffs_all_batch(net: Network, lam: int, X: np.ndarray, base: np.ndarray):
     """Logit differences and their gradients for every competitor class.
 
@@ -106,10 +165,12 @@ def logit_diffs_all_batch(net: Network, lam: int, X: np.ndarray, base: np.ndarra
     gradient G[s, j] = ∇_{x^lam}(f_i − f_j), where i = base[s]. Row j = base[s]
     is identically zero. Also returns the logits.
 
-    ``X`` must be one row or a matrix of rows of finite values, and
-    ``base`` must hold one integer class in [0, num_classes) per row;
-    anything else is a ``DomainError``.
+    ``net`` must pass ``_checked_network``, ``X`` must be one row or a
+    matrix of rows of finite values, and ``base`` must hold one integer
+    class in [0, num_classes) per row; anything else is a ``DomainError``.
+    A logit, difference or gradient that overflows is a ``NumericalError``.
     """
+    _checked_network(net)
     X = np.atleast_2d(_checked_rows(X))
     b = np.asarray(base)
     if b.size == 0:
@@ -121,7 +182,9 @@ def logit_diffs_all_batch(net: Network, lam: int, X: np.ndarray, base: np.ndarra
                           f"{X.shape[0]} rows of X")
     base = b.astype(np.int64, copy=False)
     o, logits, pres, _ = _logit_diffs(net, lam, X, base)
-    return o, _logit_diff_grads(net, lam, pres, base), logits
+    G = _logit_diff_grads(net, lam, pres, base)
+    check_overflow("a logit difference or its gradient", o, G, logits)
+    return o, G, logits
 
 
 def _logit_diffs(net: Network, lam: int, X: np.ndarray, base=None):
@@ -160,7 +223,8 @@ def _logit_diff_grads(net: Network, lam: int, pres, base: np.ndarray):
         j = np.where(on, np.arange(c), c)
     else:
         W, i, j = out.weights, base, slice(None)
-    table = W[:, None, :] - W[None, :, :]
+    # in floats, which integer or bool weights would not give
+    table = np.subtract(W[:, None, :], W[None, :, :], dtype=np.float64)
     # (e_i − e_j) W, summed from 0.0, holds no -0.0 even where W does;
     # adding 0.0 gives the table the same zeros
     table += 0.0
@@ -243,22 +307,23 @@ def train_sgd(net: Network, dataset: Dataset, config: TrainConfig) -> Network:
     Deterministic for a fixed config seed. Raises TrainingDivergedError when
     the loss or any parameter stops being finite. Returns a new network; the
     input net provides the initial parameters and is left untouched. The
-    dataset must hold a finite (samples x input_dim) matrix, and one class
-    in [0, num_classes) per sample, else it is a DomainError.
+    net and the dataset are checked as their loaders check them, and the
+    dataset needs samples of ``input_dim`` features and the net's class
+    count, else it is a DomainError.
     """
-    X, y = _checked_rows(dataset.features), np.asarray(dataset.labels)
-    if X.ndim != 2 or X.shape[1] != net.input_dim:
+    _checked_network(net)
+    X, y = _as_floats(_checked_dataset(dataset).features), dataset.labels
+    if X.shape[1] != net.input_dim:
         raise DomainError("dataset feature count does not match network input_dim")
     if dataset.class_count != net.num_classes:
         raise DomainError("dataset class_count does not match network num_classes")
-    if (not len(X) or y.shape != X.shape[:1] or y.dtype.kind not in "iu"
-            or not 0 <= y.min() <= y.max() < net.num_classes):
-        raise DomainError(f"training needs samples, each labelled with a "
-                          f"class in [0, {net.num_classes})")
+    if not len(X):
+        raise DomainError("training needs samples")
 
-    # SGD updates the copied parameters in place
+    # SGD updates float64 copies of the parameters in place
     trained = replace(net, layers=[
-        DenseLayer(layer.weights.copy(), layer.bias.copy(), layer.activation)
+        DenseLayer(layer.weights.astype(np.float64),
+                   layer.bias.astype(np.float64), layer.activation)
         for layer in net.layers])
     # divergence shows up as overflow/nan before the finiteness check catches
     # it; the warnings are noise, the typed error below is the signal
@@ -320,13 +385,12 @@ def _run_epochs(net: Network, X, y, rng, config: TrainConfig) -> float:
 
 def accuracy(net: Network, dataset: Dataset) -> float:
     """Share of the samples of ``dataset`` that ``net`` classifies as
-    labelled; a DomainError without samples or with a label count other
-    than the sample count, or as ``forward_batch`` raises one."""
-    predicted = predict_batch(net, dataset.features)
-    if not predicted.size or np.shape(dataset.labels) != predicted.shape:
-        raise DomainError("accuracy needs at least one sample and one label "
-                          "per sample")
-    return float(np.mean(predicted == dataset.labels))
+    labelled; a DomainError without samples, or as ``_checked_dataset`` or
+    ``forward_batch`` raises one."""
+    if not _checked_dataset(dataset).sample_count:
+        raise DomainError("accuracy needs at least one sample")
+    return float(np.mean(predict_batch(net, dataset.features)
+                         == dataset.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +419,8 @@ def _model_size(value, key: str, path) -> int:
 
 
 def load_model(path) -> Network:
+    """Read a model file; a net ``_checked_network`` rejects raises its
+    error naming the file, a DomainError as a ConfigError."""
     doc = read_json(path, "model file")
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ConfigError(f"{path}: not a {MODEL_FORMAT} model file")
@@ -364,33 +430,18 @@ def load_model(path) -> Network:
         raw_layers = doc["layers"]
     except KeyError as exc:
         raise ConfigError(f"{path}: malformed model file ({exc})") from exc
-    if num_classes < 2:
-        raise ConfigError(f"{path}: num_classes must be >= 2")
     if not isinstance(raw_layers, list):
         raise ConfigError(f"{path}: layers must be a list")
 
     layers = []
-    prev = input_dim
     for idx, entry in enumerate(raw_layers):
         try:
-            w = np.asarray(entry["w"], dtype=np.float64)
-            b = np.asarray(entry["b"], dtype=np.float64)
-            act = entry["act"]
+            layers.append(DenseLayer(
+                weights=np.asarray(entry["w"], dtype=np.float64),
+                bias=np.asarray(entry["b"], dtype=np.float64),
+                activation=entry["act"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: malformed layer {idx} ({exc})") from exc
-        if act not in _ACTIVATIONS:
-            raise ConfigError(f"{path}: layer {idx} has unknown activation {act!r}")
-        if w.ndim != 2 or w.shape[1] != prev or b.shape != (w.shape[0],):
-            raise ConfigError(f"{path}: layer {idx} shapes are inconsistent")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise NumericalError(f"{path}: layer {idx} holds non-finite "
-                                 f"parameters")
-        layers.append(DenseLayer(weights=w, bias=b, activation=act))
-        prev = w.shape[0]
-    if not layers:
-        raise ConfigError(f"{path}: model has no layers")
-    if prev != num_classes:
-        raise ConfigError(f"{path}: final layer width {prev} != num_classes")
 
     norm_meta = None
     if doc.get("norm") is not None:
@@ -402,20 +453,7 @@ def load_model(path) -> Network:
                    for key in _NORM_ARRAYS})
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: malformed norm block ({exc})") from exc
-        if norm_meta.scheme not in ("znorm", "minmax"):
-            raise ConfigError(f"{path}: unknown normalization scheme "
-                              f"{norm_meta.scheme!r}")
-        arrays = [getattr(norm_meta, key) for key in _NORM_ARRAYS]
-        if any(a.shape != (input_dim,) for a in arrays):
-            raise ConfigError(f"{path}: normalization arrays must each hold "
-                              f"input_dim={input_dim} values")
-        if not all(np.all(np.isfinite(a)) for a in arrays):
-            raise NumericalError(f"{path}: normalization holds non-finite "
-                                 f"values")
-        if not np.all(norm_meta.scales > 0):
-            raise ConfigError(f"{path}: normalization scales must be positive")
-        if not np.all(norm_meta.lower < norm_meta.upper):
-            raise ConfigError(f"{path}: normalization bounds must satisfy lower < upper")
 
-    return Network(layers=layers, input_dim=input_dim, num_classes=num_classes,
-                   norm_meta=norm_meta)
+    return _checked_file(_checked_network, Network(
+        layers=layers, input_dim=input_dim, num_classes=num_classes,
+        norm_meta=norm_meta), path)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._atomic import read_json, write_json
-from .errors import (ConfigError, DomainError, NumericalError, _checked_rows,
+from .errors import (ConfigError, DomainError, NumericalError, _as_floats,
+                     _checked_file, _checked_rows, _real_arrays,
                      check_integers, check_overflow)
 
 PCA_FORMAT = "mw-pca/1"
@@ -28,6 +29,33 @@ class PcaModel:
     components: np.ndarray  # (m, n)
     explained_variance: np.ndarray  # (m,)
     explained_ratio: np.ndarray  # (m,), fractions of total variance
+
+
+def _checked_pca(pca: PcaModel) -> PcaModel:
+    """``pca`` itself, if it is a basis ``load_pca`` would load: arrays of
+    real numbers, a mean vector, one or more component rows as wide as it, one
+    variance and one ratio per component, and orthonormal rows. Else a
+    DomainError, or a NumericalError on a non-finite value."""
+    if not isinstance(pca, PcaModel):
+        raise DomainError(f"expected a PcaModel, got {type(pca).__name__}")
+    arrays = [getattr(pca, key) for key in _FIELDS]
+    if not (_real_arrays(*arrays) and pca.mean.ndim == 1
+            and pca.components.ndim == 2 and len(pca.components)
+            and pca.components.shape[1] == pca.mean.size):
+        raise DomainError("component/mean shapes are inconsistent")
+    count = (len(pca.components),)
+    if pca.explained_variance.shape != count:
+        raise DomainError("variance count does not match components")
+    if pca.explained_ratio.shape != count:
+        raise DomainError("explained_ratio count does not match components")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalError("projection holds non-finite values")
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN fails too
+        C = _as_floats(pca.components)
+        gram = C @ C.T
+        if not np.abs(gram - np.eye(len(gram))).max() <= 1e-8:
+            raise DomainError("component rows are not orthonormal")
+    return pca
 
 
 @dataclass(frozen=True)
@@ -88,14 +116,11 @@ def select_components_kneedle(pca: PcaModel) -> ElbowChoice:
     is applied (the curve is an eigenvalue spectrum, already monotone). When no
     knee exists the smallest count reaching 70% of the total variance (or,
     when the ratios never get there, every component) is returned with the
-    fallback flagged. Variances and ratios other than equal-length vectors
-    of finite values are a DomainError.
+    fallback flagged. A basis ``_checked_pca`` rejects raises as it does.
     """
-    variance, ratio = map(_checked_rows, (pca.explained_variance,
-                                          pca.explained_ratio))
-    if variance.ndim != 1 or ratio.shape != variance.shape:
-        raise DomainError("explained variances and ratios must be "
-                          "equal-length vectors")
+    _checked_pca(pca)
+    variance, ratio = map(_as_floats, (pca.explained_variance,
+                                       pca.explained_ratio))
     positive = variance[variance > 0]
     k = len(positive)
     if k < 3:
@@ -143,6 +168,8 @@ def save_pca(pca: PcaModel, path) -> None:
 
 
 def load_pca(path) -> PcaModel:
+    """Read a projection file; a basis ``_checked_pca`` rejects raises its
+    error naming the file, a DomainError as a ConfigError."""
     doc = read_json(path, "projection file")
     if not isinstance(doc, dict) or doc.get("format") != PCA_FORMAT:
         raise ConfigError(f"{path}: not a {PCA_FORMAT} file")
@@ -151,18 +178,4 @@ def load_pca(path) -> PcaModel:
                           for key in _FIELDS})
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: malformed projection file ({exc})") from exc
-    if (pca.mean.ndim != 1 or pca.components.ndim != 2
-            or pca.components.shape[1] != pca.mean.size):
-        raise ConfigError(f"{path}: component/mean shapes are inconsistent")
-    count = (len(pca.components),)
-    if pca.explained_variance.shape != count:
-        raise ConfigError(f"{path}: variance count does not match components")
-    if pca.explained_ratio.shape != count:
-        raise ConfigError(f"{path}: explained_ratio count does not match "
-                          f"components")
-    if not all(np.all(np.isfinite(getattr(pca, key))) for key in _FIELDS):
-        raise NumericalError(f"{path}: projection holds non-finite values")
-    gram = pca.components @ pca.components.T
-    if np.max(np.abs(gram - np.eye(len(gram)))) > 1e-8:
-        raise ConfigError(f"{path}: component rows are not orthonormal")
-    return pca
+    return _checked_file(_checked_pca, pca, path)

@@ -20,6 +20,7 @@ from marginlab.data import (
     normalize,
     save_dataset,
 )
+from marginlab.errors import ConfigError
 from marginlab.margin import (
     SearchConfig,
     SearchStatus,
@@ -1718,3 +1719,60 @@ def test_corrupt_overflowing_input_noise_exits_3_and_writes_nothing(
                                 "overflows"]
     assert stdout == ""
     assert not out.exists() and not report.exists()
+
+
+# file errors that only generated examples reached: each has a named example
+# here, so that tests/unreached.py, which runs no generated example, lists
+# none of them whatever a Hypothesis release draws
+
+def _model_doc_without(tmp_path, key, norm=None):
+    """A model file of a 3-4-3 net with ``key`` left out of the model, or
+    of its normalization block when ``norm`` is given."""
+    path = tmp_path / "model.json"
+    meta = NormalizationMeta("znorm", np.zeros(3), np.ones(3),
+                             np.full(3, -1.0), np.ones(3))
+    save_model(Network(
+        [DenseLayer(np.ones((4, 3)), np.zeros(4), "relu"),
+         DenseLayer(np.ones((3, 4)), np.zeros(3), "none")], 3, 3, meta), path)
+    doc = json.loads(path.read_text())
+    del (doc if norm is None else doc["norm"])[key]
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _written(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("load", [
+    lambda tmp_path: load_model(_model_doc_without(tmp_path, "layers")),
+    lambda tmp_path: load_model(_model_doc_without(tmp_path, "scales",
+                                                   norm=True)),
+    lambda tmp_path: _load_sweep_config({}, "sweep.json", None, None),
+    lambda tmp_path: load_dataset(_written(tmp_path / "ds.csv", "f0,label\n")),
+], ids=["model-no-layers", "model-norm-no-scales", "sweep-no-keys",
+        "csv-header-only"])
+def test_named_malformed_files_raise_config_error(tmp_path, load):
+    with pytest.raises(ConfigError):
+        load(tmp_path)
+
+
+@pytest.mark.parametrize("command,name,text", [
+    (["evaluate", "--metric", "kendall", "--measure-col", "m", "--models"],
+     "models.json", "[]"),
+    (["advdir", "--pca", "{pca}", "--boundary-csv"], "bounds.csv",
+     "sample_index,orig_0,orig_1\n0,0.1,0.2\n"),
+], ids=["evaluate-no-models", "advdir-no-bound-columns"])
+def test_named_malformed_inputs_exit_2(capsys, tmp_path, command, name, text):
+    pca_path = tmp_path / "pca.json"
+    save_pca(fit_pca(np.random.default_rng(2).normal(size=(20, 2))),
+             pca_path)
+    path = tmp_path / name
+    path.write_text(text)
+    out = tmp_path / "out.csv"
+    argv = [str(pca_path) if a == "{pca}" else a for a in command]
+    code, out_text, err = run(capsys, *argv, path, "--out", out)
+    assert (code, out_text) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()

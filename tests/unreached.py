@@ -9,7 +9,12 @@ itself); run it from the repository root:
     PYTHONPATH=src python tests/unreached.py [PYTEST ARGS...]
 
 Without arguments it runs ``tests`` with the two slowest acceptance tests
-deselected; tracing makes the suite a few times slower. It exits with
+deselected. Hypothesis runs only the examples a test names (its
+``explicit`` phase): which statements generated examples reach depends on
+the Hypothesis release, so a statement counts as tested only when a named
+example or an example-based test reaches it. The body of an
+``if __name__ == "__main__":`` guard is not listed, since importing a
+module never runs it. It exits 1 when it lists a statement, else with
 pytest's status.
 """
 
@@ -20,6 +25,7 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "marginlab"
@@ -58,12 +64,28 @@ def _trace(frame, event, arg):
     return local
 
 
+def _main_guard_bodies(tree: ast.AST) -> set[ast.AST]:
+    """The nodes inside the bodies of ``if __name__ == "__main__":``."""
+    inside = set()
+    for node in ast.walk(tree):
+        test = getattr(node, "test", None)
+        if isinstance(node, ast.If) and isinstance(test, ast.Compare) \
+                and isinstance(test.left, ast.Name) \
+                and test.left.id == "__name__":
+            for stmt in node.body:
+                inside.update(ast.walk(stmt))
+    return inside
+
+
 def _statements(path: Path):
     """(first line, last line) of each statement of the file at ``path``
     whose lines should run: a compound statement's header only, from its
-    first decorator on; docstrings, ``try`` and declarations left out."""
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if not isinstance(node, ast.stmt) or isinstance(
+    first decorator on; docstrings, ``try``, declarations and the bodies
+    of ``__main__`` guards left out."""
+    tree = ast.parse(path.read_text(), str(path))
+    guarded = _main_guard_bodies(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.stmt) or node in guarded or isinstance(
                 node, (ast.Try, ast.Global, ast.Nonlocal)):
             continue
         if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) \
@@ -77,6 +99,9 @@ def _statements(path: Path):
 
 
 def main(args: list[str]) -> int:
+    # loaded before pytest imports the tests, whose settings inherit it
+    settings.register_profile("named-examples", phases=[Phase.explicit])
+    settings.load_profile("named-examples")
     sys.settrace(_trace)
     threading.settrace(_trace)
     try:
@@ -94,7 +119,7 @@ def main(args: list[str]) -> int:
                 print(f"{path.relative_to(ROOT)}:{first}: "
                       f"{source[first - 1].strip()}")
     print(f"{missed} statements never ran")
-    return int(status)
+    return 1 if missed else int(status)
 
 
 if __name__ == "__main__":

@@ -187,29 +187,28 @@ def _cmd_measure(args):
         net, raw, args.layer, search, pca, m,
         batch_mean=args.batch, keep_all=args.include_misclassified)
     skipped = int(raw.sample_count - kept.size)
-    # a closed-form row without a usable gradient has no margin
-    stuck = table.stuck
-    resolved = margins[~stuck]
-    status = np.where(stuck, "unreachable" if constrained else "degenerate",
-                      _STATUS_TEXT[table.status])
+    # a row without a margin has only its index and status
+    missing = np.isnan(margins)
+    resolved = margins[~missing]
 
     header = ["sample_index", "margin", "violation", "steps", "status",
               "base_class", "competitor_class", "left_subspace"]
-    columns = [kept, (table.d_best, stuck), (table.v_best, stuck),
-               (table.steps, stuck), status, (table.base, stuck),
-               (table.competitor, stuck), (table.left_subspace, stuck)]
+    columns = [kept, (table.d_best, missing), (table.v_best, missing),
+               (table.steps, missing), _STATUS_TEXT[table.status],
+               (table.base, missing), (table.competitor, missing),
+               (table.left_subspace, missing)]
     with np.errstate(over="ignore"):  # _json_line names an overflow
         mean = float(np.mean(resolved)) if resolved.size else None
     summary = {"estimator": args.estimator, "layer": int(args.layer),
                "measured": int(resolved.size),
-               "degenerate": int(np.count_nonzero(stuck)),
+               "degenerate": int(np.count_nonzero(missing)),
                "skipped_misclassified": skipped, "mean_margin": mean}
     if constrained:
         summary["subspace_dims"] = int(m)
     if args.tv_normalize:
         tv = compute_total_variation(acts)
         header.append("margin_tv")
-        columns.append((_scale_by_tv(margins, tv), stuck))
+        columns.append((_scale_by_tv(margins, tv), missing))
         summary["total_variation"] = tv
 
     writes = [(write_file, args.out, csv_text(header, columns))]

@@ -392,9 +392,8 @@ def save_dataset_csv(ds: Dataset, path) -> None:
     ConfigError before the file is opened: one ``_checked_dataset``
     rejects, and one without samples, features or a label of 1 or more,
     from which the loader counts two classes."""
-    # features holding text raise numpy's ValueError here, before the check
-    features = np.asarray(ds.features, dtype=np.float64)
     _checked_file(_checked_dataset, ds, path)
+    features = np.asarray(ds.features, dtype=np.float64)
     if not (ds.sample_count and ds.feature_count and ds.labels.max() >= 1):
         raise ConfigError(f"{path}: a CSV dataset needs samples, a feature "
                           f"and a label of 1 or more")

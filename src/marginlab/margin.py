@@ -61,12 +61,16 @@ _NORM_BLOCK = 8192
 
 
 class SearchStatus(str, Enum):
-    """Why a boundary search stopped."""
+    """A measured row's outcome: why its boundary search stopped, or why
+    the closed form found it no margin (``DEGENERATE``: no competitor's
+    gradient is usable; ``UNREACHABLE``: none is inside the subspace)."""
 
     CONVERGED = "converged"
     VIOLATION_ROSE = "violation-rose"
     MAX_ITERS = "max-iters"
     NO_DESCENT = "no-descent"
+    DEGENERATE = "degenerate"
+    UNREACHABLE = "unreachable"
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,8 @@ class SearchConfig:
 
 # a MarginTable's status codes index tuple(SearchStatus)
 _CODE = {status: code for code, status in enumerate(SearchStatus)}
+# the codes of the closed form's rows without a margin
+_NO_MARGIN = (_CODE[SearchStatus.DEGENERATE], _CODE[SearchStatus.UNREACHABLE])
 
 
 @dataclass(frozen=True)
@@ -112,13 +118,13 @@ class MarginTable:
     logit gap |f_i - f_j| there, ``inf`` when no iterate was ever accepted.
     ``base`` is the predicted class i and ``competitor`` the class j.
     ``steps`` counts accepted updates, in batch mode too. ``status`` holds
-    codes, indices into ``tuple(SearchStatus)``. ``left_subspace`` flags a
-    constrained row whose boundary point clipping pushed off the subspace.
-    ``boundary`` is the (rows x width) matrix of boundary points, None for
-    the closed form. ``stuck`` marks the closed form's rows without a usable
-    gradient, which have no margin; their other cells are meaningless.
-    ``trace``, when collected, lists (row, distance, violation) per accepted
-    iterate, in order.
+    codes, indices into ``tuple(SearchStatus)``; a closed-form row is
+    ``CONVERGED``, or ``DEGENERATE`` or ``UNREACHABLE`` when it has no
+    margin, and then its other cells are meaningless. ``left_subspace``
+    flags a constrained row whose boundary point clipping pushed off the
+    subspace. ``boundary`` is the (rows x width) matrix of boundary points,
+    None for the closed form. ``trace``, when collected, lists (row,
+    distance, violation) per accepted iterate, in order.
     """
 
     d_best: np.ndarray
@@ -129,7 +135,6 @@ class MarginTable:
     status: np.ndarray
     left_subspace: np.ndarray
     boundary: np.ndarray | None
-    stuck: np.ndarray
     trace: list[tuple[int, float, float]] | None = None
 
 
@@ -298,8 +303,10 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
     Without ``cfg``, the closed-form first-order margin: the opening
     evaluation's nearest-boundary distance o_j / ||grad o_j||, the target
     of the search's first step. Competitors whose gradient vanishes are
-    skipped; a row left with none is stuck (``table.stuck``): no competitor
-    is reachable, or none inside the subspace of a constrained search.
+    skipped; a row left with none has no margin: its status is
+    ``DEGENERATE``, or ``UNREACHABLE`` when none is reachable inside the
+    subspace of a constrained search. ``batch_mean`` and ``collect_trace``
+    set how a search runs; either without ``cfg`` is a ``DomainError``.
 
     With ``cfg``, the iterative boundary search. By default each row stops
     on its own: its violation rose, its distance settled, it hit
@@ -337,6 +344,9 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
     row on every iteration and reads whole arrays.
     """
     _checked_network(net)
+    if cfg is None and (batch_mean or collect_trace):
+        raise DomainError("batch_mean and collect_trace set how a search "
+                          "runs; the closed form (cfg=None) takes neither")
     X0 = np.atleast_2d(_checked_rows(X))
     s = X0.shape[0]
     projector = None
@@ -363,12 +373,13 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
 
     if cfg is None:
         j, dist, stuck = _nearest_boundary(o, base, grads.norms)
+        status = np.full(s, _CODE[SearchStatus.CONVERGED], dtype=np.int8)
+        status[stuck] = _CODE[SearchStatus.DEGENERATE if projector is None
+                              else SearchStatus.UNREACHABLE]
         return MarginTable(
             d_best=dist, v_best=np.abs(o[np.arange(s), j]), base=base,
-            competitor=j, steps=np.zeros(s, dtype=np.int64),
-            status=np.full(s, _CODE[SearchStatus.CONVERGED], dtype=np.int8),
-            left_subspace=np.zeros(s, dtype=bool), boundary=None,
-            stuck=stuck)
+            competitor=j, steps=np.zeros(s, dtype=np.int64), status=status,
+            left_subspace=np.zeros(s, dtype=bool), boundary=None)
 
     bounds = _resolve_bounds(net, lam, cfg)
     step, stuck = _next_step(o, base, grads, None, cfg.learning_rate)
@@ -492,8 +503,7 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
         left = np.zeros(s, dtype=bool)
     return MarginTable(d_best=d_best, v_best=v_best, base=base,
                        competitor=pair, steps=steps, status=status,
-                       left_subspace=left, boundary=boundary,
-                       stuck=np.zeros(s, dtype=bool), trace=trace)
+                       left_subspace=left, boundary=boundary, trace=trace)
 
 
 def _measure_correct(net, ds, layer: int, search, pca=None, m=None, *,
@@ -508,7 +518,7 @@ def _measure_correct(net, ds, layer: int, search, pca=None, m=None, *,
 
     Returns every sample's activations at ``layer``, the kept sample
     indices, the ``search_margins`` table of the kept samples and their
-    margins, NaN where the table marks a row ``stuck``.
+    margins, NaN where a row's status is ``DEGENERATE`` or ``UNREACHABLE``.
     """
     if search is not None and net.norm_meta is None:
         search = replace(search, bounds=(ds.lower, ds.upper))
@@ -518,7 +528,7 @@ def _measure_correct(net, ds, layer: int, search, pca=None, m=None, *,
     table = search_margins(net, layer, acts[layer][kept], search, pca, m,
                            batch_mean=batch_mean)
     return (acts[layer], kept, table,
-            np.where(table.stuck, np.nan, table.d_best))
+            np.where(np.isin(table.status, _NO_MARGIN), np.nan, table.d_best))
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,9 @@ class ExperimentConfig:
 
     The data come from ``blob`` or from ``dataset_path``/``test_path``. The
     seeds in ``blob`` and ``train`` are placeholders: each run derives its
-    own from ``seed``.
+    own from ``seed``, and the blob centers too, so ``blob.centers`` must be
+    None. ``search`` configures the boundary search; None measures the
+    closed-form (first-order) margin.
     """
 
     blob: BlobConfig | None
@@ -59,8 +61,7 @@ class ExperimentConfig:
     widths: tuple[int, ...]
     seeds: tuple[int, ...]
     train: TrainConfig
-    estimator: str
-    search: SearchConfig
+    search: SearchConfig | None
     normalize: str
     output_dir: str
     seed: int
@@ -70,6 +71,9 @@ class ExperimentConfig:
                 or (self.dataset_path is None) != (self.test_path is None):
             raise DomainError("dataset: expected a blob config or a path "
                               "and a test_path")
+        if self.blob is not None and self.blob.centers is not None:
+            raise DomainError("dataset: the blob centers are drawn from "
+                              "seed, so blob.centers must be None")
         for key in ("corruptions", "widths", "seeds"):
             if not isinstance(getattr(self, key), (tuple, list)):
                 raise DomainError(f"{key}: expected a list, got "
@@ -93,8 +97,9 @@ class ExperimentConfig:
                               "integers")
         if not self.seeds:
             raise DomainError("seeds: expected a non-empty list of integers")
-        if self.estimator not in ("deepfool", "taylor"):
-            raise DomainError("estimator: name must be 'deepfool' or 'taylor'")
+        if not (self.search is None or isinstance(self.search, SearchConfig)):
+            raise DomainError(f"search: expected a SearchConfig or None (the "
+                              f"closed form), got {self.search!r}")
         if self.normalize not in NORMALIZE_SCHEMES:
             raise DomainError("normalize: expected znorm, minmax, or none")
 
@@ -189,7 +194,17 @@ def _load_sweep_config(doc, source: str, output_dir: str | None,
                                        f"corruptions[{k}]").values())
                         for k, entry in enumerate(top["corruptions"]))
     est = _section(top["estimator"], _ESTIMATOR_FIELDS, "estimator")
-    estimator = est.pop("name")
+    name = est.pop("name")
+    if name == "deepfool":
+        search = _built(SearchConfig, "estimator", **est)
+    elif name == "taylor":
+        given = sorted(set(top["estimator"]) & set(est))
+        if given:
+            raise ConfigError(f"estimator: taylor takes no search keys, got "
+                              f"{given}")
+        search = None
+    else:
+        raise ConfigError("estimator: name must be 'deepfool' or 'taylor'")
     return ExperimentConfig(
         blob=blob, dataset_path=paths["path"], test_path=paths["test_path"],
         corruptions=corruptions,
@@ -199,7 +214,7 @@ def _load_sweep_config(doc, source: str, output_dir: str | None,
                     for k, v in enumerate(top["seeds"])),
         train=_built(TrainConfig, "train",
                      **_section(top["train"], _TRAIN_FIELDS, "train")),
-        estimator=estimator, search=_built(SearchConfig, "estimator", **est),
+        search=search,
         normalize=top["normalize"],
         output_dir=output_dir if output_dir else top["output_dir"],
         seed=seed if seed is not None else top["seed"])
@@ -240,9 +255,8 @@ def _measure_entry(cfg: ExperimentConfig, net: Network, ds: Dataset,
                    test_raw: Dataset) -> dict:
     """The accuracies and the input-space margins of the trained ``net`` on
     its raw training set ``ds``, per sample and as group means."""
-    search = cfg.search if cfg.estimator == "deepfool" else None
-    _, kept, _, margins = _measure_correct(net, ds, 0, search,
-                                           batch_mean=True)
+    _, kept, _, margins = _measure_correct(
+        net, ds, 0, cfg.search, batch_mean=cfg.search is not None)
     X_test = apply_normalization(test_raw.features, net.norm_meta)
     test_acc = float(np.mean(predict_batch(net, X_test) == test_raw.labels))
 
@@ -340,7 +354,7 @@ def run_capacity_sweep(cfg: ExperimentConfig) -> dict:
                     [r["test_accuracy"] for r in sub])
             per_width[str(width)] = cell
         summary = {
-            "estimator": cfg.estimator,
+            "estimator": "taylor" if cfg.search is None else "deepfool",
             "max_margin": {name: float(np.mean(mm_columns[name]))
                            for name in variant_names},
             "per_width": per_width,

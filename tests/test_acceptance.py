@@ -266,7 +266,6 @@ def test_capacity_sweep_reproduces_margin_ordering(tmp_path):
         widths=widths, seeds=(0, 1, 2),
         train=TrainConfig(epochs=1000, batch_size=16, learning_rate=0.1,
                           momentum=0.9),
-        estimator="deepfool",
         search=SearchConfig(learning_rate=0.25, stop_tolerance=1e-3,
                             max_iters=100),
         normalize="znorm", output_dir=str(tmp_path / "out"), seed=master)

@@ -1,9 +1,12 @@
 import ast
+import dataclasses
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import marginlab
+from marginlab.sweep import ExperimentConfig
 
 
 def test_public_names_resolve_once_in_sorted_order():
@@ -86,3 +89,21 @@ def test_file_call_scan_sees_each_kind_of_call():
     assert [c.partition(":")[0] for c in _file_calls(ast.parse(code))] == [
         "open", "open", "open", "write_text", "write_bytes", "json.dump",
         "json.load", "json.loads"]
+
+
+def _readme_library_spans() -> set[str]:
+    """The backticked spans of README's Library section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"`([^`]+)`", section))
+
+
+def test_readme_library_names_every_table_field_config_field_and_status():
+    spans = _readme_library_spans()
+    names = [field.name for cls in (marginlab.MarginTable, ExperimentConfig)
+             for field in dataclasses.fields(cls)]
+    names += [status.value for status in marginlab.SearchStatus]
+    assert [name for name in names if name not in spans] == []
+    # the closed form's old no-margin column is gone from the table
+    assert "stuck" not in spans

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -34,6 +34,7 @@ from marginlab import (
     NumericalError,
     PcaModel,
     SearchConfig,
+    SearchStatus,
     TrainConfig,
     WorkbenchError,
     accuracy,
@@ -590,7 +591,7 @@ _TEXT = [["a", "b"], ["c", "d"]]
 _SWEEP = dict(blob=BlobConfig(2, 4, 2, 1.0, 0), dataset_path=None,
               test_path=None, corruptions=(("label", 0.2),), widths=(4,),
               seeds=(0,), train=TrainConfig(2, 4, 0.1),
-              estimator="deepfool", search=SearchConfig(max_iters=5),
+              search=SearchConfig(max_iters=5),
               normalize="znorm", output_dir="unused", seed=0)
 
 
@@ -625,7 +626,7 @@ _SWEEP = dict(blob=BlobConfig(2, 4, 2, 1.0, 0), dataset_path=None,
                                                     "widths": ()})),
      DomainError),
     (lambda: run_capacity_sweep(ExperimentConfig(**{**_SWEEP,
-                                                    "estimator": "foo"})),
+                                                    "search": "foo"})),
      DomainError),
     (lambda: run_capacity_sweep(ExperimentConfig(**{**_SWEEP,
                                                     "blob": None})),
@@ -653,6 +654,14 @@ def test_probed_leaks_raise_workbench_errors(call, error):
     # list) leaked Python's unpacking, hashing or iteration error
     with pytest.raises(error):
         call()
+
+
+def test_sweep_config_refuses_blob_centers():
+    # the sweep draws the blob centers from its master seed, so centers
+    # given in the config were silently replaced
+    blob = BlobConfig(2, 4, 2, 1.0, 0, centers=np.zeros((2, 2)))
+    with pytest.raises(DomainError, match="centers"):
+        ExperimentConfig(**{**_SWEEP, "blob": blob})
 
 
 # ---------------------------------------------------------------------------
@@ -932,12 +941,8 @@ def test_save_dataset_mwds(ds):
 
 
 @VALUES
-@given(DATASETS.filter(lambda ds: isinstance(ds.features, np.ndarray)
-                       and ds.features.dtype.kind == "f"))
+@given(DATASETS)
 def test_save_dataset_csv(ds):
-    # features that are not a float array raise numpy's ValueError in the
-    # CSV writer, which test_failed_write_keeps_old_file_and_leaves_no_temp
-    # pins, so the features drawn here are float arrays of any shape
     _round_trips(ds, "ds.csv")
 
 
@@ -1038,6 +1043,21 @@ def test_dataset_writers_refuse_what_their_loaders_refuse(tmp_path, name, ds):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("features", [
+    np.array([[1.0, 2.0], ["a", 3.0]], dtype=object),
+    np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex),
+], ids=["text", "complex"])
+def test_save_dataset_csv_refuses_text_and_complex_features(tmp_path,
+                                                             features):
+    # numpy's ValueError (text) or ComplexWarning (complex) leaked from the
+    # float conversion, which ran before the dataset check
+    ds = Dataset(features, np.array([0, 1]), np.zeros(2), np.ones(2),
+                 np.zeros(2, dtype=np.int64), 2)
+    with pytest.raises(ConfigError, match="ds.csv"):
+        save_dataset(ds, tmp_path / "ds.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mwds_file_without_samples_is_a_config_error(tmp_path):
     # numpy's ValueError leaked from the bounds of zero samples
     path = tmp_path / "ds.bin"
@@ -1132,3 +1152,79 @@ def test_value_types_of_integer_arrays_work_as_their_floats():
     assert np.array_equal(trained.layers[0].weights,
                           train_sgd(floats, ds, TrainConfig(1, 2, 0.1))
                           .layers[0].weights)
+
+
+# ---------------------------------------------------------------------------
+# a row's outcome is its status: a closed-form row has a margin (a finite
+# d_best) exactly where its status is neither DEGENERATE nor UNREACHABLE,
+# and a search reports neither; drawn nets that a call refuses are the
+# contract tests' concern
+
+_NO_MARGIN = (SearchStatus.DEGENERATE, SearchStatus.UNREACHABLE)
+# hidden units on only where x0 > 1, so every gradient lies along x0
+_X0_NET = _net_with(0, weights=np.tile([1.0, 0.0, 0.0], (4, 1)),
+                    bias=np.full(4, -1.0))
+_X0_ROWS = np.array([[0.0, 1.0, 2.0], [2.0, -1.0, 0.0], [3.0, 0.5, 0.5],
+                     [1.0, 0.0, 0.0]])
+# a basis orthogonal to x0
+_YZ = PcaModel(np.zeros(3), np.eye(3)[1:], np.ones(2), np.full(2, 0.5))
+_CLOSED_FORMS = {
+    "input": lambda net, X: search_margins(net, 0, X),
+    "hidden": lambda net, X: search_margins(net, 1, forward_batch(net, X)[1]),
+    "constrained": lambda net, X: search_margins(net, 0, X, None, _YZ, 2),
+}
+_SEARCHES = {
+    "search": lambda net, X: search_margins(net, 0, X,
+                                            SearchConfig(max_iters=5)),
+    "batch-mean": lambda net, X: search_margins(
+        net, 0, X, SearchConfig(max_iters=5), batch_mean=True),
+    "constrained": lambda net, X: search_margins(
+        net, 0, X, SearchConfig(max_iters=5), _YZ, 2),
+}
+
+
+def _outcomes(call, net_and_rows):
+    """The table ``call`` makes and its statuses, or (None, None) when the
+    call raises."""
+    try:
+        table = call(*net_and_rows)
+    except WorkbenchError:
+        return None, None
+    return table, [tuple(SearchStatus)[k] for k in table.status]
+
+
+@pytest.mark.parametrize("call", sorted(_CLOSED_FORMS))
+@CONTRACT
+@given(NETS)
+@example((_NET, _X0_ROWS))
+@example((_X0_NET, _X0_ROWS))
+def test_closed_form_rows_have_a_margin_exactly_where_the_status_says(
+        call, net_and_rows):
+    table, statuses = _outcomes(_CLOSED_FORMS[call], net_and_rows)
+    if table is None:
+        return
+    none = np.array([status in _NO_MARGIN for status in statuses], bool)
+    assert np.array_equal(np.isfinite(table.d_best), ~none)
+    # a constrained call has no margin because its subspace misses every
+    # gradient, an unconstrained one because no gradient is usable
+    assert set(statuses) <= {SearchStatus.CONVERGED,
+                             _NO_MARGIN[call == "constrained"]}
+
+
+def test_the_outcome_examples_hold_every_closed_form_outcome():
+    # the named examples reach both statuses without a margin and rows
+    # with one, whatever the drawn examples reach
+    codes = np.concatenate([_CLOSED_FORMS[call](net, _X0_ROWS).status
+                            for call in _CLOSED_FORMS
+                            for net in (_NET, _X0_NET)])
+    assert {tuple(SearchStatus)[k] for k in codes} == {
+        SearchStatus.CONVERGED, *_NO_MARGIN}
+
+
+@pytest.mark.parametrize("call", sorted(_SEARCHES))
+@CONTRACT
+@given(NETS)
+@example((_X0_NET, _X0_ROWS))
+def test_search_tables_never_report_a_missing_margin(call, net_and_rows):
+    _, statuses = _outcomes(_SEARCHES[call], net_and_rows)
+    assert not set(statuses or ()) & set(_NO_MARGIN)

@@ -542,7 +542,8 @@ def test_measure_rows_match_single_sample_calls(capsys, tmp_path, estimator,
         idx, margin, _, steps, status, base, comp, left = line.split(",")
         ref = search_margins(net, layer, acts[int(idx)][None, :], cfg,
                              *subspace)
-        if ref.stuck[0]:
+        if tuple(SearchStatus)[ref.status[0]] in (SearchStatus.DEGENERATE,
+                                                  SearchStatus.UNREACHABLE):
             assert status == ("unreachable" if constrained
                               else "degenerate")
             assert margin == steps == base == comp == left == ""
@@ -682,7 +683,8 @@ def test_measure_csv_bytes_render_the_search_table(capsys, tmp_path, setting,
                       + [f"bound_{j}" for j in range(acts[layer].shape[1])])]
     statuses = tuple(SearchStatus)
     for i, idx in enumerate(kept.tolist()):
-        stuck = table.stuck[i]
+        stuck = statuses[table.status[i]] in (SearchStatus.DEGENERATE,
+                                              SearchStatus.UNREACHABLE)
         d_best = float(table.d_best[i])
         cells = ([idx, None, None, None,
                   "unreachable" if constrained else "degenerate",
@@ -1434,6 +1436,36 @@ def test_sweep_bad_config_value_exits_2(capsys, tmp_path, section, key,
     assert key in err
     assert out_text == ""
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key,value", [("learning_rate", 0.25),
+                                       ("stop_tolerance", 0.001),
+                                       ("max_iters", 100)])
+def test_sweep_taylor_with_a_search_key_exits_2(capsys, tmp_path, key,
+                                                value):
+    # the closed form takes no search setting; these were range-checked
+    # and then ignored
+    cfg_path, out_dir = sweep_config(tmp_path, widths=(4,))
+    cfg = json.loads(cfg_path.read_text())
+    cfg["estimator"] = {"name": "taylor", key: value}
+    cfg_path.write_text(json.dumps(cfg))
+    code, out_text, err = run(capsys, "sweep", "--config", cfg_path)
+    assert code == 2
+    assert key in err and "taylor" in err
+    assert out_text == ""
+    assert not out_dir.exists()
+
+
+def test_sweep_taylor_measures_the_closed_form(capsys, tmp_path):
+    cfg_path, out_dir = sweep_config(tmp_path, widths=(4,))
+    cfg = json.loads(cfg_path.read_text())
+    cfg["estimator"] = {"name": "taylor"}
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(capsys, "sweep", "--config", cfg_path)[0] == 0
+    assert json.loads((out_dir / "summary.json").read_text())[
+        "estimator"] == "taylor"
+    loaded = _load_sweep_config(cfg, "sweep.json", None, None)
+    assert loaded.search is None
 
 
 def test_sweep_single_class_dataset_writes_nothing(capsys, tmp_path,

@@ -361,7 +361,7 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path):
     features[-1, 0] = "not a number"  # the writer raises on the last row
     bad = Dataset(features, good.labels, good.lower, good.upper,
                   good.corrupt_flags, good.class_count)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         save_dataset_csv(bad, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["blobs.csv"]

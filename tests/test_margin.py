@@ -89,7 +89,7 @@ def test_taylor_margin_linear_hand_example():
     assert r.v_best[0] == pytest.approx(1.0)
     assert r.steps[0] == 0
     assert r.boundary is None
-    assert not r.stuck[0]
+    assert STATUSES[r.status[0]] is SearchStatus.CONVERGED
 
 
 def test_taylor_margin_on_boundary_is_zero():
@@ -208,10 +208,10 @@ def test_closed_form_none_rows_are_the_search_no_descent_rows(batch_mean):
     searched = search_margins(net, 0, X, SearchConfig(),
                               batch_mean=batch_mean)
     dead = np.flatnonzero(x0 <= 1.0).tolist()
-    assert np.flatnonzero(closed.stuck).tolist() == dead
+    degenerate = STATUSES.index(SearchStatus.DEGENERATE)
+    assert np.flatnonzero(closed.status == degenerate).tolist() == dead
     no_descent = STATUSES.index(SearchStatus.NO_DESCENT)
     assert np.flatnonzero(searched.status == no_descent).tolist() == dead
-    assert not searched.stuck.any()
     for k in dead:
         assert (searched.steps[k], searched.d_best[k],
                 searched.v_best[k]) == (0, 0.0, np.inf)
@@ -226,7 +226,8 @@ def test_taylor_margin_degenerate_pair_errors():
                        bias=np.array([0.5, 0.0]), activation="none")
     net = Network(layers=[layer], input_dim=2, num_classes=2, norm_meta=None)
     # no competitor is reachable: the row is stuck and has no margin
-    assert one_row(net, 0, np.array([1.0, 2.0])).stuck.tolist() == [True]
+    assert [STATUSES[k] for k in one_row(net, 0, np.array([1.0, 2.0])).status
+            ] == [SearchStatus.DEGENERATE]
 
 
 def overflowing_distance_net():
@@ -257,7 +258,8 @@ def test_rows_whose_every_gradient_vanishes_stay_stuck(batch_mean):
     net = Network(layers=[layer], input_dim=2, num_classes=2, norm_meta=None)
     X = np.array([[1.0, 0.0], [-3.0, 2.0]])
     closed = search_margins(net, 0, X)
-    assert closed.stuck.tolist() == [True, True]
+    assert [STATUSES[k] for k in closed.status] == [
+        SearchStatus.DEGENERATE] * 2
     assert np.isinf(closed.d_best).all()
     searched = search_margins(net, 0, X, SearchConfig(),
                               batch_mean=batch_mean)
@@ -484,8 +486,22 @@ def test_input_without_rows_gives_an_empty_table(cfg, batch_mean):
     net = init_network(4, [8], 3, seed=12)
     table = search_margins(net, 0, np.empty((0, 4)), cfg,
                            batch_mean=batch_mean)
-    assert table.d_best.shape == table.stuck.shape == (0,)
+    assert table.d_best.shape == table.status.shape == (0,)
     assert table.trace is None
+
+
+def test_closed_form_refuses_batch_mean():
+    # batch_mean sets how a search stops; the closed form used to ignore it
+    with pytest.raises(DomainError, match="batch_mean"):
+        search_margins(two_class_line(), 0, np.array([[1.0, 0.0]]),
+                       batch_mean=True)
+
+
+def test_closed_form_refuses_collect_trace():
+    # the closed form takes no step, so it used to return no trace
+    with pytest.raises(DomainError, match="collect_trace"):
+        search_margins(two_class_line(), 0, np.array([[1.0, 0.0]]),
+                       collect_trace=True)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "rank-3"])
@@ -568,8 +584,9 @@ def test_constrained_taylor_orthogonal_subspace_unreachable():
                    explained_variance=np.array([1.0]),
                    explained_ratio=np.array([0.6]))
     # no competitor is reachable inside the subspace: the row is stuck
-    assert one_row(net, 0, np.array([1.0, 0.0]), None, pca,
-                   1).stuck.tolist() == [True]
+    assert [STATUSES[k] for k in one_row(net, 0, np.array([1.0, 0.0]), None,
+                                         pca, 1).status
+            ] == [SearchStatus.UNREACHABLE]
 
 
 def test_constrained_taylor_aligned_subspace_equals_unconstrained():
@@ -884,7 +901,6 @@ def test_search_matches_the_full_state_reference_loop(case, batch_mean,
         else:
             assert getattr(got, name).dtype == column.dtype, name
             assert getattr(got, name).tobytes() == column.tobytes(), name
-    assert not got.stuck.any()
 
 
 def _count_rows(monkeypatch):
@@ -937,7 +953,7 @@ def test_reused_gradients_give_the_results_of_a_full_backprop(
 
     assert cached.d_best.shape == full.d_best.shape == (len(X),)
     for name in ("d_best", "v_best", "base", "competitor", "steps",
-                 "status", "left_subspace", "boundary", "stuck"):
+                 "status", "left_subspace", "boundary"):
         assert (getattr(cached, name).tobytes()
                 == getattr(full, name).tobytes()), name
     assert repr(cached.trace) == repr(full.trace)

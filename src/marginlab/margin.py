@@ -196,28 +196,43 @@ def _activation_pattern(net: Network, lam: int, pres) -> np.ndarray:
 
 
 class _RowGradients:
-    """Per-row state of a search at each row's current iterate: the
-    activation pattern, the logit-difference gradients (projected when a
-    projector is given) and their per-class norms.
+    """State of a search at each row's current iterate: the activation
+    pattern, the logit-difference gradients (projected when a projector is
+    given) and each row's per-class norms.
 
-    ``move`` takes rows to the points just evaluated for them and
-    backpropagates only the rows whose pattern changed. A row that does not
-    move onto its evaluated point is never evaluated again, unless it is a
-    stuck row of a batch-mean search, whose step is zero; so the state is
-    the current iterate's whenever it is read.
+    Where a ReLU lies from ``lam`` on, ``grads`` is a (rows x classes x
+    width) tensor, each row's own gradients. ``move`` takes rows to the
+    points just evaluated for them and backpropagates only the rows whose
+    pattern changed. A row that does not move onto its evaluated point is
+    never evaluated again, unless it is a stuck row of a batch-mean search,
+    whose step is zero; so the state is the current iterate's whenever it
+    is read. The state is keyed by the original row and never compacted:
+    ``move`` and ``_next_step`` take the rows evaluated, or None for every
+    row, and read only their entries, so rows that stop searching cost no
+    copy of the gradient tensor. Rows are read with ``take``, which copies
+    them several times faster than fancy indexing does.
 
-    The state is keyed by the original row and never compacted: ``move``
-    and ``_next_step`` take the rows evaluated, or None for every row, and
-    read only their entries, so rows that stop searching cost no copy of
-    the gradient tensor. Rows are read with ``take``, which copies them
-    several times faster than fancy indexing does.
+    Where none does, the pattern has no columns and a row's gradients
+    depend on its base class alone. The first row of each base class is
+    backpropagated for every row of that class: ``grads`` holds one
+    (classes x width) entry per base class and ``slot`` each row's entry,
+    and ``move`` has nothing to do. Else ``slot`` is None and each row's
+    entry is its own.
     """
 
     def __init__(self, net: Network, lam: int, projector, pres,
                  base: np.ndarray):
         self.net, self.lam, self.projector = net, lam, projector
         self.pattern = _activation_pattern(net, lam, pres)
-        self.grads, self.norms = self._backprop(pres, base)
+        if self.pattern.shape[1]:
+            self.slot = None
+            self.grads, self.norms = self._backprop(pres, base)
+        else:
+            classes, first, self.slot = np.unique(
+                base, return_index=True, return_inverse=True)
+            self.grads, norms = self._backprop(
+                [Z.take(first, 0) for Z in pres], classes)
+            self.norms = norms.take(self.slot, 0)
 
     def _backprop(self, pres, base):
         G = _logit_diff_grads(self.net, self.lam, pres, base)
@@ -282,8 +297,11 @@ def _next_step(o, base, grads: _RowGradients, rows, rate: float):
     coef = np.divide(gap, norms[r, j] ** 2, out=np.zeros_like(gap),
                      where=~stuck)
     _, c, width = grads.grads.shape
-    direction = grads.grads.reshape(-1, width).take(
-        (r if rows is None else rows) * c + j, 0)
+    # each row's entry in the state: its own, or its base class's
+    at = r if rows is None else rows
+    if grads.slot is not None:
+        at = grads.slot.take(at)
+    direction = grads.grads.reshape(-1, width).take(at * c + j, 0)
     if projector is not None:
         direction = direction @ projector
     direction *= (rate * coef)[:, None]  # a gathered copy, ours to scale
@@ -325,14 +343,17 @@ def search_margins(net: Network, lam: int, X: np.ndarray,
     original space. ``m`` without ``pca`` is a ``DomainError``, and so is a
     basis whose width is not that of ``X``.
 
-    The search keeps each row's (projected) gradients, their per-class
-    norms and the activation pattern ``Z > 0`` of every ReLU layer from
-    ``lam`` on, for the row's current iterate. An iteration backpropagates
-    only the rows whose pattern changed. The reuse is exact: a row's
-    gradients depend on nothing else, and the backward pass computes each
-    row on its own, so a subset of rows gets the bits of the full batch.
-    Above the last hidden layer no ReLU can switch, and a hidden-layer
-    search there backpropagates once.
+    Where a ReLU lies from ``lam`` on, the search keeps each row's
+    (projected) gradients, their per-class norms and the activation pattern
+    ``Z > 0`` of every such layer, for the row's current iterate. An
+    iteration backpropagates only the rows whose pattern changed. The reuse
+    is exact: a row's gradients depend on nothing else, and the backward
+    pass computes each row on its own, so a subset of rows gets the bits of
+    the full batch. Where none does (above the last hidden layer, or in a
+    net without ReLUs) no row's gradients can change, and they depend on
+    its base class alone: the search backpropagates one row per base class
+    once and keeps one (classes x width) entry per class, which every row
+    of that class reads.
 
     In the per-row mode the iterate state holds only the rows still
     searching, compact and in row order, so each iteration steps them with
@@ -525,9 +546,11 @@ def _measure_correct(net, ds, layer: int, search, pca=None, m=None, *,
     acts = forward_batch(net, apply_normalization(ds.features, net.norm_meta))
     kept = (np.arange(ds.sample_count) if keep_all else
             np.flatnonzero(np.argmax(acts[-1], axis=1) == ds.labels))
-    table = search_margins(net, layer, acts[layer][kept], search, pca, m,
+    A = acts[layer]
+    del acts  # only the searched layer's activations stay while it runs
+    table = search_margins(net, layer, A[kept], search, pca, m,
                            batch_mean=batch_mean)
-    return (acts[layer], kept, table,
+    return (A, kept, table,
             np.where(np.isin(table.status, _NO_MARGIN), np.nan, table.d_best))
 
 

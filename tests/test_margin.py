@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,14 +143,15 @@ def test_row_norms_match_linalg_norm_bit_for_bit(shape):
 @pytest.mark.parametrize("m", [None, 2])
 def test_closed_form_search_makes_one_gradient_call(monkeypatch, m):
     # the closed form is the search's opening evaluation alone: one forward
-    # and one backward pass over every row, with or without a projector
+    # pass over every row and one backward pass, with or without a
+    # projector; with no ReLU in the net, that pass takes one row per class
     rng = np.random.default_rng(29)
     net = random_affine(rng, dim=5, classes=4)
     X = rng.normal(size=(40, 5))
     pca = None if m is None else fit_pca(X)
     seen = _count_rows(monkeypatch)
     results = search_margins(net, 0, X, pca=pca, m=m)
-    assert seen == {"evaluated": [40], "backprop": [40]}
+    assert seen == {"evaluated": [40], "backprop": [4]}
     assert results.d_best.shape == (40,)
 
 
@@ -932,9 +934,12 @@ def test_reused_gradients_give_the_results_of_a_full_backprop(
     seen = _count_rows(monkeypatch)
     cached = search_margins(net, lam, X, cfg, pca, m, batch_mean=batch_mean,
                             collect_trace=True)
-    # the first evaluation backprops every row; later ones only the rows
-    # whose pattern changed, which leaves some rows to reuse
-    assert seen["backprop"][0] == len(X)
+    # the first evaluation backprops every row, or one row per base class
+    # where no ReLU lies above the layer; later ones only the rows whose
+    # pattern changed, which leaves some rows to reuse
+    assert seen["backprop"][0] == (np.unique(cached.base).size
+                                   if case == "hidden-no-relu-above"
+                                   else len(X))
     assert sum(seen["backprop"]) < sum(seen["evaluated"])
     if case != "hidden-no-relu-above":
         assert len(seen["backprop"]) > 1
@@ -1041,27 +1046,76 @@ def test_a_move_backprops_exactly_the_rows_with_a_flipped_unit(
 def test_no_relu_above_the_layer_means_one_backprop_per_search(
         monkeypatch, hidden, lam, batch_mean):
     # between the last hidden layer and the logits no ReLU can switch, so
-    # the gradients of the first evaluation serve the whole search
+    # a row's gradients depend on its base class alone: the first
+    # evaluation backprops one row per class, and that serves the search
     rng = np.random.default_rng(67)
     net = init_network(6, hidden, 4, seed=7)
     X = forward_batch(net, 2.0 * rng.normal(size=(40, 6)))[lam]
     seen = _count_rows(monkeypatch)
     results = search_margins(net, lam, X, SearchConfig(stop_tolerance=1e-3),
                              batch_mean=batch_mean)
-    assert seen["backprop"] == [40]
+    assert seen["backprop"] == [np.unique(results.base).size]
     assert len(seen["evaluated"]) > 2
     assert results.steps.max() > 1
 
 
+@pytest.mark.parametrize("batch_mean", [False, True])
+@pytest.mark.parametrize("case", ["hidden", "linear-pca"])
+def test_shared_class_gradients_are_each_rows_own_bit_for_bit(
+        monkeypatch, case, batch_mean):
+    # with no ReLU above the layer the search keeps one gradient entry per
+    # base class; every norm and step direction it reads through that
+    # entry has the bits of the row's own gradients, backpropagated alone
+    rng = np.random.default_rng(73)
+    if case == "hidden":
+        net = init_network(6, [24], 4, seed=7)
+        lam, pca, m = 1, None, None
+        A = forward_batch(net, 2.0 * rng.normal(size=(50, 6)))[1]
+    else:
+        net = random_affine(rng, dim=6, classes=4)
+        lam, A = 0, rng.normal(size=(50, 6))
+        pca, m = fit_pca(A), 3
+    projector = None if pca is None else pca.components[:m]
+    base = np.argmax(forward_batch(net, A, lam)[-1], axis=1)
+    assert np.unique(base).size > 1
+    G = np.concatenate([logit_diffs_all_batch(net, lam, A[r:r + 1],
+                                              base[r:r + 1])[1]
+                        for r in range(len(A))])
+    if projector is not None:
+        G = G @ projector.T
+    norms = np.linalg.norm(G, axis=2)
+    step = marginlab.margin._next_step
+    calls = []
+
+    def checked(o, b, grads, rows, rate):
+        at = np.arange(len(b)) if rows is None else rows
+        assert grads.slot is not None
+        assert len(grads.grads) == np.unique(base).size
+        assert grads.norms.take(at, 0).tobytes() == norms[at].tobytes()
+        own = SimpleNamespace(grads=G[at], norms=norms[at],
+                              projector=projector, slot=None)
+        got, want = step(o, b, grads, rows, rate), step(o, b, own, None, rate)
+        for x, y in zip(got, want):
+            assert x.tobytes() == y.tobytes()
+        calls.append(len(b))
+        return got
+
+    monkeypatch.setattr(marginlab.margin, "_next_step", checked)
+    table = search_margins(net, lam, A, SearchConfig(stop_tolerance=1e-3),
+                           pca, m, batch_mean=batch_mean)
+    assert len(calls) > 2
+    assert table.steps.max() > 1
+
+
 def test_rows_that_stop_cost_no_copy_of_the_gradient_tensor():
-    # a layer-1 search of 600 rows over 64 units holds a 600 x 5 x 64
-    # gradient tensor (1.46 MiB) while its rows stop over some twenty
-    # iterations; the search peaks near 3.8 MiB, and copying the tensor
-    # down to the rows still searching whenever some stop lifts that past
-    # 4.2 MiB
+    # a search at layer 1 of a 20-64-16-10 net, whose second ReLU keeps its
+    # gradients per row, holds a 300 x 10 x 64 gradient tensor (1.46 MiB)
+    # while its rows stop over some twenty iterations; the search peaks
+    # near 2.8 MiB, and copying the tensor down to the rows still
+    # searching whenever some stop lifts that past 4.2 MiB
     rng = np.random.default_rng(7)
-    net = init_network(20, [64], 5, seed=11)
-    H = forward_batch(net, 3.0 * rng.normal(size=(600, 20)))[1]
+    net = init_network(20, [64, 16], 10, seed=11)
+    H = forward_batch(net, 3.0 * rng.normal(size=(300, 20)))[1]
     tracemalloc.start()
     try:
         table = search_margins(net, 1, H, SearchConfig(stop_tolerance=1e-3))
@@ -1069,7 +1123,25 @@ def test_rows_that_stop_cost_no_copy_of_the_gradient_tensor():
     finally:
         tracemalloc.stop()
     assert 5 <= np.median(table.steps) < table.steps.max()
-    assert peak < 4.0 * 2 ** 20
+    assert peak < 3.5 * 2 ** 20
+
+
+def test_layer_closed_form_keeps_one_gradient_entry_per_class():
+    # 2,000 rows at layer 1 of a 32-128-10 net: no ReLU lies above, so one
+    # 10 x 128 gradient entry per base class serves every row; per-row
+    # state, a 2,000 x 10 x 128 tensor, peaked at 20.5 MiB
+    rng = np.random.default_rng(83)
+    net = init_network(32, [128], 10, seed=13)
+    A = forward_batch(net, rng.normal(size=(2000, 32)))[1]
+    tracemalloc.start()
+    try:
+        table = search_margins(net, 1, A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.d_best.shape == (2000,)
+    assert np.unique(table.base).size > 1
+    assert peak < 2 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (DomainError, NumericalError, _as_floats, _checked_rows,
                      check_overflow)
-from .pca import PcaModel, _checked_pca
+from .pca import PcaModel, _checked_pca, _coverage_count
 
 
 @dataclass(frozen=True)
@@ -83,13 +83,6 @@ class CumulativeShare:
     marker_99: int
 
 
-def _coverage_marker(cum_ratio: np.ndarray, threshold: float) -> int:
-    reached = cum_ratio >= threshold - 1e-12
-    if not reached.any():
-        return int(cum_ratio.size)
-    return int(np.argmax(reached)) + 1
-
-
 def cumulative_share(p_share: np.ndarray,
                      explained_ratio: np.ndarray) -> CumulativeShare:
     """Cumulative perturbation share with 70%/99% variance markers.
@@ -107,5 +100,5 @@ def cumulative_share(p_share: np.ndarray,
         cumulative, cum_ratio = np.cumsum(p), np.cumsum(ratio)
     check_overflow("cumulative share", cumulative, cum_ratio)
     return CumulativeShare(cumulative=cumulative,
-                           marker_70=_coverage_marker(cum_ratio, 0.70),
-                           marker_99=_coverage_marker(cum_ratio, 0.99))
+                           marker_70=_coverage_count(cum_ratio, 0.70),
+                           marker_99=_coverage_count(cum_ratio, 0.99))

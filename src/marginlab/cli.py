@@ -152,7 +152,7 @@ def _resolve_subspace(args):
     if args.pca is None:
         raise ConfigError("constrained estimators need --pca")
     pca = load_pca(args.pca)
-    if args.m == "auto":
+    if args.m in (None, "auto"):
         m = select_components_kneedle(pca).m
     else:
         try:
@@ -169,6 +169,8 @@ def _cmd_measure(args):
         raise ConfigError("--boundary-out needs a deepfool-family estimator")
     if args.batch and args.estimator not in _DEEPFOOL_ESTIMATORS:
         raise ConfigError("--batch needs a deepfool-family estimator")
+    if not constrained and (args.pca is not None or args.m is not None):
+        raise ConfigError("--pca and --m need a constrained estimator")
 
     net = load_model(args.model)
     if not 0 <= args.layer < len(net.layers):
@@ -511,8 +513,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="batched search with mean-distance stopping")
     p.add_argument("--pca", default=None,
                    help="fitted projection file for constrained estimators")
-    p.add_argument("--m", default="auto",
-                   help="subspace dimension or 'auto' for knee selection")
+    p.add_argument("--m", default=None,
+                   help="subspace dimension, or 'auto' (default) for the knee")
     p.add_argument("--include-misclassified", action="store_true")
     p.add_argument("--tv-normalize", action="store_true",
                    help="append a margin_tv column scaled by the layer's "

@@ -153,9 +153,16 @@ def select_components_kneedle(pca: PcaModel) -> ElbowChoice:
 
     with np.errstate(over="ignore"):  # an overflow still reaches 70%
         cumulative = np.cumsum(ratio[:k])
-    reached = np.nonzero(cumulative >= 0.70 - 1e-12)[0]
-    m = int(reached[0]) + 1 if reached.size else k
-    return ElbowChoice(m=m, curve=curve, fallback_used=True)
+    return ElbowChoice(m=_coverage_count(cumulative, 0.70), curve=curve,
+                       fallback_used=True)
+
+
+def _coverage_count(cum_ratio: np.ndarray, threshold: float) -> int:
+    """The smallest component count whose cumulative explained-variance
+    ratio ``cum_ratio`` reaches ``threshold``, or every component when the
+    ratios never get there (a truncated basis)."""
+    reached = cum_ratio >= threshold - 1e-12
+    return int(np.argmax(reached)) + 1 if reached.any() else cum_ratio.size
 
 
 # ---------------------------------------------------------------------------

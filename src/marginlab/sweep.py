@@ -44,14 +44,14 @@ from .nnet import Network, TrainConfig, init_network, predict_batch, train_sgd
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated description of one capacity-sweep run, range-checked
-    when built; each error names the config key at fault.
+    """Validated description of one capacity-sweep run, checked when
+    built; each error names the config key at fault.
 
     The data come from ``blob`` or from ``dataset_path``/``test_path``. The
-    seeds in ``blob`` and ``train`` are placeholders: each run derives its
-    own from ``seed``, and the blob centers too, so ``blob.centers`` must be
-    None. ``search`` configures the boundary search; None measures the
-    closed-form (first-order) margin.
+    seeds in ``blob`` and ``train`` are placeholders that must be 0: each
+    run derives its own from ``seed``, and the blob centers too, so
+    ``blob.centers`` must be None. ``search`` configures the boundary
+    search; None measures the closed-form (first-order) margin.
     """
 
     blob: BlobConfig | None
@@ -71,9 +71,22 @@ class ExperimentConfig:
                 or (self.dataset_path is None) != (self.test_path is None):
             raise DomainError("dataset: expected a blob config or a path "
                               "and a test_path")
-        if self.blob is not None and self.blob.centers is not None:
-            raise DomainError("dataset: the blob centers are drawn from "
-                              "seed, so blob.centers must be None")
+        if self.blob is not None and not (isinstance(self.blob, BlobConfig)
+                                          and self.blob.seed == 0
+                                          and self.blob.centers is None):
+            raise DomainError(f"dataset: expected a BlobConfig with seed 0 "
+                              f"and centers None, as the sweep draws both "
+                              f"from seed, got {self.blob!r}")
+        if not (isinstance(self.train, TrainConfig) and self.train.seed == 0):
+            raise DomainError(f"train: expected a TrainConfig with seed 0, "
+                              f"as the sweep draws each net's seed from "
+                              f"seed, got {self.train!r}")
+        for key in ("output_dir", "dataset_path", "test_path"):
+            value = getattr(self, key)
+            # the data-source rule above leaves a path None beside a blob only
+            if not (isinstance(value, str)
+                    or key != "output_dir" and value is None):
+                raise DomainError(f"{key} must be a string, got {value!r}")
         for key in ("corruptions", "widths", "seeds"):
             if not isinstance(getattr(self, key), (tuple, list)):
                 raise DomainError(f"{key}: expected a list, got "
@@ -85,10 +98,10 @@ class ExperimentConfig:
             mode, fraction = entry
             if not (isinstance(mode, str) and mode in CORRUPTERS):
                 raise DomainError(f"corruptions[{k}]: mode must be 'label' "
-                                  f"or 'input'")
+                                  f"or 'input', got {mode!r}")
             if not (_is_finite_real(fraction) and 0.0 < fraction <= 1.0):
                 raise DomainError(f"corruptions[{k}]: fraction must lie in "
-                                  f"(0, 1]")
+                                  f"(0, 1], got {fraction!r}")
         check_integers(seed=self.seed,
                        **{f"widths[{k}]": w for k, w in enumerate(self.widths)},
                        **{f"seeds[{k}]": v for k, v in enumerate(self.seeds)})
@@ -101,72 +114,53 @@ class ExperimentConfig:
             raise DomainError(f"search: expected a SearchConfig or None (the "
                               f"closed form), got {self.search!r}")
         if self.normalize not in NORMALIZE_SCHEMES:
-            raise DomainError("normalize: expected znorm, minmax, or none")
-
-
-_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
-               dict: "an object", list: "a list"}
-
-
-def _typed(value, kind: type, where: str):
-    """``value`` if it is a JSON value of ``kind``; ConfigError otherwise.
-
-    Integers exclude booleans and floats, so nothing is truncated; ``float``
-    takes any finite number and returns it as a float.
-    """
-    if kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    elif kind is float:
-        ok = _is_finite_real(value)
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
-        raise ConfigError(f"{where}: expected {_KIND_NAMES[kind]}, "
-                          f"got {value!r}")
-    return float(value) if kind is float else value
+            raise DomainError(f"normalize: expected znorm, minmax, or none, "
+                              f"got {self.normalize!r}")
 
 
 _REQUIRED = object()
 
-# Each table maps a config object's keys to (kind, default); its keys are the
-# object's allowed key set.
+# Each table maps a config object's keys to their defaults; its keys are the
+# object's allowed key set. The values themselves are checked by the config
+# types they build.
 _SWEEP_FIELDS = {
-    "dataset": (dict, _REQUIRED), "widths": (list, _REQUIRED),
-    "output_dir": (str, _REQUIRED),
-    "corruptions": (list, [{"mode": "label", "fraction": 0.2}]),
-    "seeds": (list, [0]), "train": (dict, {}), "estimator": (dict, {}),
-    "normalize": (str, "znorm"), "seed": (int, 0)}
-_BLOB_FIELDS = {"classes": (int, _REQUIRED),
-                "samples_per_class": (int, _REQUIRED),
-                "dim": (int, _REQUIRED), "spread": (float, _REQUIRED)}
-_PATH_FIELDS = {"path": (str, _REQUIRED), "test_path": (str, _REQUIRED)}
-_CORRUPTION_FIELDS = {"mode": (str, _REQUIRED), "fraction": (float, 0.2)}
-_TRAIN_FIELDS = {"epochs": (int, 40), "batch_size": (int, 32),
-                 "learning_rate": (float, 0.05), "momentum": (float, 0.9)}
-_ESTIMATOR_FIELDS = {"name": (str, "deepfool"),
-                     "learning_rate": (float, 0.25),
-                     "stop_tolerance": (float, 0.001),
-                     "max_iters": (int, 100)}
+    "dataset": _REQUIRED, "widths": _REQUIRED, "output_dir": _REQUIRED,
+    "corruptions": [{"mode": "label", "fraction": 0.2}], "seeds": [0],
+    "train": {}, "estimator": {}, "normalize": "znorm", "seed": 0}
+_BLOB_FIELDS = dict.fromkeys(["classes", "samples_per_class", "dim",
+                              "spread"], _REQUIRED)
+_PATH_FIELDS = dict.fromkeys(["path", "test_path"], _REQUIRED)
+_CORRUPTION_FIELDS = {"mode": _REQUIRED, "fraction": 0.2}
+_TRAIN_FIELDS = {"epochs": 40, "batch_size": 32, "learning_rate": 0.05,
+                 "momentum": 0.9}
+_ESTIMATOR_FIELDS = {"name": "deepfool", "learning_rate": 0.25,
+                     "stop_tolerance": 0.001, "max_iters": 100}
 
 
-def _section(obj, table: dict, where: str, prefix: str | None = None) -> dict:
-    """Every key of ``table`` read from the JSON object ``obj``: its value
-    checked against the key's kind, or the key's default when absent."""
-    _typed(obj, dict, where)
+def _list(value, where: str) -> tuple:
+    """The JSON list ``value`` as a tuple; ConfigError for another value."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
+    return tuple(value)
+
+
+def _section(obj, table: dict, where: str) -> dict:
+    """Every key of ``table`` read from the JSON object ``obj``: its value,
+    or the key's default when absent."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object, got {obj!r}")
     unknown = sorted(set(obj) - set(table))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
-    missing = [key for key, (_, default) in table.items()
+    missing = [key for key, default in table.items()
                if default is _REQUIRED and key not in obj]
     if missing:
         raise ConfigError(f"{where}: missing keys {missing}")
-    prefix = f"{where}." if prefix is None else prefix
-    return {key: _typed(obj.get(key, default), kind, prefix + key)
-            for key, (kind, default) in table.items()}
+    return {key: obj.get(key, default) for key, default in table.items()}
 
 
 def _built(cls, where: str, **fields):
-    """``cls(**fields)``, with the section named in its range-check error."""
+    """``cls(**fields)``, with the section named in its check's error."""
     try:
         return cls(**fields)
     except WorkbenchError as exc:
@@ -175,24 +169,25 @@ def _built(cls, where: str, **fields):
 
 def _load_sweep_config(doc, source: str, output_dir: str | None,
                        seed: int | None) -> ExperimentConfig:
-    """The parsed JSON config ``doc`` as an ``ExperimentConfig``, which
-    checks the ranges; here each key's presence and JSON kind are checked.
+    """The parsed JSON config ``doc`` as an ``ExperimentConfig``, whose
+    types check the values; here only objects, lists and key presence are.
     ``source`` names the config in errors about its top level, and a given
     ``output_dir`` or ``seed`` overrides the config's."""
-    top = _section(doc, _SWEEP_FIELDS, source, prefix="")
-    if "path" in top["dataset"]:
-        paths = _section(top["dataset"], _PATH_FIELDS, "dataset")
+    top = _section(doc, _SWEEP_FIELDS, source)
+    dataset = top["dataset"]
+    if isinstance(dataset, dict) and "path" in dataset:
+        paths = _section(dataset, _PATH_FIELDS, "dataset")
         blob = None
     else:
         paths = dict.fromkeys(_PATH_FIELDS)
         blob = _built(BlobConfig, "dataset",
-                      **_section(top["dataset"], _BLOB_FIELDS, "dataset"),
-                      seed=0)
+                      **_section(dataset, _BLOB_FIELDS, "dataset"), seed=0)
 
     # each entry's (mode, fraction), in _CORRUPTION_FIELDS order
     corruptions = tuple(tuple(_section(entry, _CORRUPTION_FIELDS,
                                        f"corruptions[{k}]").values())
-                        for k, entry in enumerate(top["corruptions"]))
+                        for k, entry in enumerate(_list(top["corruptions"],
+                                                        "corruptions")))
     est = _section(top["estimator"], _ESTIMATOR_FIELDS, "estimator")
     name = est.pop("name")
     if name == "deepfool":
@@ -204,14 +199,13 @@ def _load_sweep_config(doc, source: str, output_dir: str | None,
                               f"{given}")
         search = None
     else:
-        raise ConfigError("estimator: name must be 'deepfool' or 'taylor'")
+        raise ConfigError(f"estimator: name must be 'deepfool' or 'taylor', "
+                          f"got {name!r}")
     return ExperimentConfig(
         blob=blob, dataset_path=paths["path"], test_path=paths["test_path"],
         corruptions=corruptions,
-        widths=tuple(_typed(w, int, f"widths[{k}]")
-                     for k, w in enumerate(top["widths"])),
-        seeds=tuple(_typed(v, int, f"seeds[{k}]")
-                    for k, v in enumerate(top["seeds"])),
+        widths=_list(top["widths"], "widths"),
+        seeds=_list(top["seeds"], "seeds"),
         train=_built(TrainConfig, "train",
                      **_section(top["train"], _TRAIN_FIELDS, "train")),
         search=search,
@@ -295,7 +289,7 @@ def run_capacity_sweep(cfg: ExperimentConfig) -> dict:
         for mode, fraction in cfg.corruptions:
             ds, _ = CORRUPTERS[mode](
                 train_raw, fraction,
-                derive_seed(cfg.seed, "corrupt", mode, fraction))
+                derive_seed(cfg.seed, "corrupt", mode, float(fraction)))
             variants.append((f"{mode}-corrupted", ds))
 
         stage = "normalize"

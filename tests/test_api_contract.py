@@ -637,6 +637,13 @@ _SWEEP = dict(blob=BlobConfig(2, 4, 2, 1.0, 0), dataset_path=None,
      DomainError),
     (lambda: ExperimentConfig(**{**_SWEEP, "widths": 4}), DomainError),
     (lambda: ExperimentConfig(**{**_SWEEP, "seeds": None}), DomainError),
+    (lambda: ExperimentConfig(**{**_SWEEP, "blob": {"classes": 2}}),
+     DomainError),
+    (lambda: ExperimentConfig(**{**_SWEEP, "train": {"epochs": 2}}),
+     DomainError),
+    (lambda: ExperimentConfig(**{**_SWEEP, "output_dir": 7}), DomainError),
+    (lambda: ExperimentConfig(**{**_SWEEP, "blob": None, "dataset_path": 7,
+                                 "test_path": "test.csv"}), DomainError),
 ], ids=["rows-text", "rows-ragged", "rows-complex-list", "rows-complex-array",
         "cumulative-share-text", "r2-text", "fit-pca-text", "gen-blobs-text",
         "tv-normalize-text", "extract-signature-text", "fit-predictor-text",
@@ -645,13 +652,17 @@ _SWEEP = dict(blob=BlobConfig(2, 4, 2, 1.0, 0), dataset_path=None,
         "train-config-text", "evaluated-model-text", "search-pca-width",
         "sweep-no-widths", "sweep-unknown-estimator", "sweep-no-data",
         "sweep-flat-corruption", "sweep-list-mode", "sweep-scalar-widths",
-        "sweep-no-seeds"])
+        "sweep-no-seeds", "sweep-blob-dict", "sweep-train-dict",
+        "sweep-output-dir-int", "sweep-dataset-path-int"])
 def test_probed_leaks_raise_workbench_errors(call, error):
     # each leaked a numpy or Python exception, or a ComplexWarning, or (the
     # sweep without widths or data) failed late, or (the unknown estimator)
     # wrote a closed-form sweep; a sweep config of the wrong shape (a flat
     # corruption pair, a list as its mode, widths or seeds that are not a
-    # list) leaked Python's unpacking, hashing or iteration error
+    # list) leaked Python's unpacking, hashing or iteration error; a blob
+    # or train config given as a dict, or a path that is not a string,
+    # leaked Python's attribute or type error, the last only once every net
+    # had trained
     with pytest.raises(error):
         call()
 
@@ -662,6 +673,16 @@ def test_sweep_config_refuses_blob_centers():
     blob = BlobConfig(2, 4, 2, 1.0, 0, centers=np.zeros((2, 2)))
     with pytest.raises(DomainError, match="centers"):
         ExperimentConfig(**{**_SWEEP, "blob": blob})
+
+
+@pytest.mark.parametrize("key,value", [("blob", BlobConfig(2, 4, 2, 1.0, 5)),
+                                       ("train", TrainConfig(2, 4, 0.1,
+                                                             seed=5))])
+def test_sweep_config_refuses_placeholder_seeds(key, value):
+    # the sweep derives the blob and training seeds from its master seed, so
+    # a seed given in these configs was silently replaced
+    with pytest.raises(DomainError, match="with seed 0"):
+        ExperimentConfig(**{**_SWEEP, key: value})
 
 
 # ---------------------------------------------------------------------------

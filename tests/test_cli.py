@@ -13,6 +13,7 @@ import marginlab.sweep
 from marginlab._csvio import read_numeric_csv
 from marginlab.cli import main
 from marginlab.data import (
+    BlobConfig,
     Dataset,
     NormalizationMeta,
     apply_normalization,
@@ -30,6 +31,7 @@ from marginlab.margin import (
 from marginlab.nnet import (
     DenseLayer,
     Network,
+    TrainConfig,
     forward_batch,
     load_model,
     save_model,
@@ -40,7 +42,12 @@ from marginlab.pca import (
     save_pca,
     select_components_kneedle,
 )
-from marginlab.sweep import _load_sweep_config, _train_entry
+from marginlab.sweep import (
+    ExperimentConfig,
+    _load_sweep_config,
+    _train_entry,
+    run_capacity_sweep,
+)
 
 
 def run(capsys, *argv):
@@ -336,8 +343,13 @@ def _tiny_data(tmp_path, features=3):
      "--boundary-out needs"),
     (["--estimator", "constrained-taylor", "--pca", "pca.json", "--batch"],
      "--batch needs"),
+    (["--estimator", "deepfool", "--pca", "no_such_file.json", "--m", 7],
+     "--pca and --m need a constrained estimator"),
+    (["--estimator", "taylor", "--m", "auto"],
+     "--pca and --m need a constrained estimator"),
 ], ids=["constrained-hidden-layer", "pca-width", "no-pca", "m-text",
-        "boundary-out-closed-form", "batch-closed-form"])
+        "boundary-out-closed-form", "batch-closed-form",
+        "pca-unconstrained", "m-unconstrained"])
 def test_measure_bad_options_exit_2(capsys, tmp_path, monkeypatch, options,
                                     complaint):
     data = _tiny_data(tmp_path)
@@ -522,16 +534,18 @@ def test_measure_rows_match_single_sample_calls(capsys, tmp_path, estimator,
     save_model(net, tmp_path / "model.json")
     pca = fit_pca(X)
     save_pca(pca, tmp_path / "pca.json")
+    searches, constrained = _SINGLE[estimator]
+    subspace_flags = ["--pca", tmp_path / "pca.json", "--m", 2] \
+        if constrained else []
     out = tmp_path / "m.csv"
     code, _, _ = run(capsys, "measure", "--model", tmp_path / "model.json",
                      "--data", tmp_path / "d.csv", "--estimator", estimator,
-                     "--layer", layer, "--pca", tmp_path / "pca.json",
-                     "--m", 2, "--tol", 0.001, "--max-iters", 8,
-                     "--include-misclassified", "--out", out)
+                     "--layer", layer, *subspace_flags, "--tol", 0.001,
+                     "--max-iters", 8, "--include-misclassified",
+                     "--out", out)
     assert code == 0
 
     acts = forward_batch(net, X)[layer]
-    searches, constrained = _SINGLE[estimator]
     cfg = SearchConfig(stop_tolerance=0.001, max_iters=8) if searches \
         else None
     subspace = (pca, 2) if constrained else (None, None)
@@ -1466,6 +1480,33 @@ def test_sweep_taylor_measures_the_closed_form(capsys, tmp_path):
         "estimator"] == "taylor"
     loaded = _load_sweep_config(cfg, "sweep.json", None, None)
     assert loaded.search is None
+
+
+def test_sweep_integer_fraction_draws_the_float_fractions_corruption(
+        capsys, tmp_path):
+    # a corruption's seed was derived from the fraction's text, so a library
+    # config's fraction 1 drew another corruption than the JSON loader's 1.0;
+    # with 3 classes the relabelling depends on that seed
+    doc = {"dataset": {"classes": 3, "samples_per_class": 5, "dim": 2,
+                       "spread": 1.0},
+           "corruptions": [{"mode": "label", "fraction": 1}],
+           "widths": [3], "train": {"epochs": 2, "batch_size": 4,
+                                    "learning_rate": 0.1},
+           "estimator": {"stop_tolerance": 0.001, "max_iters": 5},
+           "output_dir": str(tmp_path / "json"), "seed": 1}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert run(capsys, "sweep", "--config", cfg_path)[0] == 0
+    info = run_capacity_sweep(ExperimentConfig(
+        blob=BlobConfig(3, 5, 2, 1.0, 0), dataset_path=None, test_path=None,
+        corruptions=(("label", 1),), widths=(3,), seeds=(0,),
+        train=TrainConfig(2, 4, 0.1),
+        search=SearchConfig(stop_tolerance=0.001, max_iters=5),
+        normalize="znorm", output_dir=str(tmp_path / "library"), seed=1))
+    assert len(info["files"]) == 4
+    for name in info["files"]:
+        assert ((tmp_path / "library" / name).read_bytes()
+                == (tmp_path / "json" / name).read_bytes()), name
 
 
 def test_sweep_single_class_dataset_writes_nothing(capsys, tmp_path,

@@ -204,6 +204,8 @@ def _cmd_measure(args):
     summary = {"estimator": args.estimator, "layer": int(args.layer),
                "measured": int(resolved.size),
                "degenerate": int(np.count_nonzero(missing)),
+               "status_counts": dict(zip(_STATUS_TEXT.tolist(), np.bincount(
+                   table.status, minlength=_STATUS_TEXT.size).tolist())),
                "skipped_misclassified": skipped, "mean_margin": mean}
     if constrained:
         summary["subspace_dims"] = int(m)
@@ -466,18 +468,19 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mw", description="margin measurement workbench")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    dataset = "dataset file, CSV; the path must end in .csv"
     p = sub.add_parser("gen-data", help="generate a Gaussian-blob dataset")
     p.add_argument("--classes", type=int, default=2)
     p.add_argument("--samples-per-class", type=int, default=100)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--spread", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help=dataset)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("corrupt", help="corrupt labels or inputs")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--in", dest="infile", required=True, help=dataset)
+    p.add_argument("--out", required=True, help=dataset)
     p.add_argument("--mode", choices=tuple(CORRUPTERS), required=True)
     p.add_argument("--fraction", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -486,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_corrupt)
 
     p = sub.add_parser("train", help="train an MLP classifier")
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", required=True, help=dataset)
     p.add_argument("--hidden", required=True,
                    help="comma-separated hidden widths, e.g. 32,16")
     p.add_argument("--epochs", type=int, default=40)
@@ -501,14 +504,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="measure classification margins")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", required=True, help=dataset)
     p.add_argument("--estimator", choices=_ESTIMATORS, default="deepfool")
     p.add_argument("--layer", type=int, default=0)
+    closed_form = "; checked, then ignored by taylor and constrained-taylor"
     p.add_argument("--gamma", type=float, default=0.25,
-                   help="search learning rate in (0, 1]")
+                   help="search learning rate in (0, 1]" + closed_form)
     p.add_argument("--tol", type=float, default=0.01,
-                   help="distance-stabilization stopping tolerance")
-    p.add_argument("--max-iters", type=int, default=100)
+                   help="distance-stabilization stopping tolerance, > 0"
+                        + closed_form)
+    p.add_argument("--max-iters", type=int, default=100,
+                   help="search step limit, >= 1" + closed_form)
     p.add_argument("--batch", action="store_true",
                    help="batched search with mean-distance stopping")
     p.add_argument("--pca", default=None,
@@ -525,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("pca", help="fit principal components to a dataset")
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", required=True, help=dataset)
     p.add_argument("--components", type=int, default=None)
     p.add_argument("--knee", action="store_true",
                    help="also report the knee-selected component count")

@@ -7,10 +7,8 @@ returns a new dataset; nothing mutates its input.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
-from pathlib import Path
 
 import numpy as np
 
@@ -29,9 +27,6 @@ from .errors import (
     check_overflow,
     check_seed,
 )
-
-_MAGIC = b"MWDS"
-_BIN_VERSION = 1
 
 
 class SampleFlag(IntEnum):
@@ -335,63 +330,24 @@ CORRUPTERS = {"label": corrupt_labels, "input": corrupt_inputs_gaussian}
 
 
 # ---------------------------------------------------------------------------
-# file formats
+# dataset files: CSV, the one format
 
 
-def save_dataset_bin(ds: Dataset, path) -> None:
-    """Write the MWDS binary layout (f32 features, u32 labels, little-endian).
-
-    A dataset the loader would not read back raises ConfigError before the
-    file is opened: one ``_checked_dataset`` rejects, one without samples,
-    one whose class count is below 2 or beyond u32, and one whose features
-    are not finite once stored as f32.
-    """
-    _checked_file(_checked_dataset, ds, path)
-    if not (ds.sample_count and 2 <= ds.class_count < 2 ** 32):
-        raise ConfigError(f"{path}: an MWDS file holds samples and a "
-                          f"class_count in [2, 2**32)")
-    with np.errstate(over="ignore"):  # the check below names the overflow
-        features = np.ascontiguousarray(ds.features, dtype="<f4")
-    # a value beyond the f32 range is stored as inf, which the loader refuses
-    _checked_file(_checked_dataset, replace(ds, features=features), path)
-    write_file(path, b"".join((
-        _MAGIC, struct.pack("<IQQI", _BIN_VERSION, ds.sample_count,
-                            ds.feature_count, ds.class_count),
-        features.tobytes(),
-        np.ascontiguousarray(ds.labels, dtype="<u4").tobytes())))
+def _check_csv_path(path) -> None:
+    """A ConfigError, raised before any file is opened, unless ``path``
+    ends in ``.csv`` in any letter case."""
+    if not str(path).lower().endswith(".csv"):
+        raise ConfigError(f"{path}: a dataset file is CSV, and its path "
+                          f"must end in .csv")
 
 
-def load_dataset_bin(path) -> Dataset:
-    """Read the MWDS layout. Bounds are recomputed; flags reset to clean."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 + 24 or raw[:4] != _MAGIC:
-        raise ConfigError(f"{path}: not an MWDS dataset file")
-    version, s, n, class_count = struct.unpack_from("<IQQI", raw, 4)
-    if version != _BIN_VERSION:
-        raise ConfigError(f"{path}: unsupported MWDS version {version}")
-    offset = 4 + 24
-    need = offset + s * n * 4 + s * 4
-    if len(raw) != need:
-        raise ConfigError(f"{path}: truncated or oversized MWDS payload")
-    if not s:
-        raise ConfigError(f"{path}: MWDS file holds no samples")
-    features = np.frombuffer(raw, dtype="<f4", count=s * n, offset=offset)
-    features = features.reshape(s, n).astype(np.float64)
-    labels = np.frombuffer(raw, dtype="<u4", count=s, offset=offset + s * n * 4)
-    labels = labels.astype(np.int64)
-    if class_count < 2:
-        raise ConfigError(f"{path}: class_count must be >= 2")
-    lower, upper = _expanded_bounds(features)
-    return _checked_file(_checked_dataset, Dataset(
-        features, labels, lower, upper, np.zeros(s, dtype=np.int64),
-        int(class_count)), path)
-
-
-def save_dataset_csv(ds: Dataset, path) -> None:
-    """Write the CSV layout. A dataset the loader would not read back raises
-    ConfigError before the file is opened: one ``_checked_dataset``
-    rejects, and one without samples, features or a label of 1 or more,
-    from which the loader counts two classes."""
+def save_dataset(ds: Dataset, path) -> None:
+    """Write ``ds`` as CSV: a header, then one row of features and label
+    per sample. A path not ending in ``.csv``, and a dataset the loader
+    would not read back, raise ConfigError before the file is opened: one
+    ``_checked_dataset`` rejects, and one without samples, features or a
+    label of 1 or more, from which the loader counts two classes."""
+    _check_csv_path(path)
     _checked_file(_checked_dataset, ds, path)
     features = np.asarray(ds.features, dtype=np.float64)
     if not (ds.sample_count and ds.feature_count and ds.labels.max() >= 1):
@@ -402,9 +358,13 @@ def save_dataset_csv(ds: Dataset, path) -> None:
         [*features.T, np.asarray(ds.labels, dtype=np.int64)]))
 
 
-def load_dataset_csv(path) -> Dataset:
-    """Last column is the label, a non-negative integer written as a number
-    (``1`` or ``1.0``); the file grammar is :func:`read_numeric_csv`'s."""
+def load_dataset(path) -> Dataset:
+    """Read a CSV dataset; a path not ending in ``.csv`` is a ConfigError.
+    The last column is the label, a non-negative integer written as a
+    number (``1`` or ``1.0``); the file grammar is
+    :func:`read_numeric_csv`'s. Bounds are computed from the features, and
+    every sample is flagged clean."""
+    _check_csv_path(path)
     _, values = read_numeric_csv(path)
     if not len(values):
         raise ConfigError(f"{path}: CSV has a header but no data rows")
@@ -425,18 +385,3 @@ def load_dataset_csv(path) -> Dataset:
     return _checked_file(_checked_dataset, Dataset(
         features, labels, lower, upper, np.zeros(len(labels), dtype=np.int64),
         class_count), path)
-
-
-def load_dataset(path) -> Dataset:
-    """A ``.csv`` path is read as CSV, any other as MWDS."""
-    if str(path).endswith(".csv"):
-        return load_dataset_csv(path)
-    return load_dataset_bin(path)
-
-
-def save_dataset(ds: Dataset, path) -> None:
-    """A ``.csv`` path is written as CSV, any other as MWDS."""
-    if str(path).endswith(".csv"):
-        save_dataset_csv(ds, path)
-    else:
-        save_dataset_bin(ds, path)

@@ -11,7 +11,6 @@ into an error.
 """
 
 import functools
-import struct
 import tempfile
 import warnings
 from dataclasses import replace
@@ -885,9 +884,9 @@ def test_functions_taking_a_dataset(call, ds):
     _returns_or_raises_workbench_error(_DATASET_CALLS[call], ds)
 
 
-# the dataset files: any CSV text and MWDS bytes load or raise, and a
-# dataset saves and loads back with its features and labels, or raises
-# without making the file
+# the dataset files: any CSV text loads or raises, and a dataset saves and
+# loads back with its features and labels, or raises without making the
+# file
 
 _CSV_CELLS = st.sampled_from(["0", "1", "2", "-1", "1.5", "nan", "inf",
                               "1e400", "x", "", " 3 ", "1e308", "f0",
@@ -898,73 +897,30 @@ CSV_TEXT = st.one_of(
              max_size=6).map("\n".join))
 
 
-def _mwds_bytes(header):
-    """MWDS bytes: the magic, a version, sizes and a class count as drawn,
-    then any payload."""
-    version, s, n, classes = header
-    return st.binary(max_size=64).map(
-        lambda payload: b"MWDS" + struct.pack("<IQQI", version, s, n,
-                                              classes) + payload)
-
-
-def _as_f32(a):
-    with np.errstate(over="ignore"):  # values beyond f32 become ±inf
-        return a.astype("<f4")
-
-
-MWDS_BYTES = st.one_of(
-    st.binary(max_size=40),
-    st.tuples(st.sampled_from([1, 2]), st.integers(0, 4), st.integers(0, 3),
-              st.integers(0, 4)).flatmap(_mwds_bytes),
-    st.tuples(st.integers(1, 4), st.integers(0, 3)).flatmap(
-        lambda shape: st.tuples(
-            _filled(shape).map(_as_f32),
-            hnp.arrays("<u4", shape[0], elements=st.integers(0, 4)),
-            st.integers(0, 4)).map(
-                lambda parts: b"MWDS" + struct.pack(
-                    "<IQQI", 1, *shape, parts[2]) + parts[0].tobytes()
-                + parts[1].tobytes())))
-
-
 @VALUES
-@given(st.one_of(CSV_TEXT.map(lambda t: ("ds.csv", t.encode())),
-                 st.binary(max_size=30).map(lambda b: ("ds.csv", b)),
-                 MWDS_BYTES.map(lambda b: ("ds.bin", b))))
-def test_load_dataset(file):
-    name, raw = file
+@given(st.one_of(CSV_TEXT.map(str.encode), st.binary(max_size=30)))
+def test_load_dataset(raw):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / name
+        path = Path(tmp) / "ds.csv"
         path.write_bytes(raw)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning leaks too
             _returns_or_raises_workbench_error(load_dataset, path)
 
 
-def _round_trips(ds, name):
+@VALUES
+@given(DATASETS)
+def test_save_dataset(ds):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / name
+        path = Path(tmp) / "ds.csv"
         try:
             save_dataset(ds, path)
         except WorkbenchError:
             assert not path.exists()
             return
         loaded = load_dataset(path)
-    stored = (ds.features.astype(np.float32).astype(np.float64)
-              if name.endswith(".bin") else ds.features)
-    assert np.array_equal(loaded.features, stored)
+    assert np.array_equal(loaded.features, ds.features)
     assert np.array_equal(loaded.labels, ds.labels)
-
-
-@VALUES
-@given(DATASETS)
-def test_save_dataset_mwds(ds):
-    _round_trips(ds, "ds.bin")
-
-
-@VALUES
-@given(DATASETS)
-def test_save_dataset_csv(ds):
-    _round_trips(ds, "ds.csv")
 
 
 # the value-type cases first probed by hand: each leaked a numpy exception
@@ -1045,17 +1001,13 @@ def test_train_sgd_refuses_non_finite_weights_before_training():
 
 
 @pytest.mark.parametrize("name,ds", [
-    ("ds.bin", _flat(labels=(0, 0, 0), classes=1)),
-    ("ds.bin", _flat(labels=(0, 0, 0), classes=2 ** 32)),
     ("ds.csv", _flat(labels=(0, 0, 0))),
     ("ds.csv", _flat(labels=(0, -1, 1))),
-    ("ds.bin", _flat(labels=(0, -1, 1))),
     ("ds.csv", Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64),
                        np.zeros(2), np.ones(2), np.zeros(0), 2)),
     ("ds.csv", Dataset(np.zeros((3, 0)), np.array([0, 1, 0]), np.zeros(0),
                        np.ones(0), np.zeros(3), 2)),
-], ids=["mwds-one-class", "mwds-class-count-beyond-u32", "csv-one-class",
-        "csv-negative-label", "mwds-negative-label", "csv-no-samples",
+], ids=["csv-one-class", "csv-negative-label", "csv-no-samples",
         "csv-no-features"])
 def test_dataset_writers_refuse_what_their_loaders_refuse(tmp_path, name, ds):
     # each was written, and its loader then refused the file
@@ -1068,8 +1020,7 @@ def test_dataset_writers_refuse_what_their_loaders_refuse(tmp_path, name, ds):
     np.array([[1.0, 2.0], ["a", 3.0]], dtype=object),
     np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex),
 ], ids=["text", "complex"])
-def test_save_dataset_csv_refuses_text_and_complex_features(tmp_path,
-                                                             features):
+def test_save_dataset_refuses_text_and_complex_features(tmp_path, features):
     # numpy's ValueError (text) or ComplexWarning (complex) leaked from the
     # float conversion, which ran before the dataset check
     ds = Dataset(features, np.array([0, 1]), np.zeros(2), np.ones(2),
@@ -1077,14 +1028,6 @@ def test_save_dataset_csv_refuses_text_and_complex_features(tmp_path,
     with pytest.raises(ConfigError, match="ds.csv"):
         save_dataset(ds, tmp_path / "ds.csv")
     assert list(tmp_path.iterdir()) == []
-
-
-def test_mwds_file_without_samples_is_a_config_error(tmp_path):
-    # numpy's ValueError leaked from the bounds of zero samples
-    path = tmp_path / "ds.bin"
-    path.write_bytes(b"MWDS" + struct.pack("<IQQI", 1, 0, 2, 2))
-    with pytest.raises(ConfigError, match="no samples"):
-        load_dataset(path)
 
 
 # error branches that only generated examples reached: each has a named

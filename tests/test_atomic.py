@@ -13,8 +13,8 @@ def test_write_file_writes_text_as_utf8_and_bytes_as_they_are(tmp_path):
     path = tmp_path / "out"
     write_file(path, "a,ü\nb\r\n")
     assert path.read_bytes() == "a,ü\nb\r\n".encode("utf-8")
-    write_file(path, b"\x00MWDS\xff")
-    assert path.read_bytes() == b"\x00MWDS\xff"
+    write_file(path, b"\x00bytes\xff")
+    assert path.read_bytes() == b"\x00bytes\xff"
     assert os.listdir(tmp_path) == ["out"]
 
 

@@ -56,7 +56,7 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def gen(capsys, tmp_path, name="blobs.mwds", classes=2, spc=40, dim=3,
+def gen(capsys, tmp_path, name="blobs.csv", classes=2, spc=40, dim=3,
         spread=1.0, seed=11):
     path = tmp_path / name
     code, _, _ = run(capsys, "gen-data", "--classes", classes,
@@ -82,8 +82,8 @@ def train(capsys, tmp_path, data, name="model.json", hidden="12",
 
 
 def test_gen_data_roundtrip_and_determinism(capsys, tmp_path):
-    p1 = gen(capsys, tmp_path, "a.mwds")
-    p2 = gen(capsys, tmp_path, "b.mwds")
+    p1 = gen(capsys, tmp_path, "a.csv")
+    p2 = gen(capsys, tmp_path, "b.csv")
     ds = load_dataset(p1)
     assert ds.sample_count == 80
     assert ds.feature_count == 3
@@ -92,7 +92,7 @@ def test_gen_data_roundtrip_and_determinism(capsys, tmp_path):
 
 def test_corrupt_labels_via_cli(capsys, tmp_path):
     data = gen(capsys, tmp_path)
-    out = tmp_path / "corrupted.mwds"
+    out = tmp_path / "corrupted.csv"
     report_path = tmp_path / "report.json"
     code, out_text, _ = run(capsys, "corrupt", "--in", data, "--out", out,
                             "--mode", "label", "--fraction", 0.25,
@@ -111,7 +111,7 @@ def test_corrupt_labels_via_cli(capsys, tmp_path):
 def test_corrupt_rejects_bad_fraction(capsys, tmp_path):
     data = gen(capsys, tmp_path)
     code, _, err = run(capsys, "corrupt", "--in", data,
-                       "--out", tmp_path / "x.mwds",
+                       "--out", tmp_path / "x.csv",
                        "--mode", "label", "--fraction", 1.5, "--seed", 0)
     assert code == 2
     assert err
@@ -133,11 +133,21 @@ def test_negative_seed_exits_2(capsys, tmp_path, argv):
 
 
 def test_missing_input_file_exits_2(capsys, tmp_path):
-    code, _, err = run(capsys, "corrupt", "--in", tmp_path / "nope.mwds",
-                       "--out", tmp_path / "x.mwds",
+    code, _, err = run(capsys, "corrupt", "--in", tmp_path / "nope.csv",
+                       "--out", tmp_path / "x.csv",
                        "--mode", "label", "--fraction", 0.1, "--seed", 0)
     assert code == 2
     assert err
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    # the operating system's refusal to write is one error line
+    out = tmp_path / "missing-dir" / "blobs.csv"
+    code, out_text, err = run(capsys, "gen-data", "--out", out)
+    assert (code, out_text) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "missing-dir" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 146. TiB", ""])
@@ -157,14 +167,11 @@ def test_out_of_memory_exits_2(capsys, tmp_path, monkeypatch, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("spread,suffix", [
-    ("1e308", "csv"), ("1e308", "mwds"), ("inf", "csv"), ("inf", "mwds"),
-    ("1e39", "mwds")])
+@pytest.mark.parametrize("spread,suffix", [("1e308", "csv"), ("inf", "csv")])
 def test_gen_data_non_finite_features_exit_2(capsys, tmp_path, spread,
                                              suffix):
-    # the writer refuses what the loaders would reject: float64 overflow
-    # (1e308), or overflow of the MWDS layout's f32 (1e39); an infinite
-    # spread is refused before any sample is drawn
+    # the writer refuses what the loader would reject: float64 overflow
+    # (1e308); an infinite spread is refused before any sample is drawn
     out = tmp_path / f"blobs.{suffix}"
     code, out_text, err = run(capsys, "gen-data", "--spread", spread,
                               "--seed", 0, "--out", out)
@@ -739,6 +746,47 @@ def test_measure_all_off_net_writes_todays_rows(capsys, tmp_path, estimator,
                      "--data", data, "--estimator", estimator, "--out", out)
     assert code == 0
     assert out.read_text() == f"{_MEASURE_HEADER}\n{row}\n"
+
+
+def test_measure_status_counts_name_why_rows_have_no_margin(capsys,
+                                                            tmp_path):
+    # "degenerate" counts every row without a margin; status_counts says
+    # that these two are unreachable in the subspace, not degenerate
+    save_model(_all_off_net(), tmp_path / "model.json")
+    save_pca(fit_pca(np.random.default_rng(2).normal(size=(20, 2))),
+             tmp_path / "pca.json")
+    data = tmp_path / "d.csv"
+    data.write_text("f0,f1,label\n0.5,-0.5,0\n1.5,2.0,1\n")
+    code, out, _ = run(capsys, "measure", "--model", tmp_path / "model.json",
+                       "--data", data, "--estimator", "constrained-taylor",
+                       "--pca", tmp_path / "pca.json", "--m", 1,
+                       "--include-misclassified", "--out", tmp_path / "m.csv")
+    assert code == 0
+    summary = json.loads(out)
+    assert (summary["measured"], summary["degenerate"]) == (0, 2)
+    assert summary["status_counts"] == {
+        status.value: 2 if status is SearchStatus.UNREACHABLE else 0
+        for status in SearchStatus}
+
+
+def test_measure_status_counts_match_the_status_column(capsys, tmp_path):
+    data = gen(capsys, tmp_path, classes=3, spc=20, dim=3, seed=4)
+    model, _ = train(capsys, tmp_path, data, epochs=10)
+    out = tmp_path / "m.csv"
+    code, stdout, _ = run(capsys, "measure", "--model", model, "--data", data,
+                          "--max-iters", 12, "--include-misclassified",
+                          "--out", out)
+    assert code == 0
+    summary = json.loads(stdout)
+    with out.open(newline="") as f:
+        column = [row["status"] for row in csv.DictReader(f)]
+    counts = summary["status_counts"]
+    assert list(counts) == sorted(status.value for status in SearchStatus)
+    assert counts == {status.value: column.count(status.value)
+                      for status in SearchStatus}
+    assert sum(counts.values()) == len(column) == (summary["measured"]
+                                                   + summary["degenerate"])
+    assert counts["converged"] and counts["max-iters"]
 
 
 def test_unnormalized_model_searches_stay_in_the_data_box(capsys, tmp_path):
@@ -1683,7 +1731,7 @@ def test_measure_tv_normalize_computes_the_total_variation_once(
     monkeypatch.setattr(marginlab.cli, "compute_total_variation", counted)
     model, _ = train(capsys, tmp_path, gen(capsys, tmp_path))
     code, stdout, _ = run(capsys, "measure", "--model", model, "--data",
-                          tmp_path / "blobs.mwds", "--estimator", "taylor",
+                          tmp_path / "blobs.csv", "--estimator", "taylor",
                           "--layer", 1, "--tv-normalize",
                           "--out", tmp_path / "m.csv")
     assert code == 0

@@ -1,4 +1,3 @@
-import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -15,12 +14,10 @@ from marginlab.data import (
     corrupt_inputs_gaussian,
     corrupt_labels,
     gen_blobs,
-    load_dataset_bin,
-    load_dataset_csv,
+    load_dataset,
     max_margin,
     normalize,
-    save_dataset_bin,
-    save_dataset_csv,
+    save_dataset,
 )
 from marginlab.cli import main
 from marginlab.errors import ConfigError, DomainError
@@ -54,11 +51,11 @@ def test_bounds_stay_finite_near_the_float_limit(tmp_path):
     features = np.array([[1e308, 1e308, top, 1.0],
                          [-1e308, 1.79e308, top, 3.0]])
     path = tmp_path / "ds.csv"
-    save_dataset_csv(Dataset(features, np.array([0, 1]), np.zeros(4),
-                             np.ones(4), np.zeros(2, dtype=np.int64), 2), path)
+    save_dataset(Dataset(features, np.array([0, 1]), np.zeros(4),
+                         np.ones(4), np.zeros(2, dtype=np.int64), 2), path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow warning either
-        ds = load_dataset_csv(path)
+        ds = load_dataset(path)
     assert np.isfinite(ds.lower).all() and np.isfinite(ds.upper).all()
     assert np.all(ds.lower <= features.min(axis=0))
     assert np.all(ds.upper >= features.max(axis=0))
@@ -300,54 +297,28 @@ def test_normalize_rejects_unknown_scheme():
 # file formats
 
 
-def test_binary_round_trip(tmp_path):
-    ds = gen_blobs(BlobConfig(classes=4, samples_per_class=15, dim=5, spread=1.0, seed=2))
-    path = tmp_path / "blobs.bin"
-    save_dataset_bin(ds, path)
-    loaded = load_dataset_bin(path)
-    # features stored as f32
-    assert np.allclose(loaded.features, ds.features, atol=1e-5)
-    assert np.array_equal(loaded.labels, ds.labels)
-    assert loaded.class_count == 4
-    assert np.all(loaded.corrupt_flags == SampleFlag.CLEAN)
-
-
-def test_binary_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 40)
-    from marginlab.errors import ConfigError
-
-    with pytest.raises(ConfigError):
-        load_dataset_bin(path)
-
-
-def _mwds(version=1, samples=2, class_count=2, labels=(0, 1), cut=0):
-    """MWDS bytes of ``samples`` rows of two features, ``cut`` bytes short."""
-    raw = b"".join((b"MWDS", struct.pack("<IQQI", version, samples, 2,
-                                         class_count),
-                    np.zeros(samples * 2, dtype="<f4").tobytes(),
-                    np.array(labels, dtype="<u4").tobytes()))
-    return raw[:len(raw) - cut]
-
-
-@pytest.mark.parametrize("raw,complaint", [
-    (_mwds(version=2), "unsupported MWDS version 2"),
-    (_mwds(cut=1), "truncated or oversized"),
-    (_mwds(class_count=1, labels=(0, 0)), "class_count must be >= 2"),
-    (_mwds(labels=(0, 2)), "label exceeds class_count"),
-], ids=["version", "size", "one-class", "label-out-of-range"])
-def test_binary_rejects_malformed_header(tmp_path, raw, complaint):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(raw)
-    with pytest.raises(ConfigError, match=complaint):
-        load_dataset_bin(path)
+@pytest.mark.parametrize("name", ["ds.bin", "ds.dat", "ds", "ds.csv.gz",
+                                  "csv"])
+def test_dataset_paths_must_end_in_csv(tmp_path, name):
+    ds = gen_blobs(BlobConfig(classes=2, samples_per_class=5, dim=3,
+                              spread=1.0, seed=4))
+    path = tmp_path / name
+    with pytest.raises(ConfigError, match=r"is CSV, and its path must end "
+                                          r"in \.csv"):
+        save_dataset(ds, path)
+    assert list(tmp_path.iterdir()) == []
+    # a CSV file under such a name is refused by the name alone
+    save_dataset(ds, tmp_path / "ds.csv")
+    (tmp_path / "ds.csv").rename(path)
+    with pytest.raises(ConfigError, match="must end in"):
+        load_dataset(path)
 
 
 def test_csv_round_trip(tmp_path):
     ds = gen_blobs(BlobConfig(classes=2, samples_per_class=10, dim=3, spread=1.0, seed=7))
     path = tmp_path / "blobs.csv"
-    save_dataset_csv(ds, path)
-    loaded = load_dataset_csv(path)
+    save_dataset(ds, path)
+    loaded = load_dataset(path)
     assert np.allclose(loaded.features, ds.features, atol=0)
     assert np.array_equal(loaded.labels, ds.labels)
 
@@ -355,14 +326,14 @@ def test_csv_round_trip(tmp_path):
 def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path):
     good = gen_blobs(BlobConfig(classes=2, samples_per_class=10, dim=3, spread=1.0, seed=7))
     path = tmp_path / "blobs.csv"
-    save_dataset_csv(good, path)
+    save_dataset(good, path)
     before = path.read_bytes()
     features = good.features.astype(object)
     features[-1, 0] = "not a number"  # the writer raises on the last row
     bad = Dataset(features, good.labels, good.lower, good.upper,
                   good.corrupt_flags, good.class_count)
     with pytest.raises(ConfigError):
-        save_dataset_csv(bad, path)
+        save_dataset(bad, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["blobs.csv"]
 
@@ -370,49 +341,39 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path):
 def test_csv_loader_accepts_headerless(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("0.5,1.5,0\n2.5,3.5,1\n")
-    ds = load_dataset_csv(path)
+    ds = load_dataset(path)
     assert ds.features.shape == (2, 2)
     assert list(ds.labels) == [0, 1]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "bin"])
+@pytest.mark.parametrize("fmt", ["csv", "CSV"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_loaders_reject_non_finite_features(tmp_path, fmt, value):
     from marginlab.errors import ConfigError
 
     ds = gen_blobs(BlobConfig(classes=2, samples_per_class=5, dim=3, spread=1.0, seed=4))
     path = tmp_path / f"blobs.{fmt}"
-    save, load = ((save_dataset_csv, load_dataset_csv) if fmt == "csv"
-                  else (save_dataset_bin, load_dataset_bin))
-    save(ds, path)
-    # the writers refuse a non-finite cell, so plant it in the file itself
-    if fmt == "csv":
-        lines = path.read_text().splitlines()
-        cells = lines[4].split(",")  # data row 3, after the header
-        cells[1] = repr(float(value))
-        lines[4] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
-    else:
-        raw = bytearray(path.read_bytes())
-        at = 4 + 24 + (3 * 3 + 1) * 4  # MWDS header, then f32 cell (3, 1)
-        raw[at:at + 4] = np.float32(value).tobytes()
-        path.write_bytes(bytes(raw))
+    save_dataset(ds, path)
+    # the writer refuses a non-finite cell, so plant it in the file itself
+    lines = path.read_text().splitlines()
+    cells = lines[4].split(",")  # data row 3, after the header
+    cells[1] = repr(float(value))
+    lines[4] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match="non-finite"):
-        load(path)
+        load_dataset(path)
 
 
-# 1e300 is finite in float64 but overflows the MWDS layout's f32
 @pytest.mark.parametrize("fmt,value", [
-    (fmt, value) for fmt in ("csv", "bin")
-    for value in (np.nan, np.inf, -np.inf)] + [("bin", 1e300)])
+    (fmt, value) for fmt in ("csv", "CSV")
+    for value in (np.nan, np.inf, -np.inf)])
 def test_writers_refuse_what_the_loaders_reject(tmp_path, fmt, value):
     from marginlab.errors import ConfigError
 
     ds = gen_blobs(BlobConfig(classes=2, samples_per_class=5, dim=3, spread=1.0, seed=4))
     ds.features[3, 1] = value
-    save = save_dataset_csv if fmt == "csv" else save_dataset_bin
     with pytest.raises(ConfigError, match="non-finite"):
-        save(ds, tmp_path / f"blobs.{fmt}")
+        save_dataset(ds, tmp_path / f"blobs.{fmt}")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -422,7 +383,7 @@ def test_csv_loader_rejects_infinite_label(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("0.5,1.5,0\n2.5,3.5,inf\n")
     with pytest.raises(ConfigError):
-        load_dataset_csv(path)
+        load_dataset(path)
 
 
 @pytest.mark.parametrize("label", ["1.7", "-1", "0.5", "nan", "-inf",
@@ -432,7 +393,7 @@ def test_csv_loader_rejects_non_integral_label(tmp_path, capsys, label):
     path = tmp_path / "plain.csv"
     path.write_text(f"f0,f1,label\n0.5,1.5,0\n2.5,3.5,{label}\n4.5,5.5,1\n")
     with pytest.raises(ConfigError, match="data row 2: label"):
-        load_dataset_csv(path)
+        load_dataset(path)
     code = main(["pca", "--data", str(path), "--out", str(tmp_path / "p.json")])
     err = capsys.readouterr().err
     assert code == 2
@@ -443,7 +404,7 @@ def test_csv_loader_rejects_non_integral_label(tmp_path, capsys, label):
 def test_csv_loader_accepts_integral_labels(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("0.5,1.5,0\n2.5,3.5,1.0\n4.5,5.5,2e0\n6.5,7.5,-0.0\n")
-    ds = load_dataset_csv(path)
+    ds = load_dataset(path)
     assert ds.labels.dtype == np.int64
     assert list(ds.labels) == [0, 1, 2, 0]
     assert ds.class_count == 3
@@ -452,7 +413,7 @@ def test_csv_loader_accepts_integral_labels(tmp_path):
 def test_csv_loader_skips_blank_lines(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("\n  \nf0,f1,label\n\n0.5,1.5,0\n \t \n2.5,3.5,1\n\n")
-    ds = load_dataset_csv(path)
+    ds = load_dataset(path)
     assert ds.features.tolist() == [[0.5, 1.5], [2.5, 3.5]]
     assert list(ds.labels) == [0, 1]
 
@@ -468,7 +429,7 @@ def test_csv_loader_rejects_rows_float_accepted(tmp_path, row):
     path = tmp_path / "plain.csv"
     path.write_text("f0,f1,label\n0.5,1.5,0\n" + row + "\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="data row 2"):
-        load_dataset_csv(path)
+        load_dataset(path)
 
 
 @pytest.mark.parametrize("text,complaint", [
@@ -479,7 +440,7 @@ def test_csv_loader_rejects_degenerate_tables(tmp_path, text, complaint):
     path = tmp_path / "plain.csv"
     path.write_text(text)
     with pytest.raises(ConfigError, match=complaint):
-        load_dataset_csv(path)
+        load_dataset(path)
 
 
 def test_csv_loader_rejects_header_width_mismatch(tmp_path):
@@ -488,14 +449,14 @@ def test_csv_loader_rejects_header_width_mismatch(tmp_path):
     path.write_text("f0,f1,f2,label\n0.5,1.5,0\n2.5,3.5,1\n")
     with pytest.raises(ConfigError, match="data row 1 has 3 cells, the "
                                           "header 4"):
-        load_dataset_csv(path)
+        load_dataset(path)
 
 
 def test_csv_loader_rejects_non_utf8(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_bytes(b"f0,f1,label\n0.5,1.5,0\n2.5,\xff,1\n")
     with pytest.raises(ConfigError, match="cannot read"):
-        load_dataset_csv(path)
+        load_dataset(path)
 
 
 _EXTREME = [0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324,
@@ -518,14 +479,14 @@ def test_csv_round_trip_is_bit_identical(data, rows, cols):
                  np.zeros(rows, dtype=np.int64), int(labels.max()) + 1)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ds.csv"
-        save_dataset_csv(ds, path)
+        save_dataset(ds, path)
         text = path.read_text()
         headerless = Path(tmp) / "plain.csv"
         headerless.write_text(text.partition("\n")[2])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # features near the float limit
-            loaded_pair = (load_dataset_csv(path),
-                           load_dataset_csv(headerless))
+            loaded_pair = (load_dataset(path),
+                           load_dataset(headerless))
         for loaded in loaded_pair:
             assert np.isfinite(loaded.lower).all()
             assert np.isfinite(loaded.upper).all()

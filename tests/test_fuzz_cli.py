@@ -11,6 +11,10 @@ get one textual edit instead: a cell replaced by arbitrary text or an
 awkward number, a cell or row deleted, added or duplicated, a blank line
 inserted, or the file cut short. A Python exception escaping ``main``
 would be a traceback for a user, so the test fails on any.
+
+The dataset commands (``mw gen-data``, ``mw corrupt``) get drawn flags
+and output names, CSV or not: a dataset a run writes must load with the
+counts it printed, and a refused run must leave its outputs as they were.
 """
 
 import contextlib
@@ -26,12 +30,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import marginlab.cli
 from marginlab.cli import main
-from marginlab.data import BlobConfig
+from marginlab.data import BlobConfig, load_dataset
 from marginlab.errors import ConfigError
 from marginlab.margin import SearchConfig
 from marginlab.metrics import ModelTable
@@ -499,3 +503,107 @@ def test_mutated_boundary_csv_exits_0_2_or_3(data):
         code, out, err = _run(["advdir", "--pca", pca, "--boundary-csv",
                                bounds, "--out", shares])
         _check_exit(code, out, err, shares)
+
+
+# the dataset commands: every dataset ``mw gen-data`` or ``mw corrupt``
+# writes is one ``mw`` reads, and a refused command leaves its outputs,
+# the ``--report`` sidecar included, as they were
+
+# a CSV name half the time
+_SUFFIXES = st.one_of(st.sampled_from([".csv", ".CSV"]),
+                      st.sampled_from([".dat", ".bin", ""]))
+
+
+@st.composite
+def _flags(draw, valid, bad):
+    """Flags drawn from ``valid``; in half the draws, one of them drawn
+    from ``bad`` instead."""
+    flags = draw(st.fixed_dictionaries(valid))
+    key = draw(st.one_of(st.none(), st.sampled_from(sorted(bad))))
+    if key is not None:
+        flags[key] = draw(bad[key])
+    return flags
+
+
+_GEN_FLAGS = _flags(
+    {"--classes": st.integers(2, 4), "--samples-per-class": st.integers(1, 5),
+     "--dim": st.integers(2, 4), "--spread": st.sampled_from([0.5, 1.0, 3.0]),
+     "--seed": st.integers(0, 3)},
+    {"--classes": st.integers(0, 1), "--samples-per-class": st.just(0),
+     "--dim": st.integers(0, 1),
+     "--spread": st.sampled_from([0.0, -1.0, 1e308, float("inf")]),
+     "--seed": st.just(-1)})
+_CORRUPT_FLAGS = _flags(
+    {"--mode": st.sampled_from(["label", "input"]),
+     "--fraction": st.sampled_from([0.0, 0.25, 1.0]),
+     "--seed": st.integers(0, 3)},
+    {"--fraction": st.sampled_from([1.5, -0.1, float("nan")]),
+     "--seed": st.just(-1)})
+_GEN_OK = {"--classes": 3, "--samples-per-class": 4, "--dim": 2,
+           "--spread": 1.0, "--seed": 1}
+_CORRUPT_OK = {"--mode": "label", "--fraction": 0.25, "--seed": 2}
+
+
+def _run_dataset_command(tmp: Path, argv, outputs):
+    """The summary of ``mw`` run on ``argv``, or None when it exits
+    non-zero, which must leave the directory and each of ``outputs`` as
+    they were."""
+    def state():
+        return (sorted(tmp.iterdir()),
+                [p.read_bytes() if p.exists() else None for p in outputs])
+
+    before = state()
+    code, out, err = _run(argv)
+    assert code in (0, 2, 3) and "Traceback" not in err
+    if code == 0:
+        return json.loads(out)
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert state() == before
+    return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(gen=_GEN_FLAGS, corrupt=_CORRUPT_FLAGS, gen_suffix=_SUFFIXES,
+       corrupt_suffix=_SUFFIXES, report=st.booleans(),
+       existing=st.booleans())
+# the refusals by name: gen-data's, then corrupt's with a report, over
+# files already there, then a suffix in capitals, which is CSV
+@example(gen=_GEN_OK, corrupt=_CORRUPT_OK, gen_suffix=".dat",
+         corrupt_suffix=".csv", report=True, existing=False)
+@example(gen=_GEN_OK, corrupt=_CORRUPT_OK, gen_suffix=".csv",
+         corrupt_suffix=".bin", report=True, existing=True)
+@example(gen=_GEN_OK, corrupt=_CORRUPT_OK, gen_suffix=".CSV",
+         corrupt_suffix="", report=False, existing=False)
+def test_dataset_commands_write_what_mw_reads(gen, corrupt, gen_suffix,
+                                              corrupt_suffix, report,
+                                              existing):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        made = tmp / f"gen{gen_suffix}"
+        out, sidecar = tmp / f"corrupted{corrupt_suffix}", tmp / "r.json"
+        if existing:
+            for path in (made, out, sidecar):
+                path.write_bytes(b"old\n")
+        summary = _run_dataset_command(
+            tmp, ["gen-data", *itertools.chain(*gen.items()), "--out", made],
+            [made])
+        if summary is not None:
+            ds = load_dataset(made)
+            assert (ds.sample_count, ds.feature_count, ds.class_count) == (
+                summary["samples"], summary["features"], summary["classes"])
+        else:  # corrupt a dataset that gen-data does write
+            made = tmp / "source.csv"
+            _run(["gen-data", *itertools.chain(*_GEN_OK.items()),
+                  "--out", made])
+        argv = ["corrupt", "--in", made, "--out", out,
+                *itertools.chain(*corrupt.items())]
+        summary = _run_dataset_command(
+            tmp, argv + (["--report", sidecar] if report else []),
+            [out, sidecar])
+        if summary is not None:
+            source, ds = load_dataset(made), load_dataset(out)
+            assert (ds.sample_count, ds.feature_count) == (
+                source.sample_count, source.feature_count)
+            if report:
+                indices = json.loads(sidecar.read_text())["indices_corrupted"]
+                assert len(indices) == summary["num_corrupted"]

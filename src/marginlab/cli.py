@@ -33,6 +33,7 @@ from .data import (
     CORRUPTERS,
     NORMALIZE_SCHEMES,
     BlobConfig,
+    _check_csv_path,
     gen_blobs,
     load_dataset,
     normalize,
@@ -88,6 +89,7 @@ def _json_line(obj) -> str:
 
 
 def _cmd_gen_data(args):
+    _check_csv_path(args.out)  # before the work the write would waste
     ds = gen_blobs(BlobConfig(classes=args.classes,
                               samples_per_class=args.samples_per_class,
                               dim=args.dim, spread=args.spread,
@@ -98,6 +100,7 @@ def _cmd_gen_data(args):
 
 
 def _cmd_corrupt(args):
+    _check_csv_path(args.out)  # before the work the write would waste
     ds = load_dataset(args.infile)
     out_ds, report = CORRUPTERS[args.mode](ds, args.fraction, args.seed)
     info = {"mode": report.mode, "seed": int(report.seed),

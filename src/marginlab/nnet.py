@@ -296,11 +296,21 @@ class TrainConfig:
             raise DomainError("momentum must lie in [0, 1)")
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def _flat(layers) -> tuple[np.ndarray, list[DenseLayer]]:
+    """One float64 vector holding each layer's weights, then its bias, layer
+    by layer, and the layers rebuilt as views into it."""
+    flat = np.concatenate([a.ravel() for layer in layers for a in
+                           (layer.weights, layer.bias)], dtype=np.float64)
+    views, end = [], 0
+    for layer in layers:
+        start, end = end, end + layer.weights.size + layer.bias.size
+        w, b = np.split(flat[start:end], [layer.weights.size])
+        views.append(DenseLayer(w.reshape(layer.weights.shape), b,
+                                layer.activation))
+    return flat, views
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence is a typed error
 def train_sgd(net: Network, dataset: Dataset, config: TrainConfig) -> Network:
     """Mini-batch SGD with momentum on softmax cross-entropy.
 
@@ -320,67 +330,52 @@ def train_sgd(net: Network, dataset: Dataset, config: TrainConfig) -> Network:
     if not len(X):
         raise DomainError("training needs samples")
 
-    # SGD updates float64 copies of the parameters in place
-    trained = replace(net, layers=[
-        DenseLayer(layer.weights.astype(np.float64),
-                   layer.bias.astype(np.float64), layer.activation)
-        for layer in net.layers])
-    # divergence shows up as overflow/nan before the finiteness check catches
-    # it; the warnings are noise, the typed error below is the signal
-    with np.errstate(over="ignore", invalid="ignore"):
-        loss = _run_epochs(trained, X, y, np.random.default_rng(config.seed),
-                           config)
-
-    logger.info("final epoch mean loss: %.6f", loss)
-    return trained
-
-
-def _run_epochs(net: Network, X, y, rng, config: TrainConfig) -> float:
-    """Run every epoch in place; returns the last epoch's mean loss."""
-    layers = net.layers
-    vel_w = [np.zeros_like(layer.weights) for layer in layers]
-    vel_b = [np.zeros_like(layer.bias) for layer in layers]
+    # SGD updates one float64 vector in place, the trained layers are its
+    # views, and the gradients and velocities share its layout
+    params, layers = _flat(net.layers)
+    grads, grad_layers = _flat(net.layers)
+    vel = np.zeros_like(params)
+    trained = replace(net, layers=layers)
+    rng = np.random.default_rng(config.seed)
     s = X.shape[0]
     for epoch in range(config.epochs):
         order = rng.permutation(s)
+        X_epoch, y_epoch = X[order], y[order]
         epoch_loss = 0.0
         for start in range(0, s, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            xb, yb = X[batch], y[batch]
-            b = len(batch)
+            xb = X_epoch[start:start + config.batch_size]
+            yb = y_epoch[start:start + config.batch_size]
+            b = len(xb)
 
-            inputs, pres = _forward(net, 0, xb)
-            log_probs = _log_softmax(inputs.pop())
+            inputs, pres = _forward(trained, 0, xb)
+            logits = inputs.pop()
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            log_probs = shifted - np.log(np.exp(shifted).sum(1, keepdims=True))
             epoch_loss += -float(log_probs[np.arange(b), yb].sum())
 
             # backprop softmax cross-entropy
             delta = np.exp(log_probs)
             delta[np.arange(b), yb] -= 1.0
             delta /= b
-            grads_w, grads_b = [None] * len(layers), [None] * len(layers)
             for k in range(len(layers) - 1, -1, -1):
-                grads_w[k] = delta.T @ inputs[k]
-                grads_b[k] = delta.sum(axis=0)
+                np.matmul(delta.T, inputs[k], out=grad_layers[k].weights)
+                np.sum(delta, axis=0, out=grad_layers[k].bias)
                 if k > 0:
                     delta = delta @ layers[k].weights
                     if layers[k - 1].activation == "relu":
                         delta = delta * (pres[k - 1] > 0.0)
 
-            for k, layer in enumerate(layers):
-                vel_w[k] *= config.momentum
-                vel_w[k] += grads_w[k]
-                vel_b[k] *= config.momentum
-                vel_b[k] += grads_b[k]
-                layer.weights[...] -= config.learning_rate * vel_w[k]
-                layer.bias[...] -= config.learning_rate * vel_b[k]
+            vel *= config.momentum
+            vel += grads
+            params -= config.learning_rate * vel
 
-        if not np.isfinite(epoch_loss) or any(
-            not np.all(np.isfinite(layer.weights)) for layer in layers
-        ):
+        if not (np.isfinite(epoch_loss) and np.isfinite(params).all()):
             raise TrainingDivergedError(
                 f"training diverged at epoch {epoch + 1} (non-finite loss or weights)"
             )
-    return epoch_loss / s
+
+    logger.info("final epoch mean loss: %.6f", epoch_loss / s)
+    return trained
 
 
 def accuracy(net: Network, dataset: Dataset) -> float:

@@ -150,6 +150,29 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["gen-data", "corrupt"])
+def test_non_csv_output_is_refused_before_the_dataset_is_made(
+        capsys, tmp_path, monkeypatch, command):
+    # the name the write would refuse is refused first: no dataset is
+    # drawn, read or corrupted, and no file is made
+    argv = ("gen-data",)
+    if command == "corrupt":
+        argv = ("corrupt", "--in", gen(capsys, tmp_path, "ok.csv"),
+                "--mode", "label", "--fraction", 0.2, "--seed", 0,
+                "--report", tmp_path / "r.json")
+    before = sorted(tmp_path.iterdir())
+    work = mock.Mock(side_effect=AssertionError("the dataset was made"))
+    monkeypatch.setattr(marginlab.cli, "gen_blobs", work)
+    monkeypatch.setattr(marginlab.cli, "load_dataset", work)
+    monkeypatch.setitem(marginlab.cli.CORRUPTERS, "label", work)
+    code, out_text, err = run(capsys, *argv, "--out", tmp_path / "x.bin")
+    work.assert_not_called()
+    assert (code, out_text) == (2, "")
+    assert err == (f"error: {tmp_path / 'x.bin'}: a dataset file is CSV, "
+                   f"and its path must end in .csv\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("message", ["Unable to allocate 146. TiB", ""])
 def test_out_of_memory_exits_2(capsys, tmp_path, monkeypatch, message):
     # the step raises as numpy would on a size beyond memory; nothing large

@@ -15,6 +15,8 @@ would be a traceback for a user, so the test fails on any.
 The dataset commands (``mw gen-data``, ``mw corrupt``) get drawn flags
 and output names, CSV or not: a dataset a run writes must load with the
 counts it printed, and a refused run must leave its outputs as they were.
+So do ``mw train`` and ``mw pca``, whose model and projection files must
+load with the widths and component counts they printed.
 """
 
 import contextlib
@@ -35,7 +37,7 @@ from hypothesis import strategies as st
 
 import marginlab.cli
 from marginlab.cli import main
-from marginlab.data import BlobConfig, load_dataset
+from marginlab.data import NORMALIZE_SCHEMES, BlobConfig, load_dataset
 from marginlab.errors import ConfigError
 from marginlab.margin import SearchConfig
 from marginlab.metrics import ModelTable
@@ -544,13 +546,14 @@ _GEN_OK = {"--classes": 3, "--samples-per-class": 4, "--dim": 2,
 _CORRUPT_OK = {"--mode": "label", "--fraction": 0.25, "--seed": 2}
 
 
-def _run_dataset_command(tmp: Path, argv, outputs):
+def _run_command(tmp: Path, argv, outputs):
     """The summary of ``mw`` run on ``argv``, or None when it exits
     non-zero, which must leave the directory and each of ``outputs`` as
     they were."""
     def state():
         return (sorted(tmp.iterdir()),
-                [p.read_bytes() if p.exists() else None for p in outputs])
+                [p.read_bytes() if p.is_file() else p.exists()
+                 for p in outputs])
 
     before = state()
     code, out, err = _run(argv)
@@ -584,7 +587,7 @@ def test_dataset_commands_write_what_mw_reads(gen, corrupt, gen_suffix,
         if existing:
             for path in (made, out, sidecar):
                 path.write_bytes(b"old\n")
-        summary = _run_dataset_command(
+        summary = _run_command(
             tmp, ["gen-data", *itertools.chain(*gen.items()), "--out", made],
             [made])
         if summary is not None:
@@ -597,7 +600,7 @@ def test_dataset_commands_write_what_mw_reads(gen, corrupt, gen_suffix,
                   "--out", made])
         argv = ["corrupt", "--in", made, "--out", out,
                 *itertools.chain(*corrupt.items())]
-        summary = _run_dataset_command(
+        summary = _run_command(
             tmp, argv + (["--report", sidecar] if report else []),
             [out, sidecar])
         if summary is not None:
@@ -607,3 +610,103 @@ def test_dataset_commands_write_what_mw_reads(gen, corrupt, gen_suffix,
             if report:
                 indices = json.loads(sidecar.read_text())["indices_corrupted"]
                 assert len(indices) == summary["num_corrupted"]
+
+
+def _argv(flags):
+    """The words of ``flags``: a flag drawn as True stands alone, and one
+    drawn as None or False is left out."""
+    return [word for key, value in flags.items()
+            if value is not None and value is not False
+            for word in ((key,) if value is True else (key, value))]
+
+
+_TRAIN_FLAGS = _flags(
+    {"--hidden": st.lists(st.integers(1, 6), min_size=1, max_size=3).map(
+        lambda widths: ",".join(map(str, widths))),
+     "--epochs": st.integers(1, 3), "--batch-size": st.integers(1, 30),
+     "--learning-rate": st.sampled_from([0.0, 0.05, 0.5]),
+     "--momentum": st.sampled_from([0.0, 0.5, 0.9]),
+     "--normalize": st.sampled_from(NORMALIZE_SCHEMES),
+     "--seed": st.integers(0, 3)},
+    {"--hidden": st.sampled_from(["3,x", "0", ""]),
+     "--epochs": st.integers(-1, 0), "--batch-size": st.integers(-1, 0),
+     "--learning-rate": st.sampled_from([-0.1, float("nan"), float("inf"),
+                                         1e12]),
+     "--momentum": st.sampled_from([1.0, -0.1, float("nan")])})
+# the dataset has 24 samples of 4 features, so 1 to 4 components
+_PCA_FLAGS = _flags(
+    {"--components": st.one_of(st.none(), st.integers(1, 4)),
+     "--knee": st.booleans()},
+    {"--components": st.sampled_from([0, -1, 5])})
+_TRAIN_OK = {"--hidden": "5,3", "--epochs": 2, "--batch-size": 5,
+             "--learning-rate": 0.05, "--momentum": 0.9,
+             "--normalize": "znorm", "--seed": 1}
+_PCA_OK = {"--components": 3, "--knee": True}
+# any file name, with "in", the dataset's directory, and a path through a
+# directory that does not exist among them
+_OUT_NAMES = st.one_of(
+    st.sampled_from(["model.json", "M.JSON", "x.bin", "in",
+                     "missing/out.json"]),
+    st.text("abzAZ09._ -", min_size=1, max_size=12).filter(
+        lambda name: name.strip(".") and not name.startswith("-")))
+
+
+def _model_example(train=None, pca=None, train_name="model.json",
+                   pca_name="pca.json", existing=False):
+    """A named example: the valid flags, but for the ones given."""
+    return example(train={**_TRAIN_OK, **(train or {})},
+                   pca={**_PCA_OK, **(pca or {})}, train_name=train_name,
+                   pca_name=pca_name, existing=existing)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(train=_TRAIN_FLAGS, pca=_PCA_FLAGS, train_name=_OUT_NAMES,
+       pca_name=_OUT_NAMES, existing=st.booleans())
+# each refusal by name: the hidden widths, each training setting, a
+# divergence, an output in a missing directory or on a directory, the
+# component count and a knee without three components; then a run that
+# succeeds over files already there
+@_model_example({"--hidden": "3,x"}, {"--components": 5})
+@_model_example({"--hidden": "0"}, {"--components": 2})
+@_model_example({"--epochs": 0}, {"--components": 0})
+@_model_example({"--batch-size": 0}, pca_name="missing/out.json")
+@_model_example({"--learning-rate": -0.1}, pca_name="in")
+@_model_example({"--learning-rate": float("inf")})
+@_model_example({"--momentum": 1.0})
+@_model_example({"--hidden": "3", "--batch-size": 1, "--learning-rate": 1e12})
+@_model_example(train_name="missing/out.json", existing=True)
+@_model_example(train_name="in")
+@_model_example({"--normalize": "minmax"}, {"--components": None},
+                train_name="M.JSON", pca_name="x.bin", existing=True)
+def test_model_commands_write_what_mw_reads(train, pca, train_name,
+                                            pca_name, existing):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = tmp / "in" / "data.csv"
+        data.parent.mkdir()
+        assert _run(["gen-data", *itertools.chain(*{
+            **_GEN_OK, "--samples-per-class": 8, "--dim": 4}.items()),
+            "--out", data])[0] == 0
+        model, projection = tmp / train_name, tmp / pca_name
+        if existing:
+            for path in (model, projection):
+                if path.parent.is_dir() and not path.is_dir():
+                    path.write_bytes(b"old\n")
+        summary = _run_command(
+            tmp, ["train", "--data", data, *_argv(train), "--out", model],
+            [model])
+        if summary is not None:
+            net = load_model(model)
+            assert [layer.weights.shape[0] for layer in net.layers[:-1]] == (
+                summary["hidden"])
+            assert (net.input_dim, net.num_classes) == (4, 3)
+        summary = _run_command(
+            tmp, ["pca", "--data", data, *_argv(pca), "--out", projection],
+            [projection])
+        if summary is not None:
+            basis = load_pca(projection)
+            assert basis.components.shape == (summary["components"],
+                                              summary["features"])
+            assert summary["features"] == 4
+            if pca["--knee"]:
+                assert 1 <= summary["knee_m"] <= summary["components"]

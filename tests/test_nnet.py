@@ -370,6 +370,147 @@ def test_train_sgd_logs_final_epoch_loss_without_a_prediction_pass(
     assert record.args[0] == pytest.approx(expect, rel=1e-12)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def per_layer_train_sgd(net, dataset, config):
+    """SGD written per layer, as ``train_sgd`` was before its parameters
+    moved into one vector: a float64 copy of each weight and bias, a
+    velocity and a gradient array per layer, a batch gathered per step.
+    Returns the trained layers and the last epoch's mean loss, or raises
+    the divergence error ``train_sgd`` raises."""
+    X, y = dataset.features.astype(np.float64), dataset.labels
+    layers = [DenseLayer(layer.weights.astype(np.float64),
+                         layer.bias.astype(np.float64), layer.activation)
+              for layer in net.layers]
+    vel_w = [np.zeros_like(layer.weights) for layer in layers]
+    vel_b = [np.zeros_like(layer.bias) for layer in layers]
+    rng, s = np.random.default_rng(config.seed), X.shape[0]
+    for epoch in range(config.epochs):
+        order = rng.permutation(s)
+        epoch_loss = 0.0
+        for start in range(0, s, config.batch_size):
+            batch = order[start:start + config.batch_size]
+            xb, yb, b = X[batch], y[batch], len(batch)
+            inputs, pres = [xb], []
+            for layer in layers:
+                Z = inputs[-1] @ layer.weights.T
+                Z += layer.bias
+                pres.append(Z)
+                inputs.append(np.maximum(Z, 0.0)
+                              if layer.activation == "relu" else Z)
+            logits = inputs.pop()
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            log_probs = shifted - np.log(np.exp(shifted).sum(axis=1,
+                                                              keepdims=True))
+            epoch_loss += -float(log_probs[np.arange(b), yb].sum())
+
+            delta = np.exp(log_probs)
+            delta[np.arange(b), yb] -= 1.0
+            delta /= b
+            grads_w, grads_b = [None] * len(layers), [None] * len(layers)
+            for k in range(len(layers) - 1, -1, -1):
+                grads_w[k] = delta.T @ inputs[k]
+                grads_b[k] = delta.sum(axis=0)
+                if k > 0:
+                    delta = delta @ layers[k].weights
+                    if layers[k - 1].activation == "relu":
+                        delta = delta * (pres[k - 1] > 0.0)
+
+            for k, layer in enumerate(layers):
+                vel_w[k] *= config.momentum
+                vel_w[k] += grads_w[k]
+                vel_b[k] *= config.momentum
+                vel_b[k] += grads_b[k]
+                layer.weights[...] -= config.learning_rate * vel_w[k]
+                layer.bias[...] -= config.learning_rate * vel_b[k]
+
+        if not np.isfinite(epoch_loss) or any(
+                not np.all(np.isfinite(a)) for layer in layers
+                for a in (layer.weights, layer.bias)):
+            raise TrainingDivergedError(
+                f"training diverged at epoch {epoch + 1} (non-finite loss "
+                f"or weights)")
+    return layers, epoch_loss / s
+
+
+def _oracle_task(widths=(4, 8, 3), dtype=None, **train):
+    """A net of ``widths``, its initial parameters cast to ``dtype``, a
+    blob dataset it fits, and a short training run's config."""
+    dim, *hidden, classes = widths
+    ds, meta = normalize(gen_blobs(BlobConfig(
+        classes=classes, samples_per_class=24, dim=dim, spread=1.0,
+        seed=dim)), "znorm")
+    net = init_network(dim, hidden, classes, seed=len(widths), norm_meta=meta)
+    if dtype is not None:
+        # whole numbers in a few units, so that int64 keeps a trainable net
+        net = replace(net, layers=[
+            replace(layer, weights=np.round(4 * layer.weights).astype(dtype),
+                    bias=np.round(4 * layer.bias).astype(dtype))
+            for layer in net.layers])
+    cfg = dict(epochs=3, batch_size=16, learning_rate=0.05, momentum=0.9,
+               seed=7)
+    return net, ds, TrainConfig(**{**cfg, **train})
+
+
+TRAINING_ORACLE_CASES = {
+    "20-64-5": dict(widths=(20, 64, 5)),
+    "4-8-3": dict(widths=(4, 8, 3), epochs=5),
+    "4-32-3": dict(widths=(4, 32, 3), epochs=5),
+    "4-16-16-3": dict(widths=(4, 16, 16, 3), epochs=5),
+    "float32-weights": dict(dtype=np.float32),
+    "int64-weights": dict(dtype=np.int64),
+    "batch-1": dict(batch_size=1),
+    "batch-10-of-72": dict(batch_size=10),
+    "batch-above-sample-count": dict(batch_size=500, epochs=6),
+    "momentum-0": dict(momentum=0.0),
+    "learning-rate-0": dict(learning_rate=0.0),
+}
+
+
+@pytest.mark.parametrize("case", TRAINING_ORACLE_CASES.values(),
+                         ids=TRAINING_ORACLE_CASES.keys())
+def test_train_sgd_gives_the_bytes_of_the_per_layer_loop(case, caplog):
+    net, ds, cfg = _oracle_task(**case)
+    given = [(layer.weights.tobytes(), layer.bias.tobytes())
+             for layer in net.layers]
+    with caplog.at_level(logging.INFO, logger="marginlab.nnet"):
+        trained = train_sgd(net, ds, cfg)
+    layers, loss = per_layer_train_sgd(net, ds, cfg)
+    assert [(a.weights.dtype, a.bias.dtype) for a in trained.layers] == [
+        (np.float64, np.float64)] * len(layers)
+    assert [(a.weights.tobytes(), a.bias.tobytes())
+            for a in trained.layers] == [(a.weights.tobytes(),
+                                          a.bias.tobytes()) for a in layers]
+    assert [(layer.weights.tobytes(), layer.bias.tobytes())
+            for layer in net.layers] == given  # the input net is untouched
+    [record] = [r for r in caplog.records if r.name == "marginlab.nnet"]
+    assert record.args == (loss,)
+    assert record.getMessage() == f"final epoch mean loss: {loss:.6f}"
+
+
+def test_train_sgd_diverges_at_the_epoch_of_the_per_layer_loop():
+    net, ds, cfg = _oracle_task(epochs=10, learning_rate=1e12)
+    with pytest.raises(TrainingDivergedError) as want:
+        per_layer_train_sgd(net, ds, cfg)
+    with pytest.raises(TrainingDivergedError) as got:
+        train_sgd(net, ds, cfg)
+    assert str(got.value) == str(want.value) == (
+        "training diverged at epoch 3 (non-finite loss or weights)")
+
+
+def test_train_sgd_raises_when_a_bias_alone_stops_being_finite():
+    # all-zero inputs give the weights zero gradients; the second epoch's
+    # loss is finite, but its momentum step takes the biases past the float
+    # range, and a net with infinite biases must not come back
+    ds = Dataset(np.zeros((4, 2)), np.ones(4, dtype=np.int64),
+                 np.full(2, -1.0), np.full(2, 1.0),
+                 np.zeros(4, dtype=np.int64), 2)
+    net = Network([DenseLayer(np.zeros((2, 2)), np.array([50.0, 0.0]),
+                              "none")], input_dim=2, num_classes=2)
+    cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=1.79e308)
+    with pytest.raises(TrainingDivergedError, match="at epoch 2 "):
+        train_sgd(net, ds, cfg)
+
+
 @pytest.mark.parametrize("value", [2.5, 2.0, np.float64(3.0), True, "3"],
                          ids=["float", "integral-float", "np-float", "bool",
                               "str"])
